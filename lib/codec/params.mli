@@ -10,6 +10,12 @@ type t = private {
   primes : int array;  (** sorted, pairwise distinct primes *)
   cipher : Crypto.Feistel.t;
   block_bits : int;  (** width of an encoded piece, [= Feistel.block_bits cipher] *)
+  pair_offsets : int array;
+      (** the pair-enumeration table: entry [k] starts the range of the
+          [k]-th prime pair in lexicographic order [(0,1), (0,2), ...],
+          which holds [p_i * p_j] values; one extra last entry is
+          [enumeration_total] *)
+  enumeration_total : int;  (** number of valid enumeration indices *)
 }
 
 val make : ?prime_bits:int -> ?block_bits:int -> passphrase:string -> watermark_bits:int -> unit -> t

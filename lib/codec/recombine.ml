@@ -205,41 +205,10 @@ let confidence params report =
         0.45 *. coverage *. consistency
   end
 
-let harvest ?(dedup_overlaps = true) (params : Params.t) bits ~strides =
-  let width = params.block_bits in
-  let out = ref [] in
-  List.iter
-    (fun stride ->
-      (* Overlapping identical windows are one observation, not many: a long
-         constant-bit run (e.g. a hot loop's branch) yields the same garbage
-         block at hundreds of consecutive positions, which would otherwise
-         swamp the residue vote.  A window only counts when it does not
-         overlap the previous occurrence of the same statement. *)
-      let last_seen = Hashtbl.create 64 in
-      let span = width * stride in
-      let pos = ref 0 in
-      let continue = ref true in
-      while !continue do
-        match Util.Bitstring.window bits ~pos:!pos ~stride ~width with
-        | None -> continue := false
-        | Some block ->
-            (match Statement.decode params block with
-            | Some s ->
-                let key = (s.Statement.i, s.Statement.j, s.Statement.x) in
-                let fresh =
-                  (not dedup_overlaps)
-                  ||
-                  match Hashtbl.find_opt last_seen key with
-                  | Some prev -> !pos - prev >= span
-                  | None -> true
-                in
-                Hashtbl.replace last_seen key !pos;
-                if fresh then out := s :: !out
-            | None -> ());
-            incr pos
-      done)
-    strides;
-  !out
+let harvest ?dedup_overlaps params bits ~strides =
+  let h = Harvester.create ?dedup_overlaps params ~strides in
+  Util.Bitstring.iter (Harvester.push h) bits;
+  Harvester.statements h
 
 let recover_from_bitstring ?cap ?vote_cap ?dedup_overlaps ?(strides = [ 1; 2 ]) params bits =
   recover ?cap ?vote_cap params (harvest ?dedup_overlaps params bits ~strides)

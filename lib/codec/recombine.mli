@@ -61,9 +61,10 @@ val harvest :
   ?dedup_overlaps:bool -> Params.t -> Util.Bitstring.t -> strides:int list -> Statement.t list
 (** Slide a [block_bits]-wide window over every position of the trace
     bit-string at each given stride, decrypt, and keep the windows that
-    decode to valid statements.  [dedup_overlaps] (default [true]) counts
-    overlapping occurrences of one statement once — constant-bit runs from
-    hot loops otherwise inflate its vote multiplicity (see DESIGN.md). *)
+    decode to valid statements: a {!Harvester} folded over the bits.
+    [dedup_overlaps] (default [true]) counts overlapping occurrences of one
+    statement once — constant-bit runs from hot loops otherwise inflate its
+    vote multiplicity (see DESIGN.md). *)
 
 val recover_from_bitstring :
   ?cap:int ->

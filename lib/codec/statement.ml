@@ -31,49 +31,42 @@ let all_of_watermark params w =
 
 let to_congruence params s = Numtheory.Gcrt.make_int ~residue:s.x ~modulus:(modulus params s)
 
-(* Pairs are enumerated lexicographically: (0,1), (0,2), ..., (0,r-1),
-   (1,2), ...; each pair owns a contiguous range of size p_i*p_j. *)
-let pair_offset (params : Params.t) i j =
-  let r = Array.length params.primes in
-  let off = ref 0 in
-  (try
-     for a = 0 to r - 1 do
-       for b = a + 1 to r - 1 do
-         if a = i && b = j then raise Exit;
-         off := !off + (params.primes.(a) * params.primes.(b))
-       done
-     done;
-     invalid_arg "Statement.pair_offset: bad pair"
-   with Exit -> ());
-  !off
+(* Index of pair (i, j) in the lexicographic pair enumeration (see
+   {!Params.t.pair_offsets}): rows 0 .. i-1 hold r-1, r-2, ..., r-i pairs. *)
+let pair_index r i j = (i * ((2 * r) - i - 1) / 2) + (j - i - 1)
 
-let enumerate params s =
+let enumerate (params : Params.t) s =
   check_pair params s.i s.j;
   let m = modulus params s in
   if s.x < 0 || s.x >= m then invalid_arg "Statement.enumerate: residue out of range";
-  pair_offset params s.i s.j + s.x
+  params.pair_offsets.(pair_index (Array.length params.primes) s.i s.j) + s.x
 
+(* Binary-search the pair whose range holds [v], then walk the rows to
+   name the pair. *)
 let unenumerate (params : Params.t) v =
-  if v < 0 then None
+  if v < 0 || v >= params.enumeration_total then None
   else begin
-    let r = Array.length params.primes in
-    let rec scan i j off =
-      if i >= r - 1 then None
-      else if j >= r then scan (i + 1) (i + 2) off
-      else begin
-        let m = params.primes.(i) * params.primes.(j) in
-        if v < off + m then Some { i; j; x = v - off } else scan i (j + 1) (off + m)
-      end
-    in
-    scan 0 1 0
+    let offsets = params.pair_offsets in
+    let lo = ref 0 and hi = ref (Array.length offsets - 2) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if offsets.(mid) <= v then lo := mid else hi := mid - 1
+    done;
+    let k = !lo in
+    let i = ref 0 and row = ref (Array.length params.primes - 1) and first = ref 0 in
+    while k >= !first + !row do
+      first := !first + !row;
+      incr i;
+      decr row
+    done;
+    Some { i = !i; j = !i + 1 + (k - !first); x = v - offsets.(k) }
   end
 
 let encode params s = Crypto.Feistel.encrypt params.Params.cipher (enumerate params s)
 
-let decode params block =
-  match Crypto.Feistel.decrypt params.Params.cipher block with
-  | v -> unenumerate params v
-  | exception Invalid_argument _ -> None
+let decode (params : Params.t) block =
+  if block < 0 || (params.block_bits < 62 && block lsr params.block_bits <> 0) then None
+  else unenumerate params (Crypto.Feistel.decrypt_unchecked params.cipher block)
 
 let bits params s =
   let encoded = encode params s in

@@ -40,7 +40,9 @@ val encode : Params.t -> t -> int
 
 val decode : Params.t -> int -> t option
 (** [decode params block] decrypts and unenumerates a candidate cipher
-    block from the trace. *)
+    block from the trace.  Total: [None] for a negative block, one beyond
+    [2^block_bits], or one whose plaintext lies past the enumeration
+    range (most trace windows); only a hit allocates. *)
 
 val bits : Params.t -> t -> bool list
 (** The encoded piece as bits, least-significant first — exactly the branch

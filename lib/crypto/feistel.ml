@@ -2,7 +2,9 @@ type t = {
   block_bits : int;
   half_bits : int;
   half_mask : int;
-  round_keys : int array; (* one half-width key per round *)
+  round_keys : int array;
+      (* one half-width key per round, with the round constant [i * 0x9E3779B9]
+         already folded in and masked to the half width *)
 }
 
 let default_block_bits = 62
@@ -14,7 +16,9 @@ let create ?(rounds = 32) ?(block_bits = default_block_bits) ~key () =
   let half_bits = block_bits / 2 in
   let half_mask = (1 lsl half_bits) - 1 in
   let rng = Util.Prng.create key in
-  let round_keys = Array.init rounds (fun _ -> Util.Prng.bits rng half_bits) in
+  let round_keys =
+    Array.init rounds (fun i -> (Util.Prng.bits rng half_bits lxor (i * 0x9E3779B9)) land half_mask)
+  in
   { block_bits; half_bits; half_mask; round_keys }
 
 let of_passphrase ?rounds ?block_bits passphrase =
@@ -30,11 +34,7 @@ let block_bits t = t.block_bits
 
 (* XTEA-flavoured round function on a half-width word. Any function works
    for invertibility; this one diffuses well at small widths. *)
-let round_f t r key i =
-  let m = t.half_mask in
-  let a = ((r lsl 4) lxor (r lsr 5)) + r in
-  let b = key lxor (i * 0x9E3779B9) in
-  (a lxor b) land m
+let[@inline] round_f m r key = ((((r lsl 4) lxor (r lsr 5)) + r) lxor key) land m
 
 let check_range t v =
   if v < 0 || (t.block_bits < 62 && v lsr t.block_bits <> 0) then
@@ -42,23 +42,25 @@ let check_range t v =
 
 let encrypt t v =
   check_range t v;
-  let l = ref (v lsr t.half_bits) and r = ref (v land t.half_mask) in
-  Array.iteri
-    (fun i key ->
-      let l' = !r in
-      let r' = !l lxor round_f t !r key i in
-      l := l';
-      r := r')
-    t.round_keys;
+  let m = t.half_mask and keys = t.round_keys in
+  let l = ref (v lsr t.half_bits) and r = ref (v land m) in
+  for i = 0 to Array.length keys - 1 do
+    let r' = !l lxor round_f m !r (Array.unsafe_get keys i) in
+    l := !r;
+    r := r'
+  done;
+  (!l lsl t.half_bits) lor !r
+
+let decrypt_unchecked t v =
+  let m = t.half_mask and keys = t.round_keys in
+  let l = ref (v lsr t.half_bits) and r = ref (v land m) in
+  for i = Array.length keys - 1 downto 0 do
+    let l' = !r lxor round_f m !l (Array.unsafe_get keys i) in
+    r := !l;
+    l := l'
+  done;
   (!l lsl t.half_bits) lor !r
 
 let decrypt t v =
   check_range t v;
-  let l = ref (v lsr t.half_bits) and r = ref (v land t.half_mask) in
-  for i = Array.length t.round_keys - 1 downto 0 do
-    let r' = !l in
-    let l' = !r lxor round_f t !l t.round_keys.(i) i in
-    l := l';
-    r := r'
-  done;
-  (!l lsl t.half_bits) lor !r
+  decrypt_unchecked t v

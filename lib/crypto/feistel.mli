@@ -35,3 +35,9 @@ val encrypt : t -> int -> int
 
 val decrypt : t -> int -> int
 (** Inverse of {!encrypt} on the block domain. *)
+
+val decrypt_unchecked : t -> int -> int
+(** {!decrypt} without the range check, for the recognizer's hot loop:
+    the caller guarantees [0 <= v < 2^(block_bits t)] (a window rolled
+    to [block_bits] bits is in range by construction).  Unspecified on
+    other values. *)

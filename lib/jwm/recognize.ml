@@ -85,28 +85,17 @@ let recognize ?(backend = `Compiled) ?(fuel = 200_000_000) ?(strides = [ 1; 2 ])
 (* ---- streaming recognition ----
 
    The push-based mode folds each branch event, as it happens, through the
-   incremental trace-bit decoder and into per-stride rolling cipher-block
-   windows; decoded statements accumulate exactly as the batch harvest
-   would produce them, and a periodic recombination probe lets the caller
-   stop the traced run as soon as the recovered value's redundancy margin
-   clears the confidence target.  With the probe disabled the final
-   statement list is byte-identical to {!Codec.Recombine.harvest}'s, so
+   incremental trace-bit decoder into the same {!Codec.Harvester} that
+   batch harvest folds over a whole bit-string, and a periodic
+   recombination probe lets the caller stop the traced run as soon as the
+   recovered value's redundancy margin clears the confidence target.  With
+   the probe disabled the final statement list is the batch harvest's, so
    [stream_finish] reproduces batch recognition exactly. *)
-
-type stride_state = {
-  stride : int;
-  chains : int array;  (* rolling window value per chain (pos mod stride) *)
-  last_seen : (int * int * int, int) Hashtbl.t;
-  mutable stmts : Codec.Statement.t list;  (* consed: head = newest *)
-  mutable count : int;
-}
 
 type stream = {
   params : Codec.Params.t;
   decoder : Stackvm.Trace.Decoder.t;
-  width : int;
-  states : stride_state array;  (* in the caller's stride order *)
-  mutable nbits : int;
+  harvester : Codec.Harvester.t;
   check_every : int;
   confidence_target : float;
   mutable since_check : int;
@@ -121,21 +110,7 @@ let stream_start ?(strides = [ 1; 2 ]) ?(confidence_target = 0.9) ?(check_every 
   {
     params;
     decoder = Stackvm.Trace.Decoder.create ();
-    width = params.Codec.Params.block_bits;
-    states =
-      Array.of_list
-        (List.map
-           (fun stride ->
-             if stride < 1 then invalid_arg "Recognize.stream_start: stride";
-             {
-               stride;
-               chains = Array.make stride 0;
-               last_seen = Hashtbl.create 64;
-               stmts = [];
-               count = 0;
-             })
-           strides);
-    nbits = 0;
+    harvester = Codec.Harvester.create params ~strides;
     check_every;
     confidence_target;
     since_check = 0;
@@ -144,13 +119,8 @@ let stream_start ?(strides = [ 1; 2 ]) ?(confidence_target = 0.9) ?(check_every 
     final_report = None;
   }
 
-(* The batch harvest walks stride 1 end to end, then stride 2, consing
-   onto one shared list; the equivalent canonical order from per-stride
-   lists is last stride first, each list newest-first as consed. *)
-let canonical s = Array.fold_left (fun acc st -> st.stmts @ acc) [] s.states
-
 let probe s =
-  let report = Codec.Recombine.recover s.params (canonical s) in
+  let report = Codec.Recombine.recover s.params (Codec.Harvester.statements s.harvester) in
   if
     report.Codec.Recombine.value <> None
     && Codec.Recombine.confidence s.params report >= s.confidence_target
@@ -162,37 +132,11 @@ let probe s =
 let stream_push s packed =
   if s.decided then true
   else begin
-    let bit = Stackvm.Trace.Decoder.push s.decoder packed in
-    let n = s.nbits in
-    s.nbits <- n + 1;
-    let b = if bit then 1 else 0 in
-    let hi = s.width - 1 in
-    Array.iter
-      (fun st ->
-        let c = n mod st.stride in
-        let v = (Array.unsafe_get st.chains c lsr 1) lor (b lsl hi) in
-        Array.unsafe_set st.chains c v;
-        let pos = n - (hi * st.stride) in
-        if pos >= 0 then
-          match Codec.Statement.decode s.params v with
-          | Some stmt ->
-              let key = (stmt.Codec.Statement.i, stmt.Codec.Statement.j, stmt.Codec.Statement.x) in
-              let fresh =
-                match Hashtbl.find_opt st.last_seen key with
-                | Some prev -> pos - prev >= s.width * st.stride
-                | None -> true
-              in
-              Hashtbl.replace st.last_seen key pos;
-              if fresh then begin
-                st.stmts <- stmt :: st.stmts;
-                st.count <- st.count + 1
-              end
-          | None -> ())
-      s.states;
+    Codec.Harvester.push s.harvester (Stackvm.Trace.Decoder.push s.decoder packed);
     s.since_check <- s.since_check + 1;
     if s.check_every > 0 && s.since_check >= s.check_every then begin
       s.since_check <- 0;
-      let total = Array.fold_left (fun acc st -> acc + st.count) 0 s.states in
+      let total = Codec.Harvester.count s.harvester in
       (* recombination is the expensive part: only probe when new evidence
          arrived since the last probe *)
       if total > s.stmts_at_check then begin
@@ -212,9 +156,11 @@ let stream_finish s =
   let report =
     match s.final_report with
     | Some r when s.decided -> r
-    | _ -> Codec.Recombine.recover s.params (canonical s)
+    | _ -> Codec.Recombine.recover s.params (Codec.Harvester.statements s.harvester)
   in
-  outcome_of_report s.params ~trace_branches:s.nbits ~steps:0 ~diagnostic:None report
+  outcome_of_report s.params
+    ~trace_branches:(Codec.Harvester.length s.harvester)
+    ~steps:0 ~diagnostic:None report
 
 let recognize_streaming ?(fuel = 200_000_000) ?strides ?confidence_target ?check_every
     ~passphrase ~watermark_bits ~input prog =

@@ -75,10 +75,10 @@ val recognizes :
 (** {2 Streaming recognition}
 
     The push-based mode: branch events are folded, one at a time, through
-    the incremental trace-bit decoder and per-stride rolling cipher-block
-    windows into CRT residue statements, with a periodic recombination
-    probe that declares the mark recovered as soon as its redundancy
-    margin clears the confidence target — so long-running or
+    the incremental trace-bit decoder into the {!Codec.Harvester} that
+    batch harvest uses, yielding CRT residue statements, with a periodic
+    recombination probe that declares the mark recovered as soon as its
+    redundancy margin clears the confidence target — so long-running or
     service-streamed workloads never materialize a trace, and a decided
     run can stop early. *)
 

@@ -38,6 +38,11 @@ let append_int t ~value ~width =
     append t ((value lsr k) land 1 = 1)
   done
 
+let iter f t =
+  for i = 0 to t.len - 1 do
+    f (unsafe_get t i)
+  done
+
 let of_string s =
   let t = create () in
   String.iter

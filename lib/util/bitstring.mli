@@ -23,6 +23,9 @@ val append_int : t -> value:int -> width:int -> unit
 (** [append_int t ~value ~width] appends the [width] low bits of [value],
     least-significant bit first. [0 <= width <= 62]. *)
 
+val iter : (bool -> unit) -> t -> unit
+(** [iter f t] applies [f] to every bit in index order. *)
+
 val of_string : string -> t
 (** [of_string "0110"] builds the bit-string 0,1,1,0 (index order). Raises
     [Invalid_argument] on characters other than ['0'] and ['1']. *)

@@ -6,6 +6,7 @@ let () =
       ("numtheory", Test_numtheory.suite);
       ("crypto", Test_crypto.suite);
       ("codec", Test_codec.suite);
+      ("harvest", Test_harvest.suite);
       ("stackvm", Test_stackvm.suite);
       ("compile", Test_compile.suite);
       ("jwm", Test_jwm.suite);

@@ -352,8 +352,56 @@ let test_bit_corruption_never_wrong () =
       | None -> () (* losing the mark under heavy corruption is acceptable *))
     [ 0.0; 0.005; 0.02; 0.05; 0.15; 0.4 ]
 
+(* [decode] sees arbitrary trace windows: it must answer [None] — never
+   raise — for negative values, values beyond the block, and blocks that
+   decrypt past the enumeration; and it must agree with [unenumerate]
+   everywhere inside. *)
+let test_decode_total () =
+  let small = Params.make ~prime_bits:8 ~block_bits:16 ~passphrase:"decode totality" ~watermark_bits:8 () in
+  let total = small.Params.enumeration_total in
+  Alcotest.(check bool) "enumeration leaves room in the block" true (total < 1 lsl 16);
+  List.iter
+    (fun (params : Params.t) ->
+      List.iter
+        (fun v ->
+          let none what r = Alcotest.(check bool) (Printf.sprintf "%s %d" what v) true (r = None) in
+          none "decode" (Statement.decode params v);
+          none "unenumerate" (Statement.unenumerate params v))
+        [ -1; -2; -(1 lsl 40); min_int ])
+    [ small; params_small; params_768 ];
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) (Printf.sprintf "beyond the block %d" v) true (Statement.decode small v = None))
+    [ 1 lsl 16; (1 lsl 16) + 1; 1 lsl 40; max_int ];
+  (* every 16-bit block: a statement exactly when its plaintext is below
+     the enumeration total, and then the statement that plaintext names *)
+  for block = 0 to (1 lsl 16) - 1 do
+    let v = Crypto.Feistel.decrypt small.Params.cipher block in
+    match Statement.decode small block with
+    | None -> if v < total then Alcotest.failf "block %d (plaintext %d) rejected" block v
+    | Some s ->
+        if v >= total then Alcotest.failf "block %d (plaintext %d >= %d) accepted" block v total;
+        Alcotest.(check int) "names its plaintext" v (Statement.enumerate small s)
+  done;
+  for v = total to (1 lsl 16) - 1 do
+    if Statement.unenumerate small v <> None then Alcotest.failf "unenumerate %d beyond the total" v
+  done;
+  (* the 62-bit block: plaintexts drawn from [total, 2^62) *)
+  let rng = Util.Prng.create 0xDEC0DEL in
+  List.iter
+    (fun (params : Params.t) ->
+      let total = params.Params.enumeration_total in
+      for _ = 1 to 2000 do
+        let v = total + Util.Prng.int rng ((1 lsl 62) - 1 - total) in
+        if Statement.decode params (Crypto.Feistel.encrypt params.Params.cipher v) <> None then
+          Alcotest.failf "plaintext %d beyond the total decoded" v;
+        if Statement.unenumerate params v <> None then Alcotest.failf "unenumerate %d beyond the total" v
+      done)
+    [ params_small; params_768 ]
+
 let edge_suite =
   [
+    ("decode is total without exceptions", `Quick, test_decode_total);
     ("params rejects bad args", `Quick, test_params_rejects_bad_args);
     ("statement rejects bad pairs", `Quick, test_statement_rejects_bad_pairs);
     ("recover on empty/tiny input", `Quick, test_recover_empty_and_tiny);

@@ -197,7 +197,34 @@ let test_streaming_matches_batch () =
     streamed.Jwm.Recognize.trace_branches;
   Alcotest.(check int) "same steps" batch.Jwm.Recognize.steps streamed.Jwm.Recognize.steps;
   Alcotest.(check (float 1e-9)) "same confidence" batch.Jwm.Recognize.partial.confidence
-    streamed.Jwm.Recognize.partial.confidence
+    streamed.Jwm.Recognize.partial.confidence;
+  (* and on every VM workload, marked at 64 and 256 bits *)
+  List.iter
+    (fun (e : Vm_corpus.entry) ->
+      let batch =
+        Jwm.Recognize.recognize ~passphrase:Vm_corpus.key ~watermark_bits:e.bits ~input:e.input
+          e.program
+      in
+      let streamed, status =
+        Jwm.Recognize.recognize_streaming ~check_every:0 ~passphrase:Vm_corpus.key
+          ~watermark_bits:e.bits ~input:e.input e.program
+      in
+      Alcotest.(check bool) (e.name ^ ": ran to completion") true (status = `Completed);
+      Alcotest.(check bool)
+        (e.name ^ ": same value")
+        true
+        (Option.equal Bignum.equal streamed.Jwm.Recognize.value batch.Jwm.Recognize.value);
+      Alcotest.(check string)
+        (e.name ^ ": same report")
+        (Vm_corpus.show_report batch.Jwm.Recognize.report)
+        (Vm_corpus.show_report streamed.Jwm.Recognize.report);
+      Alcotest.(check (float 1e-9))
+        (e.name ^ ": same confidence")
+        batch.Jwm.Recognize.partial.confidence streamed.Jwm.Recognize.partial.confidence;
+      Alcotest.(check int)
+        (e.name ^ ": same event count")
+        batch.Jwm.Recognize.trace_branches streamed.Jwm.Recognize.trace_branches)
+    (Vm_corpus.marked ())
 
 let test_streaming_early_exit () =
   let w, prog = Lazy.force marked in

@@ -63,6 +63,56 @@ let test_invalid_params () =
   Alcotest.(check bool) "value out of range" true (expect_invalid (fun () -> Crypto.Feistel.encrypt c 65536));
   Alcotest.(check bool) "negative value" true (expect_invalid (fun () -> Crypto.Feistel.encrypt c (-1)))
 
+(* Ciphertexts and plaintexts pinned from the original round function:
+   any change to the key schedule or the rounds changes embedded programs
+   and breaks recognition of every mark already shipped. *)
+let known_answers =
+  [
+    ( 62,
+      "kat passphrase",
+      [
+        (0, 3687546659079436123, 3871773075831621090);
+        (1, 3561033644111764524, 3847865639371917604);
+        (42, 2817368609639745931, 1228477493628152759);
+        (2685821657736338717, 2569166366252789979, 3007721168270734804);
+        (4611686018427387903, 955028844463959409, 489270531732609377);
+        (123456789123456789, 3584512056216404835, 1345870512197160554);
+      ] );
+    ( 62,
+      "pathmark-default-key|piece-cipher",
+      [
+        (0, 4327376505051208535, 2088119637667742862);
+        (1, 384752088806381227, 1638976604559572659);
+        (42, 3125639366885323764, 1820086852884781224);
+        (2685821657736338717, 3298879104815902607, 3090920501880776312);
+        (4611686018427387903, 828572654133774426, 3501718529536646879);
+        (123456789123456789, 2388161915474115999, 3874070178823187342);
+      ] );
+    ( 16,
+      "kat passphrase",
+      [
+        (0, 31148, 18189);
+        (1, 2362, 14021);
+        (42, 57762, 33790);
+        (48879, 52431, 56771);
+        (65535, 10131, 57095);
+        (12345, 898, 46446);
+      ] );
+  ]
+
+let test_known_answers () =
+  List.iter
+    (fun (block_bits, passphrase, rows) ->
+      let c = Crypto.Feistel.of_passphrase ~block_bits passphrase in
+      List.iter
+        (fun (v, enc, dec) ->
+          let name what = Printf.sprintf "%s %d-bit %S of %d" what block_bits passphrase v in
+          Alcotest.(check int) (name "encrypt") enc (Crypto.Feistel.encrypt c v);
+          Alcotest.(check int) (name "decrypt") dec (Crypto.Feistel.decrypt c v);
+          Alcotest.(check int) (name "decrypt_unchecked") dec (Crypto.Feistel.decrypt_unchecked c v))
+        rows)
+    known_answers
+
 let qcheck_roundtrip =
   QCheck.Test.make ~name:"encrypt/decrypt roundtrip on random values" ~count:1000
     QCheck.(pair (int_bound ((1 lsl 30) - 1)) (int_bound ((1 lsl 30) - 1)))
@@ -80,5 +130,6 @@ let suite =
     ("diffusion/avalanche", `Quick, test_diffusion);
     ("passphrase derivation", `Quick, test_passphrase_deterministic);
     ("invalid parameters", `Quick, test_invalid_params);
+    ("known answers at 62 and 16 bits", `Quick, test_known_answers);
     QCheck_alcotest.to_alcotest qcheck_roundtrip;
   ]

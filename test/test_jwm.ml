@@ -321,6 +321,33 @@ let test_embed_deterministic_with_seed () =
   Alcotest.(check string) "same program bytes" (Serialize.encode r1.Jwm.Embed.program)
     (Serialize.encode r2.Jwm.Embed.program)
 
+(* Embedded programs pinned byte for byte (MD5 of the serialized program):
+   the piece cipher, the enumeration and the code generators all feed
+   them, so none may drift without every shipped mark going stale. *)
+let test_embed_known_answer () =
+  let wl = Workloads.Caffeine.suite in
+  let host = Workloads.Workload.vm_program wl in
+  List.iter
+    (fun (bits, pieces, mark, digest) ->
+      let spec =
+        {
+          Jwm.Embed.passphrase = "kat embedding key";
+          watermark = Bignum.of_string mark;
+          watermark_bits = bits;
+          pieces;
+          input = wl.Workloads.Workload.input;
+        }
+      in
+      let report = Jwm.Embed.embed ~seed:7L spec host in
+      Alcotest.(check string)
+        (Printf.sprintf "caffeine jwm-%d digest" bits)
+        digest
+        (Digest.to_hex (Digest.string (Serialize.encode report.Jwm.Embed.program))))
+    [
+      (64, 20, "123456789123456789", "d88123cd06372c28b7aaabb8e430397b");
+      (256, 60, "98765432109876543210987654321", "ba1b1f3a1c774394fe079078008932d7");
+    ]
+
 let suite =
   [
     ("false predicates always 0", `Quick, test_false_predicates_always_zero);
@@ -341,6 +368,7 @@ let suite =
     ("zero pieces is identity-ish", `Quick, test_embed_zero_pieces);
     ("256- and 512-bit watermarks", `Slow, test_embed_256_and_512_bits);
     ("embed deterministic with seed", `Quick, test_embed_deterministic_with_seed);
+    ("embedding known answer", `Quick, test_embed_known_answer);
   ]
 
 (* ---- compound predicates (§3.2.2's ANDed conditions) ---- *)
