@@ -282,7 +282,8 @@ let run_batch () =
       let code = Stackvm.Compile.of_program prog in
       let trace = function
         | `Interp ->
-            sample_ms iters (fun () -> Stackvm.Trace.capture ~want_snapshots:false prog ~input)
+            sample_ms iters (fun () ->
+                Stackvm.Trace.capture ~want_snapshots:false ~backend:`Interp prog ~input)
         | `Compiled ->
             sample_ms iters (fun () ->
                 Stackvm.Compile.run ~trace:(Stackvm.Tracebuf.create ~capacity:65536 ()) code ~input)

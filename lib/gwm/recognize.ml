@@ -8,46 +8,59 @@ type outcome = {
   diagnostic : string option;
 }
 
-(* Streams of taken-bits per static branch site, in dynamic order. *)
-let streams events =
-  let tbl : (int * int, bool list ref) Hashtbl.t = Hashtbl.create 32 in
-  let order = ref [] in
-  List.iter
-    (fun (e : Stackvm.Trace.branch_event) ->
-      let key = (e.fidx, e.pc) in
-      match Hashtbl.find_opt tbl key with
-      | Some cell -> cell := e.taken :: !cell
-      | None ->
-          Hashtbl.add tbl key (ref [ e.taken ]);
-          order := key :: !order)
-    events;
-  List.rev_map (fun key -> Array.of_list (List.rev !(Hashtbl.find tbl key))) !order
+module Sites = Hashtbl.Make (Int)
 
-let matches_sync stream pos sync =
-  let n = Array.length sync in
-  pos + n <= Array.length stream
-  && (let ok = ref true in
-      for k = 0 to n - 1 do
-        if stream.(pos + k) <> sync.(k) then ok := false
-      done;
-      !ok)
+(* Per static branch site, its taken-bits in dynamic order, sites in order
+   of first occurrence.  Pass one gives every event the dense id of its
+   site; pass two drops each bit into its site's pre-sized stream. *)
+let streams buf =
+  let n = Stackvm.Tracebuf.length buf in
+  let ids = Sites.create 64 in
+  let id_of = Array.make n 0 and counts = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let site = Stackvm.Tracebuf.site (Stackvm.Tracebuf.get buf i) in
+    let id =
+      match Sites.find_opt ids site with
+      | Some id -> id
+      | None ->
+          let id = Sites.length ids in
+          Sites.add ids site id;
+          id
+    in
+    id_of.(i) <- id;
+    counts.(id) <- counts.(id) + 1
+  done;
+  let streams = Array.init (Sites.length ids) (fun id -> Bytes.create counts.(id)) in
+  let fill = Array.make (Sites.length ids) 0 in
+  for i = 0 to n - 1 do
+    let id = id_of.(i) in
+    let taken = Stackvm.Tracebuf.taken (Stackvm.Tracebuf.get buf i) in
+    Bytes.unsafe_set streams.(id) fill.(id) (if taken then '\001' else '\000');
+    fill.(id) <- fill.(id) + 1
+  done;
+  streams
 
 (* Candidate payload windows after every sync match, on the stream and on
-   its complement (branch-sense inversion flips every bit of a site). *)
-let windows ~m ~sync stream =
-  let need = Encode.payload_bits m + Encode.checksum_bits in
-  let collect s acc =
-    let acc = ref acc in
-    for pos = Array.length s - Array.length sync downto 0 do
-      if matches_sync s pos sync then
-        let start = pos + Array.length sync in
-        if start + need <= Array.length s then
-          acc := List.init need (fun k -> s.(start + k)) :: !acc
-    done;
-    !acc
-  in
-  let inv = Array.map not stream in
-  collect stream (collect inv [])
+   its complement (branch-sense inversion flips every bit of a site): a
+   rolling window over the stream is compared with the sync word and with
+   its complement, only where a whole payload still fits after it.  Direct
+   matches come first, then complement matches, each in ascending
+   position — the order the vote's tie-breaking depends on. *)
+let windows ~need ~sync stream acc =
+  let width = Encode.sync_bits in
+  let mask = (1 lsl width) - 1 in
+  let bit k = Bytes.unsafe_get stream k = '\001' in
+  let window start flip = List.init need (fun k -> bit (start + k) <> flip) in
+  let direct = ref [] and inverse = ref [] in
+  let w = ref 0 in
+  for k = 0 to Bytes.length stream - need - 1 do
+    w := ((!w lsl 1) lor if bit k then 1 else 0) land mask;
+    if k >= width - 1 then
+      if !w = sync then direct := (k + 1) :: !direct
+      else if !w = sync lxor mask then inverse := (k + 1) :: !inverse
+  done;
+  let collect flip starts acc = List.fold_left (fun acc start -> window start flip :: acc) acc starts in
+  collect false !direct (collect true !inverse acc)
 
 let majority_vote values =
   let tbl = Hashtbl.create 8 in
@@ -74,11 +87,10 @@ let bitwise_majority wins =
         wins;
       Some (List.init n (fun k -> 2 * counts.(k) > total))
 
-let decode ~m ~sync events =
-  let trace_branches = List.length events in
-  let wins =
-    List.concat_map (windows ~m ~sync) (streams events)
-  in
+let decode ~m ~sync buf =
+  let trace_branches = Stackvm.Tracebuf.length buf in
+  let need = Encode.payload_bits m + Encode.checksum_bits in
+  let wins = Array.fold_right (windows ~need ~sync) (streams buf) [] in
   let candidates = List.length wins in
   let decoded =
     List.filter_map
@@ -128,19 +140,26 @@ let decode ~m ~sync events =
                  else "no candidate window decoded");
           })
 
-let recognize_branches ~passphrase ~watermark_bits events =
+let recognize_buf ~passphrase ~watermark_bits buf =
   let m = Encode.order_for_bits watermark_bits in
-  let sync = Array.of_list (Encode.sync_word ~key:passphrase) in
-  decode ~m ~sync events
+  let sync =
+    List.fold_left (fun w b -> (w lsl 1) lor if b then 1 else 0) 0 (Encode.sync_word ~key:passphrase)
+  in
+  decode ~m ~sync buf
+
+let recognize_branches ~passphrase ~watermark_bits events =
+  recognize_buf ~passphrase ~watermark_bits (Stackvm.Trace.buf_of_branches events)
 
 let recognize ?(fuel = 200_000_000) ~passphrase ~watermark_bits ~input prog =
   match
-    Stackvm.Trace.capture ~fuel ~want_snapshots:false prog ~input
+    (* sized for real traces up front, as jwm recognition does *)
+    let buf = Stackvm.Tracebuf.create ~capacity:65536 () in
+    let result = Stackvm.Compile.run_program ~trace:buf ~fuel prog ~input in
+    (buf, result)
   with
-  | trace ->
-      let events = Array.to_list trace.Stackvm.Trace.branches in
-      let outcome = recognize_branches ~passphrase ~watermark_bits events in
-      { outcome with steps = trace.Stackvm.Trace.result.Stackvm.Interp.steps }
+  | buf, result ->
+      let outcome = recognize_buf ~passphrase ~watermark_bits buf in
+      { outcome with steps = result.Stackvm.Interp.steps }
   | exception _ ->
       {
         value = None;

@@ -54,7 +54,7 @@ let recognize ?(backend = `Compiled) ?(fuel = 200_000_000) ?(strides = [ 1; 2 ])
   let params = Codec.Params.make ~passphrase ~watermark_bits () in
   match backend with
   | `Interp -> (
-      match Stackvm.Trace.capture ~fuel ~want_snapshots:false prog ~input with
+      match Stackvm.Trace.capture ~fuel ~want_snapshots:false ~backend:`Interp prog ~input with
       | trace ->
           let bits = Stackvm.Trace.bitstring trace in
           let report = Codec.Recombine.recover_from_bitstring ~strides params bits in

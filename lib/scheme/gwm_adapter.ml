@@ -77,8 +77,22 @@ module M = struct
              ~watermark_bits:spec.bits events))
 
   (* graph recognition needs the whole trace to mine edge orderings, so
-     streaming buffers and recognizes at finish *)
-  let stream = Some (buffered_stream (Option.get recognize_branches))
+     streaming packs the events flat (allocation-free per event), never
+     decides early, and decodes its own buffer at finish *)
+  let stream =
+    Some
+      (fun (spec : spec) ->
+        let buf = Stackvm.Tracebuf.create ~capacity:65536 () in
+        {
+          push =
+            (fun e ->
+              Stackvm.Tracebuf.add_packed buf e;
+              false);
+          finish =
+            (fun () ->
+              of_outcome
+                (Gwm.Recognize.recognize_buf ~passphrase:spec.key ~watermark_bits:spec.bits buf));
+        })
 end
 
 let watermarker = (module M : WATERMARKER)

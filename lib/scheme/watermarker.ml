@@ -67,18 +67,3 @@ module type WATERMARKER = sig
 
   val stream : (spec -> stream) option
 end
-
-(* Streaming fallback for schemes with an offline branch recognizer but no
-   incremental one: buffer the packed events flat (still allocation-free
-   per event) and recognize at [finish].  Such a stream never decides
-   early — [push] always answers [false]. *)
-let buffered_stream rb (spec : spec) =
-  let buf = Stackvm.Tracebuf.create () in
-  {
-    push =
-      (fun e ->
-        Stackvm.Tracebuf.add_packed buf e;
-        false);
-    finish =
-      (fun () -> rb spec (Array.to_list (Stackvm.Trace.branches_of_buf buf)));
-  }

@@ -123,15 +123,9 @@ module type WATERMARKER = sig
   val stream : (spec -> stream) option
   (** Streaming recognition, when the scheme supports being fed branch
       events one at a time; [None] for native-track schemes.  Schemes
-      without a truly incremental recognizer may provide a
-      {!buffered_stream} (which never decides early). *)
+      without a truly incremental recognizer may buffer the packed events
+      and recognize at [finish], never deciding early. *)
 end
-
-val buffered_stream :
-  (spec -> Stackvm.Trace.branch_event list -> recovered) -> spec -> stream
-(** Adapt an offline branch recognizer into a stream that buffers packed
-    events flat and recognizes at [finish] ([push] always answers
-    [false]). *)
 
 val default_seed : int64
 val default_redundancy : int

@@ -16,7 +16,8 @@
     for trapping and out-of-fuel runs too, and is enforced by the qcheck
     backend-equivalence suite.  The one thing the compiled backend cannot
     do is fire the block-entry observer (locals/globals snapshots), which
-    is why embedding keeps the interpreter and recognition uses this. *)
+    is why embedding keeps the interpreter while recognition — jwm and gwm
+    alike — and every snapshot-free {!Trace.capture} use this. *)
 
 type code
 (** A compiled program (immutable, shareable across domains and runs). *)

@@ -47,7 +47,11 @@ let read_varint r =
     let acc = acc lor ((b land 0x7F) lsl shift) in
     if b land 0x80 = 0 then acc else go (shift + 7) acc
   in
-  go 0 0
+  (* The encoder never writes a negative varint; a ninth byte that reaches
+     the sign bit is corrupt input, not a length or index. *)
+  let v = go 0 0 in
+  if v < 0 then failwith "Serialize.decode: varint overflow";
+  v
 
 let read_zigzag r =
   let rec go shift acc =

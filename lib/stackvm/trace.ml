@@ -22,7 +22,7 @@ let buf_of_branches events =
   List.iter (fun { fidx; pc; taken } -> Tracebuf.add buf ~fidx ~pc ~taken) events;
   buf
 
-let capture ?fuel ?(want_snapshots = true) ?(backend = `Interp) prog ~input =
+let capture ?fuel ?(want_snapshots = true) ?(backend = `Compiled) prog ~input =
   (* sized for real traces up front — repeated doubling from a small
      capacity would rival the traced run itself in cost *)
   let events = Tracebuf.create ~capacity:65536 () in

@@ -41,13 +41,15 @@ val capture :
   t
 (** Run under instrumentation. [want_snapshots] (default [true]) controls
     whether variable values are recorded; recognition-only traces can turn
-    it off to save memory.  [backend] (default [`Interp]) selects the
+    it off to save memory.  [backend] (default [`Compiled]) selects the
     execution engine: [`Compiled] runs {!Compile} with events appended
-    straight into the flat buffer (observationally equivalent, much
-    faster), but only applies when [want_snapshots] is off — snapshots
-    need the interpreter's block observer, so that combination falls back
-    to [`Interp].  With the compiled backend [visits] and [block_counts]
-    are empty. *)
+    straight into the flat buffer (observationally equivalent to the
+    interpreter, much faster), but only applies when [want_snapshots] is
+    off — snapshots need the interpreter's block observer, so that
+    combination falls back to [`Interp] (embedding always traces there).
+    With the compiled backend [visits] and [block_counts] are empty: a
+    snapshot-free capture that wants block counts must ask for
+    [~backend:`Interp]. *)
 
 val bitstring : t -> Util.Bitstring.t
 (** Decode the trace into its bit-string (straight off the packed buffer —

@@ -11,6 +11,7 @@ let () =
       ("compile", Test_compile.suite);
       ("jwm", Test_jwm.suite);
       ("gwm", Test_gwm.suite);
+      ("gwm-recog", Test_gwm_recognize.suite);
       ("scheme", Test_scheme.suite);
       ("vmattacks", Test_vmattacks.suite);
       ("nativesim", Test_nativesim.suite);

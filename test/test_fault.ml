@@ -227,6 +227,13 @@ let qcheck_serialize_decode_total =
       ignore (Stackvm.Serialize.decode_opt s);
       true)
 
+(* A nine-byte varint whose last byte reaches the sign bit decodes to a
+   negative length; it must be rejected as malformed, not reach String.sub. *)
+let test_serialize_negative_varint () =
+  let data = "SVM1" ^ "\x00\x01" ^ String.make 8 '\xff' ^ "\x40" ^ String.make 8 '\x00' in
+  Alcotest.(check bool) "negative string length rejected" true
+    (Option.is_none (Stackvm.Serialize.decode_opt data))
+
 let qcheck_salvage_total =
   QCheck.Test.make ~name:"Trace.salvage_branches total on arbitrary bytes" ~count:300
     (arb_bytes_with_magic "TRC1") (fun s ->
@@ -443,4 +450,5 @@ let suite =
     Alcotest.test_case "degraded recognition is total with bounded confidence" `Quick
       test_degraded_recognition_bounds;
     Alcotest.test_case "native majority vote recovers cleanly" `Quick test_native_vote_clean;
+    Alcotest.test_case "Serialize rejects a negative varint" `Quick test_serialize_negative_varint;
   ]
