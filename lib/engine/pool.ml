@@ -77,9 +77,28 @@ let shutdown t =
   t.workers <- [];
   List.iter Domain.join workers
 
+(* The calling domain is one of the [domains] workers: it claims thunks
+   from the same atomic index as its helpers, so no domain sits idle while
+   the others compute.  Results land in per-index slots, published to the
+   caller by [Domain.join]. *)
 let run_list ?(domains = 1) thunks =
-  if domains <= 1 then List.map (fun thunk -> try Ok (thunk ()) with e -> Error e) thunks
+  let run thunk = try Ok (thunk ()) with e -> Error e in
+  let tasks = Array.of_list thunks in
+  let n = Array.length tasks in
+  let helpers = min domains n - 1 in
+  if helpers <= 0 then List.map run thunks
   else begin
-    let t = create ~domains () in
-    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> map t ~f:(fun thunk -> thunk ()) thunks)
+    let results = Array.make n None in
+    let next = Atomic.make 0 in
+    let rec work () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        results.(i) <- Some (run tasks.(i));
+        work ()
+      end
+    in
+    let spawned = List.init helpers (fun _ -> Domain.spawn work) in
+    work ();
+    List.iter Domain.join spawned;
+    Array.to_list (Array.map Option.get results)
   end

@@ -22,9 +22,15 @@
    equivalence with {!Interp.run}: same outcome (including trap reasons
    and trap positions), same outputs, same step count, and the same
    branch-event sequence — on every program, including ones that trap or
-   run out of fuel.  What the compiled backend does not support is the
-   block-entry observer (snapshots); embedding still uses the
-   interpreter, recognition uses this. *)
+   run out of fuel.
+
+   The interpreter's block-entry observer is a translation-time option:
+   [of_program ~on_block] builds each op that transfers into a block with
+   a call to the hook between the transfer and the next fuel gate, the
+   exact points where Interp.run calls on_block.  Trace.capture records
+   embedding's block counts and variable snapshots through it.  Without
+   the option the ops are built without the call, so recognition pays
+   nothing for it. *)
 
 type sink = No_trace | Buffer of Tracebuf.t | Stream of (int -> bool)
 
@@ -53,11 +59,14 @@ type st = {
 
 and op = st -> unit
 
+type block_hook = fidx:int -> pc:int -> locals:int array -> lbase:int -> globals:int array -> unit
+
 type code = {
   ops_table : op array array;
   main_idx : int;
   main_nlocals : int;
   nglobals : int;
+  on_block : block_hook option;
 }
 
 exception Trap of string
@@ -114,15 +123,234 @@ let[@inline] deref st h =
    the interpreter's array access would have raised at run time *)
 let oob : op = fun _st -> raise (Invalid_argument "index out of bounds")
 
+(* a store to an out-of-range slot: the interpreter pops its operand before
+   the slot access fails, so an empty stack still traps as an underflow *)
+let store_oob : op =
+ fun st ->
+  if st.sp <= st.obase then raise (Trap "operand stack underflow");
+  raise (Invalid_argument "index out of bounds")
+
 (* the sentinel at ops.(len): dispatched exactly when execution falls
    through past the last instruction, with st.pc already holding the
    out-of-range pc the trap must report *)
 let past_end : op = fun _st -> raise (Trap "pc out of range")
 
-let compile_func (resolved : Resolve.t) (funcs : Program.func array) ops_table fidx
+(* the interpreter's loop head, replayed inline at the end of every op:
+   store the pc, gate on fuel, count the step, tail-call the next op *)
+let[@inline] continue_at st pc =
+  st.pc <- pc;
+  if st.steps < st.fuel then begin
+    st.steps <- st.steps + 1;
+    (Array.unsafe_get st.ops pc) st
+  end
+
+(* a block entry, reported where Interp.run calls on_block: after the
+   transfer to [pc], before the next fuel gate *)
+let[@inline] fire (on_block : block_hook) st pc =
+  on_block ~fidx:st.fidx ~pc ~locals:st.locals ~lbase:st.lbase ~globals:st.globals
+
+(* Op effects, shared by the plain and the block-hooked translation; each
+   op closure is one effect followed by its transfer.  Operand-stack
+   underflow is checked against the current frame's floor. *)
+
+let[@inline] need st n = if st.sp - n < st.obase then raise (Trap "operand stack underflow")
+
+let[@inline] apply_binop st impl =
+  need st 2;
+  let sp1 = st.sp - 1 in
+  let b = Array.unsafe_get st.stack sp1 in
+  let a = Array.unsafe_get st.stack (sp1 - 1) in
+  Array.unsafe_set st.stack (sp1 - 1) (impl a b);
+  st.sp <- sp1
+
+let[@inline] apply_unop st impl =
+  need st 1;
+  let sp1 = st.sp - 1 in
+  Array.unsafe_set st.stack sp1 (impl (Array.unsafe_get st.stack sp1))
+
+let[@inline] pop st =
+  need st 1;
+  st.sp <- st.sp - 1;
+  Array.unsafe_get st.stack st.sp
+
+let[@inline] dup st =
+  need st 1;
+  push st (Array.unsafe_get st.stack (st.sp - 1))
+
+let[@inline] set_global st g =
+  let v = pop st in
+  st.globals.(g) <- v
+
+let[@inline] print st =
+  let v = pop st in
+  st.outputs <- v :: st.outputs
+
+let[@inline] swap st =
+  need st 2;
+  let sp1 = st.sp - 1 in
+  let b = Array.unsafe_get st.stack sp1 in
+  Array.unsafe_set st.stack sp1 (Array.unsafe_get st.stack (sp1 - 1));
+  Array.unsafe_set st.stack (sp1 - 1) b
+
+let[@inline] new_array st =
+  need st 1;
+  let sp1 = st.sp - 1 in
+  let h = alloc st (Array.unsafe_get st.stack sp1) in
+  Array.unsafe_set st.stack sp1 h
+
+let[@inline] array_load st =
+  need st 2;
+  let sp1 = st.sp - 1 in
+  let idx = Array.unsafe_get st.stack sp1 in
+  let arr = deref st (Array.unsafe_get st.stack (sp1 - 1)) in
+  if idx < 0 || idx >= Array.length arr then raise (Trap "array index out of bounds");
+  Array.unsafe_set st.stack (sp1 - 1) (Array.unsafe_get arr idx);
+  st.sp <- sp1
+
+let[@inline] array_store st =
+  need st 3;
+  let sp1 = st.sp - 1 in
+  let v = Array.unsafe_get st.stack sp1 in
+  let idx = Array.unsafe_get st.stack (sp1 - 1) in
+  let arr = deref st (Array.unsafe_get st.stack (sp1 - 2)) in
+  if idx < 0 || idx >= Array.length arr then raise (Trap "array index out of bounds");
+  Array.unsafe_set arr idx v;
+  st.sp <- sp1 - 2
+
+let[@inline] array_len st =
+  need st 1;
+  let sp1 = st.sp - 1 in
+  Array.unsafe_set st.stack sp1 (Array.length (deref st (Array.unsafe_get st.stack sp1)))
+
+let[@inline] read st =
+  if st.input_pos >= Array.length st.inputs then raise (Trap "input exhausted");
+  push st (Array.unsafe_get st.inputs st.input_pos);
+  st.input_pos <- st.input_pos + 1
+
+(* pop the condition and report the branch event; returns whether it is taken *)
+let[@inline] branch st sense packed_t packed_f =
+  let taken = (pop st <> 0) = sense in
+  (match st.sink with
+  | No_trace -> ()
+  | Buffer b -> Tracebuf.add_packed b (if taken then packed_t else packed_f)
+  | Stream push -> if push (if taken then packed_t else packed_f) then raise Stream_stop);
+  taken
+
+(* push the caller's frame and enter callee [cidx] at pc 0 *)
+let[@inline] call st ops_table ~cidx ~cnargs ~cnlocals ~ret =
+  let abase = st.sp - cnargs in
+  if abase < st.obase then raise (Trap "operand stack underflow");
+  let fp = st.fp in
+  if fp + 4 > Array.length st.frames then grow_frames st;
+  let frames = st.frames in
+  Array.unsafe_set frames fp st.fidx;
+  Array.unsafe_set frames (fp + 1) ret;
+  Array.unsafe_set frames (fp + 2) st.obase;
+  Array.unsafe_set frames (fp + 3) st.lbase;
+  st.fp <- fp + 4;
+  let lbase = st.ltop in
+  let ltop = lbase + cnlocals in
+  if ltop > Array.length st.locals then grow_locals st ltop;
+  let locals = st.locals in
+  Array.fill locals lbase cnlocals 0;
+  let stack = st.stack in
+  for i = 0 to cnargs - 1 do
+    Array.unsafe_set locals (lbase + i) (Array.unsafe_get stack (abase + i))
+  done;
+  st.sp <- abase;
+  st.obase <- abase;
+  st.lbase <- lbase;
+  st.ltop <- ltop;
+  st.fidx <- cidx;
+  st.ops <- Array.unsafe_get ops_table cidx
+
+(* pop the return value, finish from main or pop back into the caller;
+   returns the caller's pc, its fall-through pc — at most the caller's
+   code length, a valid index (sentinel at len) *)
+let[@inline] return st ops_table =
+  let v = pop st in
+  if st.fp = 0 then raise (Finish v);
+  let fp = st.fp - 4 in
+  st.fp <- fp;
+  let frames = st.frames in
+  let rfidx = Array.unsafe_get frames fp in
+  st.ltop <- st.lbase;
+  st.lbase <- Array.unsafe_get frames (fp + 3);
+  st.obase <- Array.unsafe_get frames (fp + 2);
+  st.fidx <- rfidx;
+  st.ops <- Array.unsafe_get ops_table rfidx;
+  push st v;
+  Array.unsafe_get frames (fp + 1)
+
+let binop_impl (op : Instr.binop) : int -> int -> int =
+  match op with
+  | Instr.Add -> ( + )
+  | Instr.Sub -> ( - )
+  | Instr.Mul -> ( * )
+  | Instr.And -> ( land )
+  | Instr.Or -> ( lor )
+  | Instr.Xor -> ( lxor )
+  | Instr.Shl -> Interp.checked_shift_left
+  | Instr.Shr -> Interp.checked_shift_right
+  | Instr.Div -> fun a b -> if b = 0 then raise (Trap "division by zero") else a / b
+  | Instr.Rem -> fun a b -> if b = 0 then raise (Trap "remainder by zero") else a mod b
+
+let cmp_impl (c : Instr.cmp) : int -> int -> int =
+  match c with
+  | Instr.Eq -> fun a b -> if a = b then 1 else 0
+  | Instr.Ne -> fun a b -> if a <> b then 1 else 0
+  | Instr.Lt -> fun a b -> if a < b then 1 else 0
+  | Instr.Le -> fun a b -> if a <= b then 1 else 0
+  | Instr.Gt -> fun a b -> if a > b then 1 else 0
+  | Instr.Ge -> fun a b -> if a >= b then 1 else 0
+
+let negate v = -v
+
+let logical_not v = if v = 0 then 1 else 0
+
+(* the effect of an op that falls through to the next pc, as a closure:
+   the hooked translation runs it, then the hook; the plain translation
+   inlines the same helpers into one closure per op *)
+let effect ~nlocals (instr : Instr.t) : st -> unit =
+  match instr with
+  | Instr.Const n -> fun st -> push st n
+  | Instr.Load slot ->
+      if slot < 0 || slot >= nlocals then oob
+      else fun st -> push st (Array.unsafe_get st.locals (st.lbase + slot))
+  | Instr.Store slot ->
+      if slot < 0 || slot >= nlocals then store_oob
+      else fun st -> Array.unsafe_set st.locals (st.lbase + slot) (pop st)
+  | Instr.Get_global g -> fun st -> push st st.globals.(g)
+  | Instr.Set_global g -> fun st -> set_global st g
+  | Instr.Binop op ->
+      let impl = binop_impl op in
+      fun st -> apply_binop st impl
+  | Instr.Cmp c ->
+      let impl = cmp_impl c in
+      fun st -> apply_binop st impl
+  | Instr.Neg -> fun st -> apply_unop st negate
+  | Instr.Not -> fun st -> apply_unop st logical_not
+  | Instr.Dup -> dup
+  | Instr.Pop -> fun st -> ignore (pop st)
+  | Instr.Swap -> swap
+  | Instr.New_array -> new_array
+  | Instr.Array_load -> array_load
+  | Instr.Array_store -> array_store
+  | Instr.Array_len -> array_len
+  | Instr.Print -> print
+  | Instr.Read -> read
+  | Instr.Nop -> ignore
+  | Instr.Jump _ | Instr.If _ | Instr.Call _ | Instr.Ret -> invalid_arg "Compile.effect: a transfer op"
+
+(* [on_block], when given, is fired at every transfer Interp.run reports;
+   without it the translation carries no trace of the hook *)
+let compile_func (resolved : Resolve.t) (funcs : Program.func array) ops_table ~on_block fidx
     (f : Program.func) : op array =
   let nlocals = f.Program.nlocals in
   let len = Array.length f.Program.code in
+  let starts = resolved.Resolve.starts in
+  (* the hook for a fall-through into [pc], if Interp.run reports one *)
+  let entering pc = if pc < len && starts.(fidx).(pc) then on_block else None in
   Array.init (len + 1) (fun pc ->
       if pc = len then past_end
       else
@@ -130,316 +358,158 @@ let compile_func (resolved : Resolve.t) (funcs : Program.func array) ops_table f
       let next = pc + 1 in
       let binop impl : op =
        fun st ->
-        if st.sp - 2 < st.obase then raise (Trap "operand stack underflow");
-        let sp1 = st.sp - 1 in
-        let b = Array.unsafe_get st.stack sp1 in
-        let a = Array.unsafe_get st.stack (sp1 - 1) in
-        Array.unsafe_set st.stack (sp1 - 1) (impl a b);
-        st.sp <- sp1;
-        st.pc <- next;
-        if st.steps < st.fuel then begin
-          st.steps <- st.steps + 1;
-          (Array.unsafe_get st.ops next) st
-        end
+        apply_binop st impl;
+        continue_at st next
       in
       let unop impl : op =
        fun st ->
-        if st.sp <= st.obase then raise (Trap "operand stack underflow");
-        let sp1 = st.sp - 1 in
-        Array.unsafe_set st.stack sp1 (impl (Array.unsafe_get st.stack sp1));
-        st.pc <- next;
-        if st.steps < st.fuel then begin
-          st.steps <- st.steps + 1;
-          (Array.unsafe_get st.ops next) st
-        end
+        apply_unop st impl;
+        continue_at st next
       in
-      match (instr : Instr.t) with
-      | Instr.Const n ->
-          fun st ->
-            push st n;
-            st.pc <- next;
-            if st.steps < st.fuel then begin
-              st.steps <- st.steps + 1;
-              (Array.unsafe_get st.ops next) st
-            end
-      | Instr.Load slot ->
-          if slot < 0 || slot >= nlocals then oob
-          else
-            fun st ->
-              push st (Array.unsafe_get st.locals (st.lbase + slot));
-              st.pc <- next;
-              if st.steps < st.fuel then begin
-                st.steps <- st.steps + 1;
-                (Array.unsafe_get st.ops next) st
-              end
-      | Instr.Store slot ->
-          if slot < 0 || slot >= nlocals then fun st ->
-            if st.sp <= st.obase then raise (Trap "operand stack underflow")
-            else raise (Invalid_argument "index out of bounds")
-          else
-            fun st ->
-              if st.sp <= st.obase then raise (Trap "operand stack underflow");
-              st.sp <- st.sp - 1;
-              Array.unsafe_set st.locals (st.lbase + slot) (Array.unsafe_get st.stack st.sp);
-              st.pc <- next;
-              if st.steps < st.fuel then begin
-                st.steps <- st.steps + 1;
-                (Array.unsafe_get st.ops next) st
-              end
-      | Instr.Get_global g ->
-          fun st ->
-            push st st.globals.(g);
-            st.pc <- next;
-            if st.steps < st.fuel then begin
-              st.steps <- st.steps + 1;
-              (Array.unsafe_get st.ops next) st
-            end
-      | Instr.Set_global g ->
-          fun st ->
-            if st.sp <= st.obase then raise (Trap "operand stack underflow");
-            st.sp <- st.sp - 1;
-            st.globals.(g) <- Array.unsafe_get st.stack st.sp;
-            st.pc <- next;
-            if st.steps < st.fuel then begin
-              st.steps <- st.steps + 1;
-              (Array.unsafe_get st.ops next) st
-            end
-      | Instr.Binop op -> (
-          match op with
-          | Instr.Add -> binop ( + )
-          | Instr.Sub -> binop ( - )
-          | Instr.Mul -> binop ( * )
-          | Instr.And -> binop ( land )
-          | Instr.Or -> binop ( lor )
-          | Instr.Xor -> binop ( lxor )
-          | Instr.Shl -> binop Interp.checked_shift_left
-          | Instr.Shr -> binop Interp.checked_shift_right
-          | Instr.Div ->
-              binop (fun a b -> if b = 0 then raise (Trap "division by zero") else a / b)
-          | Instr.Rem ->
-              binop (fun a b -> if b = 0 then raise (Trap "remainder by zero") else a mod b))
-      | Instr.Neg -> unop (fun v -> -v)
-      | Instr.Not -> unop (fun v -> if v = 0 then 1 else 0)
-      | Instr.Cmp c -> (
-          match c with
-          | Instr.Eq -> binop (fun a b -> if a = b then 1 else 0)
-          | Instr.Ne -> binop (fun a b -> if a <> b then 1 else 0)
-          | Instr.Lt -> binop (fun a b -> if a < b then 1 else 0)
-          | Instr.Le -> binop (fun a b -> if a <= b then 1 else 0)
-          | Instr.Gt -> binop (fun a b -> if a > b then 1 else 0)
-          | Instr.Ge -> binop (fun a b -> if a >= b then 1 else 0))
-      | Instr.Dup ->
-          fun st ->
-            if st.sp <= st.obase then raise (Trap "operand stack underflow");
-            push st (Array.unsafe_get st.stack (st.sp - 1));
-            st.pc <- next;
-            if st.steps < st.fuel then begin
-              st.steps <- st.steps + 1;
-              (Array.unsafe_get st.ops next) st
-            end
-      | Instr.Pop ->
-          fun st ->
-            if st.sp <= st.obase then raise (Trap "operand stack underflow");
-            st.sp <- st.sp - 1;
-            st.pc <- next;
-            if st.steps < st.fuel then begin
-              st.steps <- st.steps + 1;
-              (Array.unsafe_get st.ops next) st
-            end
-      | Instr.Swap ->
-          fun st ->
-            if st.sp - 2 < st.obase then raise (Trap "operand stack underflow");
-            let sp1 = st.sp - 1 in
-            let b = Array.unsafe_get st.stack sp1 in
-            Array.unsafe_set st.stack sp1 (Array.unsafe_get st.stack (sp1 - 1));
-            Array.unsafe_set st.stack (sp1 - 1) b;
-            st.pc <- next;
-            if st.steps < st.fuel then begin
-              st.steps <- st.steps + 1;
-              (Array.unsafe_get st.ops next) st
-            end
-      | Instr.New_array ->
-          fun st ->
-            if st.sp <= st.obase then raise (Trap "operand stack underflow");
-            let sp1 = st.sp - 1 in
-            let h = alloc st (Array.unsafe_get st.stack sp1) in
-            Array.unsafe_set st.stack sp1 h;
-            st.pc <- next;
-            if st.steps < st.fuel then begin
-              st.steps <- st.steps + 1;
-              (Array.unsafe_get st.ops next) st
-            end
-      | Instr.Array_load ->
-          fun st ->
-            if st.sp - 2 < st.obase then raise (Trap "operand stack underflow");
-            let sp1 = st.sp - 1 in
-            let idx = Array.unsafe_get st.stack sp1 in
-            let arr = deref st (Array.unsafe_get st.stack (sp1 - 1)) in
-            if idx < 0 || idx >= Array.length arr then raise (Trap "array index out of bounds");
-            Array.unsafe_set st.stack (sp1 - 1) (Array.unsafe_get arr idx);
-            st.sp <- sp1;
-            st.pc <- next;
-            if st.steps < st.fuel then begin
-              st.steps <- st.steps + 1;
-              (Array.unsafe_get st.ops next) st
-            end
-      | Instr.Array_store ->
-          fun st ->
-            if st.sp - 3 < st.obase then raise (Trap "operand stack underflow");
-            let sp1 = st.sp - 1 in
-            let v = Array.unsafe_get st.stack sp1 in
-            let idx = Array.unsafe_get st.stack (sp1 - 1) in
-            let arr = deref st (Array.unsafe_get st.stack (sp1 - 2)) in
-            if idx < 0 || idx >= Array.length arr then raise (Trap "array index out of bounds");
-            Array.unsafe_set arr idx v;
-            st.sp <- sp1 - 2;
-            st.pc <- next;
-            if st.steps < st.fuel then begin
-              st.steps <- st.steps + 1;
-              (Array.unsafe_get st.ops next) st
-            end
-      | Instr.Array_len ->
-          fun st ->
-            if st.sp <= st.obase then raise (Trap "operand stack underflow");
-            let sp1 = st.sp - 1 in
-            Array.unsafe_set st.stack sp1
-              (Array.length (deref st (Array.unsafe_get st.stack sp1)));
-            st.pc <- next;
-            if st.steps < st.fuel then begin
-              st.steps <- st.steps + 1;
-              (Array.unsafe_get st.ops next) st
-            end
-      | Instr.Jump target ->
-          if target < 0 || target > len then fun st ->
-            st.pc <- target;
-            raise Bad_pc
-          else fun st ->
-            st.pc <- target;
-            if st.steps < st.fuel then begin
-              st.steps <- st.steps + 1;
-              (Array.unsafe_get st.ops target) st
-            end
-      | Instr.If { sense; target } ->
+      match (entering next, (instr : Instr.t)) with
+      | _, Instr.Jump target -> (
+          let bad = target < 0 || target > len in
+          match on_block with
+          | None ->
+              if bad then fun st ->
+                st.pc <- target;
+                raise Bad_pc
+              else fun st -> continue_at st target
+          | Some h ->
+              if bad then fun st ->
+                st.pc <- target;
+                fire h st target;
+                raise Bad_pc
+              else fun st ->
+                fire h st target;
+                continue_at st target)
+      | _, Instr.If { sense; target } -> (
           let packed_t = Tracebuf.pack ~fidx ~pc ~taken:true in
           let packed_f = Tracebuf.pack ~fidx ~pc ~taken:false in
-          let target_bad = target < 0 || target > len in
-          fun st ->
-            if st.sp <= st.obase then raise (Trap "operand stack underflow");
-            st.sp <- st.sp - 1;
-            let v = Array.unsafe_get st.stack st.sp in
-            let taken = (v <> 0) = sense in
-            (match st.sink with
-            | No_trace -> ()
-            | Buffer b -> Tracebuf.add_packed b (if taken then packed_t else packed_f)
-            | Stream push -> if push (if taken then packed_t else packed_f) then raise Stream_stop);
-            if taken && target_bad then begin
-              st.pc <- target;
-              raise Bad_pc
-            end
-            else begin
-              let dest = if taken then target else next in
-              st.pc <- dest;
-              if st.steps < st.fuel then begin
-                st.steps <- st.steps + 1;
-                (Array.unsafe_get st.ops dest) st
-              end
-            end
-      | Instr.Call callee -> (
+          let bad = target < 0 || target > len in
+          match on_block with
+          | None ->
+              fun st ->
+                let taken = branch st sense packed_t packed_f in
+                if taken && bad then begin
+                  st.pc <- target;
+                  raise Bad_pc
+                end
+                else continue_at st (if taken then target else next)
+          | Some h ->
+              (* the pc after an [If] is a leader whenever it is inside the code *)
+              let fall_hooked = next < len in
+              fun st ->
+                if branch st sense packed_t packed_f then begin
+                  st.pc <- target;
+                  fire h st target;
+                  if bad then raise Bad_pc else continue_at st target
+                end
+                else begin
+                  if fall_hooked then fire h st next;
+                  continue_at st next
+                end)
+      | _, Instr.Call callee -> (
           match Hashtbl.find_opt resolved.Resolve.fidx_of callee with
           | None ->
               let msg = "unknown function " ^ callee in
               fun _st -> raise (Trap msg)
-          | Some cidx ->
+          | Some cidx -> (
               let cf = funcs.(cidx) in
               let cnargs = cf.Program.nargs and cnlocals = cf.Program.nlocals in
+              match on_block with
+              | None ->
+                  fun st ->
+                    call st ops_table ~cidx ~cnargs ~cnlocals ~ret:next;
+                    continue_at st 0
+              | Some h ->
+                  fun st ->
+                    call st ops_table ~cidx ~cnargs ~cnlocals ~ret:next;
+                    fire h st 0;
+                    continue_at st 0))
+      | _, Instr.Ret -> (
+          match on_block with
+          | None -> fun st -> continue_at st (return st ops_table)
+          | Some h ->
               fun st ->
-                let abase = st.sp - cnargs in
-                if abase < st.obase then raise (Trap "operand stack underflow");
-                let fp = st.fp in
-                if fp + 4 > Array.length st.frames then grow_frames st;
-                let frames = st.frames in
-                Array.unsafe_set frames fp st.fidx;
-                Array.unsafe_set frames (fp + 1) next;
-                Array.unsafe_set frames (fp + 2) st.obase;
-                Array.unsafe_set frames (fp + 3) st.lbase;
-                st.fp <- fp + 4;
-                let lbase = st.ltop in
-                let ltop = lbase + cnlocals in
-                if ltop > Array.length st.locals then grow_locals st ltop;
-                let locals = st.locals in
-                Array.fill locals lbase cnlocals 0;
-                let stack = st.stack in
-                for i = 0 to cnargs - 1 do
-                  Array.unsafe_set locals (lbase + i) (Array.unsafe_get stack (abase + i))
-                done;
-                st.sp <- abase;
-                st.obase <- abase;
-                st.lbase <- lbase;
-                st.ltop <- ltop;
-                st.fidx <- cidx;
-                let cops = Array.unsafe_get ops_table cidx in
-                st.ops <- cops;
-                st.pc <- 0;
-                if st.steps < st.fuel then begin
-                  st.steps <- st.steps + 1;
-                  (Array.unsafe_get cops 0) st
-                end)
-      | Instr.Ret ->
+                let rpc = return st ops_table in
+                let rstarts = Array.unsafe_get starts st.fidx in
+                if rpc < Array.length rstarts && Array.unsafe_get rstarts rpc then fire h st rpc;
+                continue_at st rpc)
+      (* everything else falls through to [next] *)
+      | Some h, instr ->
+          (* the hooked translation's ops that enter a block: effect, hook,
+             transfer *)
+          let effect = effect ~nlocals instr in
           fun st ->
-            if st.sp <= st.obase then raise (Trap "operand stack underflow");
-            st.sp <- st.sp - 1;
-            let v = Array.unsafe_get st.stack st.sp in
-            if st.fp = 0 then raise (Finish v)
-            else begin
-              let fp = st.fp - 4 in
-              st.fp <- fp;
-              let frames = st.frames in
-              let rfidx = Array.unsafe_get frames fp in
-              let rpc = Array.unsafe_get frames (fp + 1) in
-              st.ltop <- st.lbase;
-              st.lbase <- Array.unsafe_get frames (fp + 3);
-              st.obase <- Array.unsafe_get frames (fp + 2);
-              st.fidx <- rfidx;
-              let rops = Array.unsafe_get ops_table rfidx in
-              st.ops <- rops;
-              st.pc <- rpc;
-              push st v;
-              if st.steps < st.fuel then begin
-                st.steps <- st.steps + 1;
-                (* rpc is the caller's fall-through pc, at most the
-                   caller's code length — a valid index (sentinel at len) *)
-                (Array.unsafe_get rops rpc) st
-              end
-            end
-      | Instr.Print ->
+            effect st;
+            fire h st next;
+            continue_at st next
+      | None, Instr.Const n ->
           fun st ->
-            if st.sp <= st.obase then raise (Trap "operand stack underflow");
-            st.sp <- st.sp - 1;
-            st.outputs <- Array.unsafe_get st.stack st.sp :: st.outputs;
-            st.pc <- next;
-            if st.steps < st.fuel then begin
-              st.steps <- st.steps + 1;
-              (Array.unsafe_get st.ops next) st
-            end
-      | Instr.Read ->
+            push st n;
+            continue_at st next
+      | None, Instr.Load slot ->
+          if slot < 0 || slot >= nlocals then oob
+          else fun st ->
+            push st (Array.unsafe_get st.locals (st.lbase + slot));
+            continue_at st next
+      | None, Instr.Store slot ->
+          if slot < 0 || slot >= nlocals then store_oob
+          else fun st ->
+            Array.unsafe_set st.locals (st.lbase + slot) (pop st);
+            continue_at st next
+      | None, Instr.Get_global g ->
           fun st ->
-            if st.input_pos >= Array.length st.inputs then raise (Trap "input exhausted");
-            push st (Array.unsafe_get st.inputs st.input_pos);
-            st.input_pos <- st.input_pos + 1;
-            st.pc <- next;
-            if st.steps < st.fuel then begin
-              st.steps <- st.steps + 1;
-              (Array.unsafe_get st.ops next) st
-            end
-      | Instr.Nop ->
+            push st st.globals.(g);
+            continue_at st next
+      | None, Instr.Set_global g ->
           fun st ->
-            st.pc <- next;
-            if st.steps < st.fuel then begin
-              st.steps <- st.steps + 1;
-              (Array.unsafe_get st.ops next) st
-            end)
+            set_global st g;
+            continue_at st next
+      | None, Instr.Binop op -> binop (binop_impl op)
+      | None, Instr.Cmp c -> binop (cmp_impl c)
+      | None, Instr.Neg -> unop negate
+      | None, Instr.Not -> unop logical_not
+      | None, Instr.Dup ->
+          fun st ->
+            dup st;
+            continue_at st next
+      | None, Instr.Pop ->
+          fun st ->
+            ignore (pop st);
+            continue_at st next
+      | None, Instr.Swap ->
+          fun st ->
+            swap st;
+            continue_at st next
+      | None, Instr.New_array ->
+          fun st ->
+            new_array st;
+            continue_at st next
+      | None, Instr.Array_load ->
+          fun st ->
+            array_load st;
+            continue_at st next
+      | None, Instr.Array_store ->
+          fun st ->
+            array_store st;
+            continue_at st next
+      | None, Instr.Array_len ->
+          fun st ->
+            array_len st;
+            continue_at st next
+      | None, Instr.Print ->
+          fun st ->
+            print st;
+            continue_at st next
+      | None, Instr.Read ->
+          fun st ->
+            read st;
+            continue_at st next
+      | None, Instr.Nop -> fun st -> continue_at st next)
 
-let build (prog : Program.t) =
+let build ?on_block (prog : Program.t) =
   let resolved = Resolve.of_program prog in
   let main_idx =
     match resolved.Resolve.main_idx with
@@ -448,13 +518,14 @@ let build (prog : Program.t) =
   in
   let ops_table = Array.make (Array.length prog.funcs) [||] in
   Array.iteri
-    (fun fidx f -> ops_table.(fidx) <- compile_func resolved prog.funcs ops_table fidx f)
+    (fun fidx f -> ops_table.(fidx) <- compile_func resolved prog.funcs ops_table ~on_block fidx f)
     prog.funcs;
   {
     ops_table;
     main_idx;
     main_nlocals = prog.funcs.(main_idx).Program.nlocals;
     nglobals = prog.nglobals;
+    on_block;
   }
 
 module Cache = Ephemeron.K1.Make (struct
@@ -469,7 +540,7 @@ let cache = Cache.create 64
 
 let lock = Mutex.create ()
 
-let of_program prog =
+let memoized prog =
   Mutex.lock lock;
   match Cache.find_opt cache prog with
   | Some code ->
@@ -486,6 +557,11 @@ let of_program prog =
       Cache.add cache prog code;
       Mutex.unlock lock;
       code
+
+(* a hooked translation belongs to its hook's run: never memoized, so it
+   is garbage as soon as that run ends *)
+let of_program ?on_block prog =
+  match on_block with Some _ -> build ?on_block prog | None -> memoized prog
 
 let make_state code ~sink ~input =
   {
@@ -516,9 +592,11 @@ let make_state code ~sink ~input =
    The only normal return from the op chain is the fuel gate closing
    (every op ends with it), so a normal return IS Out_of_fuel; Finish,
    Trap and Bad_pc leave by exception, with no intervening stack frames
-   because every dispatch is a tail call. *)
-let exec st ~fuel =
+   because every dispatch is a tail call.  A block hook sees main's entry
+   first, ahead of the first fuel gate, as Interp.run reports it. *)
+let exec code st ~fuel =
   st.fuel <- fuel;
+  Option.iter (fun h -> fire h st 0) code.on_block;
   let outcome =
     try
       if st.steps >= fuel then Interp.Out_of_fuel
@@ -543,11 +621,11 @@ let exec st ~fuel =
 
 let run ?trace ?(fuel = max_int) code ~input =
   let sink = match trace with None -> No_trace | Some buf -> Buffer buf in
-  exec (make_state code ~sink ~input) ~fuel
+  exec code (make_state code ~sink ~input) ~fuel
 
 let run_streaming ?(fuel = max_int) code ~input ~push =
   let st = make_state code ~sink:(Stream push) ~input in
-  match exec st ~fuel with
+  match exec code st ~fuel with
   | result -> `Completed result
   | exception Stream_stop -> `Stopped st.steps
 

@@ -14,16 +14,32 @@
     trap reason, trapping function and pc), same outputs, same step
     count — and, when tracing, the same branch-event sequence.  This holds
     for trapping and out-of-fuel runs too, and is enforced by the qcheck
-    backend-equivalence suite.  The one thing the compiled backend cannot
-    do is fire the block-entry observer (locals/globals snapshots), which
-    is why embedding keeps the interpreter while recognition — jwm and gwm
-    alike — and every snapshot-free {!Trace.capture} use this. *)
+    backend-equivalence suite.  A translation made with a {!block_hook}
+    also reports every block entry exactly where {!Interp.run} calls its
+    observer's [on_block], in the same order; that is how
+    {!Trace.capture} records the block counts and variable snapshots
+    embedding needs.  Recognition — jwm and gwm alike — and every
+    snapshot-free capture run a translation without the hook, which
+    carries no trace of it. *)
 
 type code
 (** A compiled program (immutable, shareable across domains and runs). *)
 
-val of_program : Program.t -> code
-(** Translate (memoized by program identity).
+type block_hook = fidx:int -> pc:int -> locals:int array -> lbase:int -> globals:int array -> unit
+(** Called on entry to each basic block, where {!Interp.run} calls
+    [on_block]: main's entry (even at fuel 0), every [Jump] and taken
+    [If] target (out-of-range ones and the code length included), every
+    fall-through into a block leader, a callee's pc 0 and a [Ret] to a
+    caller pc that is a leader — after the transfer, before the next fuel
+    gate.  The current frame's locals are
+    [locals.(lbase) .. locals.(lbase + nlocals - 1)] of function [fidx];
+    both arrays are live machine state — copy what you keep. *)
+
+val of_program : ?on_block:block_hook -> Program.t -> code
+(** Translate.  Without [on_block] the translation is memoized by
+    program identity.  With it, every transfer that enters a block also
+    calls [on_block]; such a translation is made afresh on every call and
+    never memoized, so it lives only as long as its caller holds it.
     @raise Invalid_argument when [prog.main] is missing. *)
 
 val run : ?trace:Tracebuf.t -> ?fuel:int -> code -> input:int list -> Interp.result

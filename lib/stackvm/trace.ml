@@ -22,42 +22,90 @@ let buf_of_branches events =
   List.iter (fun { fidx; pc; taken } -> Tracebuf.add buf ~fidx ~pc ~taken) events;
   buf
 
+(* Snapshot capture on the compiled engine.  Counts and the first visits'
+   snapshots live in per-function arrays indexed by pc (one slot past the
+   code for a jump to its end); the rare entry at an out-of-range pc, which
+   only a broken program makes, goes to a side table.  The result tables
+   are then filled in first-visit order — the order the interpreter's
+   observer inserts keys — because [hot_blocks] breaks count ties by
+   table order and the embedder picks its sites by index into that list. *)
+let compiled_snapshots ?fuel (prog : Program.t) ~input events =
+  let funcs = prog.Program.funcs in
+  let counts = Array.map (fun f -> Array.make (Array.length f.Program.code + 1) 0) funcs in
+  let snaps = Array.map (fun f -> Array.make (Array.length f.Program.code + 1) []) funcs in
+  let stray = Hashtbl.create 1 in
+  let order = ref [] in
+  let snapshot fidx locals lbase globals =
+    { locals = Array.sub locals lbase funcs.(fidx).Program.nlocals; globals = Array.copy globals }
+  in
+  let on_block ~fidx ~pc ~locals ~lbase ~globals =
+    let c = counts.(fidx) in
+    if pc >= 0 && pc < Array.length c then begin
+      let n = c.(pc) in
+      c.(pc) <- n + 1;
+      if n = 0 then order := (fidx, pc) :: !order;
+      if n < max_snapshots_per_block then
+        snaps.(fidx).(pc) <- snapshot fidx locals lbase globals :: snaps.(fidx).(pc)
+    end
+    else begin
+      let n, kept = Option.value ~default:(0, []) (Hashtbl.find_opt stray (fidx, pc)) in
+      if n = 0 then order := (fidx, pc) :: !order;
+      let kept =
+        if n < max_snapshots_per_block then snapshot fidx locals lbase globals :: kept else kept
+      in
+      Hashtbl.replace stray (fidx, pc) (n + 1, kept)
+    end
+  in
+  let result = Compile.run ~trace:events ?fuel (Compile.of_program ~on_block prog) ~input in
+  let visits = Hashtbl.create 256 and block_counts = Hashtbl.create 256 in
+  List.iter
+    (fun ((fidx, pc) as key) ->
+      let n, kept =
+        if pc >= 0 && pc < Array.length counts.(fidx) then (counts.(fidx).(pc), snaps.(fidx).(pc))
+        else Hashtbl.find stray key
+      in
+      Hashtbl.replace block_counts key n;
+      Hashtbl.replace visits key (List.rev kept))
+    (List.rev !order);
+  { branches = branches_of_buf events; events; visits; block_counts; result }
+
+let interp_capture ?fuel ~want_snapshots prog ~input events =
+  let visits = Hashtbl.create 256 in
+  let block_counts = Hashtbl.create 256 in
+  let observer =
+    {
+      Interp.on_block =
+        (fun ~fidx ~pc ~locals ~globals ->
+          let key = (fidx, pc) in
+          let count = Option.value ~default:0 (Hashtbl.find_opt block_counts key) in
+          Hashtbl.replace block_counts key (count + 1);
+          if want_snapshots && count < max_snapshots_per_block then begin
+            let snap = { locals = Array.copy locals; globals = Array.copy globals } in
+            let prev = Option.value ~default:[] (Hashtbl.find_opt visits key) in
+            Hashtbl.replace visits key (prev @ [ snap ])
+          end);
+      Interp.on_branch = (fun ~fidx ~pc ~taken -> Tracebuf.add events ~fidx ~pc ~taken);
+    }
+  in
+  let result = Interp.run ~observer ?fuel prog ~input in
+  { branches = branches_of_buf events; events; visits; block_counts; result }
+
 let capture ?fuel ?(want_snapshots = true) ?(backend = `Compiled) prog ~input =
   (* sized for real traces up front — repeated doubling from a small
      capacity would rival the traced run itself in cost *)
   let events = Tracebuf.create ~capacity:65536 () in
-  let use_compiled = backend = `Compiled && not want_snapshots in
-  if use_compiled then begin
-    let result = Compile.run_program ~trace:events ?fuel prog ~input in
-    {
-      branches = branches_of_buf events;
-      events;
-      visits = Hashtbl.create 1;
-      block_counts = Hashtbl.create 1;
-      result;
-    }
-  end
-  else begin
-    let visits = Hashtbl.create 256 in
-    let block_counts = Hashtbl.create 256 in
-    let observer =
+  match backend with
+  | `Interp -> interp_capture ?fuel ~want_snapshots prog ~input events
+  | `Compiled when want_snapshots -> compiled_snapshots ?fuel prog ~input events
+  | `Compiled ->
+      let result = Compile.run_program ~trace:events ?fuel prog ~input in
       {
-        Interp.on_block =
-          (fun ~fidx ~pc ~locals ~globals ->
-            let key = (fidx, pc) in
-            let count = Option.value ~default:0 (Hashtbl.find_opt block_counts key) in
-            Hashtbl.replace block_counts key (count + 1);
-            if want_snapshots && count < max_snapshots_per_block then begin
-              let snap = { locals = Array.copy locals; globals = Array.copy globals } in
-              let prev = Option.value ~default:[] (Hashtbl.find_opt visits key) in
-              Hashtbl.replace visits key (prev @ [ snap ])
-            end);
-        Interp.on_branch = (fun ~fidx ~pc ~taken -> Tracebuf.add events ~fidx ~pc ~taken);
+        branches = branches_of_buf events;
+        events;
+        visits = Hashtbl.create 1;
+        block_counts = Hashtbl.create 1;
+        result;
       }
-    in
-    let result = Interp.run ~observer ?fuel prog ~input in
-    { branches = branches_of_buf events; events; visits; block_counts; result }
-  end
 
 (* Incremental trace-bit decoder: the first dynamic occurrence of a branch
    site fixes its reference direction (bit 0); later occurrences decode to

@@ -40,16 +40,19 @@ val capture :
   input:int list ->
   t
 (** Run under instrumentation. [want_snapshots] (default [true]) controls
-    whether variable values are recorded; recognition-only traces can turn
-    it off to save memory.  [backend] (default [`Compiled]) selects the
-    execution engine: [`Compiled] runs {!Compile} with events appended
-    straight into the flat buffer (observationally equivalent to the
-    interpreter, much faster), but only applies when [want_snapshots] is
-    off — snapshots need the interpreter's block observer, so that
-    combination falls back to [`Interp] (embedding always traces there).
-    With the compiled backend [visits] and [block_counts] are empty: a
-    snapshot-free capture that wants block counts must ask for
-    [~backend:`Interp]. *)
+    whether block counts and variable values are recorded; recognition-only
+    traces turn it off.  [backend] (default [`Compiled]) selects the
+    execution engine.  [`Compiled] runs {!Compile} with events appended
+    straight into the flat buffer; with [want_snapshots] it runs a
+    translation made with a {!Compile.block_hook} that counts block entries
+    in per-function arrays and copies the frame's locals and the globals
+    on a block's first {!max_snapshots_per_block} visits.  Its [visits],
+    [block_counts], [hot_blocks] order and [result] are those of the
+    interpreter's trace, so embedding from either yields the same bytes.
+    A snapshot-free compiled capture leaves [visits] and [block_counts]
+    empty.  [`Interp] runs {!Interp.run}, the reference the compiled
+    engine is tested against; it fills [block_counts] even without
+    snapshots. *)
 
 val bitstring : t -> Util.Bitstring.t
 (** Decode the trace into its bit-string (straight off the packed buffer —

@@ -1,8 +1,10 @@
 (* Equivalence tests for the compiled execution backend: the threaded-code
    translation must be observationally indistinguishable from the
    interpreter — same outcome (incl. trap reasons and positions), same
-   outputs, same step count, same branch-event sequence — plus unit tests
-   for the packed trace buffer and the streaming recognition mode. *)
+   outputs, same step count, same branch-event sequence, and, when
+   translated with the block hook, the same block entries and the same
+   snapshot capture — plus unit tests for the packed trace buffer and the
+   streaming recognition mode. *)
 
 open Stackvm
 
@@ -16,16 +18,66 @@ let show_result (r : Interp.result) buf =
   Printf.sprintf "%s, %d steps, %d outputs, %d events" outcome r.Interp.steps
     (List.length r.Interp.outputs) (Tracebuf.length buf)
 
-(* run both backends and insist on identical observable behaviour *)
-let agree ?fuel name prog input =
-  let buf_i = Tracebuf.create () in
+(* A block-entry log, kept as an entry count and a running digest of
+   every entry's function, pc, frame locals and globals: a full copy of
+   every entry would not fit the larger workloads' runs in memory. *)
+type block_log = { mutable entries : int; mutable digest : int }
+
+let block_log () = { entries = 0; digest = 0 }
+
+let log_block log ~fidx ~pc locals ~lbase ~nlocals globals =
+  let mix v = log.digest <- (log.digest * 1_000_003) lxor v in
+  log.entries <- log.entries + 1;
+  mix fidx;
+  mix pc;
+  for i = lbase to lbase + nlocals - 1 do
+    mix locals.(i)
+  done;
+  Array.iter mix globals
+
+let show_log log = Printf.sprintf "%d block entries, digest %x" log.entries log.digest
+
+(* a table's bindings in fold order, which [Trace.hot_blocks] ties follow *)
+let bindings tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+
+(* The interpreter's trace and the compiled snapshot capture must agree on
+   everything embedding reads: result, branches, block counts, snapshots,
+   and the order of [hot_blocks], ties included. *)
+let captures_agree ?fuel prog ~input =
+  let ti = Trace.capture ?fuel ~backend:`Interp prog ~input in
+  let tc = Trace.capture ?fuel prog ~input in
+  ti.Trace.result = tc.Trace.result
+  && ti.Trace.branches = tc.Trace.branches
+  && bindings ti.Trace.block_counts = bindings tc.Trace.block_counts
+  && bindings ti.Trace.visits = bindings tc.Trace.visits
+  && Trace.hot_blocks ti = Trace.hot_blocks tc
+
+(* the interpreter's run, with its branch events and block-entry log *)
+let interp_run ?fuel prog input =
+  let buf = Tracebuf.create () and log = block_log () in
   let observer =
     {
-      Interp.on_block = (fun ~fidx:_ ~pc:_ ~locals:_ ~globals:_ -> ());
-      Interp.on_branch = (fun ~fidx ~pc ~taken -> Tracebuf.add buf_i ~fidx ~pc ~taken);
+      Interp.on_block =
+        (fun ~fidx ~pc ~locals ~globals ->
+          log_block log ~fidx ~pc locals ~lbase:0 ~nlocals:(Array.length locals) globals);
+      Interp.on_branch = (fun ~fidx ~pc ~taken -> Tracebuf.add buf ~fidx ~pc ~taken);
     }
   in
-  let ri = Interp.run ~observer ?fuel prog ~input in
+  (Interp.run ~observer ?fuel prog ~input, buf, log)
+
+(* the same from a translation made with the block hook *)
+let hooked_run ?fuel prog input =
+  let buf = Tracebuf.create () and log = block_log () in
+  let on_block ~fidx ~pc ~locals ~lbase ~globals =
+    log_block log ~fidx ~pc locals ~lbase ~nlocals:prog.Program.funcs.(fidx).Program.nlocals globals
+  in
+  (Compile.run ~trace:buf ?fuel (Compile.of_program ~on_block prog) ~input, buf, log)
+
+(* run both backends and insist on identical observable behaviour; the
+   block-hooked translation must also report the interpreter's block
+   entries, in order, with the same frame contents *)
+let agree ?fuel name prog input =
+  let ri, buf_i, log_i = interp_run ?fuel prog input in
   let buf_c = Tracebuf.create () in
   let rc = Compile.run ~trace:buf_c ?fuel (Compile.of_program prog) ~input in
   Alcotest.(check string) name (show_result ri buf_i) (show_result rc buf_c);
@@ -36,7 +88,26 @@ let agree ?fuel name prog input =
   Alcotest.(check bool)
     (name ^ ": event streams equal")
     true
-    (Tracebuf.to_packed_list buf_i = Tracebuf.to_packed_list buf_c)
+    (Tracebuf.to_packed_list buf_i = Tracebuf.to_packed_list buf_c);
+  let rh, buf_h, log_h = hooked_run ?fuel prog input in
+  Alcotest.(check string) (name ^ ": hooked run") (show_result ri buf_i) (show_result rh buf_h);
+  Alcotest.(check bool)
+    (name ^ ": hooked run events equal")
+    true
+    (ri = rh && Tracebuf.to_packed_list buf_i = Tracebuf.to_packed_list buf_h);
+  Alcotest.(check string) (name ^ ": block entries") (show_log log_i) (show_log log_h);
+  Alcotest.(check bool) (name ^ ": captures agree") true (captures_agree ?fuel prog ~input)
+
+(* a fuel cut right after a transfer must still report the block entered:
+   every cut in a run's first [n] steps, block entries only *)
+let blocks_agree_at_every_cut ~n name prog input =
+  for fuel = 0 to n do
+    let ri, _, log_i = interp_run ~fuel prog input and rh, _, log_h = hooked_run ~fuel prog input in
+    Alcotest.(check string)
+      (Printf.sprintf "%s/cut%d: block entries" name fuel)
+      (show_log log_i ^ ", " ^ show_result ri (Tracebuf.create ()))
+      (show_log log_h ^ ", " ^ show_result rh (Tracebuf.create ()))
+  done
 
 let test_workloads_agree () =
   List.iter
@@ -45,20 +116,19 @@ let test_workloads_agree () =
       let input = wl.Workloads.Workload.input in
       agree wl.Workloads.Workload.name prog input;
       agree ~fuel:500 (wl.Workloads.Workload.name ^ "/fuel500") prog input;
-      agree ~fuel:1 (wl.Workloads.Workload.name ^ "/fuel1") prog input)
-    Workloads.Spec.all
+      agree ~fuel:1 (wl.Workloads.Workload.name ^ "/fuel1") prog input;
+      blocks_agree_at_every_cut ~n:300 wl.Workloads.Workload.name prog input)
+    Vm_corpus.workloads
 
 (* unverified programs whose control flow escapes the code array: the
    compiled backend's sentinel slot and Bad_pc replay must reproduce the
    interpreter's "pc out of range" trap, step for step, at every fuel *)
 let test_bad_pcs_agree () =
-  let mk code =
-    {
-      Program.funcs = [| { Program.name = "main"; nargs = 0; nlocals = 1; code } |];
-      nglobals = 0;
-      main = "main";
-    }
-  in
+  let program funcs = { Program.funcs = Array.of_list funcs; nglobals = 0; main = "main" } in
+  let main_of code = { Program.name = "main"; nargs = 0; nlocals = 1; code } in
+  let mk code = program [ main_of code ] in
+  let callee = { Program.name = "f"; nargs = 0; nlocals = 2; code = [| Instr.Const 7; Instr.Ret |] } in
+  let empty = { Program.name = "g"; nargs = 0; nlocals = 0; code = [||] } in
   let progs =
     [
       ("fallthrough", mk [| Instr.Const 1 |]);
@@ -69,6 +139,12 @@ let test_bad_pcs_agree () =
       ("if_negative", mk [| Instr.Const 0; Instr.If { sense = true; target = -1 }; Instr.Const 5 |]);
       ("if_taken_negative", mk [| Instr.Const 1; Instr.If { sense = true; target = -1 } |]);
       ("empty_main", mk [||]);
+      ("if_to_len", mk [| Instr.Const 1; Instr.If { sense = true; target = 2 } |]);
+      ("if_falls_off_end", mk [| Instr.Const 0; Instr.If { sense = true; target = 0 } |]);
+      ("fall_into_leader", mk [| Instr.Const 1; Instr.Const 2; Instr.Pop; Instr.Pop; Instr.Jump 1 |]);
+      ("call_last", program [ main_of [| Instr.Call "f" |]; callee ]);
+      ("ret_to_leader", program [ main_of [| Instr.Call "f"; Instr.Ret; Instr.Jump 1 |]; callee ]);
+      ("call_empty", program [ main_of [| Instr.Call "g" |]; empty ]);
     ]
   in
   List.iter
@@ -78,6 +154,52 @@ let test_bad_pcs_agree () =
         agree ~fuel (Printf.sprintf "%s/fuel%d" name fuel) prog []
       done)
     progs
+
+(* every op that falls through, placed right before a block leader (the
+   target of a dead trailing jump), at every fuel cut: the entry into that
+   block must be reported even when the fuel runs out on the transfer *)
+let test_fallthrough_cuts () =
+  let new_array = [ Instr.Const 1; Instr.New_array ] in
+  let cases =
+    [
+      ("const", [], Instr.Const 1);
+      ("load", [], Instr.Load 0);
+      ("store", [ Instr.Const 3 ], Instr.Store 0);
+      ("get_global", [], Instr.Get_global 0);
+      ("set_global", [ Instr.Const 3 ], Instr.Set_global 0);
+      ("binop", [ Instr.Const 3; Instr.Const 4 ], Instr.Binop Instr.Mul);
+      ("cmp", [ Instr.Const 3; Instr.Const 4 ], Instr.Cmp Instr.Lt);
+      ("neg", [ Instr.Const 3 ], Instr.Neg);
+      ("not", [ Instr.Const 3 ], Instr.Not);
+      ("dup", [ Instr.Const 3 ], Instr.Dup);
+      ("pop", [ Instr.Const 3 ], Instr.Pop);
+      ("swap", [ Instr.Const 3; Instr.Const 4 ], Instr.Swap);
+      ("new_array", [ Instr.Const 2 ], Instr.New_array);
+      ("array_load", new_array @ [ Instr.Const 0 ], Instr.Array_load);
+      ("array_store", new_array @ [ Instr.Const 0; Instr.Const 9 ], Instr.Array_store);
+      ("array_len", new_array, Instr.Array_len);
+      ("print", [ Instr.Const 3 ], Instr.Print);
+      ("read", [], Instr.Read);
+      ("nop", [], Instr.Nop);
+      ("if_not_taken", [ Instr.Const 0 ], Instr.If { sense = true; target = 0 });
+    ]
+  in
+  List.iter
+    (fun (name, prefix, op) ->
+      let leader = List.length prefix + 1 in
+      let code = Array.of_list (prefix @ [ op; Instr.Const 0; Instr.Ret; Instr.Jump leader ]) in
+      let prog =
+        {
+          Program.funcs = [| { Program.name = "main"; nargs = 0; nlocals = 1; code } |];
+          nglobals = 1;
+          main = "main";
+        }
+      in
+      agree name prog [ 5 ];
+      for fuel = 0 to leader + 2 do
+        agree ~fuel (Printf.sprintf "%s/fuel%d" name fuel) prog [ 5 ]
+      done)
+    cases
 
 (* random (often invalid) programs: traps, underflows and loops must be
    reproduced exactly; fuel is always finite because nothing guarantees
@@ -91,21 +213,53 @@ let qcheck_random_programs_agree =
       let input = List.init (Util.Prng.int rng 4) (fun i -> i * 3) in
       List.for_all
         (fun fuel ->
-          let buf_i = Tracebuf.create () in
-          let observer =
-            {
-              Interp.on_block = (fun ~fidx:_ ~pc:_ ~locals:_ ~globals:_ -> ());
-              Interp.on_branch = (fun ~fidx ~pc ~taken -> Tracebuf.add buf_i ~fidx ~pc ~taken);
-            }
-          in
-          let ri = Interp.run ~observer ~fuel prog ~input in
+          let ri, buf_i, log_i = interp_run ~fuel prog input in
           let buf_c = Tracebuf.create () in
           let rc = Compile.run ~trace:buf_c ~fuel (Compile.of_program prog) ~input in
+          let rh, buf_h, log_h = hooked_run ~fuel prog input in
           ri.Interp.outcome = rc.Interp.outcome
           && ri.Interp.outputs = rc.Interp.outputs
           && ri.Interp.steps = rc.Interp.steps
-          && Tracebuf.to_packed_list buf_i = Tracebuf.to_packed_list buf_c)
-        [ 3; 50; 400 ])
+          && Tracebuf.to_packed_list buf_i = Tracebuf.to_packed_list buf_c
+          && ri = rh
+          && Tracebuf.to_packed_list buf_i = Tracebuf.to_packed_list buf_h
+          && log_i = log_h
+          && captures_agree ~fuel prog ~input)
+        [ 3; 50; 400 ]
+      (* and a fuel cut after each of the first 40 steps *)
+      && List.for_all
+           (fun fuel ->
+             let ri, _, log_i = interp_run ~fuel prog input and rh, _, log_h = hooked_run ~fuel prog input in
+             ri = rh && log_i = log_h)
+           (List.init 41 Fun.id))
+
+(* Embedding reads only the trace, so a compiled snapshot capture must
+   yield byte-identical marked programs to the interpreter's trace. *)
+let test_embed_from_compiled_capture () =
+  List.iter
+    (fun (wl : Workloads.Workload.t) ->
+      let prog = Workloads.Workload.vm_program wl and input = wl.Workloads.Workload.input in
+      let ti = Trace.capture ~backend:`Interp prog ~input and tc = Trace.capture prog ~input in
+      List.iteri
+        (fun i passphrase ->
+          let spec =
+            {
+              Jwm.Embed.passphrase;
+              watermark = Bignum.of_string "987654321987654321";
+              watermark_bits = 64;
+              pieces = 20;
+              input;
+            }
+          in
+          let embed trace =
+            Serialize.encode (Jwm.Embed.embed ~trace ~seed:(Int64.of_int (i + 1)) spec prog).Jwm.Embed.program
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s: same marked bytes" wl.Workloads.Workload.name passphrase)
+            true
+            (embed ti = embed tc))
+        [ "capture key one"; "capture key two"; "capture key three" ])
+    Vm_corpus.workloads
 
 (* ---- packed trace buffer ---- *)
 
@@ -292,6 +446,7 @@ let suite =
   [
     ("all workloads agree across backends", `Quick, test_workloads_agree);
     ("out-of-range pcs agree across backends", `Quick, test_bad_pcs_agree);
+    ("fall-through into a block at every fuel cut", `Quick, test_fallthrough_cuts);
     QCheck_alcotest.to_alcotest qcheck_random_programs_agree;
     ("tracebuf pack/unpack roundtrip", `Quick, test_tracebuf_pack_roundtrip);
     ("tracebuf operations", `Quick, test_tracebuf_ops);
@@ -300,4 +455,5 @@ let suite =
     ("streaming recognition exits early", `Quick, test_streaming_early_exit);
     ("run_streaming pushes the buffered events", `Quick, test_run_streaming_events_match_buffer);
     QCheck_alcotest.to_alcotest qcheck_branches_buf_agrees;
+    ("embedding from a compiled capture is byte-identical", `Quick, test_embed_from_compiled_capture);
   ]

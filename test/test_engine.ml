@@ -103,6 +103,48 @@ let test_pool_shutdown () =
     (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
       ignore (Pool.submit pool (fun () -> ())))
 
+(* the domain each thunk ran on; every thunk spins for a millisecond so
+   that no domain can drain the list before the others start claiming *)
+let domains_used ~domains n =
+  let spin () =
+    let t0 = Unix.gettimeofday () in
+    while Unix.gettimeofday () -. t0 < 0.001 do
+      Domain.cpu_relax ()
+    done
+  in
+  Pool.run_list ~domains
+    (List.init n (fun _ () ->
+         spin ();
+         (Domain.self () :> int)))
+  |> List.map (function Ok d -> d | Error e -> raise e)
+  |> List.sort_uniq compare
+
+let test_pool_counts_caller () =
+  let caller = (Domain.self () :> int) in
+  List.iter
+    (fun domains ->
+      let used = domains_used ~domains 16 in
+      Alcotest.(check bool)
+        (Printf.sprintf "at most %d domains" domains)
+        true
+        (List.length used <= domains);
+      Alcotest.(check bool) (Printf.sprintf "caller among %d" domains) true (List.mem caller used))
+    [ 1; 2; 3 ]
+
+let test_pool_single_thunk_inline () =
+  let caller = (Domain.self () :> int) in
+  Alcotest.(check (list int)) "one thunk runs on the caller" [ caller ] (domains_used ~domains:4 1)
+
+let test_pool_nested () =
+  let results =
+    Pool.run_list ~domains:2
+      (List.init 4 (fun i () ->
+           Pool.run_list ~domains:2 (List.init 3 (fun j () -> (10 * i) + j))
+           |> List.map (function Ok v -> v | Error e -> raise e)))
+  in
+  Alcotest.(check bool) "nested results in order" true
+    (results = List.init 4 (fun i -> Ok (List.init 3 (fun j -> (10 * i) + j))))
+
 (* ---- Cache: hits, misses, spill ---- *)
 
 let test_cache_memoizes () =
@@ -260,6 +302,14 @@ let test_batch_pool_matches_sequential () =
       Alcotest.(check string) "byte-identical program" (embedded_bytes a) (embedded_bytes b))
     seq pooled
 
+let test_watermark_batch_domains () =
+  let batch domains =
+    Pathmark.watermark_batch ~domains ~cache:(Cache.create ()) ~key ~bits:64 ~pieces:12
+      ~input:secret_input ~fingerprints:fleet host_program
+    |> List.map Stackvm.Serialize.encode
+  in
+  Alcotest.(check (list string)) "same marked programs" (batch 1) (batch 2)
+
 let test_batch_rerun_all_cached () =
   let cache = Cache.create () in
   let cold = embed_fleet ~domains:2 ~cache () in
@@ -359,6 +409,9 @@ let suite =
     Alcotest.test_case "pool preserves submission order" `Quick test_pool_order;
     Alcotest.test_case "pool isolates task exceptions" `Quick test_pool_isolation;
     Alcotest.test_case "pool shutdown is final and idempotent" `Quick test_pool_shutdown;
+    Alcotest.test_case "pool counts the caller among its domains" `Quick test_pool_counts_caller;
+    Alcotest.test_case "pool runs a lone thunk on the caller" `Quick test_pool_single_thunk_inline;
+    Alcotest.test_case "pool nested inside a thunk completes" `Quick test_pool_nested;
     Alcotest.test_case "cache memoizes and counts" `Quick test_cache_memoizes;
     Alcotest.test_case "cache spills to disk and reloads" `Quick test_cache_spill;
     Alcotest.test_case "corrupt spill decodes to a miss" `Quick test_cache_corrupt_spill_is_miss;
@@ -367,6 +420,7 @@ let suite =
     Alcotest.test_case "cache store tier persists across instances" `Quick test_cache_store_tier;
     Alcotest.test_case "outcome codec round-trips" `Quick test_outcome_roundtrip;
     Alcotest.test_case "pooled batch byte-identical to sequential" `Quick test_batch_pool_matches_sequential;
+    Alcotest.test_case "watermark_batch on 2 domains equals 1" `Quick test_watermark_batch_domains;
     Alcotest.test_case "warm re-run served entirely from cache" `Quick test_batch_rerun_all_cached;
     Alcotest.test_case "failing job isolated, retries bounded" `Quick test_batch_failure_isolated;
     Alcotest.test_case "recognize and attack jobs round-trip" `Quick test_batch_recognize_and_attack;

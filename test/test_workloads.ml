@@ -44,9 +44,7 @@ let test_jess_is_larger_and_colder_than_caffeine () =
   Alcotest.(check bool) "jess bigger" true (size jess > 2 * size caffeine);
   let hot_fraction w =
     let prog = Workloads.Workload.vm_program w in
-    let trace =
-      Stackvm.Trace.capture ~want_snapshots:false ~backend:`Interp prog ~input:w.Workloads.Workload.input
-    in
+    let trace = Stackvm.Trace.capture prog ~input:w.Workloads.Workload.input in
     let hot =
       Hashtbl.fold (fun _ c acc -> if c > 16 then acc + 1 else acc) trace.Stackvm.Trace.block_counts 0
     in
