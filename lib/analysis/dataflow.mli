@@ -1,15 +1,14 @@
 (** A generic worklist fixpoint solver over integer-indexed nodes.
 
     One functor serves every dataflow pass in the tree: forward passes
-    (constant propagation, definite assignment) emit contributions to
+    (constant propagation, reachability) emit contributions to
     successor nodes, backward passes (liveness) to predecessors.  A node's
     fact is the join of all contributions made to it; nodes that never
     receive a contribution are unreached, which gives forward passes
     reachability for free.
 
     Instantiated for both the stack VM ({!Analysis.Vmconst},
-    {!Analysis.Vmlive}, [Stackvm.Verify]'s definite-assignment check) and
-    the native simulator ({!Analysis.Nconst}). *)
+    {!Analysis.Vmlive}) and the native simulator ({!Analysis.Nconst}). *)
 
 module type LATTICE = sig
   type t

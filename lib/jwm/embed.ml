@@ -132,8 +132,8 @@ let embed ?(seed = 0x1234_5678L) ?fuel ?trace ?(stealth = false) spec prog =
         { p_fidx = fidx; p_pc = pc; p_kind = Loop; p_code = code }
   in
   let plans = List.map plan_piece statements in
-  (* Apply insertions per function in descending pc order so positions from
-     the original trace stay valid. *)
+  (* All of a function's snippets go in with one rewrite; positions are
+     the original trace's. *)
   let funcs = Array.copy prog.Program.funcs in
   let by_func = Hashtbl.create 8 in
   List.iter
@@ -142,18 +142,12 @@ let embed ?(seed = 0x1234_5678L) ?fuel ?trace ?(stealth = false) spec prog =
     plans;
   Hashtbl.iter
     (fun fidx plans_for_f ->
-      let sorted = List.sort (fun a b -> Stdlib.compare b.p_pc a.p_pc) plans_for_f in
-      let f = ref funcs.(fidx) in
-      let extra_locals = ref 0 in
-      List.iter
-        (fun p ->
-          f := Rewrite.insert !f ~at:p.p_pc p.p_code;
-          (* Loop snippets need 3 scratch slots, condition snippets 1; all
-             snippets in one function share them (each self-initializes). *)
-          let need = match p.p_kind with Loop -> 3 | Condition_existing | Condition_counter -> 1 in
-          extra_locals := max !extra_locals need)
-        sorted;
-      funcs.(fidx) <- Rewrite.with_locals !f (funcs.(fidx).Program.nlocals + !extra_locals))
+      let f = Rewrite.insert_many funcs.(fidx) (List.map (fun p -> (p.p_pc, p.p_code)) plans_for_f) in
+      (* Loop snippets need 3 scratch slots, condition snippets 1; all
+         snippets in one function share them (each self-initializes). *)
+      let need p = match p.p_kind with Loop -> 3 | Condition_existing | Condition_counter -> 1 in
+      let extra_locals = List.fold_left (fun m p -> max m (need p)) 0 plans_for_f in
+      funcs.(fidx) <- Rewrite.with_locals f (funcs.(fidx).Program.nlocals + extra_locals))
     by_func;
   let program = { prog with Program.funcs; nglobals = !next_global } in
   Verify.check_exn program;

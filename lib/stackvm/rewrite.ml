@@ -1,17 +1,42 @@
-let insert (f : Program.func) ~at code =
-  let n = Array.length f.Program.code in
-  if at < 0 || at > n then invalid_arg "Rewrite.insert: bad position";
-  let snippet = Array.of_list code in
-  let len = Array.length snippet in
-  (* Targets equal to [at] stay, so branches that used to reach the old
-     instruction now enter the inserted snippet first. *)
-  let shifted = Array.map (fun i -> Instr.relocate i ~f:(fun t -> if t > at then t + len else t)) f.Program.code in
-  let rebased = Array.map (fun i -> Instr.relocate i ~f:(fun t -> t + at)) snippet in
-  let out = Array.make (n + len) Instr.Nop in
-  Array.blit shifted 0 out 0 at;
-  Array.blit rebased 0 out at len;
-  Array.blit shifted at out (at + len) (n - at);
+let insert_many (f : Program.func) inserts =
+  let code = f.Program.code in
+  let n = Array.length code in
+  List.iter (fun (at, _) -> if at < 0 || at > n then invalid_arg "Rewrite.insert: bad position") inserts;
+  (* Application order: descending position, ties in list order. *)
+  let sorted = Array.of_list (List.stable_sort (fun (a, _) (b, _) -> Stdlib.compare b a) inserts) in
+  let snippets = Array.map (fun (_, c) -> Array.of_list c) sorted in
+  (* [before.(p)]: instructions inserted at positions below [p]. *)
+  let before = Array.make (n + 2) 0 in
+  Array.iteri (fun i (at, _) -> before.(at + 1) <- before.(at + 1) + Array.length snippets.(i)) sorted;
+  for p = 1 to n + 1 do
+    before.(p) <- before.(p) + before.(p - 1)
+  done;
+  let total = before.(n + 1) in
+  (* Targets [<= at] stay put under each insertion, so a branch that used
+     to reach [t] enters the first snippet inserted there. *)
+  let host t = if t <= 0 then t else if t > n then t + total else t + before.(t) in
+  let out = Array.make (n + total) Instr.Nop in
+  let pos = ref 0 and i = ref (Array.length sorted - 1) and later = ref 0 in
+  for p = 0 to n do
+    (* The last-applied snippet at [p] lands first. *)
+    while !i >= 0 && fst sorted.(!i) = p do
+      let s = snippets.(!i) in
+      (* Snippet-relative target [t >= 1] only moves with the snippets
+         applied after this one; [t <= 0] lands where a host target would. *)
+      let rebase t = if t >= 1 then t + p + !later else host (t + p) in
+      Array.iteri (fun j instr -> out.(!pos + j) <- Instr.relocate instr ~f:rebase) s;
+      pos := !pos + Array.length s;
+      later := !later + Array.length s;
+      decr i
+    done;
+    if p < n then begin
+      out.(!pos) <- Instr.relocate code.(p) ~f:host;
+      incr pos
+    end
+  done;
   { f with Program.code = out }
+
+let insert f ~at code = insert_many f [ (at, code) ]
 
 let append_raw (f : Program.func) code =
   { f with Program.code = Array.append f.Program.code (Array.of_list code) }

@@ -13,7 +13,14 @@ val insert : Program.func -> at:int -> Instr.t list -> Program.func
     targets [>= at] are shifted, so branches that used to reach [at] now
     enter the inserted code; snippet targets are rebased from
     snippet-relative to absolute.  Raises [Invalid_argument] on a bad
-    position. *)
+    position.  The one-element case of {!insert_many}. *)
+
+val insert_many : Program.func -> (int * Instr.t list) list -> Program.func
+(** [insert_many f inserts] places every [(at, code)] in one pass over [f]
+    (all positions in [f]'s own coordinates).  The result equals folding
+    {!insert} over [inserts] stably sorted by descending [at] — ties apply
+    in list order, so the last of them lands first — but costs one copy of
+    the function instead of one per snippet. *)
 
 val append_raw : Program.func -> Instr.t list -> Program.func
 (** Append code at the end without any target adjustment: the appended

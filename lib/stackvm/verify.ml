@@ -59,22 +59,22 @@ let check_static (prog : Program.t) (f : Program.func) =
 let depths_exn (prog : Program.t) (f : Program.func) =
   check_static prog f;
   let n = Array.length f.code in
-  let depth = Array.make n None in
-  let worklist = Queue.create () in
+  (* [min_int] marks an unreached pc; every pc enters the FIFO once. *)
+  let depth = Array.make n min_int and queue = Array.make n 0 and head = ref 0 and tail = ref 0 in
   let push pc d =
     if pc < 0 || pc >= n then err f.name pc "control flows out of the function"
-    else begin
-      match depth.(pc) with
-      | None ->
-          depth.(pc) <- Some d;
-          Queue.add pc worklist
-      | Some d' -> if d <> d' then err f.name pc "stack depth mismatch at merge (%d vs %d)" d' d
+    else if depth.(pc) = min_int then begin
+      depth.(pc) <- d;
+      queue.(!tail) <- pc;
+      incr tail
     end
+    else if d <> depth.(pc) then err f.name pc "stack depth mismatch at merge (%d vs %d)" depth.(pc) d
   in
   push 0 0;
-  while not (Queue.is_empty worklist) do
-    let pc = Queue.pop worklist in
-    let d = Option.get depth.(pc) in
+  while !head < !tail do
+    let pc = queue.(!head) in
+    incr head;
+    let d = depth.(pc) in
     let instr = f.code.(pc) in
     let need = required prog f.name pc instr in
     if d < need then err f.name pc "stack underflow: depth %d, need %d" d need;
@@ -90,65 +90,95 @@ let depths_exn (prog : Program.t) (f : Program.func) =
   done;
   depth
 
-let depths prog f = try Ok (depths_exn prog f) with Bad e -> Error e
+let depths prog f =
+  try Ok (Array.map (fun d -> if d = min_int then None else Some d) (depths_exn prog f)) with Bad e -> Error e
 
 (* ---- definite assignment ----
 
-   A must-reach instance of the reaching-definitions analysis, run with
-   the generic worklist solver: the fact at a pc is the set of local slots
-   written on *every* path from the entry (arguments count as written).
-   Loading a slot outside that set means some path reads the local before
-   any store — the JVM verifier rejects such code, and so do we.  The
-   interpreter zero-initializes locals, so this is a strengthening, not a
-   semantic change. *)
+   A must-reach instance of the reaching-definitions analysis: the fact at
+   a pc is the set of local slots written on *every* path from the entry
+   (arguments count as written).  Loading a slot outside that set means
+   some path reads the local before any store — the JVM verifier rejects
+   such code, and so do we.  The interpreter zero-initializes locals, so
+   this is a strengthening, not a semantic change.
 
-module Assigned = Dataflow.Make (struct
-  type t = bool array
+   Facts are bitsets of [slot_bits] slots per word, [words] words per pc,
+   packed into one flat array; a pc not yet reached acts as top, so the
+   (intersection) fixpoint does not depend on the order in which the
+   worklist visits pcs.  [state] marks a pc unreached (0), reached (1) or
+   reached and on the worklist stack (2). *)
 
-  let equal = ( = )
+let slot_bits = 62
 
-  let join a b = Array.init (Array.length a) (fun i -> a.(i) && b.(i))
-end)
+type facts = { words : int; bits : int array; state : Bytes.t }
+
+let reached facts pc = Bytes.get facts.state pc <> '\000'
+
+let mem { words; bits; _ } pc slot = (bits.((pc * words) + (slot / slot_bits)) lsr (slot mod slot_bits)) land 1 = 1
+
+let solve_assigned (f : Program.func) =
+  let code = f.Program.code and nlocals = f.Program.nlocals in
+  let n = Array.length code in
+  let words = (nlocals + slot_bits - 1) / slot_bits in
+  let bits = Array.make (n * words) 0 and state = Bytes.make n '\000' in
+  let stack = Array.make n 0 and top = ref 0 and after = Array.make words 0 in
+  let set slot = after.(slot / slot_bits) <- after.(slot / slot_bits) lor (1 lsl (slot mod slot_bits)) in
+  let push pc =
+    if Bytes.get state pc <> '\002' then begin
+      Bytes.set state pc '\002';
+      stack.(!top) <- pc;
+      incr top
+    end
+  in
+  (* Intersect [after] into the fact at [pc]; requeue it if it shrank. *)
+  let flow pc =
+    if pc >= 0 && pc < n then begin
+      let base = pc * words in
+      if Bytes.get state pc = '\000' then begin
+        Array.blit after 0 bits base words;
+        push pc
+      end
+      else
+        for k = 0 to words - 1 do
+          let meet = bits.(base + k) land after.(k) in
+          if meet <> bits.(base + k) then begin
+            bits.(base + k) <- meet;
+            push pc
+          end
+        done
+    end
+  in
+  for slot = 0 to min f.Program.nargs nlocals - 1 do
+    set slot
+  done;
+  flow 0;
+  while !top > 0 do
+    decr top;
+    let pc = stack.(!top) in
+    Bytes.set state pc '\001';
+    Array.blit bits (pc * words) after 0 words;
+    let instr = code.(pc) in
+    (match instr with Instr.Store slot when slot >= 0 && slot < nlocals -> set slot | _ -> ());
+    List.iter flow (Instr.targets instr);
+    if Instr.falls_through instr then flow (pc + 1)
+  done;
+  { words; bits; state }
 
 let assigned (f : Program.func) =
-  let n = Array.length f.code in
-  let entry = Array.init f.nlocals (fun slot -> slot < f.nargs) in
-  let transfer pc fact =
-    let after =
-      match f.code.(pc) with
-      | Instr.Store slot when slot < f.nlocals ->
-          let a = Array.copy fact in
-          a.(slot) <- true;
-          a
-      | _ -> fact
-    in
-    let succs =
-      match f.code.(pc) with
-      | Instr.Ret -> []
-      | instr ->
-          let targets = Instr.targets instr in
-          if Instr.falls_through instr then (pc + 1) :: targets else targets
-    in
-    List.filter_map (fun t -> if t >= 0 && t < n then Some (t, after) else None) succs
-  in
-  let facts = Assigned.solve ~seeds:[ (0, entry) ] ~transfer () in
-  Array.init n (fun pc -> Assigned.fact facts pc)
+  let facts = solve_assigned f in
+  Array.init (Array.length f.Program.code) (fun pc ->
+      if reached facts pc then Some (Array.init f.Program.nlocals (mem facts pc)) else None)
 
 let check_assignment (f : Program.func) =
+  let facts = solve_assigned f in
   Array.iteri
-    (fun pc fact ->
-      match (f.code.(pc), fact) with
-      | Instr.Load slot, Some a when slot < Array.length a && not a.(slot) ->
+    (fun pc instr ->
+      match instr with
+      | Instr.Load slot when reached facts pc && slot >= 0 && slot < f.Program.nlocals && not (mem facts pc slot)
+        ->
           err f.name pc "local %d may be read before assignment" slot
       | _ -> ())
-    (assigned f)
-
-let assignment prog f =
-  ignore (prog : Program.t);
-  try
-    check_assignment f;
-    Ok ()
-  with Bad e -> Error e
+    f.Program.code
 
 let check (prog : Program.t) =
   let errors = ref [] in
@@ -159,10 +189,10 @@ let check (prog : Program.t) =
         errors := { func = prog.main; pc = 0; message = "main must take no arguments" } :: !errors);
   Array.iter
     (fun f ->
-      match depths prog f with
-      | Error e -> errors := e :: !errors
-      | Ok _ -> (
-          match assignment prog f with Ok () -> () | Error e -> errors := e :: !errors))
+      try
+        ignore (depths_exn prog f);
+        check_assignment f
+      with Bad e -> errors := e :: !errors)
     prog.funcs;
   match !errors with [] -> Ok () | es -> Error (List.rev es)
 

@@ -14,8 +14,10 @@
       and enough operands for every instruction;
     - definite assignment: no path from the entry may read a local slot
       before some store writes it (arguments count as written) — a
-      must-reach instance of reaching definitions, run with the generic
-      {!Dataflow} worklist solver, mirroring the JVM verifier's rule. *)
+      must-reach instance of reaching definitions, mirroring the JVM
+      verifier's rule, solved over per-pc bitsets packed into one flat
+      array (62 slots a word) so that verifying a marked program costs
+      little beside embedding it. *)
 
 type error = { func : string; pc : int; message : string }
 

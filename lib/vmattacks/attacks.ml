@@ -2,12 +2,6 @@ open Stackvm
 
 type t = Util.Prng.t -> Program.t -> Program.t
 
-(* Apply a list of (position, snippet) insertions to one function; applying
-   in descending position order keeps earlier positions valid. *)
-let insert_many f inserts =
-  let sorted = List.sort (fun (a, _) (b, _) -> Stdlib.compare b a) inserts in
-  List.fold_left (fun f (at, snippet) -> Rewrite.insert f ~at snippet) f sorted
-
 let map_funcs prog ~f =
   { prog with Program.funcs = Array.mapi (fun i fn -> f i fn) prog.Program.funcs }
 
@@ -18,7 +12,7 @@ let nop_insertion ~rate rng prog =
       let n = Array.length f.Program.code in
       let count = int_of_float (rate *. float_of_int n) in
       let inserts = List.init count (fun _ -> (Util.Prng.int rng n, [ Instr.Nop ])) in
-      insert_many f inserts)
+      Rewrite.insert_many f inserts)
 
 let branch_insertion ~rate rng prog =
   map_funcs prog ~f:(fun _ f ->
@@ -57,14 +51,14 @@ let branch_insertion ~rate rng prog =
         ]
       in
       let inserts = List.init count (fun _ -> let at = Util.Prng.int rng n in (at, snippet at)) in
-      let f = insert_many f inserts in
+      let f = Rewrite.insert_many f inserts in
       Rewrite.with_locals f (max f.Program.nlocals 1))
 
 let block_splitting ~count rng prog =
   map_funcs prog ~f:(fun _ f ->
       let n = Array.length f.Program.code in
       let inserts = List.init count (fun _ -> (Util.Prng.int_in rng 1 (max 1 (n - 1)), [ Instr.Jump 1 ])) in
-      insert_many f inserts)
+      Rewrite.insert_many f inserts)
 
 let dead_code_insertion ~count rng prog =
   map_funcs prog ~f:(fun _ f ->
@@ -74,7 +68,7 @@ let dead_code_insertion ~count rng prog =
         [ Instr.Const (Util.Prng.int_in rng (-1000) 1000); Instr.Store slot ]
       in
       let inserts = List.init count (fun _ -> (Util.Prng.int rng n, snippet ())) in
-      insert_many f inserts)
+      Rewrite.insert_many f inserts)
 
 (* ---- layout transformations ---- *)
 

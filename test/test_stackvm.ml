@@ -613,3 +613,5 @@ let suite =
       ("trace load salvages garbage", `Quick, test_trace_load_garbage);
       ("trace load salvages truncation", `Quick, test_trace_load_truncated);
     ]
+
+let suite = suite @ Test_verify.suite

@@ -207,3 +207,25 @@ let test_attacks_on_compiled_workloads () =
     [ Workloads.Caffeine.suite; Workloads.Miniinterp.interpreter ]
 
 let suite = suite @ [ ("attacks on compiled workloads", `Slow, test_attacks_on_compiled_workloads) ]
+
+(* The insertion attacks pinned byte for byte on fixed seeds: one MD5 over
+   the per-workload MD5s of every VM workload's attacked program. *)
+let test_insertion_known_answer () =
+  let hosts = List.map Workloads.Workload.vm_program Vm_corpus.workloads in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun (name, attack, seed, digest) ->
+      let all = String.concat "" (List.map (fun h -> md5 (Serialize.encode (attack (Util.Prng.create seed) h))) hosts) in
+      Alcotest.(check string) (Printf.sprintf "%s seed %Ld" name seed) digest (md5 all))
+    [
+      ("nop", Vmattacks.Attacks.nop_insertion ~rate:0.3, 3L, "c35c4df4c71cd39d8abea5d2d2e0cd4d");
+      ("nop", Vmattacks.Attacks.nop_insertion ~rate:0.3, 9L, "e3faf02883f9c800530ec4569c0396ee");
+      ("branch", Vmattacks.Attacks.branch_insertion ~rate:1.5, 3L, "5dce65d9fbd943234682dee7e114b77e");
+      ("branch", Vmattacks.Attacks.branch_insertion ~rate:1.5, 9L, "0cbab6029d4ee3e50fa176bb134138e4");
+      ("dead", Vmattacks.Attacks.dead_code_insertion ~count:5, 3L, "023bc7205333b2d88a6b260c06dcb34d");
+      ("dead", Vmattacks.Attacks.dead_code_insertion ~count:5, 9L, "607c1f689e27a8a0a123de789c2b9fc7");
+      ("split", Vmattacks.Attacks.block_splitting ~count:5, 3L, "05a94368e6403cc0dbfedd00fee1292b");
+      ("split", Vmattacks.Attacks.block_splitting ~count:5, 9L, "187aa35b2c35a2e5aa53d7940a9b79b9");
+    ]
+
+let suite = suite @ [ ("insertion attacks known answer", `Quick, test_insertion_known_answer) ]
