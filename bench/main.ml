@@ -138,7 +138,8 @@ let tests =
            ignore (Codec.Recombine.recover_value params stmts)));
     (* Figure 8(a): executing a watermarked program (slowdown source) *)
     Test.make ~name:"fig8a/run-watermarked-vm"
-      (Staged.stage (fun () -> ignore (Stackvm.Interp.run (Lazy.force watermarked_vm) ~input:host_input)));
+      (Staged.stage (fun () ->
+           ignore (Stackvm.Compile.run_program (Lazy.force watermarked_vm) ~input:host_input)));
     (* Figure 8(b): embedding (the size-increase producer) *)
     Test.make ~name:"fig8b/embed-20-pieces"
       (Staged.stage (fun () -> ignore (Jwm.Embed.embed (vm_spec 20) host_vm)));
@@ -252,61 +253,42 @@ let run_batch () =
   Printf.printf "warm re-run (all cached):    %8.1f ms  (cache: %d hits, %d misses)\n%!" warm_ms
     s.Engine.Cache.hits s.Engine.Cache.misses;
   row "warm re-run (all cached):" warm_ms;
-  (* ---- execution backends: interp vs threaded-code compiler ----
-     Trace capture is the recognition hot path, so its p50 ratio is the
-     headline compiled-backend speedup; full recognitions (capture +
-     recombination) and the streaming mode ride along for context. *)
-  Printf.printf "=== execution backends: interp vs compiled (trace capture & recognition) ===\n%!";
+  (* ---- the execution engine: trace capture & recognition ----
+     Trace capture is the recognition hot path; full recognitions
+     (capture + recombination) and the streaming mode ride along.  Rows
+     keep their "backend" key so they line up with older artifacts. *)
+  Printf.printf "=== execution engine: trace capture & recognition ===\n%!";
   Gc.compact ();
   let iters = 7 in
-  let backend_name = function `Interp -> "interp" | `Compiled -> "compiled" in
-  let backend_row ~mode ~workload ~backend samples extra =
-    Printf.printf "%-10s %-10s %-9s p50 %8.1f ms  p99 %8.1f ms%s\n%!" mode workload
-      (backend_name backend) (percentile samples 0.5) (percentile samples 0.99)
-      (match extra with [] -> "" | _ -> "");
+  let engine_row ~mode ~workload samples extra =
+    Printf.printf "%-10s %-15s p50 %8.1f ms  p99 %8.1f ms\n%!" mode workload
+      (percentile samples 0.5) (percentile samples 0.99);
     rows :=
-      ([ ("mode", S mode); ("workload", S workload); ("backend", S (backend_name backend));
+      ([ ("mode", S mode); ("workload", S workload); ("backend", S "compiled");
          ("ms_p50", F (percentile samples 0.5)); ("ms_p99", F (percentile samples 0.99)) ]
       @ extra)
-      :: !rows;
-    percentile samples 0.5
+      :: !rows
   in
   List.iter
     (fun name ->
       let wl = Workloads.Spec.find name in
       let prog = Workloads.Workload.vm_program wl in
       let input = wl.Workloads.Workload.input in
-      (* each backend's trace-acquisition path exactly as recognition
-         takes it: the interpreter under the capture observer vs the
+      (* the trace-acquisition path exactly as recognition takes it:
          compiled code appending packed events to the flat buffer *)
       let code = Stackvm.Compile.of_program prog in
-      let trace = function
-        | `Interp ->
-            sample_ms iters (fun () ->
-                Stackvm.Trace.capture ~want_snapshots:false ~backend:`Interp prog ~input)
-        | `Compiled ->
-            sample_ms iters (fun () ->
-                Stackvm.Compile.run ~trace:(Stackvm.Tracebuf.create ~capacity:65536 ()) code ~input)
-      in
-      let interp_p50 = backend_row ~mode:"trace" ~workload:name ~backend:`Interp (trace `Interp) [] in
-      let compiled_p50 =
-        backend_row ~mode:"trace" ~workload:name ~backend:`Compiled (trace `Compiled) []
-      in
-      let speedup = interp_p50 /. compiled_p50 in
-      Printf.printf "%-10s %-10s %9s      %8.2fx\n%!" "trace" name "speedup" speedup;
-      rows :=
-        [ ("mode", S "trace-speedup"); ("workload", S name); ("speedup", F speedup) ] :: !rows;
-      let recog backend =
-        sample_ms iters (fun () ->
-            Jwm.Recognize.recognize ~backend ~passphrase:key ~watermark_bits:64 ~input prog)
-      in
-      ignore (backend_row ~mode:"recognize" ~workload:name ~backend:`Interp (recog `Interp) []);
-      ignore (backend_row ~mode:"recognize" ~workload:name ~backend:`Compiled (recog `Compiled) []);
-      let streaming =
-        sample_ms iters (fun () ->
-            Jwm.Recognize.recognize_streaming ~passphrase:key ~watermark_bits:64 ~input prog)
-      in
-      ignore (backend_row ~mode:"streaming" ~workload:name ~backend:`Compiled streaming []))
+      engine_row ~mode:"trace" ~workload:name
+        (sample_ms iters (fun () ->
+             Stackvm.Compile.run ~trace:(Stackvm.Tracebuf.create ~capacity:65536 ()) code ~input))
+        [];
+      engine_row ~mode:"recognize" ~workload:name
+        (sample_ms iters (fun () ->
+             Jwm.Recognize.recognize ~passphrase:key ~watermark_bits:64 ~input prog))
+        [];
+      engine_row ~mode:"streaming" ~workload:name
+        (sample_ms iters (fun () ->
+             Jwm.Recognize.recognize_streaming ~passphrase:key ~watermark_bits:64 ~input prog))
+        [])
     [ "gzip"; "crafty"; "vpr"; "gap" ];
   (* a marked program, so streaming's early exit actually fires; the
      confidence target is set against the embed's 20-piece redundancy
@@ -321,9 +303,8 @@ let run_batch () =
     Jwm.Recognize.recognize_streaming ~check_every:256 ~confidence_target:0.7 ~passphrase:key
       ~watermark_bits:64 ~input:host_input marked
   in
-  ignore
-    (backend_row ~mode:"streaming" ~workload:"caffeine-marked" ~backend:`Compiled streaming_marked
-       [ ("stopped_early", S (match halt with `Stopped_early -> "yes" | `Completed -> "no")) ]);
+  engine_row ~mode:"streaming" ~workload:"caffeine-marked" streaming_marked
+    [ ("stopped_early", S (match halt with `Stopped_early -> "yes" | `Completed -> "no")) ];
   emit_json "batch" (List.rev !rows)
 
 (* ---- analyzer throughput: the stealth linter, sequential vs pooled ---- *)

@@ -152,26 +152,6 @@ let fault_seed_t =
 
 let plan_of specs fault_seed = Fault.Inject.make ~seed:(Int64.of_int fault_seed) specs
 
-let backend_conv =
-  let parse = function
-    | "interp" -> Ok `Interp
-    | "compiled" -> Ok `Compiled
-    | s -> Error (`Msg (Printf.sprintf "unknown backend %S (expected interp or compiled)" s))
-  in
-  let print fmt b =
-    Format.pp_print_string fmt (match b with `Interp -> "interp" | `Compiled -> "compiled")
-  in
-  Arg.conv (parse, print)
-
-let backend_t =
-  Arg.(
-    value
-    & opt backend_conv `Compiled
-    & info [ "backend" ] ~docv:"interp|compiled"
-        ~doc:
-          "Stack-VM execution backend: the reference interpreter or the threaded-code compiler \
-           (observationally equivalent; compiled is much faster).")
-
 let streaming_t =
   Arg.(
     value & flag
@@ -210,7 +190,7 @@ let embed_vm_cmd =
     (Cmd.info "embed-vm" ~doc:"Compile a MiniC program and embed a bytecode-track watermark.")
     Term.(const embed_vm $ source $ key_t $ mark_t $ bits_t $ pieces $ input_t $ out_t $ seed_t)
 
-let recognize_vm path key bits input backend streaming inject fault_seed =
+let recognize_vm path key bits input streaming inject fault_seed =
   let plan = plan_of inject fault_seed in
   let bytes = read_file path in
   let bytes, artifact_faults =
@@ -226,7 +206,7 @@ let recognize_vm path key bits input backend streaming inject fault_seed =
         if not (Fault.Inject.is_empty plan) then begin
           (* recognize offline from the fault-injected branch stream *)
           let trace =
-            Stackvm.Trace.capture ~fuel:200_000_000 ~want_snapshots:false ~backend prog ~input
+            Stackvm.Trace.capture ~fuel:200_000_000 ~want_snapshots:false prog ~input
           in
           let noisy, n = Fault.Inject.branches_buf plan ~salt:"trace" trace.Stackvm.Trace.events in
           if artifact_faults > 0 || n > 0 then
@@ -245,7 +225,7 @@ let recognize_vm path key bits input backend streaming inject fault_seed =
           | `Completed -> ());
           o
         end
-        else Jwm.Recognize.recognize ~backend ~passphrase:key ~watermark_bits:bits ~input prog
+        else Jwm.Recognize.recognize ~passphrase:key ~watermark_bits:bits ~input prog
       in
       print_partial o;
       (match o.Jwm.Recognize.value with
@@ -259,16 +239,11 @@ let recognize_vm_cmd =
   Cmd.v
     (Cmd.info "recognize-vm" ~doc:"Recognize a bytecode-track watermark (blind).")
     Term.(
-      const recognize_vm $ path $ key_t $ bits_t $ input_t $ backend_t $ streaming_t $ inject_t
+      const recognize_vm $ path $ key_t $ bits_t $ input_t $ streaming_t $ inject_t
       $ fault_seed_t)
 
-let run_vm path input backend =
-  let prog = load_vm path in
-  let r =
-    match backend with
-    | `Interp -> Stackvm.Interp.run prog ~input
-    | `Compiled -> Stackvm.Compile.run_program prog ~input
-  in
+let run_vm path input =
+  let r = Stackvm.Compile.run_program (load_vm path) ~input in
   List.iter (Printf.printf "%d\n") r.Stackvm.Interp.outputs;
   match r.Stackvm.Interp.outcome with
   | Stackvm.Interp.Finished v -> Printf.printf "finished: %d (%d steps)\n" v r.Stackvm.Interp.steps
@@ -283,7 +258,7 @@ let run_vm_cmd =
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"PROGRAM" ~doc:"Serialized VM program.") in
   Cmd.v
     (Cmd.info "run-vm" ~doc:"Execute a serialized VM program.")
-    Term.(const run_vm $ path $ input_t $ backend_t)
+    Term.(const run_vm $ path $ input_t)
 
 let attack_vm path name out seed =
   match List.assoc_opt name Vmattacks.Attacks.all with
@@ -435,8 +410,7 @@ let embed_cmd =
       const embed_generic $ source $ scheme_t $ key_t $ mark_t $ bits_t $ redundancy $ input_t $ out_t
       $ aux_out $ seed_t)
 
-let recognize_generic path scheme_name key bits input aux aux_file backend streaming inject
-    fault_seed =
+let recognize_generic path scheme_name key bits input aux aux_file streaming inject fault_seed =
   let (module W) = resolve_scheme scheme_name in
   let plan = plan_of inject fault_seed in
   let bytes = read_file path in
@@ -468,7 +442,7 @@ let recognize_generic path scheme_name key bits input aux aux_file backend strea
     | false, Some recognize_branches, Scheme.Watermarker.Vm_program prog ->
         (* recognize offline from the fault-injected branch stream *)
         let trace =
-          Stackvm.Trace.capture ~fuel:200_000_000 ~want_snapshots:false ~backend prog ~input
+          Stackvm.Trace.capture ~fuel:200_000_000 ~want_snapshots:false prog ~input
         in
         let noisy, n = Fault.Inject.branches_buf plan ~salt:"trace" trace.Stackvm.Trace.events in
         if artifact_faults > 0 || n > 0 then
@@ -514,7 +488,7 @@ let recognize_cmd =
     (Cmd.info "recognize" ~doc:"Recognize a watermark under a named scheme.")
     Term.(
       const recognize_generic $ path $ scheme_t $ key_t $ bits_t $ input_t $ aux $ aux_file
-      $ backend_t $ streaming_t $ inject_t $ fault_seed_t)
+      $ streaming_t $ inject_t $ fault_seed_t)
 
 (* ---- native track ---- *)
 
@@ -587,7 +561,7 @@ let builtin_workloads =
   ]
 
 let batch source workload scheme key bits pieces input fingerprints count mark jobs cache_spec
-    events_file out_dir verify retries backoff_ms deadline_ms breaker fuel_escalation backend inject
+    events_file out_dir verify retries backoff_ms deadline_ms breaker fuel_escalation inject
     fault_seed seed quiet =
   ignore (require_vm_scheme scheme);
   let workload_entry = List.assoc_opt workload builtin_workloads in
@@ -648,7 +622,7 @@ let batch source workload scheme key bits pieces input fingerprints count mark j
   in
   let plan = plan_of inject fault_seed in
   let run_jobs specs =
-    Engine.Batch.run ~domains:jobs ~policy ~inject:plan ?cache ~events ~backend specs
+    Engine.Batch.run ~domains:jobs ~policy ~inject:plan ?cache ~events specs
   in
   Printf.printf "batch: %d embed jobs on %s, %d domain(s), cache %s%s\n%!" (List.length job_specs)
     host_name jobs cache_spec
@@ -754,7 +728,7 @@ let batch_cmd =
     Term.(
       const batch $ source $ workload $ scheme_t $ key_t $ bits_t $ pieces $ input_t $ fingerprints
       $ count $ mark_t $ jobs $ cache $ events_file $ out_dir $ verify $ retries $ backoff_ms
-      $ deadline_ms $ breaker $ fuel_escalation $ backend_t $ inject_t $ fault_seed_t $ seed_t $ quiet)
+      $ deadline_ms $ breaker $ fuel_escalation $ inject_t $ fault_seed_t $ seed_t $ quiet)
 
 (* ---- static analysis: the stealth linter ---- *)
 

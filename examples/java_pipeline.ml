@@ -34,7 +34,7 @@ let () =
       let attacked = attack rng watermarked in
       let ok =
         Stackvm.Verify.check attacked = Ok ()
-        && Stackvm.Interp.equivalent_on watermarked attacked ~inputs:[ input ]
+        && Stackvm.Compile.equivalent_on watermarked attacked ~inputs:[ input ]
       in
       let mark =
         match recognize_vm ~key ~bits:128 ~input attacked with

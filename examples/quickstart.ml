@@ -36,7 +36,7 @@ let () =
   Printf.printf "watermarked: %d bytes\n" (Pathmark.Stackvm.Serialize.size_in_bytes watermarked);
 
   (* 4. the program still behaves identically *)
-  let run p = (Pathmark.Stackvm.Interp.run p ~input:secret_input).Pathmark.Stackvm.Interp.outputs in
+  let run p = (Pathmark.Stackvm.Compile.run_program p ~input:secret_input).Pathmark.Stackvm.Interp.outputs in
   assert (run program = run watermarked);
   Printf.printf "behaviour unchanged: outputs %s\n"
     (String.concat ", " (List.map string_of_int (run watermarked)));

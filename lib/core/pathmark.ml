@@ -28,8 +28,8 @@ let watermark_vm ?seed ~key ~watermark ~bits ~pieces ~input prog =
   in
   (Jwm.Embed.embed ?seed spec prog).Jwm.Embed.program
 
-let recognize_vm ?backend ?fuel ~key ~bits ~input prog =
-  (Jwm.Recognize.recognize ?backend ?fuel ~passphrase:key ~watermark_bits:bits ~input prog)
+let recognize_vm ?fuel ~key ~bits ~input prog =
+  (Jwm.Recognize.recognize ?fuel ~passphrase:key ~watermark_bits:bits ~input prog)
     .Jwm.Recognize.value
 
 let watermark_native ?seed ?tamper_proof ~watermark ~bits ~training_input prog =

@@ -69,16 +69,14 @@ val watermark_vm :
 (** Embed a fingerprint; [key] and [input] are the recognition secrets. *)
 
 val recognize_vm :
-  ?backend:[ `Interp | `Compiled ] ->
   ?fuel:int ->
   key:string ->
   bits:int ->
   input:int list ->
   Stackvm.Program.t ->
   Bignum.t option
-(** Blind recognition: only the program and the secrets are needed.
-    [backend] (default [`Compiled]) picks the execution engine for the
-    recognition run — see {!Jwm.Recognize.recognize}. *)
+(** Blind recognition: only the program and the secrets are needed — see
+    {!Jwm.Recognize.recognize}. *)
 
 val watermark_batch :
   ?seed:int64 ->

@@ -306,7 +306,7 @@ let scheme_spec (job : Job.t) ~redundancy =
     redundancy;
   }
 
-let compute_vm_scheme ?inject ?cache ?events ?(backend = `Compiled) ~id (job : Job.t) program action =
+let compute_vm_scheme ?inject ?cache ?events ~id (job : Job.t) program action =
   let (module W) = Scheme.Builtin.find_exn job.Job.scheme in
   if W.caps.Scheme.Watermarker.track <> Scheme.Watermarker.Vm then
     failwith (Printf.sprintf "scheme %s cannot run on the VM track" job.Job.scheme);
@@ -341,7 +341,7 @@ let compute_vm_scheme ?inject ?cache ?events ?(backend = `Compiled) ~id (job : J
             let fuel = Option.value ~default:default_recognize_fuel job.Job.fuel in
             let capture () =
               Stackvm.Trace.save
-                (Stackvm.Trace.capture ~fuel ~want_snapshots:false ~backend program
+                (Stackvm.Trace.capture ~fuel ~want_snapshots:false program
                    ~input:job.Job.input)
             in
             let trace_bytes =
@@ -431,7 +431,7 @@ let compute_vm_scheme ?inject ?cache ?events ?(backend = `Compiled) ~id (job : J
             let branches =
               timed ?events ~id ~stage:"trace" (fun () ->
                   Array.to_list
-                    (Stackvm.Trace.capture ~fuel ~want_snapshots:false ~backend attacked
+                    (Stackvm.Trace.capture ~fuel ~want_snapshots:false attacked
                        ~input:job.Job.input)
                       .Stackvm.Trace.branches)
             in
@@ -512,11 +512,11 @@ let compute_vm_scheme ?inject ?cache ?events ?(backend = `Compiled) ~id (job : J
           ndiags = List.length report.Analysis.Locator.diags;
         }
 
-let compute_vm ?inject ?cache ?events ?(backend = `Compiled) ~id (job : Job.t) program action =
+let compute_vm ?inject ?cache ?events ~id (job : Job.t) program action =
   if
     job.Job.scheme <> Job.default_vm_scheme
     || (match action with Job.Audit _ | Job.Tournament_cell _ -> true | _ -> false)
-  then compute_vm_scheme ?inject ?cache ?events ~backend ~id job program action
+  then compute_vm_scheme ?inject ?cache ?events ~id job program action
   else
   match (action : Job.vm_action) with
   | Job.Embed { fingerprint; pieces } ->
@@ -552,7 +552,7 @@ let compute_vm ?inject ?cache ?events ?(backend = `Compiled) ~id (job : Job.t) p
       let fuel = Option.value ~default:default_recognize_fuel job.Job.fuel in
       let capture () =
         Stackvm.Trace.save
-          (Stackvm.Trace.capture ~fuel ~want_snapshots:false ~backend program ~input:job.Job.input)
+          (Stackvm.Trace.capture ~fuel ~want_snapshots:false program ~input:job.Job.input)
       in
       let trace_bytes =
         timed ?events ~id ~stage:"trace" (fun () ->
@@ -836,7 +836,7 @@ exception Injected_crash
 let () =
   Printexc.register_printer (function Injected_crash -> Some "injected worker crash" | _ -> None)
 
-let execute ?(policy = default_policy) ?inject ?breaker ?deadline_at ?cache ?events ?backend ~id
+let execute ?(policy = default_policy) ?inject ?breaker ?deadline_at ?cache ?events ~id
     (job : Job.t) =
   let t0 = now () in
   emit events (Events.Job_start { id; label = job.Job.label; domain = (Domain.self () :> int) });
@@ -929,7 +929,7 @@ let execute ?(policy = default_policy) ?inject ?breaker ?deadline_at ?cache ?eve
           | _ -> ());
           let j = job_for_attempt n in
           match j.Job.payload with
-          | Job.Vm { program; action } -> compute_vm ?inject ?cache ?events ?backend ~id j program action
+          | Job.Vm { program; action } -> compute_vm ?inject ?cache ?events ~id j program action
           | Job.Native { program; action } -> compute_native ?inject ?events ~id j program action
         in
         let note_crash crashed =
@@ -1007,7 +1007,7 @@ let prewarm ~domains ?cache ?events jobs =
       let thunks = Hashtbl.fold (fun _ thunk acc -> thunk :: acc) distinct [] in
       if thunks <> [] then ignore (Pool.run_list ~domains thunks)
 
-let run ?(domains = 1) ?retries ?policy ?inject ?cache ?events ?backend jobs =
+let run ?(domains = 1) ?retries ?policy ?inject ?cache ?events jobs =
   let policy =
     match (policy, retries) with
     | Some p, Some r -> { p with retries = r }
@@ -1027,7 +1027,7 @@ let run ?(domains = 1) ?retries ?policy ?inject ?cache ?events ?backend jobs =
   let thunks =
     List.mapi
       (fun id job ->
-        fun () -> execute ~policy ?inject ?breaker ?deadline_at ?cache ?events ?backend ~id job)
+        fun () -> execute ~policy ?inject ?breaker ?deadline_at ?cache ?events ~id job)
       jobs
   in
   let results =

@@ -113,7 +113,6 @@ val run :
   ?inject:Fault.Inject.plan ->
   ?cache:Cache.t ->
   ?events:Events.t ->
-  ?backend:[ `Interp | `Compiled ] ->
   Job.t list ->
   result list
 (** Execute the jobs; results are in job order.  [domains] defaults to 1
@@ -126,8 +125,5 @@ val run :
     results.  No injected fault escapes as an exception: every job still
     returns a typed outcome.
 
-    [backend] (default [`Compiled]) selects the execution engine for
-    recognition trace captures ({!Stackvm.Compile} vs the reference
-    interpreter — observationally equivalent, the compiled path much
-    faster).  Embedding captures always use the interpreter: they need
-    the block-entry variable snapshots only it can observe. *)
+    Every trace capture, for embedding and recognition alike, runs on
+    {!Stackvm.Compile} through {!Stackvm.Trace.capture}. *)

@@ -52,7 +52,7 @@ let vm_case (w : Workloads.Workload.t) =
   let plain = embed ~stealth:false and stealth = embed ~stealth:true in
   let strip = Vmattacks.Targeted_strip.strip plain in
   let stripped_stealth = (Vmattacks.Targeted_strip.strip stealth).Vmattacks.Targeted_strip.program in
-  let outputs p i = (Stackvm.Interp.run ~fuel:2_000_000_000 p ~input:i).Stackvm.Interp.outputs in
+  let outputs p i = (Stackvm.Compile.run_program ~fuel:2_000_000_000 p ~input:i).Stackvm.Interp.outputs in
   let equivalent =
     List.for_all
       (fun i -> outputs strip.Vmattacks.Targeted_strip.program i = outputs plain i)

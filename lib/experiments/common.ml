@@ -10,7 +10,7 @@ let watermark_for ~bits =
   draw ()
 
 let vm_steps prog ~input =
-  let r = Stackvm.Interp.run ~fuel:2_000_000_000 prog ~input in
+  let r = Stackvm.Compile.run_program ~fuel:2_000_000_000 prog ~input in
   match r.Stackvm.Interp.outcome with
   | Stackvm.Interp.Finished _ -> r.Stackvm.Interp.steps
   | Stackvm.Interp.Trapped { reason; _ } -> failwith ("vm_steps: trapped: " ^ reason)

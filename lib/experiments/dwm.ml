@@ -61,7 +61,7 @@ let case (wl : Workloads.Workload.t) combo =
     confidence = composite.confidence;
     members;
     equivalent =
-      Stackvm.Interp.equivalent_on base marked
+      Stackvm.Compile.equivalent_on base marked
         ~inputs:(input :: wl.Workloads.Workload.alt_inputs);
   }
 

@@ -29,7 +29,7 @@ let run_java ?(bits = 128) ?(pieces = 60) () =
         let attacked = f rng wm in
         let semantics_preserved =
           Stackvm.Verify.check attacked = Ok ()
-          && Stackvm.Interp.equivalent_on ~fuel:2_000_000_000 wm attacked
+          && Stackvm.Compile.equivalent_on ~fuel:2_000_000_000 wm attacked
                ~inputs:(input :: w.Workloads.Workload.alt_inputs)
         in
         let watermark_survives = Common.recognized ~bits ~input attacked in

@@ -1,6 +1,6 @@
 (** Graph-watermark recognition — dynamic, blind.
 
-    Re-run the program on the compiled backend ({!Stackvm.Compile}), its
+    Re-run the program on the execution engine ({!Stackvm.Compile}), its
     conditional-branch events packed straight into a flat
     {!Stackvm.Tracebuf} (or replay an already-captured trace), split the
     events per static branch site, and search every per-site

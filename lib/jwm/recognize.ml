@@ -42,45 +42,33 @@ let recognize_branches ?(strides = [ 1; 2 ]) ~passphrase ~watermark_bits events 
   outcome_of_report params ~trace_branches:(List.length events) ~steps:0 ~diagnostic:None report
 
 let degraded params e =
-  (* a corrupt program that the execution backend itself rejects is an
+  (* a corrupt program that the execution engine itself rejects is an
      experimental outcome (the mark is destroyed), not an error *)
   let report = Codec.Recombine.recover params [] in
   outcome_of_report params ~trace_branches:0 ~steps:0
     ~diagnostic:(Some (Printexc.to_string e))
     report
 
-let recognize ?(backend = `Compiled) ?(fuel = 200_000_000) ?(strides = [ 1; 2 ]) ~passphrase
-    ~watermark_bits ~input prog =
+let recognize ?(fuel = 200_000_000) ?(strides = [ 1; 2 ]) ~passphrase ~watermark_bits ~input prog =
   let params = Codec.Params.make ~passphrase ~watermark_bits () in
-  match backend with
-  | `Interp -> (
-      match Stackvm.Trace.capture ~fuel ~want_snapshots:false ~backend:`Interp prog ~input with
-      | trace ->
-          let bits = Stackvm.Trace.bitstring trace in
-          let report = Codec.Recombine.recover_from_bitstring ~strides params bits in
-          outcome_of_report params
-            ~trace_branches:(Array.length trace.Stackvm.Trace.branches)
-            ~steps:trace.Stackvm.Trace.result.Stackvm.Interp.steps ~diagnostic:None report
-      | exception e -> degraded params e)
-  | `Compiled -> (
-      (* the hot path: compiled execution appending packed events straight
-         into a flat buffer, bits decoded off the buffer — no event records,
-         no observer, no per-event allocation *)
-      match
-        let code = Stackvm.Compile.of_program prog in
-        (* sized for real traces up front: repeated doubling from the
-           default capacity would cost more than the traced run itself *)
-        let events = Stackvm.Tracebuf.create ~capacity:65536 () in
-        let result = Stackvm.Compile.run ~trace:events ~fuel code ~input in
-        (events, result)
-      with
-      | events, result ->
-          let bits = Stackvm.Trace.bits_of_buf events in
-          let report = Codec.Recombine.recover_from_bitstring ~strides params bits in
-          outcome_of_report params
-            ~trace_branches:(Stackvm.Tracebuf.length events)
-            ~steps:result.Stackvm.Interp.steps ~diagnostic:None report
-      | exception e -> degraded params e)
+  (* compiled execution appending packed events straight into a flat
+     buffer, bits decoded off the buffer — no event records, no observer,
+     no per-event allocation *)
+  match
+    let code = Stackvm.Compile.of_program prog in
+    (* sized for real traces up front: repeated doubling from the default
+       capacity would cost more than the traced run itself *)
+    let events = Stackvm.Tracebuf.create ~capacity:65536 () in
+    let result = Stackvm.Compile.run ~trace:events ~fuel code ~input in
+    (events, result)
+  with
+  | events, result ->
+      let bits = Stackvm.Trace.bits_of_buf events in
+      let report = Codec.Recombine.recover_from_bitstring ~strides params bits in
+      outcome_of_report params
+        ~trace_branches:(Stackvm.Tracebuf.length events)
+        ~steps:result.Stackvm.Interp.steps ~diagnostic:None report
+  | exception e -> degraded params e
 
 (* ---- streaming recognition ----
 

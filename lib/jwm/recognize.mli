@@ -32,7 +32,6 @@ type outcome = {
 }
 
 val recognize :
-  ?backend:[ `Interp | `Compiled ] ->
   ?fuel:int ->
   ?strides:int list ->
   passphrase:string ->
@@ -45,12 +44,11 @@ val recognize :
     attacked program that crashes can destroy the mark — that is a valid
     experimental outcome, not an exception).
 
-    [backend] (default [`Compiled]) selects the execution engine for the
-    recognition run.  [`Compiled] traces through {!Stackvm.Compile} into a
-    flat packed buffer — observationally identical bits, an order of
-    magnitude faster; [`Interp] is the reference interpreter path.  The
-    qcheck backend-equivalence suite holds the two to identical
-    outcomes. *)
+    The recognition run traces through {!Stackvm.Compile} into a flat
+    packed buffer and decodes the bits straight off it.  The [compile]
+    test suite holds the outcome — value, report, branch count and
+    steps — to recovery over the reference interpreter's trace on every
+    corpus workload, marked and unmarked. *)
 
 val recognize_branches :
   ?strides:int list ->

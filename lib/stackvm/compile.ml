@@ -1,4 +1,4 @@
-(* The compiled execution backend: threaded code over OCaml closures.
+(* The execution engine: threaded code over OCaml closures.
 
    [of_program] translates every instruction of every function, once, into
    a closure of type [st -> unit] that reads its operands off a flat
@@ -18,11 +18,11 @@
    worth ~20% on branchy workloads.  Ops return normally only when the
    fuel gate closes; everything else leaves by exception.
 
-   The contract (checked by the qcheck equivalence suite) is observational
-   equivalence with {!Interp.run}: same outcome (including trap reasons
-   and trap positions), same outputs, same step count, and the same
-   branch-event sequence — on every program, including ones that trap or
-   run out of fuel.
+   The contract (checked by the compile test suite, with the interpreter
+   as its oracle) is observational equivalence with {!Interp.run}: same
+   outcome (including trap reasons and trap positions), same outputs,
+   same step count, and the same branch-event sequence — on every
+   program, including ones that trap or run out of fuel.
 
    The interpreter's block-entry observer is a translation-time option:
    [of_program ~on_block] builds each op that transfers into a block with
@@ -630,3 +630,18 @@ let run_streaming ?(fuel = max_int) code ~input ~push =
   | exception Stream_stop -> `Stopped st.steps
 
 let run_program ?trace ?fuel prog ~input = run ?trace ?fuel (of_program prog) ~input
+
+let equivalent_on ?fuel a b ~inputs =
+  let ca = of_program a and cb = of_program b in
+  List.for_all
+    (fun input ->
+      let ra = run ?fuel ca ~input and rb = run ?fuel cb ~input in
+      let same_outcome =
+        match (ra.Interp.outcome, rb.Interp.outcome) with
+        | Interp.Finished x, Interp.Finished y -> x = y
+        | Interp.Out_of_fuel, Interp.Out_of_fuel -> true
+        | Interp.Trapped { reason = r1; _ }, Interp.Trapped { reason = r2; _ } -> r1 = r2
+        | _, _ -> false
+      in
+      same_outcome && ra.Interp.outputs = rb.Interp.outputs)
+    inputs

@@ -1,4 +1,4 @@
-(** The compiled execution backend.
+(** The execution engine.
 
     Translates a program once into threaded code — one OCaml closure per
     instruction, dispatched through per-function closure arrays — with all
@@ -13,10 +13,13 @@
     the same {!Interp.result} as {!Interp.run} — same outcome (including
     trap reason, trapping function and pc), same outputs, same step
     count — and, when tracing, the same branch-event sequence.  This holds
-    for trapping and out-of-fuel runs too, and is enforced by the qcheck
-    backend-equivalence suite.  A translation made with a {!block_hook}
-    also reports every block entry exactly where {!Interp.run} calls its
-    observer's [on_block], in the same order; that is how
+    for trapping and out-of-fuel runs too.  The interpreter is kept only
+    as the reference: the [compile] test suite runs it beside this engine
+    on every workload and on random programs, and runs its oracle trace
+    capture ([test/vm_oracle.ml]) beside {!Trace.capture}.  A translation
+    made with a {!block_hook} also reports every block entry exactly where
+    {!Interp.run} calls its observer's [on_block], in the same order; that
+    is how
     {!Trace.capture} records the block counts and variable snapshots
     embedding needs.  Recognition — jwm and gwm alike — and every
     snapshot-free capture run a translation without the hook, which
@@ -63,3 +66,8 @@ val run_streaming :
 
 val run_program : ?trace:Tracebuf.t -> ?fuel:int -> Program.t -> input:int list -> Interp.result
 (** [run] composed with [of_program]. *)
+
+val equivalent_on : ?fuel:int -> Program.t -> Program.t -> inputs:int list list -> bool
+(** Semantics-preservation check used by the attack experiments and
+    tests: both programs produce identical outputs and outcome (a trap
+    matching on its reason) on every given input. *)

@@ -227,17 +227,3 @@ let run ?(observer = null_observer) ?(fuel = max_int) (prog : Program.t) ~input 
       finished := Some (Trapped { fidx; pc; reason }));
   let outcome = match !finished with Some o -> o | None -> assert false in
   { outcome; outputs = List.rev !outputs; steps = !steps }
-
-let equivalent_on ?fuel a b ~inputs =
-  List.for_all
-    (fun input ->
-      let ra = run ?fuel a ~input and rb = run ?fuel b ~input in
-      let same_outcome =
-        match (ra.outcome, rb.outcome) with
-        | Finished x, Finished y -> x = y
-        | Out_of_fuel, Out_of_fuel -> true
-        | Trapped { reason = r1; _ }, Trapped { reason = r2; _ } -> r1 = r2
-        | _, _ -> false
-      in
-      same_outcome && ra.outputs = rb.outputs)
-    inputs

@@ -1,11 +1,12 @@
-(** The tracing interpreter.
+(** The reference interpreter.
 
     Executes a program on an input sequence (the secret watermark input of
     the paper is such a sequence) and optionally reports events to an
-    observer: entry into each basic block — with access to the live locals
-    and globals, which is what the condition code generator mines — and the
-    outcome of every conditional branch, from which the trace bit-string is
-    decoded. *)
+    observer: entry into each basic block, with access to the live locals
+    and globals, and the outcome of every conditional branch.  Production
+    code runs {!Compile}; this module is the definition it is tested
+    against — the test suite's oracle trace capture is built on [run] —
+    and the home of the result type both share. *)
 
 type observer = {
   on_block : fidx:int -> pc:int -> locals:int array -> globals:int array -> unit;
@@ -14,8 +15,6 @@ type observer = {
   on_branch : fidx:int -> pc:int -> taken:bool -> unit;
       (** called after each [If] resolves *)
 }
-
-val null_observer : observer
 
 type outcome =
   | Finished of int  (** [main]'s return value *)
@@ -33,13 +32,9 @@ val run : ?observer:observer -> ?fuel:int -> Program.t -> input:int list -> resu
     bounds the executed instruction count. The program is not re-verified;
     run {!Verify.check} first on untrusted code. *)
 
-val equivalent_on : ?fuel:int -> Program.t -> Program.t -> inputs:int list list -> bool
-(** Semantics-preservation check used by the attack tests: both programs
-    produce identical outputs and outcome on every given input. *)
-
 val checked_shift_left : int -> int -> int
 (** [Shl] semantics (shift count masked to 6 bits, >= 63 yields 0) —
-    shared with the compiled backend so the two cannot drift. *)
+    shared with the compiled engine so the two cannot drift. *)
 
 val checked_shift_right : int -> int -> int
 (** [Shr] semantics (arithmetic, >= 63 yields the sign), shared

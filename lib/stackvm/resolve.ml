@@ -1,6 +1,6 @@
 (* Memoized per-program resolution tables.
 
-   Both execution backends need the same derived views of a program: the
+   The engine and the reference interpreter need the same derived views: the
    name -> index table for call dispatch, the per-function block-leader
    bitmaps for the on_block observer, and the index of main.  Interp.run
    used to rebuild all three on every call, which dominates short runs in

@@ -1,4 +1,5 @@
-(** Memoized per-program resolution tables, shared by both backends.
+(** Memoized per-program resolution tables, shared by the engine and the
+    reference interpreter.
 
     [of_program] computes — once per program value — the call-dispatch
     name table, the per-function block-leader bitmaps and the index of

@@ -26,9 +26,10 @@ let buf_of_branches events =
    snapshots live in per-function arrays indexed by pc (one slot past the
    code for a jump to its end); the rare entry at an out-of-range pc, which
    only a broken program makes, goes to a side table.  The result tables
-   are then filled in first-visit order — the order the interpreter's
-   observer inserts keys — because [hot_blocks] breaks count ties by
-   table order and the embedder picks its sites by index into that list. *)
+   are then filled in first-visit order — the order the reference
+   interpreter's observer inserts keys — because [hot_blocks] breaks count
+   ties by table order and the embedder picks its sites by index into that
+   list. *)
 let compiled_snapshots ?fuel (prog : Program.t) ~input events =
   let funcs = prog.Program.funcs in
   let counts = Array.map (fun f -> Array.make (Array.length f.Program.code + 1) 0) funcs in
@@ -69,43 +70,20 @@ let compiled_snapshots ?fuel (prog : Program.t) ~input events =
     (List.rev !order);
   { branches = branches_of_buf events; events; visits; block_counts; result }
 
-let interp_capture ?fuel ~want_snapshots prog ~input events =
-  let visits = Hashtbl.create 256 in
-  let block_counts = Hashtbl.create 256 in
-  let observer =
-    {
-      Interp.on_block =
-        (fun ~fidx ~pc ~locals ~globals ->
-          let key = (fidx, pc) in
-          let count = Option.value ~default:0 (Hashtbl.find_opt block_counts key) in
-          Hashtbl.replace block_counts key (count + 1);
-          if want_snapshots && count < max_snapshots_per_block then begin
-            let snap = { locals = Array.copy locals; globals = Array.copy globals } in
-            let prev = Option.value ~default:[] (Hashtbl.find_opt visits key) in
-            Hashtbl.replace visits key (prev @ [ snap ])
-          end);
-      Interp.on_branch = (fun ~fidx ~pc ~taken -> Tracebuf.add events ~fidx ~pc ~taken);
-    }
-  in
-  let result = Interp.run ~observer ?fuel prog ~input in
-  { branches = branches_of_buf events; events; visits; block_counts; result }
-
-let capture ?fuel ?(want_snapshots = true) ?(backend = `Compiled) prog ~input =
+let capture ?fuel ?(want_snapshots = true) prog ~input =
   (* sized for real traces up front — repeated doubling from a small
      capacity would rival the traced run itself in cost *)
   let events = Tracebuf.create ~capacity:65536 () in
-  match backend with
-  | `Interp -> interp_capture ?fuel ~want_snapshots prog ~input events
-  | `Compiled when want_snapshots -> compiled_snapshots ?fuel prog ~input events
-  | `Compiled ->
-      let result = Compile.run_program ~trace:events ?fuel prog ~input in
-      {
-        branches = branches_of_buf events;
-        events;
-        visits = Hashtbl.create 1;
-        block_counts = Hashtbl.create 1;
-        result;
-      }
+  if want_snapshots then compiled_snapshots ?fuel prog ~input events
+  else
+    let result = Compile.run_program ~trace:events ?fuel prog ~input in
+    {
+      branches = branches_of_buf events;
+      events;
+      visits = Hashtbl.create 1;
+      block_counts = Hashtbl.create 1;
+      result;
+    }
 
 (* Incremental trace-bit decoder: the first dynamic occurrence of a branch
    site fixes its reference direction (bit 0); later occurrences decode to
@@ -142,8 +120,6 @@ let bits_of_branches events =
   bits
 
 let bitstring t = bits_of_buf t.events
-
-let visit_count t key = Option.value ~default:0 (Hashtbl.find_opt t.block_counts key)
 
 let hot_blocks t =
   let entries = Hashtbl.fold (fun key count acc -> (key, count) :: acc) t.block_counts [] in

@@ -32,27 +32,18 @@ type t = {
 val max_snapshots_per_block : int
 (** 8 — the condition code generator only distinguishes early visits. *)
 
-val capture :
-  ?fuel:int ->
-  ?want_snapshots:bool ->
-  ?backend:[ `Interp | `Compiled ] ->
-  Program.t ->
-  input:int list ->
-  t
-(** Run under instrumentation. [want_snapshots] (default [true]) controls
-    whether block counts and variable values are recorded; recognition-only
-    traces turn it off.  [backend] (default [`Compiled]) selects the
-    execution engine.  [`Compiled] runs {!Compile} with events appended
-    straight into the flat buffer; with [want_snapshots] it runs a
-    translation made with a {!Compile.block_hook} that counts block entries
-    in per-function arrays and copies the frame's locals and the globals
-    on a block's first {!max_snapshots_per_block} visits.  Its [visits],
-    [block_counts], [hot_blocks] order and [result] are those of the
-    interpreter's trace, so embedding from either yields the same bytes.
-    A snapshot-free compiled capture leaves [visits] and [block_counts]
-    empty.  [`Interp] runs {!Interp.run}, the reference the compiled
-    engine is tested against; it fills [block_counts] even without
-    snapshots. *)
+val capture : ?fuel:int -> ?want_snapshots:bool -> Program.t -> input:int list -> t
+(** Run on {!Compile} with every branch event appended straight into the
+    flat buffer.  [want_snapshots] (default [true]) controls whether block
+    counts and variable values are recorded; recognition-only traces turn
+    it off and leave [visits] and [block_counts] empty.  With snapshots
+    the run uses a translation made with a {!Compile.block_hook} that
+    counts block entries in per-function arrays and copies the frame's
+    locals and the globals on a block's first {!max_snapshots_per_block}
+    visits.  Its [visits], [block_counts], [hot_blocks] order and
+    [result] are those of a capture through the reference interpreter's
+    observer, so embedding yields the same bytes either way; the test
+    suite keeps that capture as its oracle and holds the two equal. *)
 
 val bitstring : t -> Util.Bitstring.t
 (** Decode the trace into its bit-string (straight off the packed buffer —
@@ -86,9 +77,6 @@ end
 
 val save_events : Tracebuf.t -> string
 (** Serialize a packed event buffer in the {!save} format. *)
-
-val visit_count : t -> int * int -> int
-(** Times the given block was entered (0 if never). *)
 
 val hot_blocks : t -> ((int * int) * int) list
 (** Blocks sorted by descending execution count. *)

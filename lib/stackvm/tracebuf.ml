@@ -4,7 +4,7 @@
    the pc, bits 32-62 the function index.  Appending therefore allocates
    nothing per event — the buffer doubles occasionally and everything else
    is a store and an increment — which is what makes tracing under the
-   compiled backend allocation-free on the hot path. *)
+   compiled engine allocation-free on the hot path. *)
 
 type t = { mutable data : int array; mutable len : int }
 

@@ -1,7 +1,7 @@
 (** Flat, growable buffer of packed branch events.
 
     The zero-allocation tracing substrate shared by the interpreter
-    observer and the compiled backend: each conditional-branch outcome is
+    observer and the compiled engine: each conditional-branch outcome is
     packed into a single immediate [int] (taken flag in bit 0, pc in bits
     1-31, function index in bits 32-62) and appended to a preallocated,
     doubling [int array].  Recording an event is a bounds check, a store
@@ -44,7 +44,7 @@ val clear : t -> unit
 val add : t -> fidx:int -> pc:int -> taken:bool -> unit
 
 val add_packed : t -> int -> unit
-(** Append an already-packed event — the compiled backend's fast path,
+(** Append an already-packed event — the compiled engine's fast path,
     where the [If] closure packs at compile time. *)
 
 val get : t -> int -> int

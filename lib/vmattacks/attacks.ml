@@ -305,6 +305,6 @@ let static_instrument _ = None
 
 let decrypt p = Serialize.decode (xor_stream ~key:p.key p.ciphertext)
 
-let run_package p ~input = Interp.run (decrypt p) ~input
+let run_package p ~input = Compile.run_program (decrypt p) ~input
 
 let vm_trace_package p ~input = Trace.capture (decrypt p) ~input

@@ -1,10 +1,11 @@
-(* Equivalence tests for the compiled execution backend: the threaded-code
+(* Equivalence tests for the execution engine: the threaded-code
    translation must be observationally indistinguishable from the
-   interpreter — same outcome (incl. trap reasons and positions), same
-   outputs, same step count, same branch-event sequence, and, when
-   translated with the block hook, the same block entries and the same
-   snapshot capture — plus unit tests for the packed trace buffer and the
-   streaming recognition mode. *)
+   reference interpreter — same outcome (incl. trap reasons and
+   positions), same outputs, same step count, same branch-event sequence,
+   and, when translated with the block hook, the same block entries and
+   the same snapshot capture as the oracle's ({!Vm_oracle}) — plus unit
+   tests for the packed trace buffer and the streaming recognition mode,
+   and recognition over the oracle's trace on every corpus entry. *)
 
 open Stackvm
 
@@ -40,11 +41,11 @@ let show_log log = Printf.sprintf "%d block entries, digest %x" log.entries log.
 (* a table's bindings in fold order, which [Trace.hot_blocks] ties follow *)
 let bindings tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
 
-(* The interpreter's trace and the compiled snapshot capture must agree on
+(* The oracle's trace and the compiled snapshot capture must agree on
    everything embedding reads: result, branches, block counts, snapshots,
    and the order of [hot_blocks], ties included. *)
 let captures_agree ?fuel prog ~input =
-  let ti = Trace.capture ?fuel ~backend:`Interp prog ~input in
+  let ti = Vm_oracle.capture ?fuel prog ~input in
   let tc = Trace.capture ?fuel prog ~input in
   ti.Trace.result = tc.Trace.result
   && ti.Trace.branches = tc.Trace.branches
@@ -234,12 +235,12 @@ let qcheck_random_programs_agree =
            (List.init 41 Fun.id))
 
 (* Embedding reads only the trace, so a compiled snapshot capture must
-   yield byte-identical marked programs to the interpreter's trace. *)
+   yield byte-identical marked programs to the oracle's trace. *)
 let test_embed_from_compiled_capture () =
   List.iter
     (fun (wl : Workloads.Workload.t) ->
       let prog = Workloads.Workload.vm_program wl and input = wl.Workloads.Workload.input in
-      let ti = Trace.capture ~backend:`Interp prog ~input and tc = Trace.capture prog ~input in
+      let ti = Vm_oracle.capture prog ~input and tc = Trace.capture prog ~input in
       List.iteri
         (fun i passphrase ->
           let spec =
@@ -442,6 +443,50 @@ let qcheck_branches_buf_agrees =
       let via_buf, n_buf = Fault.Inject.branches_buf plan ~salt (Trace.buf_of_branches events) in
       n_list = n_buf && via_list = Array.to_list (Trace.branches_of_buf via_buf))
 
+(* ---- recognition over the oracle's trace ----
+
+   Jwm recognition runs only on the engine.  Recovery over the bits of
+   the oracle's capture must give the same outcome — value, report,
+   branch count and steps — on every corpus entry, marked and unmarked. *)
+
+let test_recognition_matches_oracle () =
+  List.iter
+    (fun (e : Vm_corpus.entry) ->
+      let got =
+        Jwm.Recognize.recognize ~passphrase:Vm_corpus.key ~watermark_bits:e.bits ~input:e.input
+          e.program
+      in
+      let trace = Vm_oracle.capture ~fuel:200_000_000 ~want_snapshots:false e.program ~input:e.input in
+      let params = Codec.Params.make ~passphrase:Vm_corpus.key ~watermark_bits:e.bits () in
+      let report =
+        Codec.Recombine.recover_from_bitstring ~strides:[ 1; 2 ] params
+          (Trace.bits_of_buf trace.Trace.events)
+      in
+      Alcotest.(check bool)
+        (e.name ^ ": same value")
+        true
+        (Option.equal Bignum.equal report.Codec.Recombine.value got.Jwm.Recognize.value);
+      Alcotest.(check string)
+        (e.name ^ ": same report")
+        (Vm_corpus.show_report report)
+        (Vm_corpus.show_report got.Jwm.Recognize.report);
+      Alcotest.(check int)
+        (e.name ^ ": same branch count")
+        (Tracebuf.length trace.Trace.events)
+        got.Jwm.Recognize.trace_branches;
+      Alcotest.(check int)
+        (e.name ^ ": same steps")
+        trace.Trace.result.Interp.steps got.Jwm.Recognize.steps;
+      (* not vacuous: every marked entry is recovered *)
+      match e.mark with
+      | Some w ->
+          Alcotest.(check bool)
+            (e.name ^ ": mark recovered")
+            true
+            (Option.equal Bignum.equal (Some w) got.Jwm.Recognize.value)
+      | None -> ())
+    (Lazy.force Vm_corpus.entries)
+
 let suite =
   [
     ("all workloads agree across backends", `Quick, test_workloads_agree);
@@ -456,4 +501,5 @@ let suite =
     ("run_streaming pushes the buffered events", `Quick, test_run_streaming_events_match_buffer);
     QCheck_alcotest.to_alcotest qcheck_branches_buf_agrees;
     ("embedding from a compiled capture is byte-identical", `Quick, test_embed_from_compiled_capture);
+    ("jwm recognition matches recovery over the oracle trace", `Quick, test_recognition_matches_oracle);
   ]

@@ -102,7 +102,7 @@ let test_semantics_preserved () =
       Alcotest.(check bool)
         (wl.Workloads.Workload.name ^ " equivalent on all inputs")
         true
-        (Stackvm.Interp.equivalent_on prog r.Gwm.Embed.program
+        (Stackvm.Compile.equivalent_on prog r.Gwm.Embed.program
            ~inputs:(wl.Workloads.Workload.input :: wl.Workloads.Workload.alt_inputs)))
     workloads
 

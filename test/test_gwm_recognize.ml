@@ -1,7 +1,8 @@
 (* Graph-watermark recognition against a reference: the original
-   recognizer — interpreter capture, the trace as an event list, per-site
-   bool-list streams in a tuple-keyed table, a sync match tried at every
-   position of each stream and of its complement — kept verbatim below.
+   recognizer — interpreter capture ({!Vm_oracle}), the trace as an event
+   list, per-site bool-list streams in a tuple-keyed table, a sync match
+   tried at every position of each stream and of its complement — kept
+   verbatim below.
    The packed-buffer recognizer must return the identical outcome record
    on every VM workload (unmarked and gwm-marked, right and wrong key),
    under the trace fault plans, on fuel-cut and trapping runs, and on
@@ -146,9 +147,7 @@ module Reference = struct
     decode ~m ~sync events
 
   let recognize ?(fuel = 200_000_000) ~passphrase ~watermark_bits ~input prog =
-    match
-      Stackvm.Trace.capture ~fuel ~want_snapshots:false ~backend:`Interp prog ~input
-    with
+    match Vm_oracle.capture ~fuel ~want_snapshots:false prog ~input with
     | trace ->
         let events = Array.to_list trace.Stackvm.Trace.branches in
         let outcome = recognize_branches ~passphrase ~watermark_bits events in
@@ -234,7 +233,7 @@ let test_fault_plans () =
     (fun (name, _, _, prog, input) ->
       let events =
         Array.to_list
-          (Stackvm.Trace.capture ~want_snapshots:false ~backend:`Interp prog ~input).Stackvm.Trace.branches
+          (Vm_oracle.capture ~want_snapshots:false prog ~input).Stackvm.Trace.branches
       in
       List.iter
         (fun fault ->

@@ -214,9 +214,9 @@ let test_embed_preserves_semantics () =
   let report = Jwm.Embed.embed (spec watermark_128) host_program in
   Verify.check_exn report.Jwm.Embed.program;
   Alcotest.(check bool) "equivalent on secret input" true
-    (Interp.equivalent_on host_program report.Jwm.Embed.program ~inputs:[ secret_input ]);
+    (Compile.equivalent_on host_program report.Jwm.Embed.program ~inputs:[ secret_input ]);
   Alcotest.(check bool) "equivalent on other inputs" true
-    (Interp.equivalent_on host_program report.Jwm.Embed.program
+    (Compile.equivalent_on host_program report.Jwm.Embed.program
        ~inputs:[ [ 7; 9 ]; [ 100; 64 ]; [ 1; 1 ] ])
 
 let test_embed_then_recognize () =
@@ -292,7 +292,7 @@ let test_embed_zero_pieces () =
   let r = Jwm.Embed.embed (spec ~pieces:0 watermark_128) host_program in
   Alcotest.(check int) "no insertions" 0 (List.length r.Jwm.Embed.insertions);
   Alcotest.(check bool) "program equivalent" true
-    (Interp.equivalent_on host_program r.Jwm.Embed.program ~inputs:[ secret_input ])
+    (Compile.equivalent_on host_program r.Jwm.Embed.program ~inputs:[ secret_input ])
 
 let test_embed_256_and_512_bits () =
   List.iter

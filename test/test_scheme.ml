@@ -201,7 +201,7 @@ let test_compose_double () =
   Alcotest.(check bool) "doubly-marked program equivalent" true
     (match e.carrier with
     | Vm_program marked ->
-        Stackvm.Interp.equivalent_on (Workloads.Workload.vm_program wl) marked
+        Stackvm.Compile.equivalent_on (Workloads.Workload.vm_program wl) marked
           ~inputs:(input :: wl.Workloads.Workload.alt_inputs)
     | _ -> false)
 

@@ -321,7 +321,7 @@ let test_insert_preserves_semantics () =
   let f' = Rewrite.insert f ~at:2 [ Instr.Nop; Instr.Nop; Instr.Nop ] in
   let prog' = Program.make [ f' ] in
   Verify.check_exn prog';
-  Alcotest.(check bool) "equivalent" true (Interp.equivalent_on prog prog' ~inputs:[ [] ])
+  Alcotest.(check bool) "equivalent" true (Compile.equivalent_on prog prog' ~inputs:[ [] ])
 
 let test_insert_at_branch_target () =
   (* Insert at a loop head: inserted code runs on every iteration. *)
@@ -342,7 +342,7 @@ let test_insert_with_internal_branch () =
   let prog' = Program.make [ f' ] in
   Verify.check_exn prog';
   Alcotest.(check bool) "equivalent" true
-    (Interp.equivalent_on (Program.make [ f ]) prog' ~inputs:[ [] ])
+    (Compile.equivalent_on (Program.make [ f ]) prog' ~inputs:[ [] ])
 
 let test_blocks_partition () =
   let bs = Rewrite.blocks gcd_program in
@@ -358,7 +358,7 @@ let test_reorder_blocks_preserves_semantics () =
   let f' = Rewrite.reorder_blocks f ~order in
   let prog = Program.make [ f ] and prog' = Program.make [ f' ] in
   Verify.check_exn prog';
-  Alcotest.(check bool) "equivalent" true (Interp.equivalent_on prog prog' ~inputs:[ [] ])
+  Alcotest.(check bool) "equivalent" true (Compile.equivalent_on prog prog' ~inputs:[ [] ])
 
 let test_reorder_blocks_preserves_trace_bits () =
   let f = gcd_program in
@@ -404,7 +404,7 @@ let qcheck_insert_equivalence =
       let prog = Program.make [ f ] and prog' = Program.make [ f' ] in
       match Verify.check prog' with
       | Error _ -> false
-      | Ok () -> Interp.equivalent_on prog prog' ~inputs:[ [] ])
+      | Ok () -> Compile.equivalent_on prog prog' ~inputs:[ [] ])
 
 let suite =
   [
@@ -501,7 +501,7 @@ let test_expand_doubles_nops () =
   Alcotest.(check int) "twice the size" (2 * Array.length f.Program.code) (Array.length f'.Program.code);
   let p = Program.make [ f ] and p' = Program.make [ f' ] in
   Verify.check_exn p';
-  Alcotest.(check bool) "equivalent" true (Interp.equivalent_on p p' ~inputs:[ [] ])
+  Alcotest.(check bool) "equivalent" true (Compile.equivalent_on p p' ~inputs:[ [] ])
 
 let extra_suite =
   [

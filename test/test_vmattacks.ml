@@ -43,7 +43,7 @@ let check_attack_preserves name attack =
       Alcotest.failf "%s: attacked program does not verify: %s" name
         (Format.asprintf "%a" Verify.pp_error (List.hd es)));
   Alcotest.(check bool) (name ^ " semantics preserved") true
-    (Interp.equivalent_on host_program attacked ~inputs:test_inputs)
+    (Compile.equivalent_on host_program attacked ~inputs:test_inputs)
 
 let test_all_attacks_preserve_semantics () =
   List.iter (fun (name, attack) -> check_attack_preserves name attack) Vmattacks.Attacks.all
@@ -55,7 +55,7 @@ let test_attacks_preserve_watermarked_semantics () =
       let rng = Util.Prng.create 11L in
       let attacked = attack rng wm in
       Alcotest.(check bool) (name ^ " on watermarked program") true
-        (Interp.equivalent_on wm attacked ~inputs:test_inputs))
+        (Compile.equivalent_on wm attacked ~inputs:test_inputs))
     Vmattacks.Attacks.all
 
 let surviving_attacks =
@@ -106,7 +106,7 @@ let test_attack_composition () =
   in
   Verify.check_exn attacked;
   Alcotest.(check bool) "composed attacks: semantics" true
-    (Interp.equivalent_on wm attacked ~inputs:test_inputs);
+    (Compile.equivalent_on wm attacked ~inputs:test_inputs);
   Alcotest.(check bool) "composed attacks: watermark survives" true (recognize_in attacked)
 
 let test_branch_insertion_adds_branches () =
@@ -167,7 +167,7 @@ let qcheck_attacks_random_seeds =
       let attacked = attack rng host_program in
       match Verify.check attacked with
       | Error _ -> false
-      | Ok () -> Interp.equivalent_on host_program attacked ~inputs:[ secret_input; [ 9; 12 ] ])
+      | Ok () -> Compile.equivalent_on host_program attacked ~inputs:[ secret_input; [ 9; 12 ] ])
 
 let suite =
   [
@@ -202,7 +202,7 @@ let test_attacks_on_compiled_workloads () =
           Alcotest.(check bool)
             (Printf.sprintf "%s preserves %s" name w.Workloads.Workload.name)
             true
-            (Interp.equivalent_on prog attacked ~inputs))
+            (Compile.equivalent_on prog attacked ~inputs))
         Vmattacks.Attacks.all)
     [ Workloads.Caffeine.suite; Workloads.Miniinterp.interpreter ]
 
