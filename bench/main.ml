@@ -60,35 +60,22 @@ let json_dir =
   in
   find (Array.to_list Sys.argv)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let emit_json area rows =
   match json_dir with
   | None -> ()
   | Some dir ->
       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
       let field (k, v) =
-        Printf.sprintf "\"%s\":%s" (json_escape k)
+        Printf.sprintf "%s:%s" (Util.Json.str k)
           (match v with
-          | S s -> Printf.sprintf "\"%s\"" (json_escape s)
+          | S s -> Util.Json.str s
           | F f -> Printf.sprintf "%.6g" f
           | I i -> string_of_int i)
       in
       let encode_row r = "{" ^ String.concat "," (List.map field r) ^ "}" in
       let path = Filename.concat dir ("BENCH_" ^ area ^ ".json") in
       let oc = open_out path in
-      Printf.fprintf oc "{\"version\":1,\"area\":\"%s\",\"rows\":[%s]}\n" (json_escape area)
+      Printf.fprintf oc "{\"version\":1,\"area\":%s,\"rows\":[%s]}\n" (Util.Json.str area)
         (String.concat "," (List.map encode_row rows));
       close_out oc;
       Printf.printf "wrote %s (%d row(s))\n%!" path (List.length rows)

@@ -192,42 +192,28 @@ let render t =
   Buffer.contents buf
 
 (* minimal JSON writer (no JSON library in the toolchain) *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
 let json_list items = "[" ^ String.concat "," items ^ "]"
-let json_strs l = json_list (List.map json_str l)
+let json_strs l = json_list (List.map Util.Json.str l)
 
 let to_json t =
   let cell c =
     Printf.sprintf
       "{\"workload\":%s,\"passes\":%s,\"marked\":%s,\"flagged\":%s,\"hits\":%s,\"false_positives\":%s,\"ndiags\":%d,\"hit_rate\":%.4f,\"ms\":%.3f%s}"
-      (json_str c.workload) (json_strs c.passes) (json_strs c.marked) (json_strs c.flagged)
+      (Util.Json.str c.workload) (json_strs c.passes) (json_strs c.marked) (json_strs c.flagged)
       (json_strs c.hits) (json_strs c.false_positives) c.ndiags c.hit_rate c.ms
-      (match c.failed with None -> "" | Some r -> ",\"failed\":" ^ json_str r)
+      (match c.failed with None -> "" | Some r -> ",\"failed\":" ^ Util.Json.str r)
   in
   let row r =
     Printf.sprintf
       "{\"scheme\":%s,\"track\":%s,\"declared\":%.4f,\"observed\":%.4f,\"cells\":%s}"
-      (json_str r.scheme)
-      (json_str (Scheme.Watermarker.track_to_string r.track))
+      (Util.Json.str r.scheme)
+      (Util.Json.str (Scheme.Watermarker.track_to_string r.track))
       r.declared r.observed
       (json_list (List.map cell r.cells))
   in
   let violation v =
-    Printf.sprintf "{\"scheme\":%s,\"workload\":%s,\"reason\":%s}" (json_str v.v_scheme)
-      (json_str v.v_workload) (json_str v.v_reason)
+    Printf.sprintf "{\"scheme\":%s,\"workload\":%s,\"reason\":%s}" (Util.Json.str v.v_scheme)
+      (Util.Json.str v.v_workload) (Util.Json.str v.v_reason)
   in
   Printf.sprintf "{\"rows\":%s,\"violations\":%s,\"gate_ok\":%b}"
     (json_list (List.map row t.rows))

@@ -1,15 +1,6 @@
 type outcome =
   | Vm_embedded of { program : string; bytes_before : int; bytes_after : int }
   | Vm_recognized of { value : Bignum.t option; matched : bool option }
-  | Vm_attacked of { survived : (string * bool) list }
-  | Native_embedded of {
-      binary : string;
-      begin_addr : int;
-      end_addr : int;
-      bytes_before : int;
-      bytes_after : int;
-    }
-  | Native_extracted of { value : Bignum.t option; matched : bool option }
   | Audited of {
       passes : string list;
       marked_fns : string list;
@@ -32,11 +23,8 @@ type result = { job : Job.t; outcome : outcome; ms : float; attempts : int; from
 let ok r =
   match r.outcome with
   | Failed _ -> false
-  | Vm_recognized { value; matched } | Native_extracted { value; matched } ->
-      value <> None && matched <> Some false
-  | Vm_attacked { survived } -> List.for_all snd survived
-  | Vm_embedded _ | Native_embedded _ -> true
-  | Audited _ -> true
+  | Vm_recognized { value; matched } -> value <> None && matched <> Some false
+  | Vm_embedded _ | Audited _ -> true
   (* a killed mark is a measurement, not a job failure; only a false
      positive on a control cell counts against the batch *)
   | Tournament_measured { false_positive; _ } -> not false_positive
@@ -44,17 +32,12 @@ let ok r =
 let describe_outcome = function
   | Vm_embedded { bytes_before; bytes_after; _ } ->
       Printf.sprintf "embedded (%d -> %d bytes)" bytes_before bytes_after
-  | Vm_recognized { value; matched } | Native_extracted { value; matched } -> (
+  | Vm_recognized { value; matched } -> (
       match (value, matched) with
       | None, _ -> "no watermark recovered"
       | Some w, Some true -> Printf.sprintf "recognized %s (match)" (Bignum.to_string w)
       | Some w, Some false -> Printf.sprintf "recognized %s (MISMATCH)" (Bignum.to_string w)
       | Some w, None -> Printf.sprintf "recognized %s" (Bignum.to_string w))
-  | Vm_attacked { survived } ->
-      Printf.sprintf "survived %d/%d attacks" (List.length (List.filter snd survived)) (List.length survived)
-  | Native_embedded { bytes_before; bytes_after; begin_addr; end_addr; _ } ->
-      Printf.sprintf "embedded natively (%d -> %d bytes, region 0x%x-0x%x)" bytes_before bytes_after
-        begin_addr end_addr
   | Audited { passes; marked_fns; flagged_fns; clean_flagged; ndiags } ->
       let hits = List.filter (fun f -> List.mem f marked_fns) flagged_fns in
       Printf.sprintf "audited [%s]: located %d/%d marked function(s), %d diag(s), %d clean false \
@@ -113,25 +96,6 @@ let encode_outcome o =
       add_varint buf bytes_after
   | Vm_recognized { value; matched } ->
       Buffer.add_char buf 'R';
-      add_opt buf add_big value;
-      add_opt buf add_bool matched
-  | Vm_attacked { survived } ->
-      Buffer.add_char buf 'A';
-      add_varint buf (List.length survived);
-      List.iter
-        (fun (name, alive) ->
-          add_str buf name;
-          add_bool buf alive)
-        survived
-  | Native_embedded { binary; begin_addr; end_addr; bytes_before; bytes_after } ->
-      Buffer.add_char buf 'N';
-      add_str buf binary;
-      add_varint buf begin_addr;
-      add_varint buf end_addr;
-      add_varint buf bytes_before;
-      add_varint buf bytes_after
-  | Native_extracted { value; matched } ->
-      Buffer.add_char buf 'X';
       add_opt buf add_big value;
       add_opt buf add_bool matched
   | Audited { passes; marked_fns; flagged_fns; clean_flagged; ndiags } ->
@@ -203,26 +167,6 @@ let decode_outcome s =
             let value = opt big in
             let matched = opt boolean in
             Vm_recognized { value; matched }
-        | 'A' ->
-            let n = varint () in
-            let survived =
-              List.init n (fun _ ->
-                  let name = str () in
-                  let alive = boolean () in
-                  (name, alive))
-            in
-            Vm_attacked { survived }
-        | 'N' ->
-            let binary = str () in
-            let begin_addr = varint () in
-            let end_addr = varint () in
-            let bytes_before = varint () in
-            let bytes_after = varint () in
-            Native_embedded { binary; begin_addr; end_addr; bytes_before; bytes_after }
-        | 'X' ->
-            let value = opt big in
-            let matched = opt boolean in
-            Native_extracted { value; matched }
         | 'U' ->
             let lst () = List.init (varint ()) (fun _ -> str ()) in
             let passes = lst () in
@@ -268,34 +212,9 @@ let default_recognize_fuel = 200_000_000
 let match_against expected value =
   Option.map (fun e -> match value with Some v -> Bignum.equal v e | None -> false) expected
 
-(* Decode the saved trace, apply any injected trace noise, recombine.
-   Degraded recognitions are surfaced as counters: [recognitions.degraded]
-   (recovered despite injected noise) and [recognitions.partial] (not
-   recovered, but some consistent statements survived). *)
-let recognize_bits ?inject ?events ~id ~label ~salt ~key ~bits trace_bytes =
-  let branches = Stackvm.Trace.load_branches trace_bytes in
-  let branches, nfaults =
-    match inject with None -> (branches, 0) | Some plan -> Fault.Inject.branches plan ~salt branches
-  in
-  if nfaults > 0 then
-    emit events
-      (Events.Fault_injected
-         { id; label; layer = "trace"; detail = Printf.sprintf "%d branch event(s) corrupted" nfaults });
-  let bitstr = Stackvm.Trace.bits_of_branches branches in
-  let params = Codec.Params.make ~passphrase:key ~watermark_bits:bits () in
-  let report = Codec.Recombine.recover_from_bitstring ~strides:[ 1; 2 ] params bitstr in
-  (match report.Codec.Recombine.value with
-  | Some _ when nfaults > 0 -> emit events (Events.Counter { name = "recognitions.degraded"; delta = 1 })
-  | None when report.Codec.Recombine.used <> [] ->
-      emit events (Events.Counter { name = "recognitions.partial"; delta = 1 })
-  | _ -> ());
-  report.Codec.Recombine.value
-
-(* Jobs naming a non-default scheme go through the generic registry
-   interface ({!Scheme.Builtin}); the built-in "jwm" keeps its specialized
-   path below, where trace sharing, stride recombination and degraded-mode
-   accounting are tuned.  Composite names ("jwm+gwm") resolve to
-   {!Scheme.Compose} and make the double-watermark mode batchable. *)
+(* Every VM job resolves its scheme in the registry ({!Scheme.Builtin});
+   composite names ("jwm+gwm") resolve to {!Scheme.Compose} and make the
+   double-watermark mode batchable. *)
 let scheme_spec (job : Job.t) ~redundancy =
   {
     Scheme.Watermarker.key = job.Job.key;
@@ -306,94 +225,91 @@ let scheme_spec (job : Job.t) ~redundancy =
     redundancy;
   }
 
-let compute_vm_scheme ?inject ?cache ?events ~id (job : Job.t) program action =
+(* The snapshot trace an embedding is planned from: shared, through
+   {!Cache.with_trace}, by every fingerprint of a fleet on one host. *)
+let snapshot_capture (job : Job.t) program =
+  Stackvm.Trace.capture ?fuel:job.Job.fuel ~want_snapshots:true program ~input:job.Job.input
+
+let branch_capture (job : Job.t) program =
+  let fuel = Option.value ~default:default_recognize_fuel job.Job.fuel in
+  Stackvm.Trace.capture ~fuel ~want_snapshots:false program ~input:job.Job.input
+
+let vm_carrier (job : Job.t) = function
+  | Scheme.Watermarker.Vm_program p -> p
+  | _ -> failwith (Printf.sprintf "scheme %s embedded a non-VM carrier" job.Job.scheme)
+
+(* Offline recognition over a captured branch stream: the fault plan
+   corrupts the replayed stream (salted per job), the corruption is
+   surfaced as an event, and the scheme recognizes what survives.
+   Returns the recognition and the number of corrupted branch events. *)
+let recognize_replayed ?events ~id ~label ~plan ~salt ~capture recognize_branches spec =
+  let branches = timed ?events ~id ~stage:"trace" capture in
+  let branches, nfaults =
+    match plan with None -> (branches, 0) | Some plan -> Fault.Inject.branches plan ~salt branches
+  in
+  if nfaults > 0 then
+    emit events
+      (Events.Fault_injected
+         { id; label; layer = "trace"; detail = Printf.sprintf "%d branch event(s) corrupted" nfaults });
+  (timed ?events ~id ~stage:"recognize" (fun () -> recognize_branches spec branches), nfaults)
+
+let compute_vm ?inject ?cache ?events ~id (job : Job.t) program action =
   let (module W) = Scheme.Builtin.find_exn job.Job.scheme in
   if W.caps.Scheme.Watermarker.track <> Scheme.Watermarker.Vm then
     failwith (Printf.sprintf "scheme %s cannot run on the VM track" job.Job.scheme);
-  let recognize_value spec prog =
-    (W.recognize spec (Scheme.Watermarker.Vm_program prog)).Scheme.Watermarker.value
+  let carrier = Scheme.Watermarker.Vm_program program in
+  let embed_here fingerprint spec =
+    timed ?events ~id ~stage:"embed" (fun () -> W.embed fingerprint spec carrier)
   in
   match (action : Job.vm_action) with
   | Job.Embed { fingerprint; pieces } ->
+      let spec = scheme_spec job ~redundancy:pieces in
       let e =
-        timed ?events ~id ~stage:"embed" (fun () ->
-            W.embed fingerprint
-              (scheme_spec job ~redundancy:pieces)
-              (Scheme.Watermarker.Vm_program program))
-      in
-      (match e.Scheme.Watermarker.carrier with
-      | Scheme.Watermarker.Vm_program marked ->
-          Vm_embedded
-            {
-              program = Stackvm.Serialize.encode marked;
-              bytes_before = e.Scheme.Watermarker.bytes_before;
-              bytes_after = e.Scheme.Watermarker.bytes_after;
-            }
-      | _ -> failwith (Printf.sprintf "scheme %s embedded a non-VM carrier" job.Job.scheme))
-  | Job.Recognize { expected } ->
-      let spec = scheme_spec job ~redundancy:Scheme.Watermarker.default_redundancy in
-      let value =
-        match W.recognize_branches with
-        | Some recognize_branches ->
-            (* offline branch-stream recognition: shares the cached trace
-               and lets the fault plan corrupt the replayed stream, exactly
-               like the jwm path *)
-            let fuel = Option.value ~default:default_recognize_fuel job.Job.fuel in
-            let capture () =
-              Stackvm.Trace.save
-                (Stackvm.Trace.capture ~fuel ~want_snapshots:false program
-                   ~input:job.Job.input)
-            in
-            let trace_bytes =
+        match W.embed_traced with
+        | Some embed_traced ->
+            let capture () = snapshot_capture job program in
+            let trace =
               timed ?events ~id ~stage:"trace" (fun () ->
                   match cache with
-                  | Some c -> Cache.with_bytes ?events c ~stage:"trace" ~key:(Job.trace_digest job) capture
+                  | Some c -> Cache.with_trace ?events c ~key:(Job.trace_digest job) capture
                   | None -> capture ())
             in
-            let branches = Stackvm.Trace.load_branches trace_bytes in
-            let branches, nfaults =
-              match inject with
-              | None -> (branches, 0)
-              | Some plan -> Fault.Inject.branches plan ~salt:(Job.trace_digest job) branches
-            in
-            if nfaults > 0 then
-              emit events
-                (Events.Fault_injected
-                   {
-                     id;
-                     label = job.Job.label;
-                     layer = "trace";
-                     detail = Printf.sprintf "%d branch event(s) corrupted" nfaults;
-                   });
-            let r = timed ?events ~id ~stage:"recognize" (fun () -> recognize_branches spec branches) in
-            (match r.Scheme.Watermarker.value with
-            | Some _ when nfaults > 0 ->
-                emit events (Events.Counter { name = "recognitions.degraded"; delta = 1 })
-            | _ -> ());
-            r.Scheme.Watermarker.value
-        | None -> timed ?events ~id ~stage:"recognize" (fun () -> recognize_value spec program)
+            timed ?events ~id ~stage:"embed" (fun () -> embed_traced trace fingerprint spec carrier)
+        | None -> embed_here fingerprint spec
       in
-      Vm_recognized { value; matched = match_against expected value }
-  | Job.Attack_campaign { expected; attacks } ->
-      let rng = Util.Prng.create job.Job.seed in
+      Vm_embedded
+        {
+          program = Stackvm.Serialize.encode (vm_carrier job e.Scheme.Watermarker.carrier);
+          bytes_before = e.Scheme.Watermarker.bytes_before;
+          bytes_after = e.Scheme.Watermarker.bytes_after;
+        }
+  | Job.Recognize { expected } ->
       let spec = scheme_spec job ~redundancy:Scheme.Watermarker.default_redundancy in
-      let survived =
-        List.map
-          (fun name ->
-            match List.assoc_opt name Vmattacks.Attacks.all with
-            | None -> failwith ("unknown attack: " ^ name)
-            | Some attack ->
-                let attacked = attack (Util.Prng.split rng) program in
-                let alive =
-                  timed ?events ~id ~stage:("attack:" ^ name) (fun () ->
-                      match recognize_value spec attacked with
-                      | Some v -> Bignum.equal v expected
-                      | None -> false)
-                in
-                (name, alive))
-          attacks
+      let r, nfaults =
+        match W.recognize_branches with
+        | Some recognize_branches ->
+            (* the saved branch trace is cached per (program, input, fuel),
+               so every recognizer of one artifact shares one run *)
+            let capture () = Stackvm.Trace.save (branch_capture job program) in
+            recognize_replayed ?events ~id ~label:job.Job.label ~plan:inject
+              ~salt:(Job.trace_digest job)
+              ~capture:(fun () ->
+                Stackvm.Trace.load_branches
+                  (match cache with
+                  | Some c -> Cache.with_bytes ?events c ~stage:"trace" ~key:(Job.trace_digest job) capture
+                  | None -> capture ()))
+              recognize_branches spec
+        | None -> (timed ?events ~id ~stage:"recognize" (fun () -> W.recognize spec carrier), 0)
       in
-      Vm_attacked { survived }
+      (* degraded: recovered despite injected noise; partial: lost, but
+         the scheme still scores some surviving evidence *)
+      (match r.Scheme.Watermarker.value with
+      | Some _ when nfaults > 0 -> emit events (Events.Counter { name = "recognitions.degraded"; delta = 1 })
+      | None when r.Scheme.Watermarker.confidence > 0.0 ->
+          emit events (Events.Counter { name = "recognitions.partial"; delta = 1 })
+      | _ -> ());
+      let value = r.Scheme.Watermarker.value in
+      Vm_recognized { value; matched = match_against expected value }
   | Job.Tournament_cell cell ->
       let spec = scheme_spec job ~redundancy:Scheme.Watermarker.default_redundancy in
       let fingerprint = cell.Job.cell_fingerprint in
@@ -402,15 +318,7 @@ let compute_vm_scheme ?inject ?cache ?events ~id (job : Job.t) program action =
          false positive *)
       let target =
         if cell.Job.cell_control then program
-        else begin
-          let e =
-            timed ?events ~id ~stage:"embed" (fun () ->
-                W.embed fingerprint spec (Scheme.Watermarker.Vm_program program))
-          in
-          match e.Scheme.Watermarker.carrier with
-          | Scheme.Watermarker.Vm_program p -> p
-          | _ -> failwith (Printf.sprintf "scheme %s embedded a non-VM carrier" job.Job.scheme)
-        end
+        else vm_carrier job (embed_here fingerprint spec).Scheme.Watermarker.carrier
       in
       let attacked =
         if cell.Job.cell_control || cell.Job.cell_attack = "identity" then target
@@ -427,26 +335,10 @@ let compute_vm_scheme ?inject ?cache ?events ~id (job : Job.t) program action =
       let r, nfaults =
         match W.recognize_branches with
         | Some recognize_branches when not (Fault.Inject.is_empty plan) ->
-            let fuel = Option.value ~default:default_recognize_fuel job.Job.fuel in
-            let branches =
-              timed ?events ~id ~stage:"trace" (fun () ->
-                  Array.to_list
-                    (Stackvm.Trace.capture ~fuel ~want_snapshots:false attacked
-                       ~input:job.Job.input)
-                      .Stackvm.Trace.branches)
-            in
-            let salt = Printf.sprintf "cell:%s:%s" (Job.trace_digest job) cell.Job.cell_attack in
-            let branches, nfaults = Fault.Inject.branches plan ~salt branches in
-            if nfaults > 0 then
-              emit events
-                (Events.Fault_injected
-                   {
-                     id;
-                     label = job.Job.label;
-                     layer = "trace";
-                     detail = Printf.sprintf "%d branch event(s) corrupted" nfaults;
-                   });
-            (timed ?events ~id ~stage:"recognize" (fun () -> recognize_branches spec branches), nfaults)
+            recognize_replayed ?events ~id ~label:job.Job.label ~plan:(Some plan)
+              ~salt:(Printf.sprintf "cell:%s:%s" (Job.trace_digest job) cell.Job.cell_attack)
+              ~capture:(fun () -> Array.to_list (branch_capture job attacked).Stackvm.Trace.branches)
+              recognize_branches spec
         | _ ->
             ( timed ?events ~id ~stage:"recognize" (fun () ->
                   W.recognize spec (Scheme.Watermarker.Vm_program attacked)),
@@ -468,15 +360,7 @@ let compute_vm_scheme ?inject ?cache ?events ~id (job : Job.t) program action =
         }
   | Job.Audit { fingerprint } ->
       let spec = scheme_spec job ~redundancy:Scheme.Watermarker.default_redundancy in
-      let e =
-        timed ?events ~id ~stage:"embed" (fun () ->
-            W.embed fingerprint spec (Scheme.Watermarker.Vm_program program))
-      in
-      let marked =
-        match e.Scheme.Watermarker.carrier with
-        | Scheme.Watermarker.Vm_program p -> p
-        | _ -> failwith (Printf.sprintf "scheme %s embedded a non-VM carrier" job.Job.scheme)
-      in
+      let marked = vm_carrier job (embed_here fingerprint spec).Scheme.Watermarker.carrier in
       let passes =
         match
           List.filter
@@ -511,81 +395,6 @@ let compute_vm_scheme ?inject ?cache ?events ~id (job : Job.t) program action =
           clean_flagged = clean_report.Analysis.Locator.flagged;
           ndiags = List.length report.Analysis.Locator.diags;
         }
-
-let compute_vm ?inject ?cache ?events ~id (job : Job.t) program action =
-  if
-    job.Job.scheme <> Job.default_vm_scheme
-    || (match action with Job.Audit _ | Job.Tournament_cell _ -> true | _ -> false)
-  then compute_vm_scheme ?inject ?cache ?events ~id job program action
-  else
-  match (action : Job.vm_action) with
-  | Job.Embed { fingerprint; pieces } ->
-      let capture () =
-        Stackvm.Trace.capture ?fuel:job.Job.fuel ~want_snapshots:true program ~input:job.Job.input
-      in
-      let trace =
-        timed ?events ~id ~stage:"trace" (fun () ->
-            match cache with
-            | Some c -> Cache.with_trace ?events c ~key:(Job.trace_digest job) capture
-            | None -> capture ())
-      in
-      let spec =
-        {
-          Jwm.Embed.passphrase = job.Job.key;
-          watermark = fingerprint;
-          watermark_bits = job.Job.bits;
-          pieces;
-          input = job.Job.input;
-        }
-      in
-      let report =
-        timed ?events ~id ~stage:"embed" (fun () ->
-            Jwm.Embed.embed ~trace ~seed:job.Job.seed ?fuel:job.Job.fuel spec program)
-      in
-      Vm_embedded
-        {
-          program = Stackvm.Serialize.encode report.Jwm.Embed.program;
-          bytes_before = report.Jwm.Embed.bytes_before;
-          bytes_after = report.Jwm.Embed.bytes_after;
-        }
-  | Job.Recognize { expected } ->
-      let fuel = Option.value ~default:default_recognize_fuel job.Job.fuel in
-      let capture () =
-        Stackvm.Trace.save
-          (Stackvm.Trace.capture ~fuel ~want_snapshots:false program ~input:job.Job.input)
-      in
-      let trace_bytes =
-        timed ?events ~id ~stage:"trace" (fun () ->
-            match cache with
-            | Some c -> Cache.with_bytes ?events c ~stage:"trace" ~key:(Job.trace_digest job) capture
-            | None -> capture ())
-      in
-      let value =
-        timed ?events ~id ~stage:"recombine" (fun () ->
-            recognize_bits ?inject ?events ~id ~label:job.Job.label ~salt:(Job.trace_digest job)
-              ~key:job.Job.key ~bits:job.Job.bits trace_bytes)
-      in
-      Vm_recognized { value; matched = match_against expected value }
-  | Job.Attack_campaign { expected; attacks } ->
-      let rng = Util.Prng.create job.Job.seed in
-      let survived =
-        List.map
-          (fun name ->
-            match List.assoc_opt name Vmattacks.Attacks.all with
-            | None -> failwith ("unknown attack: " ^ name)
-            | Some attack ->
-                let attacked = attack (Util.Prng.split rng) program in
-                let alive =
-                  timed ?events ~id ~stage:("attack:" ^ name) (fun () ->
-                      Jwm.Recognize.recognizes ?fuel:job.Job.fuel ~passphrase:job.Job.key
-                        ~watermark_bits:job.Job.bits ~input:job.Job.input ~expected attacked)
-                in
-                (name, alive))
-          attacks
-      in
-      Vm_attacked { survived }
-  | Job.Audit _ | Job.Tournament_cell _ ->
-      assert false (* routed to [compute_vm_scheme] above *)
 
 let default_native_passes = 5
 
@@ -636,38 +445,10 @@ let native_extract_value ?events ~id ~label ~salt ~plan binary ~begin_addr ~end_
       | Some _ -> ());
       (d.Nwm.Extract.value, d.Nwm.Extract.confidence)
 
-let compute_native ?inject ?events ~id (job : Job.t) program action =
+let compute_native ?events ~id (job : Job.t) program action =
   if job.Job.scheme <> Job.default_native_scheme then
     failwith (Printf.sprintf "scheme %s cannot run on the native track" job.Job.scheme);
   match (action : Job.native_action) with
-  | Job.Native_embed { fingerprint; tamper_proof } ->
-      let report =
-        timed ?events ~id ~stage:"native-embed" (fun () ->
-            Nwm.Embed.embed ~seed:job.Job.seed ~tamper_proof ?fuel:job.Job.fuel ~watermark:fingerprint
-              ~bits:job.Job.bits ~training_input:job.Job.input program)
-      in
-      Native_embedded
-        {
-          binary = Nativesim.Binary.encode report.Nwm.Embed.binary;
-          begin_addr = report.Nwm.Embed.begin_addr;
-          end_addr = report.Nwm.Embed.end_addr;
-          bytes_before = report.Nwm.Embed.bytes_before;
-          bytes_after = report.Nwm.Embed.bytes_after;
-        }
-  | Job.Native_extract { begin_addr; end_addr; expected } ->
-      let binary = timed ?events ~id ~stage:"assemble" (fun () -> Nativesim.Asm.assemble program) in
-      let plan =
-        match inject with
-        | Some plan when Fault.Inject.garble plan ~salt:"probe" <> None -> Some plan
-        | _ -> None
-      in
-      let value =
-        fst
-          (timed ?events ~id ~stage:"native-extract" (fun () ->
-               native_extract_value ?events ~id ~label:job.Job.label ~salt:(Job.trace_digest job)
-                 ~plan binary ~begin_addr ~end_addr ~input:job.Job.input))
-      in
-      Native_extracted { value; matched = match_against expected value }
   | Job.Native_tournament_cell cell ->
       let fingerprint = cell.Job.cell_fingerprint in
       (* the embed always runs — even control cells need the region span
@@ -833,6 +614,13 @@ let breaker_note ?events br ~label key ~crashed =
 
 exception Injected_crash
 
+(* an active fault plan changes what a job computes, so its results must
+   not share cache entries with clean runs of the same spec *)
+let result_key ?inject job =
+  match inject with
+  | Some plan -> Digest.to_hex (Digest.string (Job.digest job ^ "+" ^ Fault.Inject.describe plan))
+  | None -> Job.digest job
+
 let () =
   Printexc.register_printer (function Injected_crash -> Some "injected worker crash" | _ -> None)
 
@@ -857,14 +645,7 @@ let execute ?(policy = default_policy) ?inject ?breaker ?deadline_at ?cache ?eve
     { job; outcome; ms; attempts; from_cache }
   in
   let stage = Job.kind job in
-  (* an active fault plan changes what a job computes, so its results must
-     not share cache entries with clean runs of the same spec *)
-  let digest =
-    lazy
-      (match inject with
-      | Some plan -> Digest.to_hex (Digest.string (Job.digest job ^ "+" ^ Fault.Inject.describe plan))
-      | None -> Job.digest job)
-  in
+  let digest = lazy (result_key ?inject job) in
   let over_deadline () = match deadline_at with Some t -> now () >= t | None -> false in
   let cached_outcome =
     match cache with
@@ -930,7 +711,7 @@ let execute ?(policy = default_policy) ?inject ?breaker ?deadline_at ?cache ?eve
           let j = job_for_attempt n in
           match j.Job.payload with
           | Job.Vm { program; action } -> compute_vm ?inject ?cache ?events ~id j program action
-          | Job.Native { program; action } -> compute_native ?inject ?events ~id j program action
+          | Job.Native { program; action } -> compute_native ?events ~id j program action
         in
         let note_crash crashed =
           match breaker with
@@ -982,9 +763,16 @@ let execute ?(policy = default_policy) ?inject ?breaker ?deadline_at ?cache ?eve
 
 (* Capture each distinct embed trace once, up front, so concurrently
    starting jobs on the same (program, input) share it instead of racing
-   into duplicate captures.  Jobs whose finished result is already cached
-   are skipped — a warm re-run must stay trace-free. *)
-let prewarm ~domains ?cache ?events jobs =
+   into duplicate captures.  Only schemes that embed from a trace are
+   prewarmed; an unknown scheme is left to fail inside [execute].  Jobs
+   whose finished result is already cached are skipped — a warm re-run
+   must stay trace-free. *)
+let embeds_from_trace scheme =
+  match Scheme.Builtin.find scheme with
+  | Some (module W : Scheme.Watermarker.WATERMARKER) -> W.embed_traced <> None
+  | None -> false
+
+let prewarm ~domains ?inject ?cache ?events jobs =
   match cache with
   | None -> ()
   | Some c ->
@@ -993,15 +781,12 @@ let prewarm ~domains ?cache ?events jobs =
         (fun (j : Job.t) ->
           match j.Job.payload with
           | Job.Vm { program; action = Job.Embed _ }
-            when j.Job.scheme = Job.default_vm_scheme
-                 && not (Cache.mem_bytes c ~stage:(Job.kind j) ~key:(Job.digest j)) ->
+            when embeds_from_trace j.Job.scheme
+                 && not (Cache.mem_bytes c ~stage:(Job.kind j) ~key:(result_key ?inject j)) ->
               let tk = Job.trace_digest j in
               if not (Hashtbl.mem distinct tk) then
                 Hashtbl.replace distinct tk (fun () ->
-                    ignore
-                      (Cache.with_trace ?events c ~key:tk (fun () ->
-                           Stackvm.Trace.capture ?fuel:j.Job.fuel ~want_snapshots:true program
-                             ~input:j.Job.input)))
+                    ignore (Cache.with_trace ?events c ~key:tk (fun () -> snapshot_capture j program)))
           | _ -> ())
         jobs;
       let thunks = Hashtbl.fold (fun _ thunk acc -> thunk :: acc) distinct [] in
@@ -1018,7 +803,7 @@ let run ?(domains = 1) ?retries ?policy ?inject ?cache ?events jobs =
   let inject = match inject with Some p when not (Fault.Inject.is_empty p) -> Some p | _ -> None in
   let t0 = now () in
   emit events (Events.Batch_start { jobs = List.length jobs; domains = max 1 domains });
-  prewarm ~domains ?cache ?events jobs;
+  prewarm ~domains ?inject ?cache ?events jobs;
   let deadline_at = Option.map (fun ms -> t0 +. (ms /. 1000.0)) policy.deadline_ms in
   let breaker =
     if policy.breaker_threshold > 0 then Some (breaker_create ~threshold:policy.breaker_threshold)

@@ -16,16 +16,6 @@ type outcome =
       (** [program] is the {!Stackvm.Serialize} encoding of the
           watermarked program *)
   | Vm_recognized of { value : Bignum.t option; matched : bool option }
-  | Vm_attacked of { survived : (string * bool) list }
-      (** per attack name: did the fingerprint survive? *)
-  | Native_embedded of {
-      binary : string;  (** {!Nativesim.Binary.encode} of the result *)
-      begin_addr : int;
-      end_addr : int;
-      bytes_before : int;
-      bytes_after : int;
-    }
-  | Native_extracted of { value : Bignum.t option; matched : bool option }
   | Audited of {
       passes : string list;  (** the {!Analysis.Locator} passes that ran *)
       marked_fns : string list;
@@ -118,12 +108,15 @@ val run :
 (** Execute the jobs; results are in job order.  [domains] defaults to 1
     (sequential).  [retries] is a shorthand that overrides
     [policy.retries].  [inject] applies a deterministic fault plan inside
-    the run — trace noise before recombination, observation garbling in
-    the native tracer (majority-voted over several passes), worker
-    crashes, fuel cuts, corrupted result-cache entries.  Faulted runs
+    the run — trace noise before VM recognition, worker crashes, fuel
+    cuts, corrupted result-cache entries; tournament cells carry their
+    own plan for trace noise and for garbling the native tracer's
+    observations (majority-voted over several passes).  Faulted runs
     cache under a digest salted with the plan, so they never poison clean
     results.  No injected fault escapes as an exception: every job still
     returns a typed outcome.
 
+    Every VM job resolves [job.scheme] through {!Scheme.Builtin.find_exn}
+    and runs the scheme's {!Scheme.Watermarker.WATERMARKER} entry points.
     Every trace capture, for embedding and recognition alike, runs on
     {!Stackvm.Compile} through {!Stackvm.Trace.capture}. *)

@@ -102,23 +102,8 @@ let counters t =
 
 (* ---- JSON rendering (hand-rolled: no JSON library in the image) ---- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json fields = "{" ^ String.concat "," fields ^ "}"
-let str k v = Printf.sprintf "\"%s\":\"%s\"" k (escape v)
+let str k v = Printf.sprintf "\"%s\":%s" k (Util.Json.str v)
 let int k v = Printf.sprintf "\"%s\":%d" k v
 let flt k v = Printf.sprintf "\"%s\":%.3f" k v
 let bool k v = Printf.sprintf "\"%s\":%b" k v

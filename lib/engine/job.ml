@@ -9,13 +9,10 @@ type cell_spec = {
 type vm_action =
   | Embed of { fingerprint : Bignum.t; pieces : int }
   | Recognize of { expected : Bignum.t option }
-  | Attack_campaign of { expected : Bignum.t; attacks : string list }
   | Audit of { fingerprint : Bignum.t }
   | Tournament_cell of cell_spec
 
 type native_action =
-  | Native_embed of { fingerprint : Bignum.t; tamper_proof : bool }
-  | Native_extract of { begin_addr : int; end_addr : int; expected : Bignum.t option }
   | Native_audit of { fingerprint : Bignum.t }
   | Native_tournament_cell of cell_spec
 
@@ -66,20 +63,6 @@ let vm_recognize ?label ?(seed = default_seed) ?fuel ?(scheme = default_vm_schem
     payload = Vm { program; action = Recognize { expected } };
   }
 
-let vm_attack_campaign ?label ?(seed = default_seed) ?fuel ?(scheme = default_vm_scheme) ~key ~bits
-    ~expected ~attacks ~input program =
-  let label = Option.value label ~default:(Printf.sprintf "attack[%d]" (List.length attacks)) in
-  {
-    label;
-    key;
-    bits;
-    input;
-    seed;
-    fuel;
-    scheme;
-    payload = Vm { program; action = Attack_campaign { expected; attacks } };
-  }
-
 let vm_audit ?label ?(seed = default_seed) ?fuel ?(scheme = default_vm_scheme) ~key ~bits ~fingerprint
     ~input program =
   let label = Option.value label ~default:("audit:" ^ scheme) in
@@ -92,20 +75,6 @@ let vm_audit ?label ?(seed = default_seed) ?fuel ?(scheme = default_vm_scheme) ~
     fuel;
     scheme;
     payload = Vm { program; action = Audit { fingerprint } };
-  }
-
-let native_embed ?label ?(seed = default_seed) ?fuel ?(tamper_proof = true) ~bits ~fingerprint ~input
-    program =
-  let label = Option.value label ~default:("native-embed:" ^ Bignum.to_string fingerprint) in
-  {
-    label;
-    key = "";
-    bits;
-    input;
-    seed;
-    fuel;
-    scheme = default_native_scheme;
-    payload = Native { program; action = Native_embed { fingerprint; tamper_proof } };
   }
 
 let native_audit ?label ?(seed = default_seed) ?fuel ~bits ~fingerprint ~input program =
@@ -160,19 +129,6 @@ let native_tournament_cell ?label ?(seed = default_seed) ?fuel ~bits ~input ~cel
     payload = Native { program; action = Native_tournament_cell cell };
   }
 
-let native_extract ?label ?fuel ?expected ~bits ~begin_addr ~end_addr ~input program =
-  let label = Option.value label ~default:"native-extract" in
-  {
-    label;
-    key = "";
-    bits;
-    input;
-    seed = default_seed;
-    fuel;
-    scheme = default_native_scheme;
-    payload = Native { program; action = Native_extract { begin_addr; end_addr; expected } };
-  }
-
 let program_bytes t =
   match t.payload with
   | Vm { program; _ } -> Stackvm.Serialize.encode program
@@ -211,19 +167,6 @@ let action_fields buf t =
   | Vm { action = Recognize { expected }; _ } ->
       add_field buf "action" "recognize";
       add_field buf "expected" (match expected with None -> "" | Some w -> Bignum.to_string w)
-  | Vm { action = Attack_campaign { expected; attacks }; _ } ->
-      add_field buf "action" "attack";
-      add_field buf "expected" (Bignum.to_string expected);
-      add_field buf "attacks" (String.concat "," attacks)
-  | Native { action = Native_embed { fingerprint; tamper_proof }; _ } ->
-      add_field buf "action" "native-embed";
-      add_field buf "fingerprint" (Bignum.to_string fingerprint);
-      add_field buf "tamper_proof" (string_of_bool tamper_proof)
-  | Native { action = Native_extract { begin_addr; end_addr; expected }; _ } ->
-      add_field buf "action" "native-extract";
-      add_field buf "begin" (string_of_int begin_addr);
-      add_field buf "end" (string_of_int end_addr);
-      add_field buf "expected" (match expected with None -> "" | Some w -> Bignum.to_string w)
   | Vm { action = Audit { fingerprint }; _ } ->
       add_field buf "action" "audit";
       add_field buf "fingerprint" (Bignum.to_string fingerprint)
@@ -255,11 +198,8 @@ let kind t =
   match t.payload with
   | Vm { action = Embed _; _ } -> "embed"
   | Vm { action = Recognize _; _ } -> "recognize"
-  | Vm { action = Attack_campaign _; _ } -> "attack"
   | Vm { action = Audit _; _ } -> "audit"
   | Vm { action = Tournament_cell _; _ } -> "tournament"
-  | Native { action = Native_embed _; _ } -> "native-embed"
-  | Native { action = Native_extract _; _ } -> "native-extract"
   | Native { action = Native_audit _; _ } -> "native-audit"
   | Native { action = Native_tournament_cell _; _ } -> "native-tournament"
 

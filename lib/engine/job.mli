@@ -1,9 +1,9 @@
 (** Deterministic batch-job specifications.
 
     A job fully describes one unit of watermarking work on either track —
-    embed, recognize or an attack campaign over a program × fingerprint ×
-    input triple — plus the seed and fuel that make its execution
-    reproducible.  Equal specs produce equal results no matter which
+    embed, recognize, a stealth audit or a tournament cell over a program ×
+    fingerprint × input triple — plus the seed and fuel that make its
+    execution reproducible.  Equal specs produce equal results no matter which
     domain runs them or in what order, which is what lets {!Pool} schedule
     freely and {!Cache} memoize by content.
 
@@ -35,10 +35,6 @@ type vm_action =
   | Embed of { fingerprint : Bignum.t; pieces : int }
   | Recognize of { expected : Bignum.t option }
       (** blind recognition; [expected] only adds a match check *)
-  | Attack_campaign of { expected : Bignum.t; attacks : string list }
-      (** apply each named {!Vmattacks.Attacks.all} transformation to the
-          (already watermarked) program and test whether the fingerprint
-          survives each one *)
   | Audit of { fingerprint : Bignum.t }
       (** stealth audit: embed into the (clean) carrier, then run the
           scheme's declared {!Analysis.Locator} passes over both the
@@ -47,8 +43,6 @@ type vm_action =
   | Tournament_cell of cell_spec
 
 type native_action =
-  | Native_embed of { fingerprint : Bignum.t; tamper_proof : bool }
-  | Native_extract of { begin_addr : int; end_addr : int; expected : Bignum.t option }
   | Native_audit of { fingerprint : Bignum.t }
       (** the audit action for the native track: embed, then run
           {!Analysis.Nlint} over clean and marked binaries and test
@@ -72,7 +66,6 @@ type t = {
   payload : payload;
 }
 
-val default_vm_scheme : string
 val default_native_scheme : string
 
 val vm_embed :
@@ -100,19 +93,6 @@ val vm_recognize :
   Stackvm.Program.t ->
   t
 
-val vm_attack_campaign :
-  ?label:string ->
-  ?seed:int64 ->
-  ?fuel:int ->
-  ?scheme:string ->
-  key:string ->
-  bits:int ->
-  expected:Bignum.t ->
-  attacks:string list ->
-  input:int list ->
-  Stackvm.Program.t ->
-  t
-
 val vm_audit :
   ?label:string ->
   ?seed:int64 ->
@@ -132,28 +112,6 @@ val native_audit :
   ?fuel:int ->
   bits:int ->
   fingerprint:Bignum.t ->
-  input:int list ->
-  Nativesim.Asm.program ->
-  t
-
-val native_embed :
-  ?label:string ->
-  ?seed:int64 ->
-  ?fuel:int ->
-  ?tamper_proof:bool ->
-  bits:int ->
-  fingerprint:Bignum.t ->
-  input:int list ->
-  Nativesim.Asm.program ->
-  t
-
-val native_extract :
-  ?label:string ->
-  ?fuel:int ->
-  ?expected:Bignum.t ->
-  bits:int ->
-  begin_addr:int ->
-  end_addr:int ->
   input:int list ->
   Nativesim.Asm.program ->
   t
@@ -210,10 +168,9 @@ val digest : t -> string
 (** Stable hex digest of the full spec (minus [label]). *)
 
 val kind : t -> string
-(** Short action tag: ["embed"], ["recognize"], ["attack"], ["audit"],
-    ["tournament"], ["native-embed"], ["native-extract"],
-    ["native-audit"] or ["native-tournament"] — used as the cache stage
-    for memoized job results. *)
+(** Short action tag: ["embed"], ["recognize"], ["audit"],
+    ["tournament"], ["native-audit"] or ["native-tournament"] — used as
+    the cache stage for memoized job results. *)
 
 val describe : t -> string
 (** One-line description for logs. *)

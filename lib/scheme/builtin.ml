@@ -1,13 +1,18 @@
+(* A mutex rather than [Lazy]: the batch engine resolves schemes from
+   every pool domain, and forcing one suspension from two domains at once
+   raises [Lazy.Undefined]. *)
 let ensure =
-  let registered =
-    lazy
-      (List.iter Registry.register
-         [
-           Jwm_adapter.watermarker; Nwm_adapter.watermarker;
-           Gwm_adapter.watermarker;
-         ])
-  in
-  fun () -> Lazy.force registered
+  let lock = Mutex.create () and registered = ref false in
+  fun () ->
+    Mutex.protect lock (fun () ->
+        if not !registered then begin
+          List.iter Registry.register
+            [
+              Jwm_adapter.watermarker; Nwm_adapter.watermarker;
+              Gwm_adapter.watermarker;
+            ];
+          registered := true
+        end)
 
 let find name =
   ensure ();

@@ -110,6 +110,8 @@ let compose members =
                members embeddings);
       }
 
+    let embed_traced = None
+
     let combine spec results =
       let values = List.filter_map (fun (_, r) -> r.value) results in
       let all_agree =

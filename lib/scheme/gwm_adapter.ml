@@ -51,6 +51,8 @@ module M = struct
         }
     | _ -> invalid_arg "scheme gwm: requires a stack-VM program carrier"
 
+  let embed_traced = None
+
   let of_outcome (o : Gwm.Recognize.outcome) =
     {
       value = o.value;

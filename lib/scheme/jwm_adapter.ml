@@ -42,9 +42,9 @@ module M = struct
       input = spec.input;
     }
 
-  let embed value spec = function
+  let embed_with ?trace value spec = function
     | Vm_program p ->
-        let r = Jwm.Embed.embed ~seed:spec.seed ?fuel:spec.fuel (to_spec value spec) p in
+        let r = Jwm.Embed.embed ?trace ~seed:spec.seed ?fuel:spec.fuel (to_spec value spec) p in
         {
           carrier = Vm_program r.Jwm.Embed.program;
           aux = "";
@@ -55,6 +55,9 @@ module M = struct
               (List.length r.Jwm.Embed.insertions);
         }
     | _ -> invalid_arg "scheme jwm: requires a stack-VM program carrier"
+
+  let embed value spec carrier = embed_with value spec carrier
+  let embed_traced = Some (fun trace -> embed_with ~trace)
 
   let of_outcome (o : Jwm.Recognize.outcome) =
     {

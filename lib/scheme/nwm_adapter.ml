@@ -63,6 +63,8 @@ module M = struct
         }
     | _ -> invalid_arg "scheme nwm: requires a native assembly carrier"
 
+  let embed_traced = None
+
   let recognize ?aux (spec : spec) = function
     | Native_binary bin -> (
         match parse_aux aux with

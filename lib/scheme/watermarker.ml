@@ -60,6 +60,10 @@ module type WATERMARKER = sig
   val caps : caps
   val nbits : spec -> int
   val embed : Bignum.t -> spec -> carrier -> embedding
+
+  val embed_traced :
+    (Stackvm.Trace.t -> Bignum.t -> spec -> carrier -> embedding) option
+
   val recognize : ?aux:string -> spec -> carrier -> recovered
 
   val recognize_branches :

@@ -83,7 +83,11 @@ type embedding = {
 
 type recovered = {
   value : Bignum.t option;  (** the recovered fingerprint, if any *)
-  confidence : float;  (** in [0,1]; 0 when [value = None] *)
+  confidence : float;
+      (** in [0,1].  With [value = None] it scores the partial evidence:
+          jwm reports up to 0.45 when some consistent residue statements
+          survived, gwm and nwm report 0.  The batch engine counts a lost
+          mark with confidence above 0 as [recognitions.partial]. *)
   detail : string;  (** human-readable one-line recognition summary *)
 }
 
@@ -110,6 +114,12 @@ module type WATERMARKER = sig
   val embed : Bignum.t -> spec -> carrier -> embedding
   (** Raises [Invalid_argument] on a carrier of the wrong track or a value
       wider than [nbits spec]. *)
+
+  val embed_traced :
+    (Stackvm.Trace.t -> Bignum.t -> spec -> carrier -> embedding) option
+  (** {!embed} from an already-captured snapshot trace of the carrier on
+      [spec.input], so a fleet of fingerprints into one host pays for one
+      traced run; [None] for schemes whose embedding needs no trace. *)
 
   val recognize : ?aux:string -> spec -> carrier -> recovered
   (** Non-blind schemes require the [aux] produced by {!embed}. *)

@@ -384,48 +384,34 @@ let render t =
   Buffer.contents buf
 
 (* minimal JSON writer (no JSON library in the toolchain) *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
 let json_list items = "[" ^ String.concat "," items ^ "]"
 
 let to_json t =
   let cell c =
     Printf.sprintf
       "{\"workload\":%s,\"attack\":%s,\"plan\":%s,\"control\":%b,\"survived\":%b,\"false_positive\":%b,\"confidence\":%.4f,\"nfaults\":%d,\"cached\":%b,\"ms\":%.3f%s}"
-      (json_str c.c_workload) (json_str c.c_attack) (json_str c.c_plan) c.c_control c.c_survived
+      (Util.Json.str c.c_workload) (Util.Json.str c.c_attack) (Util.Json.str c.c_plan) c.c_control c.c_survived
       c.c_false_positive c.c_confidence c.c_nfaults c.c_cached c.c_ms
-      (match c.c_failed with None -> "" | Some r -> ",\"failed\":" ^ json_str r)
+      (match c.c_failed with None -> "" | Some r -> ",\"failed\":" ^ Util.Json.str r)
   in
   let class_stats s =
-    Printf.sprintf "{\"class\":%s,\"survived\":%d,\"total\":%d,\"rate\":%.4f}" (json_str s.cls)
+    Printf.sprintf "{\"class\":%s,\"survived\":%d,\"total\":%d,\"rate\":%.4f}" (Util.Json.str s.cls)
       s.cls_survived s.cls_total s.cls_rate
   in
   let row r =
     let s = r.summary in
     Printf.sprintf
       "{\"scheme\":%s,\"track\":%s,\"floor\":%.4f,\"composite\":%.4f,\"credibility\":%.4f,\"survival\":%.4f,\"marked\":%d,\"survived\":%d,\"controls\":%d,\"false_positives\":%d,\"confidence\":{\"min\":%.4f,\"mean\":%.4f,\"max\":%.4f},\"classes\":%s,\"cells\":%s}"
-      (json_str r.scheme)
-      (json_str (Scheme.Watermarker.track_to_string r.track))
+      (Util.Json.str r.scheme)
+      (Util.Json.str (Scheme.Watermarker.track_to_string r.track))
       r.floor s.composite s.credibility s.survival s.marked s.survived s.controls
       s.false_positives s.conf_min s.conf_mean s.conf_max
       (json_list (List.map class_stats s.classes))
       (json_list (List.map cell r.cells))
   in
   let violation v =
-    Printf.sprintf "{\"scheme\":%s,\"cell\":%s,\"reason\":%s}" (json_str v.v_scheme)
-      (json_str v.v_cell) (json_str v.v_reason)
+    Printf.sprintf "{\"scheme\":%s,\"cell\":%s,\"reason\":%s}" (Util.Json.str v.v_scheme)
+      (Util.Json.str v.v_cell) (Util.Json.str v.v_reason)
   in
   let all_cells = List.concat_map (fun r -> r.cells) t.rows in
   Printf.sprintf "{\"rows\":%s,\"violations\":%s,\"gate_ok\":%b,\"cells\":%d,\"cached_cells\":%d}"

@@ -260,10 +260,6 @@ let test_outcome_roundtrip () =
       Batch.Vm_embedded { program = "\x00\xffbytes"; bytes_before = 10; bytes_after = 22 };
       Batch.Vm_recognized { value = Some fp; matched = Some true };
       Batch.Vm_recognized { value = None; matched = None };
-      Batch.Vm_attacked { survived = [ ("ba", true); ("bi-0.5", false) ] };
-      Batch.Native_embedded
-        { binary = "bin"; begin_addr = 3; end_addr = 9; bytes_before = 5; bytes_after = 7 };
-      Batch.Native_extracted { value = Some (Bignum.of_int 5); matched = Some false };
       Batch.Failed { reason = "fuel exhausted"; attempts = 3 };
     ]
   in
@@ -328,7 +324,7 @@ let test_batch_rerun_all_cached () =
   Alcotest.(check int) "one result hit per job" (List.length fleet) hits
 
 let test_batch_failure_isolated () =
-  (* middle job references an unknown attack => raises inside the worker *)
+  (* middle job names an unknown scheme => raises inside the worker *)
   let wm = embed_job fp in
   let results = Batch.run ~domains:1 [ wm ] in
   let embedded =
@@ -339,10 +335,7 @@ let test_batch_failure_isolated () =
   let good expected =
     Job.vm_recognize ~key ~bits:64 ~expected ~input:secret_input embedded
   in
-  let bad =
-    Job.vm_attack_campaign ~key ~bits:64 ~expected:fp ~attacks:[ "no-such-attack" ]
-      ~input:secret_input embedded
-  in
+  let bad = Job.vm_recognize ~scheme:"no-such-scheme" ~key ~bits:64 ~input:secret_input embedded in
   let events = Events.create () in
   let results = Batch.run ~domains:2 ~retries:1 ~events [ good fp; bad; good fp ] in
   (match List.map (fun r -> r.Batch.outcome) results with
@@ -363,22 +356,27 @@ let test_batch_recognize_and_attack () =
     | Batch.Vm_embedded { program; _ } -> Stackvm.Serialize.decode program
     | _ -> Alcotest.fail "embed failed"
   in
+  (* recognize the marked program as shipped and after two distortive
+     attacks; a warm re-run must serve the same outcomes from the cache *)
+  let rng = Util.Prng.create 0x5EEDL in
+  let attacked name = (List.assoc name Vmattacks.Attacks.all) (Util.Prng.split rng) embedded in
   let jobs =
-    [
-      Job.vm_recognize ~key ~bits:64 ~expected:fp ~input:secret_input embedded;
-      Job.vm_attack_campaign ~key ~bits:64 ~expected:fp
-        ~attacks:[ "nop-insertion"; "block-reorder" ] ~input:secret_input embedded;
-    ]
+    List.map
+      (fun program -> Job.vm_recognize ~key ~bits:64 ~expected:fp ~input:secret_input program)
+      [ embedded; attacked "nop-insertion"; attacked "block-reorder" ]
   in
-  match List.map (fun r -> r.Batch.outcome) (Batch.run ~cache jobs) with
-  | [ Batch.Vm_recognized { value = Some v; matched = Some true };
-      Batch.Vm_attacked { survived } ] ->
-      Alcotest.check big "recovered fingerprint" fp v;
-      Alcotest.(check int) "both attacks ran" 2 (List.length survived);
-      List.iter
-        (fun (name, ok) -> Alcotest.(check bool) (name ^ " survived") true ok)
-        survived
-  | _ -> Alcotest.fail "expected recognized + attacked outcomes"
+  let cold = Batch.run ~cache jobs in
+  let warm = Batch.run ~cache jobs in
+  List.iter2
+    (fun c w ->
+      (match c.Batch.outcome with
+      | Batch.Vm_recognized { value = Some v; matched = Some true } ->
+          Alcotest.check big "recovered fingerprint" fp v
+      | o -> Alcotest.fail ("expected a matching recognition, got " ^ Batch.describe_outcome o));
+      Alcotest.(check bool) "warm from cache" true w.Batch.from_cache;
+      Alcotest.(check string) "same outcome" (Batch.describe_outcome c.Batch.outcome)
+        (Batch.describe_outcome w.Batch.outcome))
+    cold warm
 
 (* ---- Events ---- *)
 
@@ -400,6 +398,162 @@ let test_events_counters_and_json () =
     && (let rec find i = i + 4 <= String.length json && (String.sub json i 4 = "a\\\"b" || find (i + 1)) in
         find 0));
   Alcotest.(check int) "three lines recorded + counter x2" 4 (List.length (Events.events events))
+
+(* ---- Batch: one snapshot trace per fleet ---- *)
+
+let trace_mem_misses events =
+  Events.count events (function Events.Cache_miss { stage = "trace-mem"; _ } -> true | _ -> false)
+
+let test_fleet_shares_one_trace () =
+  let seed i = Int64.of_int (1000 + i) in
+  let fleet_jobs scheme =
+    List.mapi
+      (fun i f ->
+        Job.vm_embed ~scheme ~seed:(seed i) ~key ~bits:64 ~pieces:12 ~fingerprint:f
+          ~input:secret_input host_program)
+      fleet
+  in
+  let events = Events.create () in
+  let results = Batch.run ~domains:2 ~cache:(Cache.create ()) ~events (fleet_jobs "jwm") in
+  Alcotest.(check int) "one snapshot capture for the jwm fleet" 1 (trace_mem_misses events);
+  let (module W) = Scheme.Builtin.find_exn "jwm" in
+  List.iteri
+    (fun i r ->
+      let spec =
+        Scheme.Watermarker.spec ~seed:(seed i) ~redundancy:12 ~key ~bits:64 ~input:secret_input ()
+      in
+      match (W.embed (List.nth fleet i) spec (Scheme.Watermarker.Vm_program host_program)).carrier with
+      | Scheme.Watermarker.Vm_program p ->
+          Alcotest.(check string) "shared trace embeds like the uncached scheme"
+            (Stackvm.Serialize.encode p) (embedded_bytes r)
+      | _ -> Alcotest.fail "jwm embedded a non-VM carrier")
+    results;
+  let events = Events.create () in
+  let results = Batch.run ~domains:2 ~cache:(Cache.create ()) ~events (fleet_jobs "gwm") in
+  List.iter (fun r -> Alcotest.(check bool) "gwm embed ok" true (Batch.ok r)) results;
+  Alcotest.(check int) "gwm embeds without a snapshot trace" 0 (trace_mem_misses events)
+
+let test_faulted_rerun_traces_nothing () =
+  (* a fault plan salts the result keys; the prewarm must look them up
+     under the same salt, or a warm re-run still captures the host *)
+  with_temp_dir (fun dir ->
+      let inject = Fault.Inject.make ~seed:7L [ Fault.Spec.Trace_flip 0.001 ] in
+      let run ?events () =
+        (* a fresh process over the spill directory: results on disk, no
+           trace in memory *)
+        Batch.run ~inject ~cache:(Cache.create ~spill_dir:dir ()) ?events (List.map embed_job fleet)
+      in
+      ignore (run ());
+      let events = Events.create () in
+      List.iter
+        (fun r -> Alcotest.(check bool) "warm from cache" true r.Batch.from_cache)
+        (run ~events ());
+      Alcotest.(check int) "no snapshot capture" 0 (trace_mem_misses events))
+
+(* ---- Batch: degraded-mode recognition counters ---- *)
+
+let test_recognition_counters () =
+  (* the noisy batch smoke's setup: caffeine, 53 pieces, trace-noise=0.001
+     under fault seed 7 *)
+  let w = Workloads.Caffeine.suite in
+  let program = Workloads.Workload.vm_program w and input = w.Workloads.Workload.input in
+  let key = "pathmark-default-key" and mark = Bignum.of_string "123456789123456789" in
+  let marked =
+    match
+      (List.hd
+         (Batch.run
+            [ Job.vm_embed ~seed:7L ~key ~bits:64 ~pieces:53 ~fingerprint:mark ~input program ]))
+        .Batch.outcome
+    with
+    | Batch.Vm_embedded { program; _ } -> Stackvm.Serialize.decode program
+    | o -> Alcotest.fail ("embed failed: " ^ Batch.describe_outcome o)
+  in
+  let recognize ?(scheme = "jwm") ?rate prog =
+    let inject = Option.map (fun r -> Fault.Inject.make ~seed:7L [ Fault.Spec.Trace_flip r ]) rate in
+    let events = Events.create () in
+    let r = List.hd (Batch.run ?inject ~events [ Job.vm_recognize ~scheme ~key ~bits:64 ~input prog ]) in
+    let counter name = Option.value ~default:0 (List.assoc_opt name (Events.counters events)) in
+    (r.Batch.outcome, counter "recognitions.degraded", counter "recognitions.partial")
+  in
+  let recovered = function
+    | Batch.Vm_recognized { value = Some v; _ } -> Bignum.equal v mark
+    | _ -> false
+  in
+  let lost = function Batch.Vm_recognized { value = None; _ } -> true | _ -> false in
+  let o, degraded, partial = recognize marked in
+  Alcotest.(check (list int)) "clean: no degraded-mode counter" [ 0; 0 ] [ degraded; partial ];
+  Alcotest.(check bool) "clean: recovered" true (recovered o);
+  let o, degraded, partial = recognize ~rate:0.001 marked in
+  Alcotest.(check bool) "noisy: recovered" true (recovered o);
+  Alcotest.(check (list int)) "noisy: degraded, not partial" [ 1; 0 ] [ degraded; partial ];
+  let o, degraded, partial = recognize ~rate:0.1 marked in
+  Alcotest.(check bool) "wrecked: lost" true (lost o);
+  Alcotest.(check (list int)) "wrecked: partial evidence" [ 0; 1 ] [ degraded; partial ];
+  let o, degraded, partial = recognize program in
+  Alcotest.(check bool) "unmarked: nothing recovered" true (lost o);
+  Alcotest.(check (list int)) "unmarked: partial evidence" [ 0; 1 ] [ degraded; partial ];
+  (* gwm scores a lost mark at confidence 0: never partial *)
+  let o, degraded, partial = recognize ~scheme:"gwm" program in
+  Alcotest.(check bool) "gwm unmarked: nothing recovered" true (lost o);
+  Alcotest.(check (list int)) "gwm unmarked: no counter" [ 0; 0 ] [ degraded; partial ]
+
+(* ---- Job: digests pinned per kind ---- *)
+
+let native_host =
+  let open Nativesim in
+  {
+    Asm.text =
+      Asm.[
+        I (Insn.In 0);
+        I (Insn.Mov_imm (1, 0));
+        L "loop";
+        I (Insn.Cmp (1, 0));
+        Jcc (Insn.Gt, Lbl "after");
+        I (Insn.Alu_imm (Insn.Add, 1, 1));
+        Jmp (Lbl "loop");
+        L "after";
+        I (Insn.Out 1);
+        I Insn.Halt;
+      ];
+    data = [];
+  }
+
+let test_digest_known_answers () =
+  let cell =
+    Job.cell_spec ~fault_seed:3L ~faults:[ Fault.Spec.Trace_flip 0.01 ] ~fingerprint:fp
+      ~attack:"nop-insertion" ()
+  in
+  let control = Job.cell_spec ~control:true ~fingerprint:fp ~attack:"identity" () in
+  let jobs =
+    [
+      Job.vm_embed ~seed:1000L ~key ~bits:64 ~pieces:12 ~fingerprint:fp ~input:secret_input
+        host_program;
+      Job.vm_embed ~scheme:"gwm" ~fuel:5000 ~key ~bits:64 ~pieces:8 ~fingerprint:fp
+        ~input:secret_input host_program;
+      Job.vm_recognize ~key ~bits:64 ~input:secret_input host_program;
+      Job.vm_recognize ~scheme:"jwm+gwm" ~expected:fp ~key ~bits:64 ~input:secret_input host_program;
+      Job.vm_audit ~scheme:"gwm" ~key ~bits:64 ~fingerprint:fp ~input:secret_input host_program;
+      Job.vm_tournament_cell ~key ~bits:64 ~input:secret_input ~cell host_program;
+      Job.vm_tournament_cell ~scheme:"gwm" ~key ~bits:64 ~input:secret_input ~cell:control
+        host_program;
+      Job.native_audit ~bits:24 ~fingerprint:(Bignum.of_int 0xBEEF) ~input:[ 6 ] native_host;
+      Job.native_tournament_cell ~bits:24 ~input:[ 6 ] ~cell native_host;
+    ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "kind and digest per job"
+    [
+      ("embed", "772d6dd1ae5970295c6e3fbc86855352");
+      ("embed", "0603b37826d4661afb74b780afc7f9b3");
+      ("recognize", "446fd7abb3068b86059a20d0a8ef1e0d");
+      ("recognize", "2495b0b87d0b73094a257e722a0b71f1");
+      ("audit", "09a060ec57c5f3cabd24512f23c76a43");
+      ("tournament", "d904ad076aa0c68a15ad6db7d5f00332");
+      ("tournament", "50f8b7f1f6014e73b53ce0b648a20691");
+      ("native-audit", "180a615a6ad3b0e456a47bd42fe30486");
+      ("native-tournament", "d08cca1f2340e6a3f965f03daf29eae2");
+    ]
+    (List.map (fun j -> (Job.kind j, Job.digest j)) jobs)
 
 let suite =
   [
@@ -425,4 +579,8 @@ let suite =
     Alcotest.test_case "failing job isolated, retries bounded" `Quick test_batch_failure_isolated;
     Alcotest.test_case "recognize and attack jobs round-trip" `Quick test_batch_recognize_and_attack;
     Alcotest.test_case "events: counters, json, sink" `Quick test_events_counters_and_json;
+    Alcotest.test_case "jwm embed fleet shares one snapshot trace" `Quick test_fleet_shares_one_trace;
+    Alcotest.test_case "batch recognition counts degraded and partial" `Quick test_recognition_counters;
+    Alcotest.test_case "job digests pinned for every kind" `Quick test_digest_known_answers;
+    Alcotest.test_case "warm faulted re-run captures no trace" `Quick test_faulted_rerun_traces_nothing;
   ]

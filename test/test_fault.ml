@@ -330,10 +330,7 @@ let test_batch_breaker () =
     | Batch.Vm_embedded { program; _ } -> Stackvm.Serialize.decode program
     | _ -> Alcotest.fail "embed failed"
   in
-  let bad () =
-    Job.vm_attack_campaign ~key ~bits:64 ~expected:fp ~attacks:[ "no-such-attack" ]
-      ~input:secret_input embedded
-  in
+  let bad () = Job.vm_recognize ~scheme:"no-such-scheme" ~key ~bits:64 ~input:secret_input embedded in
   let events = Events.create () in
   let policy = { Batch.default_policy with breaker_threshold = 2 } in
   let results = Batch.run ~domains:1 ~policy ~events [ bad (); bad (); bad (); embed_job fp ] in

@@ -27,6 +27,7 @@ let dummy name : (module WATERMARKER) =
 
     let nbits (s : spec) = s.bits
     let embed _ _ _ = failwith "dummy scheme cannot embed"
+    let embed_traced = None
     let recognize ?aux:_ _ _ = failwith "dummy scheme cannot recognize"
     let recognize_branches = None
     let stream = None

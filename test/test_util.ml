@@ -158,12 +158,18 @@ let test_bits_large_growth () =
   Alcotest.(check int) "length" 100_000 (Bitstring.length t);
   Alcotest.(check bool) "spot check" true (Bitstring.get t 99_999 = (99_999 mod 3 = 0))
 
+let test_json_escape () =
+  Alcotest.(check string) "short escapes" {|q\"b\\n\nr\rt\t|} (Json.escape "q\"b\\n\nr\rt\t");
+  Alcotest.(check string) "other control characters" {|\u0000\u001f|} (Json.escape "\000\031");
+  Alcotest.(check string) "quoted" {|"a\"b"|} (Json.str "a\"b")
+
 let more_suite =
   [
     ("stats more", `Quick, test_stats_more);
     ("bitstring empty", `Quick, test_bits_empty);
     ("bitstring get bounds", `Quick, test_bits_get_bounds);
     ("bitstring large growth", `Quick, test_bits_large_growth);
+    ("json string escaping", `Quick, test_json_escape);
   ]
 
 let suite = suite @ more_suite
