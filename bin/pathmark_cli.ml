@@ -301,7 +301,7 @@ let trace_vm path input out =
   let bits = Stackvm.Trace.bitstring trace in
   write_file out (Stackvm.Trace.save trace);
   Printf.printf "traced %d branch events (%d instructions executed) -> %s\n"
-    (Array.length trace.Stackvm.Trace.branches)
+    (Stackvm.Tracebuf.length trace.Stackvm.Trace.events)
     trace.Stackvm.Trace.result.Stackvm.Interp.steps out;
   Printf.printf "bit-string prefix: %s...\n"
     (let s = Util.Bitstring.to_string bits in
@@ -560,21 +560,31 @@ let builtin_workloads =
     ("jesslite", Workloads.Jesslite.engine);
   ]
 
+let analyzer_workloads =
+  Workloads.Spec.all @ [ Workloads.Caffeine.suite ] @ Workloads.Caffeine.kernels
+  @ [ Workloads.Jesslite.engine ]
+
+(* batch and service hosts: a built-in alias, or any VM workload by name *)
+let host_workloads =
+  builtin_workloads @ List.map (fun (w : Workloads.Workload.t) -> (w.Workloads.Workload.name, w)) analyzer_workloads
+
+let unknown_host name =
+  Printf.printf "unknown workload %s; available: %s\n" name
+    (String.concat " " (List.sort_uniq compare (List.map fst host_workloads)));
+  exit 1
+
 let batch source workload scheme key bits pieces input fingerprints count mark jobs cache_spec
     events_file out_dir verify retries backoff_ms deadline_ms breaker fuel_escalation inject
     fault_seed seed quiet =
   ignore (require_vm_scheme scheme);
-  let workload_entry = List.assoc_opt workload builtin_workloads in
+  let workload_entry = List.assoc_opt workload host_workloads in
   let program, default_input, host_name =
     match source with
     | Some path -> (Minic.To_stackvm.compile_source (read_file path), [], path)
     | None -> (
         match workload_entry with
         | Some w -> (Workloads.Workload.vm_program w, w.Workloads.Workload.input, w.Workloads.Workload.name)
-        | None ->
-            Printf.printf "unknown workload %s; available: %s\n" workload
-              (String.concat " " (List.map fst builtin_workloads));
-            exit 1)
+        | None -> unknown_host workload)
   in
   let input = if input = [] then default_input else input in
   let fingerprints =
@@ -683,7 +693,7 @@ let batch_cmd =
     Arg.(value & pos 0 (some file) None & info [] ~docv:"SOURCE.mc" ~doc:"MiniC source file (omit to use $(b,--workload).)")
   in
   let workload =
-    Arg.(value & opt string "caffeine" & info [ "workload" ] ~docv:"NAME" ~doc:"Built-in host workload (caffeine, jesslite) when no source file is given.")
+    Arg.(value & opt string "caffeine" & info [ "workload" ] ~docv:"NAME" ~doc:"Built-in host workload (caffeine, jesslite, or any VM workload by name, e.g. gzip) when no source file is given.")
   in
   let fingerprints =
     Arg.(value & opt bignum_list_conv [] & info [ "fingerprints" ] ~docv:"W1,W2,..." ~doc:"Explicit fingerprint list (decimal).")
@@ -731,10 +741,6 @@ let batch_cmd =
       $ deadline_ms $ breaker $ fuel_escalation $ inject_t $ fault_seed_t $ seed_t $ quiet)
 
 (* ---- static analysis: the stealth linter ---- *)
-
-let analyzer_workloads =
-  Workloads.Spec.all @ [ Workloads.Caffeine.suite ] @ Workloads.Caffeine.kernels
-  @ [ Workloads.Jesslite.engine ]
 
 let analyze files native workload all_workloads scheme json =
   if files = [] && workload = None && not all_workloads then begin
@@ -1161,7 +1167,7 @@ let or_service_unavailable f =
 
 let query socket deadline source workload scheme key mark bits pieces input seed embed digest
     recognize_file expect want_stats want_list want_shutdown =
-  let workload_entry = List.assoc_opt workload builtin_workloads in
+  let workload_entry = List.assoc_opt workload host_workloads in
   let program_bytes_and_input () =
     match source with
     | Some path -> (Stackvm.Serialize.encode (Minic.To_stackvm.compile_source (read_file path)), input)
@@ -1170,10 +1176,7 @@ let query socket deadline source workload scheme key mark bits pieces input seed
         | Some w ->
             ( Stackvm.Serialize.encode (Workloads.Workload.vm_program w),
               if input = [] then w.Workloads.Workload.input else input )
-        | None ->
-            Printf.printf "unknown workload %s; available: %s\n" workload
-              (String.concat " " (List.map fst builtin_workloads));
-            exit 1)
+        | None -> unknown_host workload)
   in
   let ran = ref false in
   or_service_unavailable (fun () ->
@@ -1283,7 +1286,7 @@ let query_cmd =
     Arg.(value & pos 0 (some file) None & info [] ~docv:"SOURCE.mc" ~doc:"MiniC source to embed into (omit to use $(b,--workload)).")
   in
   let workload =
-    Arg.(value & opt string "caffeine" & info [ "workload" ] ~docv:"NAME" ~doc:"Built-in host workload for $(b,--embed) when no source file is given.")
+    Arg.(value & opt string "caffeine" & info [ "workload" ] ~docv:"NAME" ~doc:"Built-in host workload for $(b,--embed) when no source file is given (caffeine, jesslite, or any VM workload by name).")
   in
   let embed = Arg.(value & flag & info [ "embed" ] ~doc:"Embed $(b,--mark) server-side and register the result.") in
   let digest =

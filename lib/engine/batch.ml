@@ -230,9 +230,13 @@ let scheme_spec (job : Job.t) ~redundancy =
 let snapshot_capture (job : Job.t) program =
   Stackvm.Trace.capture ?fuel:job.Job.fuel ~want_snapshots:true program ~input:job.Job.input
 
-let branch_capture (job : Job.t) program =
+(* A recognition trace is the compiled run's packed branch events, as
+   {!Gwm.Recognize} traces: nothing is unpacked into records. *)
+let branch_events (job : Job.t) program =
+  let events = Stackvm.Tracebuf.create ~capacity:65536 () in
   let fuel = Option.value ~default:default_recognize_fuel job.Job.fuel in
-  Stackvm.Trace.capture ~fuel ~want_snapshots:false program ~input:job.Job.input
+  ignore (Stackvm.Compile.run_program ~trace:events ~fuel program ~input:job.Job.input);
+  events
 
 let vm_carrier (job : Job.t) = function
   | Scheme.Watermarker.Vm_program p -> p
@@ -290,7 +294,7 @@ let compute_vm ?inject ?cache ?events ~id (job : Job.t) program action =
         | Some recognize_branches ->
             (* the saved branch trace is cached per (program, input, fuel),
                so every recognizer of one artifact shares one run *)
-            let capture () = Stackvm.Trace.save (branch_capture job program) in
+            let capture () = Stackvm.Trace.save_events (branch_events job program) in
             recognize_replayed ?events ~id ~label:job.Job.label ~plan:inject
               ~salt:(Job.trace_digest job)
               ~capture:(fun () ->
@@ -337,7 +341,7 @@ let compute_vm ?inject ?cache ?events ~id (job : Job.t) program action =
         | Some recognize_branches when not (Fault.Inject.is_empty plan) ->
             recognize_replayed ?events ~id ~label:job.Job.label ~plan:(Some plan)
               ~salt:(Printf.sprintf "cell:%s:%s" (Job.trace_digest job) cell.Job.cell_attack)
-              ~capture:(fun () -> Array.to_list (branch_capture job attacked).Stackvm.Trace.branches)
+              ~capture:(fun () -> Array.to_list (Stackvm.Trace.branches_of_buf (branch_events job attacked)))
               recognize_branches spec
         | _ ->
             ( timed ?events ~id ~stage:"recognize" (fun () ->

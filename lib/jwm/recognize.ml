@@ -135,11 +135,6 @@ let stream_push s packed =
     s.decided
   end
 
-let stream_push_event s ~fidx ~pc ~taken =
-  stream_push s (Stackvm.Tracebuf.pack ~fidx ~pc ~taken)
-
-let stream_decided s = s.decided
-
 let stream_finish s =
   let report =
     match s.final_report with

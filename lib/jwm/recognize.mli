@@ -103,11 +103,6 @@ val stream_push : stream -> int -> bool
     [true] once the stream has decided — the caller should stop feeding
     (further pushes are ignored). *)
 
-val stream_push_event : stream -> fidx:int -> pc:int -> taken:bool -> bool
-(** {!stream_push} over unpacked fields. *)
-
-val stream_decided : stream -> bool
-
 val stream_finish : stream -> outcome
 (** The recognition outcome over everything pushed so far (the decided
     report if the stream decided, a full recombination otherwise).

@@ -68,7 +68,7 @@ let compiled_snapshots ?fuel (prog : Program.t) ~input events =
       Hashtbl.replace block_counts key n;
       Hashtbl.replace visits key (List.rev kept))
     (List.rev !order);
-  { branches = branches_of_buf events; events; visits; block_counts; result }
+  { branches = [||]; events; visits; block_counts; result }
 
 let capture ?fuel ?(want_snapshots = true) prog ~input =
   (* sized for real traces up front — repeated doubling from a small

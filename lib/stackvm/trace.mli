@@ -18,10 +18,14 @@ type snapshot = { locals : int array; globals : int array }
 (** Variable values on entry to a block visit (copies, safe to keep). *)
 
 type t = {
-  branches : branch_event array;  (** every conditional branch, in order *)
+  branches : branch_event array;
+      (** the events of [events] as records, filled only without
+          snapshots ([~want_snapshots:false]) and empty otherwise; deleted
+          by ROADMAP item 8 once the benchmark reads [events] *)
   events : Tracebuf.t;
-      (** the same events, packed — the flat buffer they were captured
-          into; decode and persistence paths read this, not the array *)
+      (** every conditional branch, in order, packed — the flat buffer the
+          run appended them to; decode, persistence and every reader of a
+          snapshot capture read this *)
   visits : (int * int, snapshot list) Hashtbl.t;
       (** per block [(fidx, leader_pc)], the snapshots of its first visits
           in visit order (capped at {!max_snapshots_per_block}) *)
@@ -34,9 +38,12 @@ val max_snapshots_per_block : int
 
 val capture : ?fuel:int -> ?want_snapshots:bool -> Program.t -> input:int list -> t
 (** Run on {!Compile} with every branch event appended straight into the
-    flat buffer.  [want_snapshots] (default [true]) controls whether block
-    counts and variable values are recorded; recognition-only traces turn
-    it off and leave [visits] and [block_counts] empty.  With snapshots
+    flat buffer [events].  [want_snapshots] (default [true]) controls
+    whether block counts and variable values are recorded; recognition-only
+    traces turn it off, leave [visits] and [block_counts] empty and also
+    unpack [events] into [branches].  A snapshot capture leaves [branches]
+    empty: embedding never reads it, and unpacking a large trace cost
+    nearly as much as the traced run itself.  With snapshots
     the run uses a translation made with a {!Compile.block_hook} that
     counts block entries in per-function arrays and copies the frame's
     locals and the globals on a block's first {!max_snapshots_per_block}

@@ -66,8 +66,3 @@ let iteri f t =
 let to_packed_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (Array.unsafe_get t.data i :: acc) in
   go (t.len - 1) []
-
-let of_packed_list events =
-  let t = create ~capacity:(max 1 (List.length events)) () in
-  List.iter (add_packed t) events;
-  t

@@ -61,5 +61,3 @@ val iter : (int -> unit) -> t -> unit
 val iteri : (int -> int -> unit) -> t -> unit
 
 val to_packed_list : t -> int list
-
-val of_packed_list : int list -> t

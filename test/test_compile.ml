@@ -42,13 +42,14 @@ let show_log log = Printf.sprintf "%d block entries, digest %x" log.entries log.
 let bindings tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
 
 (* The oracle's trace and the compiled snapshot capture must agree on
-   everything embedding reads: result, branches, block counts, snapshots,
-   and the order of [hot_blocks], ties included. *)
+   everything embedding and recognition read: result, packed branch
+   events, block counts, snapshots, and the order of [hot_blocks], ties
+   included. *)
 let captures_agree ?fuel prog ~input =
   let ti = Vm_oracle.capture ?fuel prog ~input in
   let tc = Trace.capture ?fuel prog ~input in
   ti.Trace.result = tc.Trace.result
-  && ti.Trace.branches = tc.Trace.branches
+  && Tracebuf.to_packed_list ti.Trace.events = Tracebuf.to_packed_list tc.Trace.events
   && bindings ti.Trace.block_counts = bindings tc.Trace.block_counts
   && bindings ti.Trace.visits = bindings tc.Trace.visits
   && Trace.hot_blocks ti = Trace.hot_blocks tc
@@ -487,6 +488,45 @@ let test_recognition_matches_oracle () =
       | None -> ())
     (Lazy.force Vm_corpus.entries)
 
+(* ---- the two capture modes ----
+
+   A snapshot capture and a recognition-only capture make the same run:
+   whole or cut short by fuel, they must record the same packed events
+   and the same result.  Only the recognition-only capture unpacks the
+   events into [branches]; embedding never reads them. *)
+
+let test_capture_modes_agree () =
+  List.iter
+    (fun (e : Vm_corpus.entry) ->
+      let capture ?fuel want_snapshots = Trace.capture ?fuel ~want_snapshots e.program ~input:e.input in
+      let full = capture false in
+      List.iter
+        (fun fuel ->
+          let name =
+            Printf.sprintf "%s/fuel%s" e.name (Option.fold ~none:"max" ~some:string_of_int fuel)
+          in
+          let plain = if fuel = None then full else capture ?fuel false in
+          let snap = capture ?fuel true in
+          Alcotest.(check string)
+            (name ^ ": same run")
+            (show_result plain.Trace.result plain.Trace.events)
+            (show_result snap.Trace.result snap.Trace.events);
+          Alcotest.(check bool) (name ^ ": same result") true (plain.Trace.result = snap.Trace.result);
+          Alcotest.(check bool)
+            (name ^ ": same packed events")
+            true
+            (Tracebuf.to_packed_list plain.Trace.events = Tracebuf.to_packed_list snap.Trace.events);
+          Alcotest.(check int)
+            (name ^ ": recognition capture unpacks every event")
+            (Tracebuf.length plain.Trace.events)
+            (Array.length plain.Trace.branches);
+          Alcotest.(check int)
+            (name ^ ": snapshot capture unpacks none")
+            0
+            (Array.length snap.Trace.branches))
+        [ None; Some 1; Some (full.Trace.result.Interp.steps / 2) ])
+    (Lazy.force Vm_corpus.entries)
+
 let suite =
   [
     ("all workloads agree across backends", `Quick, test_workloads_agree);
@@ -502,4 +542,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_branches_buf_agrees;
     ("embedding from a compiled capture is byte-identical", `Quick, test_embed_from_compiled_capture);
     ("jwm recognition matches recovery over the oracle trace", `Quick, test_recognition_matches_oracle);
+    ("snapshot and recognition captures record the same events", `Quick, test_capture_modes_agree);
   ]

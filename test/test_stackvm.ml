@@ -263,10 +263,10 @@ let test_figure2_gcd () =
 let test_trace_captures_branches () =
   let prog = Program.make [ gcd_program ] in
   let trace = Trace.capture prog ~input:[] in
-  Alcotest.(check bool) "some branches" true (Array.length trace.Trace.branches > 0);
+  Alcotest.(check bool) "some branches" true (Tracebuf.length trace.Trace.events > 0);
   (* Each while-iteration tests the loop condition once. *)
   let bits = Trace.bitstring trace in
-  Alcotest.(check int) "one bit per branch event" (Array.length trace.Trace.branches)
+  Alcotest.(check int) "one bit per branch event" (Tracebuf.length trace.Trace.events)
     (Util.Bitstring.length bits)
 
 let test_trace_first_occurrence_is_zero () =
@@ -518,9 +518,10 @@ let suite = suite @ extra_suite
 let test_trace_save_load () =
   let prog = Program.make [ gcd_program ] in
   let trace = Trace.capture prog ~input:[] in
+  let branches = Array.to_list (Trace.branches_of_buf trace.Trace.events) in
   let loaded = Trace.load_branches (Trace.save trace) in
-  Alcotest.(check int) "event count" (Array.length trace.Trace.branches) (List.length loaded);
-  Alcotest.(check bool) "events identical" true (Array.to_list trace.Trace.branches = loaded);
+  Alcotest.(check int) "event count" (List.length branches) (List.length loaded);
+  Alcotest.(check bool) "events identical" true (branches = loaded);
   (* the decoded bit-string is identical, so offline recognition works *)
   Alcotest.(check string) "bits identical"
     (Util.Bitstring.to_string (Trace.bitstring trace))
@@ -539,7 +540,7 @@ let test_trace_save_load_empty () =
   (* a branch-free program yields zero events; the round-trip must still work *)
   let f = Asm.func ~name:"main" ~nargs:0 ~nlocals:1 Asm.[ I (Instr.Const 0); I Instr.Ret ] in
   let trace = Trace.capture (Program.make [ f ]) ~input:[] in
-  Alcotest.(check int) "no branch events" 0 (Array.length trace.Trace.branches);
+  Alcotest.(check int) "no branch events" 0 (Tracebuf.length trace.Trace.events);
   Alcotest.(check (list unit)) "empty round-trip" []
     (List.map ignore (Trace.load_branches (Trace.save trace)))
 
@@ -566,13 +567,14 @@ let test_trace_save_load_large () =
   in
   let prog = Program.make [ count_to_0 ] in
   let trace = Trace.capture prog ~input:[ 5000 ] in
-  Alcotest.(check bool) "thousands of events" true (Array.length trace.Trace.branches > 4000);
+  let branches = Trace.branches_of_buf trace.Trace.events in
+  Alcotest.(check bool) "thousands of events" true (Array.length branches > 4000);
   Alcotest.(check bool) "branch pc needs a multi-byte varint" true
-    (Array.exists (fun e -> e.Trace.pc > 127) trace.Trace.branches);
+    (Array.exists (fun e -> e.Trace.pc > 127) branches);
   let saved = Trace.save trace in
   let loaded = Trace.load_branches saved in
-  Alcotest.(check int) "count preserved" (Array.length trace.Trace.branches) (List.length loaded);
-  Alcotest.(check bool) "events identical" true (Array.to_list trace.Trace.branches = loaded);
+  Alcotest.(check int) "count preserved" (Array.length branches) (List.length loaded);
+  Alcotest.(check bool) "events identical" true (Array.to_list branches = loaded);
   Alcotest.(check string) "bits identical"
     (Util.Bitstring.to_string (Trace.bitstring trace))
     (Util.Bitstring.to_string (Trace.bits_of_branches loaded))
@@ -583,7 +585,7 @@ let test_trace_load_truncated () =
      mis-parse past the cut *)
   let prog = Program.make [ gcd_program ] in
   let trace = Trace.capture prog ~input:[] in
-  let original = Array.to_list trace.Trace.branches in
+  let original = Array.to_list (Trace.branches_of_buf trace.Trace.events) in
   let saved = Trace.save trace in
   Alcotest.(check bool) "fixture has events" true (String.length saved > 5);
   for len = 0 to String.length saved - 1 do

@@ -1,8 +1,9 @@
 (* The reference trace capture: the interpreter under a block and branch
    observer.  Production tracing runs only on the compiled engine
    ([Stackvm.Trace.capture]); this is the capture it is held to — same
-   result, branches, block counts, snapshots and [hot_blocks] order — by
-   the compile and gwm-recognition suites. *)
+   result, packed events, block counts, snapshots and [hot_blocks] order —
+   by the compile and gwm-recognition suites.  Like the engine's, it
+   unpacks [branches] only without snapshots. *)
 
 open Stackvm
 open Trace
@@ -26,7 +27,8 @@ let interp_capture ?fuel ~want_snapshots prog ~input events =
     }
   in
   let result = Interp.run ~observer ?fuel prog ~input in
-  { branches = branches_of_buf events; events; visits; block_counts; result }
+  let branches = if want_snapshots then [||] else branches_of_buf events in
+  { branches; events; visits; block_counts; result }
 
 (* [Trace.capture]'s signature, on the interpreter; unlike the engine's
    snapshot-free capture it fills [block_counts] either way *)
