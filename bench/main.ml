@@ -363,8 +363,7 @@ let run_analyze () =
 
 let run_faults () =
   let marked = Lazy.force watermarked_vm in
-  let trace = Stackvm.Trace.capture ~want_snapshots:false marked ~input:host_input in
-  let events = Array.to_list trace.Stackvm.Trace.branches in
+  let events, _ = Stackvm.Trace.record marked ~input:host_input in
   let iters = 30 in
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -372,10 +371,10 @@ let run_faults () =
     Unix.gettimeofday () -. t0
   in
   let recognize evs =
-    ignore (Jwm.Recognize.recognize_branches ~passphrase:key ~watermark_bits:64 evs)
+    ignore (Jwm.Recognize.recognize_buf ~passphrase:key ~watermark_bits:64 evs)
   in
   Printf.printf "=== fault layer: injection overhead and noisy-recognition throughput ===\n%!";
-  Printf.printf "trace: %d branch events, %d iterations per row\n%!" (List.length events) iters;
+  Printf.printf "trace: %d branch events, %d iterations per row\n%!" (Stackvm.Tracebuf.length events) iters;
   let per_run s = s /. float_of_int iters *. 1000. in
   let rows = ref [] in
   let collect label s =

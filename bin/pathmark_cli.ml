@@ -205,15 +205,12 @@ let recognize_vm path key bits input streaming inject fault_seed =
       let o =
         if not (Fault.Inject.is_empty plan) then begin
           (* recognize offline from the fault-injected branch stream *)
-          let trace =
-            Stackvm.Trace.capture ~fuel:200_000_000 ~want_snapshots:false prog ~input
-          in
-          let noisy, n = Fault.Inject.branches_buf plan ~salt:"trace" trace.Stackvm.Trace.events in
+          let events, _ = Stackvm.Trace.record ~fuel:200_000_000 prog ~input in
+          let noisy, n = Fault.Inject.branches plan ~salt:"trace" events in
           if artifact_faults > 0 || n > 0 then
             Printf.printf "injected %d artifact fault(s), %d trace fault(s) [%s]\n" artifact_faults n
               (Fault.Inject.describe plan);
-          Jwm.Recognize.recognize_branches ~passphrase:key ~watermark_bits:bits
-            (Array.to_list (Stackvm.Trace.branches_of_buf noisy))
+          Jwm.Recognize.recognize_buf ~passphrase:key ~watermark_bits:bits noisy
         end
         else if streaming then begin
           let o, halt =
@@ -297,12 +294,11 @@ let faults_cmd =
 
 let trace_vm path input out =
   let prog = load_vm path in
-  let trace = Stackvm.Trace.capture ~want_snapshots:false prog ~input in
-  let bits = Stackvm.Trace.bitstring trace in
-  write_file out (Stackvm.Trace.save trace);
+  let events, result = Stackvm.Trace.record prog ~input in
+  let bits = Stackvm.Trace.bits_of_buf events in
+  write_file out (Stackvm.Trace.save_events events);
   Printf.printf "traced %d branch events (%d instructions executed) -> %s\n"
-    (Stackvm.Tracebuf.length trace.Stackvm.Trace.events)
-    trace.Stackvm.Trace.result.Stackvm.Interp.steps out;
+    (Stackvm.Tracebuf.length events) result.Stackvm.Interp.steps out;
   Printf.printf "bit-string prefix: %s...\n"
     (let s = Util.Bitstring.to_string bits in
      String.sub s 0 (min 64 (String.length s)))
@@ -320,7 +316,7 @@ let recognize_trace path key bits_width inject fault_seed =
     if Fault.Inject.is_empty plan then (raw, 0)
     else Fault.Inject.artifact plan ~salt:("artifact:" ^ Filename.basename path) raw
   in
-  let events, salvage = Stackvm.Trace.salvage_branches raw in
+  let events, salvage = Stackvm.Trace.salvage_events raw in
   Option.iter (Printf.printf "trace salvage: %s\n") salvage;
   let events, trace_faults =
     if Fault.Inject.is_empty plan then (events, 0) else Fault.Inject.branches plan ~salt:"trace" events
@@ -328,7 +324,7 @@ let recognize_trace path key bits_width inject fault_seed =
   if artifact_faults > 0 || trace_faults > 0 then
     Printf.printf "injected %d artifact fault(s), %d trace fault(s) [%s]\n" artifact_faults trace_faults
       (Fault.Inject.describe plan);
-  let o = Jwm.Recognize.recognize_branches ~passphrase:key ~watermark_bits:bits_width events in
+  let o = Jwm.Recognize.recognize_buf ~passphrase:key ~watermark_bits:bits_width events in
   print_partial o;
   match o.Jwm.Recognize.value with
   | Some w -> Printf.printf "fingerprint: %s\n" (Bignum.to_string w)
@@ -438,17 +434,15 @@ let recognize_generic path scheme_name key bits input aux aux_file streaming inj
   let aux = match aux_file with Some f -> Some (read_file f) | None -> aux in
   let spec = Scheme.Watermarker.spec ~key ~bits ~input () in
   let o =
-    match (Fault.Inject.is_empty plan, W.recognize_branches, carrier) with
-    | false, Some recognize_branches, Scheme.Watermarker.Vm_program prog ->
+    match (Fault.Inject.is_empty plan, W.recognize_events, carrier) with
+    | false, Some recognize_events, Scheme.Watermarker.Vm_program prog ->
         (* recognize offline from the fault-injected branch stream *)
-        let trace =
-          Stackvm.Trace.capture ~fuel:200_000_000 ~want_snapshots:false prog ~input
-        in
-        let noisy, n = Fault.Inject.branches_buf plan ~salt:"trace" trace.Stackvm.Trace.events in
+        let events, _ = Stackvm.Trace.record ~fuel:200_000_000 prog ~input in
+        let noisy, n = Fault.Inject.branches plan ~salt:"trace" events in
         if artifact_faults > 0 || n > 0 then
           Printf.printf "injected %d artifact fault(s), %d trace fault(s) [%s]\n" artifact_faults n
             (Fault.Inject.describe plan);
-        recognize_branches spec (Array.to_list (Stackvm.Trace.branches_of_buf noisy))
+        recognize_events spec noisy
     | _ -> (
         match (streaming, W.stream, carrier) with
         | true, Some mk, Scheme.Watermarker.Vm_program prog ->

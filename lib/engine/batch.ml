@@ -230,13 +230,11 @@ let scheme_spec (job : Job.t) ~redundancy =
 let snapshot_capture (job : Job.t) program =
   Stackvm.Trace.capture ?fuel:job.Job.fuel ~want_snapshots:true program ~input:job.Job.input
 
-(* A recognition trace is the compiled run's packed branch events, as
-   {!Gwm.Recognize} traces: nothing is unpacked into records. *)
-let branch_events (job : Job.t) program =
-  let events = Stackvm.Tracebuf.create ~capacity:65536 () in
+(* A recognition trace is the compiled run's packed branch events
+   ({!Stackvm.Trace.record}), as the recognizers themselves trace. *)
+let recognition_events (job : Job.t) program =
   let fuel = Option.value ~default:default_recognize_fuel job.Job.fuel in
-  ignore (Stackvm.Compile.run_program ~trace:events ~fuel program ~input:job.Job.input);
-  events
+  fst (Stackvm.Trace.record ~fuel program ~input:job.Job.input)
 
 let vm_carrier (job : Job.t) = function
   | Scheme.Watermarker.Vm_program p -> p
@@ -246,16 +244,16 @@ let vm_carrier (job : Job.t) = function
    corrupts the replayed stream (salted per job), the corruption is
    surfaced as an event, and the scheme recognizes what survives.
    Returns the recognition and the number of corrupted branch events. *)
-let recognize_replayed ?events ~id ~label ~plan ~salt ~capture recognize_branches spec =
-  let branches = timed ?events ~id ~stage:"trace" capture in
-  let branches, nfaults =
-    match plan with None -> (branches, 0) | Some plan -> Fault.Inject.branches plan ~salt branches
+let recognize_replayed ?events ~id ~label ~plan ~salt ~capture recognize_events spec =
+  let trace = timed ?events ~id ~stage:"trace" capture in
+  let trace, nfaults =
+    match plan with None -> (trace, 0) | Some plan -> Fault.Inject.branches plan ~salt trace
   in
   if nfaults > 0 then
     emit events
       (Events.Fault_injected
          { id; label; layer = "trace"; detail = Printf.sprintf "%d branch event(s) corrupted" nfaults });
-  (timed ?events ~id ~stage:"recognize" (fun () -> recognize_branches spec branches), nfaults)
+  (timed ?events ~id ~stage:"recognize" (fun () -> recognize_events spec trace), nfaults)
 
 let compute_vm ?inject ?cache ?events ~id (job : Job.t) program action =
   let (module W) = Scheme.Builtin.find_exn job.Job.scheme in
@@ -290,19 +288,19 @@ let compute_vm ?inject ?cache ?events ~id (job : Job.t) program action =
   | Job.Recognize { expected } ->
       let spec = scheme_spec job ~redundancy:Scheme.Watermarker.default_redundancy in
       let r, nfaults =
-        match W.recognize_branches with
-        | Some recognize_branches ->
+        match W.recognize_events with
+        | Some recognize_events ->
             (* the saved branch trace is cached per (program, input, fuel),
                so every recognizer of one artifact shares one run *)
-            let capture () = Stackvm.Trace.save_events (branch_events job program) in
+            let capture () = Stackvm.Trace.save_events (recognition_events job program) in
             recognize_replayed ?events ~id ~label:job.Job.label ~plan:inject
               ~salt:(Job.trace_digest job)
               ~capture:(fun () ->
-                Stackvm.Trace.load_branches
+                Stackvm.Trace.load_events
                   (match cache with
                   | Some c -> Cache.with_bytes ?events c ~stage:"trace" ~key:(Job.trace_digest job) capture
                   | None -> capture ()))
-              recognize_branches spec
+              recognize_events spec
         | None -> (timed ?events ~id ~stage:"recognize" (fun () -> W.recognize spec carrier), 0)
       in
       (* degraded: recovered despite injected noise; partial: lost, but
@@ -337,12 +335,12 @@ let compute_vm ?inject ?cache ?events ~id (job : Job.t) program action =
          [inject] still drives crash/fuel/cache faults in [execute]) *)
       let plan = Fault.Inject.make ~seed:cell.Job.cell_fault_seed cell.Job.cell_faults in
       let r, nfaults =
-        match W.recognize_branches with
-        | Some recognize_branches when not (Fault.Inject.is_empty plan) ->
+        match W.recognize_events with
+        | Some recognize_events when not (Fault.Inject.is_empty plan) ->
             recognize_replayed ?events ~id ~label:job.Job.label ~plan:(Some plan)
               ~salt:(Printf.sprintf "cell:%s:%s" (Job.trace_digest job) cell.Job.cell_attack)
-              ~capture:(fun () -> Array.to_list (Stackvm.Trace.branches_of_buf (branch_events job attacked)))
-              recognize_branches spec
+              ~capture:(fun () -> recognition_events job attacked)
+              recognize_events spec
         | _ ->
             ( timed ?events ~id ~stage:"recognize" (fun () ->
                   W.recognize spec (Scheme.Watermarker.Vm_program attacked)),

@@ -67,14 +67,13 @@ let vm_case ~rates ~trials (w : Workloads.Workload.t) =
     }
   in
   let marked = (Jwm.Embed.embed ~seed:0xAB15AL spec prog).Jwm.Embed.program in
-  let trace = Stackvm.Trace.capture ~fuel:2_000_000_000 ~want_snapshots:false marked ~input in
-  let events = Array.to_list trace.Stackvm.Trace.branches in
+  let events, _ = Stackvm.Trace.record ~fuel:2_000_000_000 marked ~input in
   make_row ~workload:w.Workloads.Workload.name ~rates ~trials (fun ~rate ~trial ->
       let plan = Fault.Inject.make ~seed:(Int64.of_int (0xF1A + trial)) [ Fault.Spec.Trace_flip rate ] in
       let noisy, _ =
         Fault.Inject.branches plan ~salt:(Printf.sprintf "%s:vm:%d" w.Workloads.Workload.name trial) events
       in
-      let o = Jwm.Recognize.recognize_branches ~passphrase:Common.passphrase ~watermark_bits:vm_bits noisy in
+      let o = Jwm.Recognize.recognize_buf ~passphrase:Common.passphrase ~watermark_bits:vm_bits noisy in
       let ok = match o.Jwm.Recognize.value with Some v -> Bignum.equal v mark | None -> false in
       (ok, o.Jwm.Recognize.partial.Jwm.Recognize.confidence))
 

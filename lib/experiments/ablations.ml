@@ -21,8 +21,8 @@ let hot_case () =
       }
       (Workloads.Workload.vm_program Workloads.Caffeine.suite)
   in
-  let trace = Stackvm.Trace.capture ~want_snapshots:false report.Jwm.Embed.program ~input in
-  (params, w, Stackvm.Trace.bitstring trace)
+  let events, _ = Stackvm.Trace.record report.Jwm.Embed.program ~input in
+  (params, w, Stackvm.Trace.bits_of_buf events)
 
 let recovers ?vote_cap ?dedup_overlaps ?strides params w bits =
   match (Codec.Recombine.recover_from_bitstring ?vote_cap ?dedup_overlaps ?strides params bits).Codec.Recombine.value with
@@ -47,11 +47,10 @@ let dedup_row params _w _bits =
      consecutive same-direction executions) yields the same garbage window
      at every position *)
   let kernel = List.nth Workloads.Caffeine.kernels 1 (* the loop kernel *) in
-  let trace =
-    Stackvm.Trace.capture ~want_snapshots:false (Workloads.Workload.vm_program kernel)
-      ~input:kernel.Workloads.Workload.input
+  let events, _ =
+    Stackvm.Trace.record (Workloads.Workload.vm_program kernel) ~input:kernel.Workloads.Workload.input
   in
-  let run_bits = Stackvm.Trace.bitstring trace in
+  let run_bits = Stackvm.Trace.bits_of_buf events in
   let count dedup_overlaps =
     List.length (Codec.Recombine.harvest ~dedup_overlaps params run_bits ~strides:[ 1; 2 ])
   in

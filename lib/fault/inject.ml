@@ -29,54 +29,12 @@ let rng_for plan ~salt =
 
 let roll rng r = r > 0.0 && Util.Prng.float rng 1.0 < r
 
-let branches plan ~salt events =
-  let drop = rate plan (function Spec.Trace_drop r -> Some r | _ -> None) in
-  let dup = rate plan (function Spec.Trace_dup r -> Some r | _ -> None) in
-  let flip = rate plan (function Spec.Trace_flip r -> Some r | _ -> None) in
-  let trunc = rate plan (function Spec.Trace_trunc r -> Some r | _ -> None) in
-  if drop = 0.0 && dup = 0.0 && flip = 0.0 && trunc = 0.0 then (events, 0)
-  else begin
-    let rng = rng_for plan ~salt in
-    let applied = ref 0 in
-    let out = ref [] in
-    List.iter
-      (fun (ev : Stackvm.Trace.branch_event) ->
-        if roll rng drop then incr applied
-        else begin
-          let ev =
-            if roll rng flip then begin
-              incr applied;
-              { ev with Stackvm.Trace.taken = not ev.Stackvm.Trace.taken }
-            end
-            else ev
-          in
-          out := ev :: !out;
-          if roll rng dup then begin
-            incr applied;
-            out := ev :: !out
-          end
-        end)
-      events;
-    let out = List.rev !out in
-    let out =
-      if trunc = 0.0 then out
-      else begin
-        let n = List.length out in
-        let keep = n - int_of_float (Float.round (float_of_int n *. trunc)) in
-        applied := !applied + (n - max 0 keep);
-        List.filteri (fun i _ -> i < keep) out
-      end
-    in
-    (out, !applied)
-  end
-
-(* The flat-buffer twin of [branches]: same faults, same per-event roll
-   order (drop, then flip, then dup — a dropped event rolls nothing
-   further), same count-based truncation, so for equal [plan], [salt] and
-   events the RNG stream — and therefore the injected trace — is
-   identical (a qcheck property holds the two together).  Events stay
-   packed throughout; flips are a single bit toggle. *)
-let branches_buf plan ~salt (events : Stackvm.Tracebuf.t) =
+(* Per event, in order: roll drop (a dropped event rolls nothing further),
+   then flip, then dup; truncation comes last and counts events.  The roll
+   order fixes the RNG stream, so it is part of the contract: the test
+   suite holds the result to the list-based injector this one replaced.
+   Events stay packed throughout; a flip is a single bit toggle. *)
+let branches plan ~salt (events : Stackvm.Tracebuf.t) =
   let drop = rate plan (function Spec.Trace_drop r -> Some r | _ -> None) in
   let dup = rate plan (function Spec.Trace_dup r -> Some r | _ -> None) in
   let flip = rate plan (function Spec.Trace_flip r -> Some r | _ -> None) in

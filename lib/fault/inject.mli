@@ -30,18 +30,12 @@ val rate : plan -> (Spec.t -> float option) -> float
 val rng_for : plan -> salt:string -> Util.Prng.t
 (** The substream for a corruption site. *)
 
-val branches :
-  plan -> salt:string -> Stackvm.Trace.branch_event list -> Stackvm.Trace.branch_event list * int
+val branches : plan -> salt:string -> Stackvm.Tracebuf.t -> Stackvm.Tracebuf.t * int
 (** Apply the plan's trace faults (drop, duplicate, flip, truncate — in
-    that order) to a branch-event stream.  Returns the corrupted stream
-    and the number of individual faults applied. *)
-
-val branches_buf :
-  plan -> salt:string -> Stackvm.Tracebuf.t -> Stackvm.Tracebuf.t * int
-(** {!branches} over a packed event buffer — same faults, same RNG
-    stream (equal plan, salt and events corrupt identically on either
-    representation).  Returns the input buffer itself, untouched, when
-    the plan carries no trace fault. *)
+    that order) to a packed event buffer.  Returns the corrupted events,
+    in a fresh buffer, and the number of individual faults applied; the
+    input buffer itself, untouched, when the plan carries no trace
+    fault. *)
 
 val artifact : plan -> salt:string -> string -> string * int
 (** Apply byte/bit flips to serialized artifact bytes. *)

@@ -151,12 +151,7 @@ let recognize_branches ~passphrase ~watermark_bits events =
   recognize_buf ~passphrase ~watermark_bits (Stackvm.Trace.buf_of_branches events)
 
 let recognize ?(fuel = 200_000_000) ~passphrase ~watermark_bits ~input prog =
-  match
-    (* sized for real traces up front, as jwm recognition does *)
-    let buf = Stackvm.Tracebuf.create ~capacity:65536 () in
-    let result = Stackvm.Compile.run_program ~trace:buf ~fuel prog ~input in
-    (buf, result)
-  with
+  match Stackvm.Trace.record ~fuel prog ~input with
   | buf, result ->
       let outcome = recognize_buf ~passphrase ~watermark_bits buf in
       { outcome with steps = result.Stackvm.Interp.steps }

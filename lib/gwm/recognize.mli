@@ -47,8 +47,10 @@ val recognize_branches :
   watermark_bits:int ->
   Stackvm.Trace.branch_event list ->
   outcome
-(** Offline recognition over an already-captured (possibly fault-injected)
-    branch-event stream: {!recognize_buf} on the packed events. *)
+(** {!recognize_buf} on an event list packed into a fresh buffer.  Kept
+    only for the benchmark's gwm chain, which reads
+    {!Stackvm.Trace.t.branches}, until the benchmark reads the packed
+    buffer; every other caller uses {!recognize_buf}. *)
 
 val recognizes :
   ?fuel:int ->

@@ -35,11 +35,13 @@ let outcome_of_report params ~trace_branches ~steps ~diagnostic report =
     diagnostic;
   }
 
-let recognize_branches ?(strides = [ 1; 2 ]) ~passphrase ~watermark_bits events =
+let recognize_buf ?(strides = [ 1; 2 ]) ~passphrase ~watermark_bits events =
   let params = Codec.Params.make ~passphrase ~watermark_bits () in
-  let bits = Stackvm.Trace.bits_of_branches events in
+  let bits = Stackvm.Trace.bits_of_buf events in
   let report = Codec.Recombine.recover_from_bitstring ~strides params bits in
-  outcome_of_report params ~trace_branches:(List.length events) ~steps:0 ~diagnostic:None report
+  outcome_of_report params
+    ~trace_branches:(Stackvm.Tracebuf.length events)
+    ~steps:0 ~diagnostic:None report
 
 let degraded params e =
   (* a corrupt program that the execution engine itself rejects is an
@@ -49,26 +51,15 @@ let degraded params e =
     ~diagnostic:(Some (Printexc.to_string e))
     report
 
-let recognize ?(fuel = 200_000_000) ?(strides = [ 1; 2 ]) ~passphrase ~watermark_bits ~input prog =
-  let params = Codec.Params.make ~passphrase ~watermark_bits () in
+let recognize ?(fuel = 200_000_000) ?strides ~passphrase ~watermark_bits ~input prog =
   (* compiled execution appending packed events straight into a flat
      buffer, bits decoded off the buffer — no event records, no observer,
      no per-event allocation *)
-  match
-    let code = Stackvm.Compile.of_program prog in
-    (* sized for real traces up front: repeated doubling from the default
-       capacity would cost more than the traced run itself *)
-    let events = Stackvm.Tracebuf.create ~capacity:65536 () in
-    let result = Stackvm.Compile.run ~trace:events ~fuel code ~input in
-    (events, result)
-  with
+  match Stackvm.Trace.record ~fuel prog ~input with
   | events, result ->
-      let bits = Stackvm.Trace.bits_of_buf events in
-      let report = Codec.Recombine.recover_from_bitstring ~strides params bits in
-      outcome_of_report params
-        ~trace_branches:(Stackvm.Tracebuf.length events)
-        ~steps:result.Stackvm.Interp.steps ~diagnostic:None report
-  | exception e -> degraded params e
+      let o = recognize_buf ?strides ~passphrase ~watermark_bits events in
+      { o with steps = result.Stackvm.Interp.steps }
+  | exception e -> degraded (Codec.Params.make ~passphrase ~watermark_bits ()) e
 
 (* ---- streaming recognition ----
 

@@ -50,14 +50,14 @@ val recognize :
     steps — to recovery over the reference interpreter's trace on every
     corpus workload, marked and unmarked. *)
 
-val recognize_branches :
+val recognize_buf :
   ?strides:int list ->
   passphrase:string ->
   watermark_bits:int ->
-  Stackvm.Trace.branch_event list ->
+  Stackvm.Tracebuf.t ->
   outcome
 (** Recognition over an already-captured (possibly salvaged or
-    fault-injected) branch-event stream — the offline path used by saved
+    fault-injected) packed event buffer — the offline path used by saved
     traces and the fault-injection experiments.  [steps] is 0. *)
 
 val recognizes :

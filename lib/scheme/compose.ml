@@ -148,20 +148,19 @@ let compose members =
                W.recognize ~aux:a spec carrier ))
            members auxes)
 
-    let recognize_branches =
-      let entries =
-        List.map
-          (fun (module W : WATERMARKER) -> (W.name, W.recognize_branches))
+    let recognize_events =
+      if
+        List.for_all
+          (fun (module W : WATERMARKER) -> W.recognize_events <> None)
           members
-      in
-      if List.for_all (fun (_, rb) -> rb <> None) entries then
+      then
         Some
           (fun spec events ->
             combine spec
               (List.map
                  (fun (module W : WATERMARKER) ->
-                   let rb = Option.get W.recognize_branches in
-                   ((module W : WATERMARKER), rb spec events))
+                   let re = Option.get W.recognize_events in
+                   ((module W : WATERMARKER), re spec events))
                  members))
       else None
 

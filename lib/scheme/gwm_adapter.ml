@@ -71,11 +71,11 @@ module M = struct
              ~watermark_bits:spec.bits ~input:spec.input p)
     | _ -> invalid_arg "scheme gwm: requires a stack-VM program carrier"
 
-  let recognize_branches =
+  let recognize_events =
     Some
       (fun (spec : spec) events ->
         of_outcome
-          (Gwm.Recognize.recognize_branches ~passphrase:spec.key
+          (Gwm.Recognize.recognize_buf ~passphrase:spec.key
              ~watermark_bits:spec.bits events))
 
   (* graph recognition needs the whole trace to mine edge orderings, so

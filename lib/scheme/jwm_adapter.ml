@@ -79,11 +79,11 @@ module M = struct
              ~watermark_bits:spec.bits ~input:spec.input p)
     | _ -> invalid_arg "scheme jwm: requires a stack-VM program carrier"
 
-  let recognize_branches =
+  let recognize_events =
     Some
       (fun (spec : spec) events ->
         of_outcome
-          (Jwm.Recognize.recognize_branches ~passphrase:spec.key
+          (Jwm.Recognize.recognize_buf ~passphrase:spec.key
              ~watermark_bits:spec.bits events))
 
   (* genuinely incremental: events fold straight into the CRT residue

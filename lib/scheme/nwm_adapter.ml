@@ -85,7 +85,7 @@ module M = struct
             | Error e -> { value = None; confidence = 0.; detail = e }))
     | _ -> invalid_arg "scheme nwm: requires a native binary carrier"
 
-  let recognize_branches = None
+  let recognize_events = None
   let stream = None
 end
 

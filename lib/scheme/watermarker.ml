@@ -66,8 +66,7 @@ module type WATERMARKER = sig
 
   val recognize : ?aux:string -> spec -> carrier -> recovered
 
-  val recognize_branches :
-    (spec -> Stackvm.Trace.branch_event list -> recovered) option
+  val recognize_events : (spec -> Stackvm.Tracebuf.t -> recovered) option
 
   val stream : (spec -> stream) option
 end

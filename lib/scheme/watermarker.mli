@@ -124,11 +124,10 @@ module type WATERMARKER = sig
   val recognize : ?aux:string -> spec -> carrier -> recovered
   (** Non-blind schemes require the [aux] produced by {!embed}. *)
 
-  val recognize_branches :
-    (spec -> Stackvm.Trace.branch_event list -> recovered) option
-  (** Offline recognition over an already-captured (possibly fault-injected)
-      branch trace; [None] for schemes that cannot recognize from a bare
-      branch stream (native track). *)
+  val recognize_events : (spec -> Stackvm.Tracebuf.t -> recovered) option
+  (** Offline recognition over an already-captured (possibly salvaged or
+      fault-injected) packed branch trace; [None] for schemes that cannot
+      recognize from a bare branch stream (native track). *)
 
   val stream : (spec -> stream) option
   (** Streaming recognition, when the scheme supports being fed branch

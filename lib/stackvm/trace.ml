@@ -30,7 +30,7 @@ let buf_of_branches events =
    interpreter's observer inserts keys — because [hot_blocks] breaks count
    ties by table order and the embedder picks its sites by index into that
    list. *)
-let compiled_snapshots ?fuel (prog : Program.t) ~input events =
+let compiled_snapshots ?fuel (prog : Program.t) ~input =
   let funcs = prog.Program.funcs in
   let counts = Array.map (fun f -> Array.make (Array.length f.Program.code + 1) 0) funcs in
   let snaps = Array.map (fun f -> Array.make (Array.length f.Program.code + 1) []) funcs in
@@ -57,6 +57,7 @@ let compiled_snapshots ?fuel (prog : Program.t) ~input events =
       Hashtbl.replace stray (fidx, pc) (n + 1, kept)
     end
   in
+  let events = Tracebuf.create ~capacity:65536 () in
   let result = Compile.run ~trace:events ?fuel (Compile.of_program ~on_block prog) ~input in
   let visits = Hashtbl.create 256 and block_counts = Hashtbl.create 256 in
   List.iter
@@ -70,13 +71,16 @@ let compiled_snapshots ?fuel (prog : Program.t) ~input events =
     (List.rev !order);
   { branches = [||]; events; visits; block_counts; result }
 
-let capture ?fuel ?(want_snapshots = true) prog ~input =
-  (* sized for real traces up front — repeated doubling from a small
-     capacity would rival the traced run itself in cost *)
+(* sized for real traces up front — repeated doubling from a small
+   capacity would rival the traced run itself in cost *)
+let record ?fuel prog ~input =
   let events = Tracebuf.create ~capacity:65536 () in
-  if want_snapshots then compiled_snapshots ?fuel prog ~input events
+  (events, Compile.run_program ~trace:events ?fuel prog ~input)
+
+let capture ?fuel ?(want_snapshots = true) prog ~input =
+  if want_snapshots then compiled_snapshots ?fuel prog ~input
   else
-    let result = Compile.run_program ~trace:events ?fuel prog ~input in
+    let events, result = record ?fuel prog ~input in
     {
       branches = branches_of_buf events;
       events;
@@ -110,15 +114,6 @@ let bits_of_buf buf =
   Tracebuf.iter (fun e -> Util.Bitstring.append bits (Decoder.push d e)) buf;
   bits
 
-let bits_of_branches events =
-  let d = Decoder.create () in
-  let bits = Util.Bitstring.create () in
-  List.iter
-    (fun { fidx; pc; taken } ->
-      Util.Bitstring.append bits (Decoder.push d (Tracebuf.pack ~fidx ~pc ~taken)))
-    events;
-  bits
-
 let bitstring t = bits_of_buf t.events
 
 let hot_blocks t =
@@ -147,21 +142,22 @@ let save_events buf =
     buf;
   Buffer.contents buf_out
 
-let save t = save_events t.events
-
 exception Malformed of string
 
 (* Salvage parser: a trace file is recognition evidence, and the CRT
    redundancy downstream is precisely what makes partial evidence usable —
    so malformed bytes yield the longest cleanly-decoded event prefix plus
-   a diagnostic, never an exception. *)
-let salvage_branches s =
-  if String.length s < 4 || String.sub s 0 4 <> "TRC1" then
-    ([], Some "bad magic (expected TRC1)")
+   a diagnostic, never an exception.  The header's event count is
+   untrusted: the buffer starts no larger than the bytes could hold (an
+   event takes at least three) and grows only as events actually decode. *)
+let salvage_events s =
+  let len = String.length s in
+  let out = Tracebuf.create ~capacity:(min 65536 (len / 3)) () in
+  if len < 4 || String.sub s 0 4 <> "TRC1" then (out, Some "bad magic (expected TRC1)")
   else begin
     let pos = ref 4 in
     let byte () =
-      if !pos >= String.length s then raise (Malformed "truncated");
+      if !pos >= len then raise (Malformed "truncated");
       let b = Char.code s.[!pos] in
       incr pos;
       b
@@ -175,8 +171,6 @@ let salvage_branches s =
       in
       go 0 0
     in
-    let out = ref [] in
-    let count = ref 0 in
     match
       let n = varint () in
       (* decode sequentially: iteration order must follow the byte stream *)
@@ -184,17 +178,17 @@ let salvage_branches s =
         let fidx = varint () in
         let pc = varint () in
         let taken = varint () = 1 in
-        out := { fidx; pc; taken } :: !out;
-        incr count
+        Tracebuf.add out ~fidx ~pc ~taken
       done;
-      if !pos <> String.length s then
-        Some (Printf.sprintf "%d trailing byte(s) after %d event(s)" (String.length s - !pos) n)
+      if !pos <> len then Some (Printf.sprintf "%d trailing byte(s) after %d event(s)" (len - !pos) n)
       else None
     with
-    | diag -> (List.rev !out, diag)
+    | diag -> (out, diag)
     | exception Malformed reason ->
-        ( List.rev !out,
-          Some (Printf.sprintf "%s at byte %d; salvaged %d event(s)" reason !pos !count) )
+        ( out,
+          Some
+            (Printf.sprintf "%s at byte %d; salvaged %d event(s)" reason !pos (Tracebuf.length out))
+        )
   end
 
-let load_branches s = fst (salvage_branches s)
+let load_events s = fst (salvage_events s)

@@ -13,6 +13,9 @@
     insertion of non-branch instructions. *)
 
 type branch_event = { fidx : int; pc : int; taken : bool }
+(** One branch event as a record.  Kept only for the benchmark's gwm chain,
+    which reads {!t.branches}, until the benchmark moves to the packed
+    buffer; everything else reads {!Tracebuf} events. *)
 
 type snapshot = { locals : int array; globals : int array }
 (** Variable values on entry to a block visit (copies, safe to keep). *)
@@ -20,8 +23,9 @@ type snapshot = { locals : int array; globals : int array }
 type t = {
   branches : branch_event array;
       (** the events of [events] as records, filled only without
-          snapshots ([~want_snapshots:false]) and empty otherwise; deleted
-          by ROADMAP item 8 once the benchmark reads [events] *)
+          snapshots ([~want_snapshots:false]) and empty otherwise.  Kept
+          only for the benchmark, which still reads it; deleted once the
+          benchmark reads [events] *)
   events : Tracebuf.t;
       (** every conditional branch, in order, packed — the flat buffer the
           run appended them to; decode, persistence and every reader of a
@@ -36,12 +40,19 @@ type t = {
 val max_snapshots_per_block : int
 (** 8 — the condition code generator only distinguishes early visits. *)
 
+val record : ?fuel:int -> Program.t -> input:int list -> Tracebuf.t * Interp.result
+(** Run on {!Compile} with every branch event appended into a fresh
+    buffer, pre-sized for real traces: the recognition-only capture.
+    [fuel] is {!Compile.run}'s.  Exceptions from translating or running a
+    broken program propagate. *)
+
 val capture : ?fuel:int -> ?want_snapshots:bool -> Program.t -> input:int list -> t
 (** Run on {!Compile} with every branch event appended straight into the
     flat buffer [events].  [want_snapshots] (default [true]) controls
-    whether block counts and variable values are recorded; recognition-only
-    traces turn it off, leave [visits] and [block_counts] empty and also
-    unpack [events] into [branches].  A snapshot capture leaves [branches]
+    whether block counts and variable values are recorded.  Without them
+    the capture is {!record}, with [visits] and [block_counts] empty and
+    [events] also unpacked into [branches] for the benchmark; recognition
+    calls {!record} instead.  A snapshot capture leaves [branches]
     empty: embedding never reads it, and unpacking a large trace cost
     nearly as much as the traced run itself.  With snapshots
     the run uses a translation made with a {!Compile.block_hook} that
@@ -56,17 +67,17 @@ val bitstring : t -> Util.Bitstring.t
 (** Decode the trace into its bit-string (straight off the packed buffer —
     no intermediate event list). *)
 
-val bits_of_branches : branch_event list -> Util.Bitstring.t
-(** The same decoding over a raw event list. *)
-
 val bits_of_buf : Tracebuf.t -> Util.Bitstring.t
 (** The same decoding over a packed buffer. *)
 
 val branches_of_buf : Tracebuf.t -> branch_event array
-(** Materialize packed events as records. *)
+(** Materialize packed events as records (fills {!t.branches}).  Kept only
+    for the benchmark until it reads the packed buffer. *)
 
 val buf_of_branches : branch_event list -> Tracebuf.t
-(** Pack an event list into a fresh buffer. *)
+(** Pack an event list into a fresh buffer.  Kept only for the benchmark
+    ({!Gwm.Recognize.recognize_branches}) until it reads the packed
+    buffer. *)
 
 (** Incremental trace-bit decoder — the streaming recognizer's front end.
     Feeding it the packed events of a trace, in order, yields exactly the
@@ -82,24 +93,25 @@ module Decoder : sig
   (** Decode one packed event into its trace bit. *)
 end
 
-val save_events : Tracebuf.t -> string
-(** Serialize a packed event buffer in the {!save} format. *)
-
 val hot_blocks : t -> ((int * int) * int) list
 (** Blocks sorted by descending execution count. *)
 
-val save : t -> string
-(** Serialize the branch-event trace (the paper's tracing phase "writes to
-    a file the sequence of basic blocks" — we persist the branch events the
-    recognizer needs).  Snapshots and counts are not saved. *)
+val save_events : Tracebuf.t -> string
+(** Serialize a packed event buffer: ["TRC1"], the event count, then each
+    event's function index, pc and direction, all as LEB128 varints (the
+    paper's tracing phase "writes to a file the sequence of basic blocks" —
+    we persist the branch events the recognizer needs).  Snapshots and
+    counts are not saved. *)
 
-val load_branches : string -> branch_event list
-(** Read back the events of {!save}.  Total: malformed data yields the
-    longest cleanly-decoded event prefix (see {!salvage_branches}) —
+val load_events : string -> Tracebuf.t
+(** Read back the events of {!save_events}.  Total: malformed data yields
+    the longest cleanly-decoded event prefix (see {!salvage_events}) —
     partial evidence is still evidence to the redundant recognizer. *)
 
-val salvage_branches : string -> branch_event list * string option
-(** [load_branches] plus a diagnostic: [None] when the bytes decoded
+val salvage_events : string -> Tracebuf.t * string option
+(** [load_events] plus a diagnostic: [None] when the bytes decoded
     cleanly end to end, otherwise a description of what was wrong (bad
     magic, truncation point, trailing garbage) alongside the salvaged
-    prefix. *)
+    prefix.  The event count in the header is not trusted: the buffer
+    grows as events decode, so a header claiming billions of events over
+    a few bytes allocates only what those bytes hold. *)

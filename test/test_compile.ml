@@ -306,7 +306,8 @@ let test_tracebuf_ops () =
   Alcotest.(check int) "clear" 0 (Tracebuf.length buf)
 
 let test_bitstring_decodes_off_buffer () =
-  (* the buffer decoder and the compat event-record decoder must agree *)
+  (* the event records a recognition-only capture unpacks, packed back,
+     decode to the trace's own bits *)
   let wl = Workloads.Spec.find "bzip2" in
   let trace =
     Trace.capture ~want_snapshots:false (Workloads.Workload.vm_program wl)
@@ -315,7 +316,8 @@ let test_bitstring_decodes_off_buffer () =
   Alcotest.(check bool) "fixture has events" true (Array.length trace.Trace.branches > 0);
   Alcotest.(check string) "bits identical"
     (Util.Bitstring.to_string (Trace.bitstring trace))
-    (Util.Bitstring.to_string (Trace.bits_of_branches (Array.to_list trace.Trace.branches)))
+    (Util.Bitstring.to_string
+       (Trace.bits_of_buf (Trace.buf_of_branches (Array.to_list trace.Trace.branches))))
 
 (* ---- streaming recognition ---- *)
 
@@ -414,10 +416,15 @@ let test_run_streaming_events_match_buffer () =
   Alcotest.(check bool) "pushed events equal buffered events" true
     (List.rev !pushed = Tracebuf.to_packed_list buf)
 
-(* ---- fault injection over packed buffers ---- *)
+(* ---- fault injection over packed buffers ----
 
-let qcheck_branches_buf_agrees =
-  QCheck.Test.make ~name:"Inject.branches_buf agrees with Inject.branches" ~count:100
+   The buffer injector against the list injector it replaced
+   ({!Trace_reference.inject}): every trace fault kind alone, all four
+   combined, and the empty plan, which must hand the input buffer back
+   untouched. *)
+
+let qcheck_branches_agrees_with_reference =
+  QCheck.Test.make ~name:"Inject.branches agrees with the list reference" ~count:100
     QCheck.small_nat
     (fun seed ->
       let rng = Util.Prng.create (Int64.of_int (seed + 13)) in
@@ -430,19 +437,23 @@ let qcheck_branches_buf_agrees =
               taken = Util.Prng.bool rng;
             })
       in
-      let plan =
-        Fault.Inject.make ~seed:(Int64.of_int (seed * 31 + 5))
-          [
-            Fault.Spec.Trace_flip 0.2;
-            Fault.Spec.Trace_drop 0.1;
-            Fault.Spec.Trace_dup 0.15;
-            Fault.Spec.Trace_trunc 0.3;
-          ]
+      let kinds =
+        [
+          Fault.Spec.Trace_flip 0.2;
+          Fault.Spec.Trace_drop 0.1;
+          Fault.Spec.Trace_dup 0.15;
+          Fault.Spec.Trace_trunc 0.3;
+        ]
       in
+      let plan faults = Fault.Inject.make ~seed:(Int64.of_int (seed * 31 + 5)) faults in
       let salt = Printf.sprintf "salt-%d" (seed mod 3) in
-      let via_list, n_list = Fault.Inject.branches plan ~salt events in
-      let via_buf, n_buf = Fault.Inject.branches_buf plan ~salt (Trace.buf_of_branches events) in
-      n_list = n_buf && via_list = Array.to_list (Trace.branches_of_buf via_buf))
+      let buf = Trace.buf_of_branches events in
+      let untouched, n_none = Fault.Inject.branches Fault.Inject.none ~salt buf in
+      untouched == buf && n_none = 0
+      && Trace_reference.inject Fault.Inject.none ~salt events = (events, 0)
+      && List.for_all
+           (fun faults -> Trace_reference.inject_agrees (plan faults) ~salt events)
+           (kinds :: List.map (fun k -> [ k ]) kinds))
 
 (* ---- recognition over the oracle's trace ----
 
@@ -539,7 +550,7 @@ let suite =
     ("streaming recognition matches batch", `Quick, test_streaming_matches_batch);
     ("streaming recognition exits early", `Quick, test_streaming_early_exit);
     ("run_streaming pushes the buffered events", `Quick, test_run_streaming_events_match_buffer);
-    QCheck_alcotest.to_alcotest qcheck_branches_buf_agrees;
+    QCheck_alcotest.to_alcotest qcheck_branches_agrees_with_reference;
     ("embedding from a compiled capture is byte-identical", `Quick, test_embed_from_compiled_capture);
     ("jwm recognition matches recovery over the oracle trace", `Quick, test_recognition_matches_oracle);
     ("snapshot and recognition captures record the same events", `Quick, test_capture_modes_agree);

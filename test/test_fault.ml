@@ -62,10 +62,7 @@ let marked_vm =
      in
      (Jwm.Embed.embed ~seed:0xFA57L spec host_program).Jwm.Embed.program)
 
-let marked_trace =
-  lazy (Stackvm.Trace.capture ~want_snapshots:false (Lazy.force marked_vm) ~input:secret_input)
-
-let marked_branches = lazy (Array.to_list (Lazy.force marked_trace).Stackvm.Trace.branches)
+let marked_events = lazy (fst (Stackvm.Trace.record (Lazy.force marked_vm) ~input:secret_input))
 
 (* ---- Spec parsing ---- *)
 
@@ -94,42 +91,91 @@ let test_spec_parse () =
 (* ---- Deterministic substreams ---- *)
 
 let test_injection_deterministic () =
-  let events = Lazy.force marked_branches in
+  let events = Lazy.force marked_events in
+  let packed = Stackvm.Tracebuf.to_packed_list in
   let plan = Fault.Inject.make ~seed:42L [ Fault.Spec.Trace_flip 0.05 ] in
   let a, na = Fault.Inject.branches plan ~salt:"site-1" events in
   let b, nb = Fault.Inject.branches plan ~salt:"site-1" events in
-  Alcotest.(check bool) "same salt, identical corruption" true (a = b && na = nb);
+  Alcotest.(check bool) "same salt, identical corruption" true (packed a = packed b && na = nb);
   Alcotest.(check bool) "faults actually applied" true (na > 0);
   let c, _ = Fault.Inject.branches plan ~salt:"site-2" events in
-  Alcotest.(check bool) "different salt, different corruption" true (c <> a);
+  Alcotest.(check bool) "different salt, different corruption" true (packed c <> packed a);
   let clean, n0 = Fault.Inject.branches Fault.Inject.none ~salt:"site-1" events in
-  Alcotest.(check bool) "empty plan is the identity" true (clean = events && n0 = 0)
+  Alcotest.(check bool) "empty plan is the identity" true (clean == events && n0 = 0)
 
-(* ---- Salvage regressions: truncated and bit-flipped saves ---- *)
+(* ---- Salvage regressions: truncated and bit-flipped saves ----
+
+   Each damaged save must also salvage exactly what the list-based parser
+   it replaced salvaged, with the same diagnostic ({!Trace_reference}). *)
 
 let test_salvage_damaged_saves () =
-  let saved = Stackvm.Trace.save (Lazy.force marked_trace) in
-  let original = Stackvm.Trace.load_branches saved in
+  let saved = Stackvm.Trace.save_events (Lazy.force marked_events) in
+  let original = Stackvm.Tracebuf.to_packed_list (Stackvm.Trace.load_events saved) in
   (* truncation: every cut point salvages a prefix, with a diagnostic *)
   List.iter
     (fun len ->
-      let events, diag = Stackvm.Trace.salvage_branches (String.sub saved 0 len) in
+      let cut = String.sub saved 0 len in
+      let events, diag = Stackvm.Trace.salvage_events cut in
       Alcotest.(check bool) "truncation flagged" true (diag <> None);
-      let n = List.length events in
+      let n = Stackvm.Tracebuf.length events in
       Alcotest.(check bool) "salvaged a prefix" true
         (n <= List.length original
-        && events = List.filteri (fun i _ -> i < n) original))
+        && Stackvm.Tracebuf.to_packed_list events = List.filteri (fun i _ -> i < n) original);
+      Alcotest.(check bool) "truncation: reference agrees" true (Trace_reference.salvage_agrees cut))
     [ 5; String.length saved / 2; String.length saved - 1 ];
   (* bit flips: salvage is total for any damage rate *)
   for seed = 1 to 20 do
     let plan = Fault.Inject.make ~seed:(Int64.of_int seed) [ Fault.Spec.Bit_flip 0.01 ] in
     let damaged, nflips = Fault.Inject.artifact plan ~salt:"save" saved in
-    let events, diag = Stackvm.Trace.salvage_branches damaged in
-    ignore events;
+    let events, diag = Stackvm.Trace.salvage_events damaged in
+    Alcotest.(check bool) "bit flips: reference agrees" true (Trace_reference.salvage_agrees damaged);
     if nflips = 0 then
       Alcotest.(check bool) "undamaged save loads clean" true
-        (diag = None && events = original)
+        (diag = None && Stackvm.Tracebuf.to_packed_list events = original)
   done
+
+(* Every prefix of a saved corpus trace salvages what the list-based
+   parser salvaged, with the same diagnostic. *)
+let test_salvage_corpus_prefixes () =
+  let kernel = List.hd Workloads.Caffeine.kernels in
+  let events, _ =
+    Stackvm.Trace.record (Workloads.Workload.vm_program kernel) ~input:kernel.Workloads.Workload.input
+  in
+  let saved = Stackvm.Trace.save_events events in
+  Alcotest.(check bool) "fixture has events" true (Stackvm.Tracebuf.length events > 100);
+  for len = 0 to String.length saved do
+    if not (Trace_reference.salvage_agrees (String.sub saved 0 len)) then
+      Alcotest.failf "%d-byte prefix of %s: salvage differs from the reference" len
+        kernel.Workloads.Workload.name
+  done
+
+(* The event count in the header is untrusted: a header claiming 2^60
+   events over a few bytes of body salvages the events those bytes hold,
+   with a diagnostic, and allocates no more than the bytes could need. *)
+let test_salvage_huge_claimed_count () =
+  let varint v =
+    let b = Buffer.create 10 in
+    let rec go v =
+      if v < 0x80 then Buffer.add_char b (Char.chr v)
+      else begin
+        Buffer.add_char b (Char.chr (0x80 lor (v land 0x7F)));
+        go (v lsr 7)
+      end
+    in
+    go v;
+    Buffer.contents b
+  in
+  let bytes = "TRC1" ^ varint (1 lsl 60) ^ "\x00\x07\x01" ^ "\x01\x09\x00" ^ "\x02" in
+  let before = Gc.allocated_bytes () in
+  let events, diag = Stackvm.Trace.salvage_events bytes in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check (list int)) "salvaged the two whole events"
+    [ Stackvm.Tracebuf.pack ~fidx:0 ~pc:7 ~taken:true; Stackvm.Tracebuf.pack ~fidx:1 ~pc:9 ~taken:false ]
+    (Stackvm.Tracebuf.to_packed_list events);
+  Alcotest.(check (option string)) "diagnosed"
+    (Some "truncated at byte 20; salvaged 2 event(s)") diag;
+  Alcotest.(check bool) "no large allocation" true (allocated < 65536.);
+  Alcotest.(check bool) "reference agrees" true (Trace_reference.salvage_agrees bytes)
 
 (* ---- Below-threshold noise recovers the exact fingerprint ---- *)
 
@@ -140,9 +186,9 @@ let qcheck_vm_noise_below_threshold =
         Fault.Inject.make ~seed:(Int64.of_int (n + 1)) [ Fault.Spec.Trace_flip 0.0005 ]
       in
       let noisy, _ =
-        Fault.Inject.branches plan ~salt:(string_of_int n) (Lazy.force marked_branches)
+        Fault.Inject.branches plan ~salt:(string_of_int n) (Lazy.force marked_events)
       in
-      let o = Jwm.Recognize.recognize_branches ~passphrase:key ~watermark_bits:64 noisy in
+      let o = Jwm.Recognize.recognize_buf ~passphrase:key ~watermark_bits:64 noisy in
       match o.Jwm.Recognize.value with Some v -> Bignum.equal v fp | None -> false)
 
 (* Native host: the parity/sum program from the nwm tests. *)
@@ -235,10 +281,10 @@ let test_serialize_negative_varint () =
     (Option.is_none (Stackvm.Serialize.decode_opt data))
 
 let qcheck_salvage_total =
-  QCheck.Test.make ~name:"Trace.salvage_branches total on arbitrary bytes" ~count:300
+  QCheck.Test.make ~name:"Trace.salvage_events total on arbitrary bytes" ~count:300
     (arb_bytes_with_magic "TRC1") (fun s ->
-      ignore (Stackvm.Trace.salvage_branches s);
-      true)
+      (* total, and equal to the list-based parser it replaced *)
+      Trace_reference.salvage_agrees s)
 
 (* ---- Events: fault variants through the JSON-lines sink ---- *)
 
@@ -395,8 +441,7 @@ let test_batch_noisy_recognition () =
 let test_degraded_recognition_bounds () =
   (* clean: recovered with real margin and high confidence *)
   let clean =
-    Jwm.Recognize.recognize_branches ~passphrase:key ~watermark_bits:64
-      (Lazy.force marked_branches)
+    Jwm.Recognize.recognize_buf ~passphrase:key ~watermark_bits:64 (Lazy.force marked_events)
   in
   (match clean.Jwm.Recognize.value with
   | Some v -> Alcotest.check big "clean recovery" fp v
@@ -406,10 +451,13 @@ let test_degraded_recognition_bounds () =
   Alcotest.(check bool) "positive redundancy margin" true
     (clean.Jwm.Recognize.partial.Jwm.Recognize.redundancy_margin >= 1);
   (* wrecked: a short, heavily flipped prefix must degrade, not raise *)
-  let prefix = List.filteri (fun i _ -> i < 50) (Lazy.force marked_branches) in
+  let prefix = Stackvm.Tracebuf.create () in
+  Stackvm.Tracebuf.iteri
+    (fun i e -> if i < 50 then Stackvm.Tracebuf.add_packed prefix e)
+    (Lazy.force marked_events);
   let plan = Fault.Inject.make ~seed:11L [ Fault.Spec.Trace_flip 0.5 ] in
   let noisy, _ = Fault.Inject.branches plan ~salt:"wreck" prefix in
-  let wrecked = Jwm.Recognize.recognize_branches ~passphrase:key ~watermark_bits:64 noisy in
+  let wrecked = Jwm.Recognize.recognize_buf ~passphrase:key ~watermark_bits:64 noisy in
   let c = wrecked.Jwm.Recognize.partial.Jwm.Recognize.confidence in
   Alcotest.(check bool) "confidence bounded" true (c >= 0.0 && c <= 1.0);
   if wrecked.Jwm.Recognize.value = None then
@@ -430,6 +478,10 @@ let suite =
     Alcotest.test_case "injection is salt-deterministic" `Quick test_injection_deterministic;
     Alcotest.test_case "salvage survives truncated and bit-flipped saves" `Quick
       test_salvage_damaged_saves;
+    Alcotest.test_case "salvage of every corpus trace prefix matches the reference" `Quick
+      test_salvage_corpus_prefixes;
+    Alcotest.test_case "salvage ignores a huge claimed event count" `Quick
+      test_salvage_huge_claimed_count;
     QCheck_alcotest.to_alcotest qcheck_vm_noise_below_threshold;
     QCheck_alcotest.to_alcotest qcheck_native_noise_below_threshold;
     QCheck_alcotest.to_alcotest qcheck_decode_outcome_total;

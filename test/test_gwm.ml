@@ -146,18 +146,17 @@ let marked_trace =
     (let w = Bignum.of_string "18369614218089748088" in
      let wl = Workloads.Caffeine.suite in
      let r = Gwm.Embed.embed (spec ~copies:12 w) (Workloads.Workload.vm_program wl) in
-     let t =
-       Stackvm.Trace.capture ~want_snapshots:false r.Gwm.Embed.program
-         ~input:wl.Workloads.Workload.input
+     let events, _ =
+       Stackvm.Trace.record r.Gwm.Embed.program ~input:wl.Workloads.Workload.input
      in
-     (w, Array.to_list t.Stackvm.Trace.branches))
+     (w, events))
 
 let recover_under fault seed =
   let w, events = Lazy.force marked_trace in
   let plan = Fault.Inject.make ~seed:(Int64.of_int seed) [ fault ] in
   let noisy, _ = Fault.Inject.branches plan ~salt:"gwm" events in
   let o =
-    Gwm.Recognize.recognize_branches ~passphrase:"the graph watermark key"
+    Gwm.Recognize.recognize_buf ~passphrase:"the graph watermark key"
       ~watermark_bits:64 noisy
   in
   o.Gwm.Recognize.value = Some w
@@ -183,13 +182,12 @@ let test_sense_inversion () =
   (* flipping every branch decision models a branch-sense-inverting
      rewrite; the complement search must still find the stream *)
   let w, events = Lazy.force marked_trace in
-  let flipped =
-    List.map
-      (fun (e : Stackvm.Trace.branch_event) -> { e with taken = not e.taken })
-      events
-  in
+  let flipped = Stackvm.Tracebuf.create () in
+  Stackvm.Tracebuf.iter
+    (fun e -> Stackvm.Tracebuf.add_packed flipped (Stackvm.Tracebuf.flip e))
+    events;
   let o =
-    Gwm.Recognize.recognize_branches ~passphrase:"the graph watermark key"
+    Gwm.Recognize.recognize_buf ~passphrase:"the graph watermark key"
       ~watermark_bits:64 flipped
   in
   Alcotest.(check (option big)) "survives global inversion" (Some w) o.Gwm.Recognize.value

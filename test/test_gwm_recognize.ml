@@ -238,7 +238,8 @@ let test_fault_plans () =
       List.iter
         (fun fault ->
           let plan = Fault.Inject.make ~seed:1L [ fault ] in
-          same (name ^ " " ^ Fault.Inject.describe plan) (fst (Fault.Inject.branches plan ~salt:name events)))
+          let noisy, _ = Fault.Inject.branches plan ~salt:name (Stackvm.Trace.buf_of_branches events) in
+          same (name ^ " " ^ Fault.Inject.describe plan) (Array.to_list (Stackvm.Trace.branches_of_buf noisy)))
         Fault.Spec.[ Trace_flip 0.002; Trace_drop 0.002; Trace_dup 0.01; Trace_trunc 0.3; Trace_flip 0.5 ];
       (* every decision inverted: the complement search *)
       same (name ^ " inverted")

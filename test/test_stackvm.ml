@@ -518,22 +518,25 @@ let suite = suite @ extra_suite
 let test_trace_save_load () =
   let prog = Program.make [ gcd_program ] in
   let trace = Trace.capture prog ~input:[] in
-  let branches = Array.to_list (Trace.branches_of_buf trace.Trace.events) in
-  let loaded = Trace.load_branches (Trace.save trace) in
-  Alcotest.(check int) "event count" (List.length branches) (List.length loaded);
-  Alcotest.(check bool) "events identical" true (branches = loaded);
+  let loaded = Trace.load_events (Trace.save_events trace.Trace.events) in
+  Alcotest.(check int) "event count" (Tracebuf.length trace.Trace.events) (Tracebuf.length loaded);
+  Alcotest.(check bool) "events identical" true
+    (Tracebuf.to_packed_list trace.Trace.events = Tracebuf.to_packed_list loaded);
   (* the decoded bit-string is identical, so offline recognition works *)
   Alcotest.(check string) "bits identical"
     (Util.Bitstring.to_string (Trace.bitstring trace))
-    (Util.Bitstring.to_string (Trace.bits_of_branches loaded))
+    (Util.Bitstring.to_string (Trace.bits_of_buf loaded))
 
 let test_trace_load_garbage () =
-  (* loading is total: garbage salvages to zero events plus a diagnostic *)
+  (* loading is total: garbage salvages to zero events plus a diagnostic,
+     the one the list-based parser gave *)
   List.iter
     (fun s ->
-      let events, diag = Trace.salvage_branches s in
-      Alcotest.(check (list unit)) (Printf.sprintf "no events from %S" s) [] (List.map ignore events);
-      Alcotest.(check bool) (Printf.sprintf "diagnostic for %S" s) true (diag <> None))
+      let events, diag = Trace.salvage_events s in
+      Alcotest.(check int) (Printf.sprintf "no events from %S" s) 0 (Tracebuf.length events);
+      Alcotest.(check bool) (Printf.sprintf "diagnostic for %S" s) true (diag <> None);
+      Alcotest.(check bool) (Printf.sprintf "reference agrees on %S" s) true
+        (Trace_reference.salvage_agrees s))
     [ ""; "TRC"; "XXXX"; "TRC1\xFF" ]
 
 let test_trace_save_load_empty () =
@@ -541,8 +544,8 @@ let test_trace_save_load_empty () =
   let f = Asm.func ~name:"main" ~nargs:0 ~nlocals:1 Asm.[ I (Instr.Const 0); I Instr.Ret ] in
   let trace = Trace.capture (Program.make [ f ]) ~input:[] in
   Alcotest.(check int) "no branch events" 0 (Tracebuf.length trace.Trace.events);
-  Alcotest.(check (list unit)) "empty round-trip" []
-    (List.map ignore (Trace.load_branches (Trace.save trace)))
+  Alcotest.(check int) "empty round-trip" 0
+    (Tracebuf.length (Trace.load_events (Trace.save_events trace.Trace.events)))
 
 let test_trace_save_load_large () =
   (* thousands of events with pc values past 127, so varints span bytes *)
@@ -571,40 +574,51 @@ let test_trace_save_load_large () =
   Alcotest.(check bool) "thousands of events" true (Array.length branches > 4000);
   Alcotest.(check bool) "branch pc needs a multi-byte varint" true
     (Array.exists (fun e -> e.Trace.pc > 127) branches);
-  let saved = Trace.save trace in
-  let loaded = Trace.load_branches saved in
-  Alcotest.(check int) "count preserved" (Array.length branches) (List.length loaded);
-  Alcotest.(check bool) "events identical" true (Array.to_list branches = loaded);
+  let saved = Trace.save_events trace.Trace.events in
+  let loaded = Trace.load_events saved in
+  Alcotest.(check int) "count preserved" (Array.length branches) (Tracebuf.length loaded);
+  Alcotest.(check bool) "events identical" true
+    (Tracebuf.to_packed_list trace.Trace.events = Tracebuf.to_packed_list loaded);
   Alcotest.(check string) "bits identical"
     (Util.Bitstring.to_string (Trace.bitstring trace))
-    (Util.Bitstring.to_string (Trace.bits_of_branches loaded))
+    (Util.Bitstring.to_string (Trace.bits_of_buf loaded))
 
 let test_trace_load_truncated () =
   (* every proper prefix of a valid save salvages a prefix of the original
-     event list and reports a diagnostic — never an exception, never a
-     mis-parse past the cut *)
+     events and reports a diagnostic — never an exception, never a
+     mis-parse past the cut — and exactly what the list-based parser
+     salvaged and reported *)
   let prog = Program.make [ gcd_program ] in
   let trace = Trace.capture prog ~input:[] in
-  let original = Array.to_list (Trace.branches_of_buf trace.Trace.events) in
-  let saved = Trace.save trace in
+  let original = Tracebuf.to_packed_list trace.Trace.events in
+  let saved = Trace.save_events trace.Trace.events in
   Alcotest.(check bool) "fixture has events" true (String.length saved > 5);
   for len = 0 to String.length saved - 1 do
-    let events, diag = Trace.salvage_branches (String.sub saved 0 len) in
-    let n = List.length events in
+    let prefix = String.sub saved 0 len in
+    let events, diag = Trace.salvage_events prefix in
+    let n = Tracebuf.length events in
     Alcotest.(check bool)
       (Printf.sprintf "%d-byte prefix salvages a prefix" len)
       true
-      (n <= List.length original && events = List.filteri (fun i _ -> i < n) original);
-    Alcotest.(check bool) (Printf.sprintf "%d-byte prefix has a diagnostic" len) true (diag <> None)
+      (n <= List.length original
+      && Tracebuf.to_packed_list events = List.filteri (fun i _ -> i < n) original);
+    Alcotest.(check bool) (Printf.sprintf "%d-byte prefix has a diagnostic" len) true (diag <> None);
+    Alcotest.(check bool)
+      (Printf.sprintf "%d-byte prefix: reference agrees" len)
+      true
+      (Trace_reference.salvage_agrees prefix)
   done;
   (* the untruncated save round-trips with no diagnostic *)
-  let events, diag = Trace.salvage_branches saved in
-  Alcotest.(check bool) "full save salvages everything" true (events = original);
+  let events, diag = Trace.salvage_events saved in
+  Alcotest.(check bool) "full save salvages everything" true
+    (Tracebuf.to_packed_list events = original);
   Alcotest.(check bool) "full save is clean" true (diag = None);
   (* a varint continuation byte with no successor: cut mid-varint *)
-  let events, diag = Trace.salvage_branches "TRC1\x85" in
-  Alcotest.(check (list unit)) "dangling continuation yields no events" [] (List.map ignore events);
-  Alcotest.(check bool) "dangling continuation is diagnosed" true (diag <> None)
+  let events, diag = Trace.salvage_events "TRC1\x85" in
+  Alcotest.(check int) "dangling continuation yields no events" 0 (Tracebuf.length events);
+  Alcotest.(check bool) "dangling continuation is diagnosed" true (diag <> None);
+  Alcotest.(check bool) "dangling continuation: reference agrees" true
+    (Trace_reference.salvage_agrees "TRC1\x85")
 
 let suite =
   suite
