@@ -161,83 +161,42 @@ let streaming_t =
            runs, and the run stops early once the mark's redundancy margin clears the confidence \
            target.")
 
-let print_partial (o : Jwm.Recognize.outcome) =
-  let p = o.Jwm.Recognize.partial in
-  Printf.printf "confidence %.3f (pieces %d, primes %d/%d, redundancy margin %d)\n"
-    p.Jwm.Recognize.confidence p.Jwm.Recognize.pieces_recovered p.Jwm.Recognize.primes_covered
-    p.Jwm.Recognize.primes_total p.Jwm.Recognize.redundancy_margin;
-  Option.iter (fun d -> Printf.printf "diagnostic: %s\n" d) o.Jwm.Recognize.diagnostic
-
-(* ---- VM track ---- *)
-
-let load_vm path = Stackvm.Serialize.decode (read_file path)
-
-let embed_vm source key mark bits pieces input out seed =
-  let prog = Minic.To_stackvm.compile_source (read_file source) in
-  let watermarked =
-    Pathmark.watermark_vm ~seed:(Int64.of_int seed) ~key ~watermark:mark ~bits ~pieces ~input prog
-  in
-  write_file out (Stackvm.Serialize.encode watermarked);
-  Printf.printf "embedded %d-bit watermark (%d pieces) into %s -> %s (%d -> %d bytes)\n" bits pieces
-    source out
-    (Stackvm.Serialize.size_in_bytes prog)
-    (Stackvm.Serialize.size_in_bytes watermarked)
-
-let embed_vm_cmd =
-  let source = Arg.(required & pos 0 (some file) None & info [] ~docv:"SOURCE.mc" ~doc:"MiniC source file.") in
-  let pieces = Arg.(value & opt int 40 & info [ "pieces" ] ~doc:"Number of redundant pieces.") in
-  Cmd.v
-    (Cmd.info "embed-vm" ~doc:"Compile a MiniC program and embed a bytecode-track watermark.")
-    Term.(const embed_vm $ source $ key_t $ mark_t $ bits_t $ pieces $ input_t $ out_t $ seed_t)
-
-let recognize_vm path key bits input streaming inject fault_seed =
-  let plan = plan_of inject fault_seed in
+(* The offline fault path recognize and recognize-trace share: read the
+   artifact and corrupt its bytes under [plan], then hand back the trace
+   stage, which corrupts a captured branch trace and accounts for both
+   stages in one line. *)
+let offline_faults plan path =
   let bytes = read_file path in
   let bytes, artifact_faults =
     if Fault.Inject.is_empty plan then (bytes, 0)
     else Fault.Inject.artifact plan ~salt:("artifact:" ^ Filename.basename path) bytes
   in
-  match Stackvm.Serialize.decode_opt bytes with
-  | None ->
-      Printf.printf "program undecodable after %d artifact fault(s); nothing recovered\n" artifact_faults;
-      exit exit_fault_abort
-  | Some prog ->
-      let o =
-        if not (Fault.Inject.is_empty plan) then begin
-          (* recognize offline from the fault-injected branch stream *)
-          let events, _ = Stackvm.Trace.record ~fuel:200_000_000 prog ~input in
-          let noisy, n = Fault.Inject.branches plan ~salt:"trace" events in
-          if artifact_faults > 0 || n > 0 then
-            Printf.printf "injected %d artifact fault(s), %d trace fault(s) [%s]\n" artifact_faults n
-              (Fault.Inject.describe plan);
-          Jwm.Recognize.recognize_buf ~passphrase:key ~watermark_bits:bits noisy
-        end
-        else if streaming then begin
-          let o, halt =
-            Jwm.Recognize.recognize_streaming ~passphrase:key ~watermark_bits:bits ~input prog
-          in
-          (match halt with
-          | `Stopped_early ->
-              Printf.printf "decided early: run stopped after %d steps\n" o.Jwm.Recognize.steps
-          | `Completed -> ());
-          o
-        end
-        else Jwm.Recognize.recognize ~passphrase:key ~watermark_bits:bits ~input prog
-      in
-      print_partial o;
-      (match o.Jwm.Recognize.value with
-      | Some w -> Printf.printf "fingerprint: %s\n" (Bignum.to_string w)
-      | None ->
-          Printf.printf "no watermark recovered\n";
-          exit exit_recognition_failed)
+  let inject_trace events =
+    let events, trace_faults =
+      if Fault.Inject.is_empty plan then (events, 0) else Fault.Inject.branches plan ~salt:"trace" events
+    in
+    if artifact_faults > 0 || trace_faults > 0 then
+      Printf.printf "injected %d artifact fault(s), %d trace fault(s) [%s]\n" artifact_faults trace_faults
+        (Fault.Inject.describe plan);
+    events
+  in
+  (bytes, artifact_faults, inject_trace)
 
-let recognize_vm_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"PROGRAM" ~doc:"Serialized VM program.") in
-  Cmd.v
-    (Cmd.info "recognize-vm" ~doc:"Recognize a bytecode-track watermark (blind).")
-    Term.(
-      const recognize_vm $ path $ key_t $ bits_t $ input_t $ streaming_t $ inject_t
-      $ fault_seed_t)
+let report_recovered (o : Scheme.Watermarker.recovered) =
+  Printf.printf "confidence %.3f\n" o.Scheme.Watermarker.confidence;
+  Printf.printf "detail: %s\n" o.Scheme.Watermarker.detail;
+  match o.Scheme.Watermarker.value with
+  | Some w -> Printf.printf "fingerprint: %s\n" (Bignum.to_string w)
+  | None ->
+      Printf.printf "no watermark recovered\n";
+      exit exit_recognition_failed
+
+(* ---- VM track ---- *)
+
+let load_vm path = Stackvm.Serialize.decode (read_file path)
+
+let vm_path_t =
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"PROGRAM" ~doc:"Serialized VM program.")
 
 let run_vm path input =
   let r = Stackvm.Compile.run_program (load_vm path) ~input in
@@ -252,10 +211,9 @@ let run_vm path input =
       exit 1
 
 let run_vm_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"PROGRAM" ~doc:"Serialized VM program.") in
   Cmd.v
     (Cmd.info "run-vm" ~doc:"Execute a serialized VM program.")
-    Term.(const run_vm $ path $ input_t)
+    Term.(const run_vm $ vm_path_t $ input_t)
 
 let attack_vm path name out seed =
   match List.assoc_opt name Vmattacks.Attacks.all with
@@ -270,18 +228,26 @@ let attack_vm path name out seed =
       Printf.printf "applied %s: %s -> %s\n" name path out
 
 let attack_vm_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"PROGRAM" ~doc:"Serialized VM program.") in
   let attack_name = Arg.(required & pos 1 (some string) None & info [] ~docv:"ATTACK" ~doc:"Attack name (see list-attacks).") in
   Cmd.v
     (Cmd.info "attack-vm" ~doc:"Apply a distortive attack to a VM program.")
-    Term.(const attack_vm $ path $ attack_name $ out_t $ seed_t)
+    Term.(const attack_vm $ vm_path_t $ attack_name $ out_t $ seed_t)
 
+(* the names the tournament accepts; identity is its no-attack baseline,
+   and attack-vm applies every other bytecode-track name *)
 let list_attacks () =
-  Printf.printf "bytecode-track distortive attacks:\n";
-  List.iter (fun (n, _) -> Printf.printf "  %s\n" n) Vmattacks.Attacks.all;
-  Printf.printf "native-track attacks: noop-insertion branch-inversion double-watermark bypass reroute\n"
+  let print header names =
+    Printf.printf "%s\n" header;
+    List.iter (Printf.printf "  %s\n") names
+  in
+  print "bytecode-track attacks:" Tournament.Scorecard.vm_attack_names;
+  print "native-track attacks:" Tournament.Scorecard.native_attack_names
 
-let list_attacks_cmd = Cmd.v (Cmd.info "list-attacks" ~doc:"List the attack suites.") Term.(const list_attacks $ const ())
+let list_attacks_cmd =
+  Cmd.v
+    (Cmd.info "list-attacks"
+       ~doc:"List the attack names $(b,tournament --attack) accepts (bytecode-track ones other than identity also work with $(b,attack-vm)).")
+    Term.(const list_attacks $ const ())
 
 let faults () =
   Printf.printf "deterministic fault injection (pass --inject NAME=RATE[,NAME=RATE...] --fault-seed N):\n";
@@ -304,39 +270,31 @@ let trace_vm path input out =
      String.sub s 0 (min 64 (String.length s)))
 
 let trace_vm_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"PROGRAM" ~doc:"Serialized VM program.") in
   Cmd.v
     (Cmd.info "trace-vm" ~doc:"Trace a VM program on an input and save the branch events.")
-    Term.(const trace_vm $ path $ input_t $ out_t)
+    Term.(const trace_vm $ vm_path_t $ input_t $ out_t)
 
-let recognize_trace path key bits_width inject fault_seed =
-  let plan = plan_of inject fault_seed in
-  let raw = read_file path in
-  let raw, artifact_faults =
-    if Fault.Inject.is_empty plan then (raw, 0)
-    else Fault.Inject.artifact plan ~salt:("artifact:" ^ Filename.basename path) raw
+let recognize_trace path scheme_name key bits inject fault_seed =
+  let (module W) = resolve_scheme scheme_name in
+  let recognize_events =
+    match W.recognize_events with
+    | Some f -> f
+    | None ->
+        Printf.printf "scheme %s cannot recognize from a saved trace\n" W.name;
+        exit 1
   in
+  let raw, _, inject_trace = offline_faults (plan_of inject fault_seed) path in
   let events, salvage = Stackvm.Trace.salvage_events raw in
   Option.iter (Printf.printf "trace salvage: %s\n") salvage;
-  let events, trace_faults =
-    if Fault.Inject.is_empty plan then (events, 0) else Fault.Inject.branches plan ~salt:"trace" events
-  in
-  if artifact_faults > 0 || trace_faults > 0 then
-    Printf.printf "injected %d artifact fault(s), %d trace fault(s) [%s]\n" artifact_faults trace_faults
-      (Fault.Inject.describe plan);
-  let o = Jwm.Recognize.recognize_buf ~passphrase:key ~watermark_bits:bits_width events in
-  print_partial o;
-  match o.Jwm.Recognize.value with
-  | Some w -> Printf.printf "fingerprint: %s\n" (Bignum.to_string w)
-  | None ->
-      Printf.printf "no watermark recovered from trace\n";
-      exit exit_recognition_failed
+  report_recovered
+    (recognize_events (Scheme.Watermarker.spec ~key ~bits ~input:[] ()) (inject_trace events))
 
 let recognize_trace_cmd =
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc:"Saved trace file.") in
   Cmd.v
-    (Cmd.info "recognize-trace" ~doc:"Recognize a watermark from a saved trace file (offline).")
-    Term.(const recognize_trace $ path $ key_t $ bits_t $ inject_t $ fault_seed_t)
+    (Cmd.info "recognize-trace"
+       ~doc:"Recognize a watermark from a saved trace file (offline), under any scheme that recognizes from a bare branch trace.")
+    Term.(const recognize_trace $ path $ scheme_t $ key_t $ bits_t $ inject_t $ fault_seed_t)
 
 (* ---- generic scheme commands (lib/scheme registry) ---- *)
 
@@ -409,11 +367,7 @@ let embed_cmd =
 let recognize_generic path scheme_name key bits input aux aux_file streaming inject fault_seed =
   let (module W) = resolve_scheme scheme_name in
   let plan = plan_of inject fault_seed in
-  let bytes = read_file path in
-  let bytes, artifact_faults =
-    if Fault.Inject.is_empty plan then (bytes, 0)
-    else Fault.Inject.artifact plan ~salt:("artifact:" ^ Filename.basename path) bytes
-  in
+  let bytes, artifact_faults, inject_trace = offline_faults plan path in
   let carrier =
     match W.caps.Scheme.Watermarker.track with
     | Scheme.Watermarker.Vm -> (
@@ -438,11 +392,7 @@ let recognize_generic path scheme_name key bits input aux aux_file streaming inj
     | false, Some recognize_events, Scheme.Watermarker.Vm_program prog ->
         (* recognize offline from the fault-injected branch stream *)
         let events, _ = Stackvm.Trace.record ~fuel:200_000_000 prog ~input in
-        let noisy, n = Fault.Inject.branches plan ~salt:"trace" events in
-        if artifact_faults > 0 || n > 0 then
-          Printf.printf "injected %d artifact fault(s), %d trace fault(s) [%s]\n" artifact_faults n
-            (Fault.Inject.describe plan);
-        recognize_events spec noisy
+        recognize_events spec (inject_trace events)
     | _ -> (
         match (streaming, W.stream, carrier) with
         | true, Some mk, Scheme.Watermarker.Vm_program prog ->
@@ -462,13 +412,7 @@ let recognize_generic path scheme_name key bits input aux aux_file streaming inj
             exit 1
         | false, _, _ -> W.recognize ?aux spec carrier)
   in
-  Printf.printf "confidence %.3f\n" o.Scheme.Watermarker.confidence;
-  Printf.printf "detail: %s\n" o.Scheme.Watermarker.detail;
-  match o.Scheme.Watermarker.value with
-  | Some w -> Printf.printf "fingerprint: %s\n" (Bignum.to_string w)
-  | None ->
-      Printf.printf "no watermark recovered\n";
-      exit exit_recognition_failed
+  report_recovered o
 
 let recognize_cmd =
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"PROGRAM" ~doc:"Watermarked artifact (serialized VM program or native binary, per the scheme's track).") in
@@ -486,40 +430,8 @@ let recognize_cmd =
 
 (* ---- native track ---- *)
 
-let embed_native source mark bits input out seed =
-  let prog = Minic.To_native.compile_source (read_file source) in
-  let report =
-    Pathmark.watermark_native ~seed:(Int64.of_int seed) ~watermark:mark ~bits ~training_input:input prog
-  in
-  write_file out (Nativesim.Binary.encode report.Nwm.Embed.binary);
-  Printf.printf "embedded %d-bit watermark into %s -> %s\n" bits source out;
-  Printf.printf "begin=0x%x end=0x%x tamper_cells=%d size %d -> %d bytes\n" report.Nwm.Embed.begin_addr
-    report.Nwm.Embed.end_addr report.Nwm.Embed.tamper_cells report.Nwm.Embed.bytes_before
-    report.Nwm.Embed.bytes_after
-
-let embed_native_cmd =
-  let source = Arg.(required & pos 0 (some file) None & info [] ~docv:"SOURCE.mc" ~doc:"MiniC source file.") in
-  Cmd.v
-    (Cmd.info "embed-native" ~doc:"Compile a MiniC program and embed a branch-function watermark.")
-    Term.(const embed_native $ source $ mark_t $ bits_t $ input_t $ out_t $ seed_t)
-
-let extract_native path begin_addr end_addr input tracer =
-  let bin = Nativesim.Binary.decode (read_file path) in
-  let kind = if tracer = "simple" then Nwm.Extract.Simple else Nwm.Extract.Smart in
-  match Pathmark.extract_native ~kind bin ~begin_addr ~end_addr ~input with
-  | Some w -> Printf.printf "fingerprint: %s\n" (Bignum.to_string w)
-  | None ->
-      Printf.printf "no watermark extracted\n";
-      exit exit_recognition_failed
-
-let extract_native_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"BINARY" ~doc:"Native binary file.") in
-  let begin_addr = Arg.(required & opt (some int) None & info [ "begin" ] ~docv:"ADDR" ~doc:"Watermark region start.") in
-  let end_addr = Arg.(required & opt (some int) None & info [ "end" ] ~docv:"ADDR" ~doc:"Watermark region end.") in
-  let tracer = Arg.(value & opt string "smart" & info [ "tracer" ] ~docv:"simple|smart" ~doc:"Tracer kind.") in
-  Cmd.v
-    (Cmd.info "extract-native" ~doc:"Extract a branch-function watermark by single-stepping.")
-    Term.(const extract_native $ path $ begin_addr $ end_addr $ input_t $ tracer)
+let binary_path_t =
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"BINARY" ~doc:"Native binary file.")
 
 let run_native path input =
   let bin = Nativesim.Binary.decode (read_file path) in
@@ -535,16 +447,14 @@ let run_native path input =
       exit 1
 
 let run_native_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"BINARY" ~doc:"Native binary file.") in
-  Cmd.v (Cmd.info "run-native" ~doc:"Execute a native binary.") Term.(const run_native $ path $ input_t)
+  Cmd.v (Cmd.info "run-native" ~doc:"Execute a native binary.") Term.(const run_native $ binary_path_t $ input_t)
 
 let disasm path =
   let bin = Nativesim.Binary.decode (read_file path) in
   Format.printf "%a" Nativesim.Disasm.pp_listing bin
 
 let disasm_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"BINARY" ~doc:"Native binary file.") in
-  Cmd.v (Cmd.info "disasm" ~doc:"Disassemble a native binary.") Term.(const disasm $ path)
+  Cmd.v (Cmd.info "disasm" ~doc:"Disassemble a native binary.") Term.(const disasm $ binary_path_t)
 
 (* ---- batch engine ---- *)
 
@@ -566,6 +476,61 @@ let unknown_host name =
   Printf.printf "unknown workload %s; available: %s\n" name
     (String.concat " " (List.sort_uniq compare (List.map fst host_workloads)));
   exit 1
+
+(* analyze, audit and tournament name workloads from the analyzer set *)
+let find_workload name =
+  match
+    List.find_opt (fun (w : Workloads.Workload.t) -> w.Workloads.Workload.name = name) analyzer_workloads
+  with
+  | Some w -> w
+  | None ->
+      Printf.printf "unknown workload %s; available: %s\n" name
+        (String.concat " "
+           (List.map (fun (w : Workloads.Workload.t) -> w.Workloads.Workload.name) analyzer_workloads));
+      exit 1
+
+let all_workloads_t =
+  Arg.(
+    value & flag
+    & info [ "all-workloads" ]
+        ~doc:"Run on every built-in workload: for $(b,analyze) every workload on both tracks (the CI clean gate), for $(b,audit) and $(b,tournament) every batch host.")
+
+(* host program for batch and query: a MiniC source file, else a workload *)
+let host_source_t =
+  Arg.(value & pos 0 (some file) None & info [] ~docv:"SOURCE.mc" ~doc:"MiniC source of the host program (omit to use $(b,--workload)).")
+
+let host_workload_t =
+  Arg.(value & opt string "caffeine" & info [ "workload" ] ~docv:"NAME" ~doc:"Built-in host workload when no source file is given (caffeine, jesslite, or any VM workload by name, e.g. gzip).")
+
+let pieces_t = Arg.(value & opt int 40 & info [ "pieces" ] ~doc:"Number of redundant pieces per fingerprint.")
+
+let jobs_t = Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Worker-domain count (1 = sequential).")
+
+let events_t =
+  Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE" ~doc:"Write the JSON-lines event stream to FILE.")
+
+(* the --events sink: [f] runs with a stream that writes JSON lines to FILE *)
+let with_events events_file f =
+  let oc = Option.map open_out events_file in
+  let events = Engine.Events.create ?sink:(Option.map Engine.Events.json_sink oc) () in
+  Fun.protect ~finally:(fun () -> Option.iter close_out oc) (fun () -> f events)
+
+let cache_t =
+  Arg.(value & opt string "mem" & info [ "cache" ] ~docv:"none|mem|DIR|store:DIR" ~doc:"Result/trace cache: disabled, in-memory, spilled to DIR, or backed by the persistent registry at DIR ($(b,store:DIR), incremental across runs).")
+
+(* [f] runs with the --cache tier; a registry it opens is closed after *)
+let with_cache spec f =
+  let cache, store =
+    match spec with
+    | "none" -> (None, None)
+    | "mem" -> (Some (Engine.Cache.create ()), None)
+    | spec when String.length spec > 6 && String.starts_with ~prefix:"store:" spec ->
+        let root = String.sub spec 6 (String.length spec - 6) in
+        let store = or_store_corruption (fun () -> Store.Registry.open_store ~root ()) in
+        (Some (Engine.Cache.create ~store ()), Some store)
+    | dir -> (Some (Engine.Cache.create ~spill_dir:dir ()), None)
+  in
+  Fun.protect ~finally:(fun () -> Option.iter Store.Registry.close store) (fun () -> f cache)
 
 let batch source workload scheme key bits pieces input fingerprints count mark jobs cache_spec
     events_file out_dir verify retries backoff_ms deadline_ms breaker fuel_escalation inject
@@ -594,23 +559,11 @@ let batch source workload scheme key bits pieces input fingerprints count mark j
         exit 1
       end)
     fingerprints;
-  let cache, cache_store =
-    match cache_spec with
-    | "none" -> (None, None)
-    | "mem" -> (Some (Engine.Cache.create ()), None)
-    | spec when String.length spec > 6 && String.sub spec 0 6 = "store:" ->
-        let root = String.sub spec 6 (String.length spec - 6) in
-        let store = or_store_corruption (fun () -> Store.Registry.open_store ~root ()) in
-        (Some (Engine.Cache.create ~store ()), Some store)
-    | dir -> (Some (Engine.Cache.create ~spill_dir:dir ()), None)
-  in
-  let events_oc = Option.map open_out events_file in
-  let events = Engine.Events.create ?sink:(Option.map Engine.Events.json_sink events_oc) () in
   let job_specs =
     List.mapi
       (fun i fp ->
         Engine.Job.vm_embed ~label:("fp-" ^ Bignum.to_string fp) ~scheme
-          ~seed:(Int64.add (Int64.of_int seed) (Int64.mul (Int64.of_int (i + 1)) 0x9E37_79B9_7F4A_7C15L))
+          ~seed:(Pathmark.batch_seed (Int64.of_int seed) i)
           ~key ~bits ~pieces ~fingerprint:fp ~input program)
       fingerprints
   in
@@ -625,55 +578,58 @@ let batch source workload scheme key bits pieces input fingerprints count mark j
     }
   in
   let plan = plan_of inject fault_seed in
-  let run_jobs specs =
-    Engine.Batch.run ~domains:jobs ~policy ~inject:plan ?cache ~events specs
+  let results, verify_failures =
+    with_cache cache_spec (fun cache ->
+        with_events events_file (fun events ->
+            let run_jobs specs =
+              Engine.Batch.run ~domains:jobs ~policy ~inject:plan ?cache ~events specs
+            in
+            Printf.printf "batch: %d embed jobs on %s, %d domain(s), cache %s%s\n%!"
+              (List.length job_specs) host_name jobs cache_spec
+              (if Fault.Inject.is_empty plan then "" else ", injecting " ^ Fault.Inject.describe plan);
+            let results = run_jobs job_specs in
+            Option.iter
+              (fun dir ->
+                if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+                List.iter
+                  (fun (r : Engine.Batch.result) ->
+                    match r.Engine.Batch.outcome with
+                    | Engine.Batch.Vm_embedded { program = bytes; _ } ->
+                        write_file (Filename.concat dir (r.Engine.Batch.job.Engine.Job.label ^ ".svm")) bytes
+                    | _ -> ())
+                  results)
+              out_dir;
+            let verify_failures =
+              if not verify then 0
+              else begin
+                let recog_jobs =
+                  List.concat
+                    (List.map2
+                       (fun fp (r : Engine.Batch.result) ->
+                         match r.Engine.Batch.outcome with
+                         | Engine.Batch.Vm_embedded { program = bytes; _ } ->
+                             [
+                               Engine.Job.vm_recognize ~label:("verify-" ^ Bignum.to_string fp) ~scheme
+                                 ~expected:fp ~key ~bits ~input (Stackvm.Serialize.decode bytes);
+                             ]
+                         | _ -> [])
+                       fingerprints results)
+                in
+                let vresults = run_jobs recog_jobs in
+                List.length (List.filter (fun r -> not (Engine.Batch.ok r)) vresults)
+              end
+            in
+            if not quiet then print_string (Engine.Events.report events);
+            Option.iter
+              (fun c ->
+                let s = Engine.Cache.stats c in
+                Printf.printf "cache: %d hits, %d misses, %d disk loads, %d store loads, %d evictions\n"
+                  s.Engine.Cache.hits s.Engine.Cache.misses s.Engine.Cache.disk_loads
+                  s.Engine.Cache.store_loads s.Engine.Cache.evictions)
+              cache;
+            (results, verify_failures)))
   in
-  Printf.printf "batch: %d embed jobs on %s, %d domain(s), cache %s%s\n%!" (List.length job_specs)
-    host_name jobs cache_spec
-    (if Fault.Inject.is_empty plan then "" else ", injecting " ^ Fault.Inject.describe plan);
-  let results = run_jobs job_specs in
   let failed = List.filter (fun r -> not (Engine.Batch.ok r)) results in
-  Option.iter
-    (fun dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      List.iter
-        (fun (r : Engine.Batch.result) ->
-          match r.Engine.Batch.outcome with
-          | Engine.Batch.Vm_embedded { program = bytes; _ } ->
-              write_file (Filename.concat dir (r.Engine.Batch.job.Engine.Job.label ^ ".svm")) bytes
-          | _ -> ())
-        results)
-    out_dir;
-  let verify_failures =
-    if not verify then 0
-    else begin
-      let recog_jobs =
-        List.concat
-          (List.map2
-             (fun fp (r : Engine.Batch.result) ->
-               match r.Engine.Batch.outcome with
-               | Engine.Batch.Vm_embedded { program = bytes; _ } ->
-                   [
-                     Engine.Job.vm_recognize ~label:("verify-" ^ Bignum.to_string fp) ~scheme
-                       ~expected:fp ~key ~bits ~input (Stackvm.Serialize.decode bytes);
-                   ]
-               | _ -> [])
-             fingerprints results)
-      in
-      let vresults = run_jobs recog_jobs in
-      List.length (List.filter (fun r -> not (Engine.Batch.ok r)) vresults)
-    end
-  in
-  if not quiet then print_string (Engine.Events.report events);
-  Option.iter
-    (fun c ->
-      let s = Engine.Cache.stats c in
-      Printf.printf "cache: %d hits, %d misses, %d disk loads, %d store loads, %d evictions\n"
-        s.Engine.Cache.hits s.Engine.Cache.misses s.Engine.Cache.disk_loads s.Engine.Cache.store_loads
-        s.Engine.Cache.evictions)
-    cache;
-  Option.iter Store.Registry.close cache_store;
-  Option.iter close_out events_oc;
   if failed <> [] || verify_failures > 0 then begin
     Printf.printf "batch FAILED: %d embed failures, %d verification failures\n" (List.length failed)
       verify_failures;
@@ -683,26 +639,11 @@ let batch source workload scheme key bits pieces input fingerprints count mark j
          (if verify then " and verified" else "")
 
 let batch_cmd =
-  let source =
-    Arg.(value & pos 0 (some file) None & info [] ~docv:"SOURCE.mc" ~doc:"MiniC source file (omit to use $(b,--workload).)")
-  in
-  let workload =
-    Arg.(value & opt string "caffeine" & info [ "workload" ] ~docv:"NAME" ~doc:"Built-in host workload (caffeine, jesslite, or any VM workload by name, e.g. gzip) when no source file is given.")
-  in
   let fingerprints =
     Arg.(value & opt bignum_list_conv [] & info [ "fingerprints" ] ~docv:"W1,W2,..." ~doc:"Explicit fingerprint list (decimal).")
   in
   let count =
     Arg.(value & opt int 8 & info [ "count" ] ~docv:"N" ~doc:"Number of fingerprints to derive from $(b,--mark) when $(b,--fingerprints) is not given.")
-  in
-  let jobs =
-    Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Worker-domain count (1 = sequential).")
-  in
-  let cache =
-    Arg.(value & opt string "mem" & info [ "cache" ] ~docv:"none|mem|DIR|store:DIR" ~doc:"Result/trace cache: disabled, in-memory, spilled to DIR, or backed by the persistent registry at DIR ($(b,store:DIR)).")
-  in
-  let events_file =
-    Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE" ~doc:"Write the JSON-lines event stream to FILE.")
   in
   let out_dir =
     Arg.(value & opt (some string) None & info [ "out-dir" ] ~docv:"DIR" ~doc:"Write each watermarked program to DIR/<label>.svm.")
@@ -725,14 +666,13 @@ let batch_cmd =
   let fuel_escalation =
     Arg.(value & opt float 1.0 & info [ "fuel-escalation" ] ~docv:"F" ~doc:"Scale bounded fuel budgets by F on every retry.")
   in
-  let pieces = Arg.(value & opt int 40 & info [ "pieces" ] ~doc:"Number of redundant pieces per fingerprint.") in
   let quiet = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress the human batch report.") in
   Cmd.v
     (Cmd.info "batch" ~doc:"Embed many fingerprints into one host program in parallel (the fleet-fingerprinting engine).")
     Term.(
-      const batch $ source $ workload $ scheme_t $ key_t $ bits_t $ pieces $ input_t $ fingerprints
-      $ count $ mark_t $ jobs $ cache $ events_file $ out_dir $ verify $ retries $ backoff_ms
-      $ deadline_ms $ breaker $ fuel_escalation $ inject_t $ fault_seed_t $ seed_t $ quiet)
+      const batch $ host_source_t $ host_workload_t $ scheme_t $ key_t $ bits_t $ pieces_t $ input_t
+      $ fingerprints $ count $ mark_t $ jobs_t $ cache_t $ events_t $ out_dir $ verify $ retries
+      $ backoff_ms $ deadline_ms $ breaker $ fuel_escalation $ inject_t $ fault_seed_t $ seed_t $ quiet)
 
 (* ---- static analysis: the stealth linter ---- *)
 
@@ -805,18 +745,7 @@ let analyze files native workload all_workloads scheme json =
           (Analysis.Nlint.lint ~corpus:(corpus_for ()) (Nativesim.Binary.decode (read_file path)))
       else report path (vm_diags (load_vm path)))
     files;
-  (match workload with
-  | None -> ()
-  | Some name -> (
-      match
-        List.find_opt (fun (w : Workloads.Workload.t) -> w.Workloads.Workload.name = name) analyzer_workloads
-      with
-      | Some w -> lint_workload w
-      | None ->
-          Printf.printf "unknown workload %s; available: %s\n" name
-            (String.concat " "
-               (List.map (fun (w : Workloads.Workload.t) -> w.Workloads.Workload.name) analyzer_workloads));
-          exit 1));
+  Option.iter (fun name -> lint_workload (find_workload name)) workload;
   if all_workloads then List.iter lint_workload analyzer_workloads;
   if not json then Printf.printf "%d finding(s) total\n" !total;
   if !total > 0 then exit exit_analysis_findings
@@ -828,9 +757,6 @@ let analyze_cmd =
   let native = Arg.(value & flag & info [ "native" ] ~doc:"Treat positional files as native binaries.") in
   let workload =
     Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"NAME" ~doc:"Lint a built-in workload on both tracks.")
-  in
-  let all_workloads =
-    Arg.(value & flag & info [ "all-workloads" ] ~doc:"Lint every built-in workload on both tracks (the CI clean gate).")
   in
   let scheme =
     Arg.(
@@ -845,72 +771,72 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Run the stealth linter: surface the static artifacts a watermark embedding leaves behind. Exits 7 when any diagnostic fires (1 is reserved for analyzer errors).")
-    Term.(const analyze $ files $ native $ workload $ all_workloads $ scheme $ json)
+    Term.(const analyze $ files $ native $ workload $ all_workloads_t $ scheme $ json)
 
-(* ---- audit: the per-scheme stealth scorecard ---- *)
+(* ---- scorecards: the scheme x workload matrix audit and tournament share ---- *)
 
-let default_audit_schemes = [ "jwm"; "nwm"; "gwm"; "jwm+gwm" ]
+type matrix = {
+  schemes : string list;
+  workloads : Workloads.Workload.t list;
+  jobs : int;
+  bits : int;
+  seed : int64;
+  json : bool;
+  no_gate : bool;
+}
 
-let audit schemes workload_names all_workloads jobs bits seed json no_gate =
-  let schemes = if schemes = [] then default_audit_schemes else schemes in
-  (* resolve up front so an unknown name is exit 6, not a failed job *)
-  List.iter (fun s -> ignore (resolve_scheme s)) schemes;
-  let workloads =
-    if all_workloads then List.map snd builtin_workloads
-    else if workload_names = [] then [ Workloads.Caffeine.suite ]
-    else
-      List.map
-        (fun name ->
-          match
-            List.find_opt
-              (fun (w : Workloads.Workload.t) -> w.Workloads.Workload.name = name)
-              analyzer_workloads
-          with
-          | Some w -> w
-          | None ->
-              Printf.printf "unknown workload %s; available: %s\n" name
-                (String.concat " "
-                   (List.map (fun (w : Workloads.Workload.t) -> w.Workloads.Workload.name) analyzer_workloads));
-              exit 1)
-        workload_names
-  in
-  let card =
-    Audit.Scorecard.run ~domains:jobs ~seed:(Int64.of_int seed) ~bits ~schemes ~workloads ()
-  in
-  if json then print_string (Audit.Scorecard.to_json card)
-  else print_string (Audit.Scorecard.render card);
-  if (not (Audit.Scorecard.gate_ok card)) && not no_gate then exit exit_analysis_findings
+let default_matrix_schemes = [ "jwm"; "nwm"; "gwm"; "jwm+gwm" ]
 
-let audit_cmd =
+let matrix_t =
   let schemes =
     Arg.(
       value & opt_all string []
       & info [ "scheme" ] ~docv:"NAME"
-          ~doc:"Scheme to audit (repeatable; '+'-joined names compose). Defaults to jwm, nwm, gwm and jwm+gwm.")
+          ~doc:"Scheme to measure (repeatable; '+'-joined names compose). Defaults to jwm, nwm, gwm and jwm+gwm.")
   in
   let workloads =
     Arg.(
       value & opt_all string []
-      & info [ "workload" ] ~docv:"NAME" ~doc:"Workload to audit on (repeatable). Defaults to caffeine.")
+      & info [ "workload" ] ~docv:"NAME" ~doc:"Workload to run the matrix on (repeatable). Defaults to caffeine.")
   in
-  let all_workloads =
-    Arg.(value & flag & info [ "all-workloads" ] ~doc:"Audit every built-in batch workload.")
-  in
-  let jobs =
-    Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Worker domains for the audit batch.")
-  in
-  let bits_t = Arg.(value & opt int 16 & info [ "bits" ] ~docv:"N" ~doc:"Fingerprint width in bits.") in
+  let bits = Arg.(value & opt int 16 & info [ "bits" ] ~docv:"N" ~doc:"Fingerprint width in bits.") in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the scorecard as JSON.") in
   let no_gate =
     Arg.(
       value & flag
       & info [ "no-gate" ]
-          ~doc:"Report only: do not fail (exit 7) when a scheme exceeds its declared locatability or the locator flags clean code.")
+          ~doc:"Report only: do not fail (exit 7) when the scorecard gate fails (a scheme beyond its declared locatability or below its resilience floor, a control cell false-positive, a failed cell, or the locator flagging clean code).")
   in
+  let make schemes workload_names all_workloads jobs bits seed json no_gate =
+    let schemes = if schemes = [] then default_matrix_schemes else schemes in
+    (* resolve up front so an unknown name is exit 6, not a failed cell *)
+    List.iter (fun s -> ignore (resolve_scheme s)) schemes;
+    let workloads =
+      if all_workloads then List.map snd builtin_workloads
+      else if workload_names = [] then [ Workloads.Caffeine.suite ]
+      else List.map find_workload workload_names
+    in
+    { schemes; workloads; jobs; bits; seed = Int64.of_int seed; json; no_gate }
+  in
+  Term.(const make $ schemes $ workloads $ all_workloads_t $ jobs_t $ bits $ seed_t $ json $ no_gate)
+
+let exit_on_gate m ok = if (not ok) && not m.no_gate then exit exit_analysis_findings
+
+(* ---- audit: the per-scheme stealth scorecard ---- *)
+
+let audit m =
+  let card =
+    Audit.Scorecard.run ~domains:m.jobs ~seed:m.seed ~bits:m.bits ~schemes:m.schemes
+      ~workloads:m.workloads ()
+  in
+  print_string (if m.json then Audit.Scorecard.to_json card else Audit.Scorecard.render card);
+  exit_on_gate m (Audit.Scorecard.gate_ok card)
+
+let audit_cmd =
   Cmd.v
     (Cmd.info "audit"
        ~doc:"Embed each scheme into clean workloads and score how much of the mark the static locator finds, gated against each scheme's declared attack surface. Exits 7 on a gate violation.")
-    Term.(const audit $ schemes $ workloads $ all_workloads $ jobs $ bits_t $ seed_t $ json $ no_gate)
+    Term.(const audit $ matrix_t)
 
 (* ---- experiments ---- *)
 
@@ -1084,6 +1010,9 @@ let socket_t =
     & opt string "/tmp/pathmark.sock"
     & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path.")
 
+let max_inflight_t =
+  Arg.(value & opt (some int) None & info [ "max-inflight" ] ~docv:"N" ~doc:"Shed embed/recognize requests beyond N in flight per server (answered $(i,overloaded); clients back off and retry).")
+
 (* SIGTERM/SIGINT flip a flag the server's [stop] predicate polls: the
    listener drains in-flight requests, fsyncs the journal, removes the
    socket file and the process exits 0 — a supervisor's `kill` never
@@ -1102,24 +1031,21 @@ let serve root socket domains max_requests max_inflight no_fsync events_file =
         ~finally:(fun () -> Store.Registry.close store)
         (fun () ->
           print_recovery store;
-          let events_oc = Option.map open_out events_file in
-          let events =
-            Engine.Events.create ?sink:(Option.map Engine.Events.json_sink events_oc) ()
-          in
-          let r = Store.Registry.recovery store in
-          Engine.Events.emit events
-            (Engine.Events.Store_replay
-               { records = r.Store.Registry.replayed; truncated_bytes = r.Store.Registry.truncated_bytes });
-          Printf.printf "serving registry %s on %s (%d worker domain(s))\n%!" root socket domains;
-          let draining = drain_on_signals () in
-          let stopped =
-            Service.Server.serve ~events ~domains ?max_requests ?max_inflight
-              ~stop:(fun () -> Atomic.get draining)
-              ~store ~socket_path:socket ()
-          in
-          Option.iter close_out events_oc;
-          Printf.printf "served %d request(s), %d error(s), %d shed\n" stopped.Service.Server.requests
-            stopped.Service.Server.errors stopped.Service.Server.shed))
+          with_events events_file (fun events ->
+              let r = Store.Registry.recovery store in
+              Engine.Events.emit events
+                (Engine.Events.Store_replay
+                   { records = r.Store.Registry.replayed; truncated_bytes = r.Store.Registry.truncated_bytes });
+              Printf.printf "serving registry %s on %s (%d worker domain(s))\n%!" root socket domains;
+              let draining = drain_on_signals () in
+              let stopped =
+                Service.Server.serve ~events ~domains ?max_requests ?max_inflight
+                  ~stop:(fun () -> Atomic.get draining)
+                  ~store ~socket_path:socket ()
+              in
+              Printf.printf "served %d request(s), %d error(s), %d shed\n"
+                stopped.Service.Server.requests stopped.Service.Server.errors
+                stopped.Service.Server.shed)))
 
 let serve_cmd =
   let domains =
@@ -1128,18 +1054,12 @@ let serve_cmd =
   let max_requests =
     Arg.(value & opt (some int) None & info [ "max-requests" ] ~docv:"N" ~doc:"Stop after N requests (smoke tests).")
   in
-  let max_inflight =
-    Arg.(value & opt (some int) None & info [ "max-inflight" ] ~docv:"N" ~doc:"Shed embed/recognize requests beyond N in flight (answered $(i,overloaded); clients back off and retry).")
-  in
   let no_fsync =
     Arg.(value & flag & info [ "no-fsync" ] ~doc:"Skip fsync on journal commits (benchmarks only).")
   in
-  let events_file =
-    Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE" ~doc:"Write the JSON-lines event stream to FILE.")
-  in
   Cmd.v
     (Cmd.info "serve" ~doc:"Serve the watermark registry and embed/recognize operations over a Unix-domain socket. SIGTERM/SIGINT drain gracefully.")
-    Term.(const serve $ root_t $ socket_t $ domains $ max_requests $ max_inflight $ no_fsync $ events_file)
+    Term.(const serve $ root_t $ socket_t $ domains $ max_requests $ max_inflight_t $ no_fsync $ events_t)
 
 let fail_service code message =
   Printf.printf "service error [%s]: %s\n" code message;
@@ -1276,12 +1196,6 @@ let query socket deadline source workload scheme key mark bits pieces input seed
   end
 
 let query_cmd =
-  let source =
-    Arg.(value & pos 0 (some file) None & info [] ~docv:"SOURCE.mc" ~doc:"MiniC source to embed into (omit to use $(b,--workload)).")
-  in
-  let workload =
-    Arg.(value & opt string "caffeine" & info [ "workload" ] ~docv:"NAME" ~doc:"Built-in host workload for $(b,--embed) when no source file is given (caffeine, jesslite, or any VM workload by name).")
-  in
   let embed = Arg.(value & flag & info [ "embed" ] ~doc:"Embed $(b,--mark) server-side and register the result.") in
   let digest =
     Arg.(value & opt (some string) None & info [ "digest" ] ~docv:"HEX" ~doc:"Recognize the stored program with this digest.")
@@ -1295,15 +1209,14 @@ let query_cmd =
   let want_stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print registry and server statistics.") in
   let want_list = Arg.(value & flag & info [ "list" ] ~doc:"List registered artifacts.") in
   let want_shutdown = Arg.(value & flag & info [ "shutdown" ] ~doc:"Ask the server to stop.") in
-  let pieces = Arg.(value & opt int 40 & info [ "pieces" ] ~doc:"Number of redundant pieces.") in
   let deadline =
     Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECS" ~doc:"Per-request deadline; connect retries with jittered backoff until it expires, then exit 8.")
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Talk to a running $(b,pathmark serve): embed, recognize, inspect.")
     Term.(
-      const query $ socket_t $ deadline $ source $ workload $ scheme_t $ key_t $ mark_t $ bits_t
-      $ pieces $ input_t $ seed_t $ embed $ digest $ recognize_file $ expect $ want_stats $ want_list
+      const query $ socket_t $ deadline $ host_source_t $ host_workload_t $ scheme_t $ key_t $ mark_t
+      $ bits_t $ pieces_t $ input_t $ seed_t $ embed $ digest $ recognize_file $ expect $ want_stats $ want_list
       $ want_shutdown)
 
 (* ---- cluster topology (lib/shard) ---- *)
@@ -1346,41 +1259,33 @@ let parse_replicate shards = function
                  exit 2)
 
 let cluster_serve dir shards replicate max_inflight events_file =
-  let events_oc = Option.map open_out events_file in
-  let events = Engine.Events.create ?sink:(Option.map Engine.Events.json_sink events_oc) () in
-  let replicate = parse_replicate shards replicate in
-  let cluster = Shard.Cluster.start ~events ?max_inflight ~replicate ~dir ~shards () in
-  List.iter
-    (fun ep ->
-      Printf.printf "%s on %s%s\n" ep.Shard.Router.name ep.Shard.Router.socket
-        (match ep.Shard.Router.replica with Some r -> " (replica " ^ r ^ ")" | None -> ""))
-    (Shard.Cluster.endpoints cluster);
-  Printf.printf "%d shard(s) up under %s; SIGTERM drains\n%!" shards dir;
-  let draining = drain_on_signals () in
-  while not (Atomic.get draining) do
-    Unix.sleepf 0.1
-  done;
-  List.iter
-    (fun (name, (s : Service.Server.stopped)) ->
-      Printf.printf "%s: %d request(s), %d error(s), %d shed\n" name s.Service.Server.requests
-        s.Service.Server.errors s.Service.Server.shed)
-    (Shard.Cluster.stop cluster);
-  Option.iter close_out events_oc
+  with_events events_file (fun events ->
+      let replicate = parse_replicate shards replicate in
+      let cluster = Shard.Cluster.start ~events ?max_inflight ~replicate ~dir ~shards () in
+      List.iter
+        (fun ep ->
+          Printf.printf "%s on %s%s\n" ep.Shard.Router.name ep.Shard.Router.socket
+            (match ep.Shard.Router.replica with Some r -> " (replica " ^ r ^ ")" | None -> ""))
+        (Shard.Cluster.endpoints cluster);
+      Printf.printf "%d shard(s) up under %s; SIGTERM drains\n%!" shards dir;
+      let draining = drain_on_signals () in
+      while not (Atomic.get draining) do
+        Unix.sleepf 0.1
+      done;
+      List.iter
+        (fun (name, (s : Service.Server.stopped)) ->
+          Printf.printf "%s: %d request(s), %d error(s), %d shed\n" name s.Service.Server.requests
+            s.Service.Server.errors s.Service.Server.shed)
+        (Shard.Cluster.stop cluster))
 
 let cluster_serve_cmd =
   let shards = Arg.(value & opt int 3 & info [ "shards" ] ~docv:"N" ~doc:"Number of shard servers.") in
   let replicate =
     Arg.(value & opt (some string) None & info [ "replicate" ] ~docv:"SPEC" ~doc:"Shard indices that get a journal-shipping standby: comma-separated, or $(b,all).")
   in
-  let max_inflight =
-    Arg.(value & opt (some int) None & info [ "max-inflight" ] ~docv:"N" ~doc:"Per-shard in-flight bound for embed/recognize; excess is shed as $(i,overloaded).")
-  in
-  let events_file =
-    Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE" ~doc:"Write the JSON-lines event stream to FILE.")
-  in
   Cmd.v
     (Cmd.info "serve" ~doc:"Run N shard servers (consistent-hash ring) with optional standby replicas under one directory.")
-    Term.(const cluster_serve $ cluster_dir_t $ shards $ replicate $ max_inflight $ events_file)
+    Term.(const cluster_serve $ cluster_dir_t $ shards $ replicate $ max_inflight_t $ events_t)
 
 let cluster_status dir =
   match discover_endpoints dir with
@@ -1515,30 +1420,7 @@ let publish_scorecard dir payload =
               Printf.eprintf "cluster read-back of the published scorecard failed\n";
               exit exit_service_unavailable)
 
-let tournament schemes workload_names all_workloads attack_names fault_specs jobs bits seed
-    fault_seed cache_spec events_file json no_gate cluster =
-  let schemes = if schemes = [] then default_audit_schemes else schemes in
-  (* resolve up front so an unknown name is exit 6, not a failed cell *)
-  List.iter (fun s -> ignore (resolve_scheme s)) schemes;
-  let workloads =
-    if all_workloads then List.map snd builtin_workloads
-    else if workload_names = [] then [ Workloads.Caffeine.suite ]
-    else
-      List.map
-        (fun name ->
-          match
-            List.find_opt
-              (fun (w : Workloads.Workload.t) -> w.Workloads.Workload.name = name)
-              analyzer_workloads
-          with
-          | Some w -> w
-          | None ->
-              Printf.printf "unknown workload %s; available: %s\n" name
-                (String.concat " "
-                   (List.map (fun (w : Workloads.Workload.t) -> w.Workloads.Workload.name) analyzer_workloads));
-              exit 1)
-        workload_names
-  in
+let tournament m attack_names fault_specs fault_seed cache_spec events_file cluster =
   let attacks = match attack_names with [] -> None | l -> Some l in
   let fault_plans =
     match fault_specs with
@@ -1552,81 +1434,34 @@ let tournament schemes workload_names all_workloads attack_names fault_specs job
                (fun specs -> (String.concat "," (List.map Fault.Spec.to_string specs), specs))
                plans)
   in
-  let cache =
-    match cache_spec with
-    | "none" -> None
-    | "mem" -> Some (Engine.Cache.create ())
-    | spec when String.length spec > 6 && String.sub spec 0 6 = "store:" ->
-        let root = String.sub spec 6 (String.length spec - 6) in
-        let store = or_store_corruption (fun () -> Store.Registry.open_store ~root ()) in
-        Some (Engine.Cache.create ~store ())
-    | dir -> Some (Engine.Cache.create ~spill_dir:dir ())
-  in
-  let events_oc = Option.map open_out events_file in
-  let events = Engine.Events.create ?sink:(Option.map Engine.Events.json_sink events_oc) () in
   let card =
     try
-      Tournament.Scorecard.run ~domains:jobs ~seed:(Int64.of_int seed) ~bits
-        ~fault_seed:(Int64.of_int fault_seed) ?attacks ?fault_plans ?cache ~events ~schemes
-        ~workloads ()
+      with_cache cache_spec (fun cache ->
+          with_events events_file (fun events ->
+              Tournament.Scorecard.run ~domains:m.jobs ~seed:m.seed ~bits:m.bits
+                ~fault_seed:(Int64.of_int fault_seed) ?attacks ?fault_plans ?cache ~events
+                ~schemes:m.schemes ~workloads:m.workloads ()))
     with Invalid_argument msg ->
       Printf.eprintf "%s\n" msg;
       exit 2
   in
-  if json then print_string (Tournament.Scorecard.to_json card)
-  else print_string (Tournament.Scorecard.render card);
-  Option.iter close_out events_oc;
-  (match cluster with
-  | None -> ()
-  | Some dir -> publish_scorecard dir (Tournament.Scorecard.to_json card));
-  if (not (Tournament.Scorecard.gate_ok card)) && not no_gate then exit exit_analysis_findings
+  let json = Tournament.Scorecard.to_json card in
+  print_string (if m.json then json else Tournament.Scorecard.render card);
+  Option.iter (fun dir -> publish_scorecard dir json) cluster;
+  exit_on_gate m (Tournament.Scorecard.gate_ok card)
 
 let tournament_cmd =
-  let schemes =
-    Arg.(
-      value & opt_all string []
-      & info [ "scheme" ] ~docv:"NAME"
-          ~doc:"Scheme to measure (repeatable; '+'-joined names compose). Defaults to jwm, nwm, gwm and jwm+gwm.")
-  in
-  let workloads =
-    Arg.(
-      value & opt_all string []
-      & info [ "workload" ] ~docv:"NAME" ~doc:"Workload to run the matrix on (repeatable). Defaults to caffeine.")
-  in
-  let all_workloads =
-    Arg.(value & flag & info [ "all-workloads" ] ~doc:"Run the matrix on every built-in batch workload.")
-  in
   let attacks =
     Arg.(
       value & opt_all string []
       & info [ "attack" ] ~docv:"NAME"
-          ~doc:"Attack to include (repeatable; applied on every track that knows the name). Defaults to one representative per attack class on each track.")
+          ~doc:"Attack to include (repeatable; applied on every track that knows the name, see $(b,list-attacks)). Defaults to one representative per attack class on each track.")
   in
   let faults =
     Arg.(
       value & opt_all inject_conv []
       & info [ "faults" ] ~docv:"NAME=RATE,..."
           ~doc:"Fault plan to add as a matrix dimension (repeatable; the clean plan always runs too). Defaults to clean plus a sub-tolerance noisy plan.")
-  in
-  let jobs =
-    Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Worker domains for the cell batch.")
-  in
-  let bits_t = Arg.(value & opt int 16 & info [ "bits" ] ~docv:"N" ~doc:"Fingerprint width in bits.") in
-  let cache_t =
-    Arg.(
-      value & opt string "mem"
-      & info [ "cache" ] ~docv:"SPEC"
-          ~doc:"Cell result cache: $(b,none), $(b,mem), $(b,store:DIR) (persistent registry, incremental across runs) or a spill directory.")
-  in
-  let events_file =
-    Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE" ~doc:"Write the JSON-lines event stream (per-cell progress, gate results) to FILE.")
-  in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the scorecard as JSON.") in
-  let no_gate =
-    Arg.(
-      value & flag
-      & info [ "no-gate" ]
-          ~doc:"Report only: do not fail (exit 7) when a scheme's composite resilience falls below its declared floor, a control cell false-positives, or a cell fails.")
   in
   let cluster =
     Arg.(
@@ -1638,8 +1473,7 @@ let tournament_cmd =
     (Cmd.info "tournament"
        ~doc:"Run the scheme × workload × attack × fault-plan resilience matrix through the batch engine and reduce it to per-scheme scorecards, gated against each scheme's declared resilience floor. Exits 7 on a gate violation.")
     Term.(
-      const tournament $ schemes $ workloads $ all_workloads $ attacks $ faults $ jobs $ bits_t
-      $ seed_t $ fault_seed_t $ cache_t $ events_file $ json $ no_gate $ cluster)
+      const tournament $ matrix_t $ attacks $ faults $ fault_seed_t $ cache_t $ events_t $ cluster)
 
 let main =
   Cmd.group
@@ -1650,16 +1484,12 @@ let main =
       schemes_cmd;
       embed_cmd;
       recognize_cmd;
-      embed_vm_cmd;
-      recognize_vm_cmd;
       run_vm_cmd;
       trace_vm_cmd;
       recognize_trace_cmd;
       attack_vm_cmd;
       list_attacks_cmd;
       faults_cmd;
-      embed_native_cmd;
-      extract_native_cmd;
       run_native_cmd;
       disasm_cmd;
       analyze_cmd;

@@ -198,9 +198,9 @@ let json_strs l = json_list (List.map Util.Json.str l)
 let to_json t =
   let cell c =
     Printf.sprintf
-      "{\"workload\":%s,\"passes\":%s,\"marked\":%s,\"flagged\":%s,\"hits\":%s,\"false_positives\":%s,\"ndiags\":%d,\"hit_rate\":%.4f,\"ms\":%.3f%s}"
+      "{\"workload\":%s,\"passes\":%s,\"marked\":%s,\"flagged\":%s,\"hits\":%s,\"false_positives\":%s,\"ndiags\":%d,\"hit_rate\":%.4f%s}"
       (Util.Json.str c.workload) (json_strs c.passes) (json_strs c.marked) (json_strs c.flagged)
-      (json_strs c.hits) (json_strs c.false_positives) c.ndiags c.hit_rate c.ms
+      (json_strs c.hits) (json_strs c.false_positives) c.ndiags c.hit_rate
       (match c.failed with None -> "" | Some r -> ",\"failed\":" ^ Util.Json.str r)
   in
   let row r =

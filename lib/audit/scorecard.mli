@@ -19,7 +19,7 @@ type cell = {
   false_positives : string list;  (** flagged on the {e clean} program *)
   ndiags : int;
   hit_rate : float;  (** [|hits| / |marked|]; 0 when nothing was marked *)
-  ms : float;
+  ms : float;  (** job time; not in {!to_json}, which stays deterministic *)
   failed : string option;  (** failure reason; other fields zeroed *)
 }
 
@@ -65,4 +65,5 @@ val render : t -> string
 
 val to_json : t -> string
 (** Stable JSON rendering (objects keyed by scheme, arrays of cells) for
-    [BENCH_analysis.json] and [pathmark audit --json]. *)
+    [pathmark audit --json]; it carries no timings, so the same audit
+    renders the same bytes. *)

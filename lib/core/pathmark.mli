@@ -98,6 +98,11 @@ val watermark_batch :
     job, and finished jobs are memoized by content digest.  Raises
     [Failure] if any job fails. *)
 
+val batch_seed : int64 -> int -> int64
+(** [batch_seed seed i] is the embedding seed of the [i]th fingerprint of
+    a fleet seeded with [seed] (a golden-ratio stride per index): the one
+    rule {!watermark_batch} and [pathmark batch] share. *)
+
 (** {1 Native track} *)
 
 val watermark_native :

@@ -167,7 +167,9 @@ let salvage_events s =
         if shift > 62 then raise (Malformed "varint overflow");
         let b = byte () in
         let acc = acc lor ((b land 0x7F) lsl shift) in
-        if b land 0x80 = 0 then acc else go (shift + 7) acc
+        if b land 0x80 <> 0 then go (shift + 7) acc
+        else if acc < 0 then raise (Malformed "negative varint")
+        else acc
       in
       go 0 0
     in

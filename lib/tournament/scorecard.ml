@@ -389,9 +389,9 @@ let json_list items = "[" ^ String.concat "," items ^ "]"
 let to_json t =
   let cell c =
     Printf.sprintf
-      "{\"workload\":%s,\"attack\":%s,\"plan\":%s,\"control\":%b,\"survived\":%b,\"false_positive\":%b,\"confidence\":%.4f,\"nfaults\":%d,\"cached\":%b,\"ms\":%.3f%s}"
+      "{\"workload\":%s,\"attack\":%s,\"plan\":%s,\"control\":%b,\"survived\":%b,\"false_positive\":%b,\"confidence\":%.4f,\"nfaults\":%d,\"cached\":%b%s}"
       (Util.Json.str c.c_workload) (Util.Json.str c.c_attack) (Util.Json.str c.c_plan) c.c_control c.c_survived
-      c.c_false_positive c.c_confidence c.c_nfaults c.c_cached c.c_ms
+      c.c_false_positive c.c_confidence c.c_nfaults c.c_cached
       (match c.c_failed with None -> "" | Some r -> ",\"failed\":" ^ Util.Json.str r)
   in
   let class_stats s =

@@ -35,7 +35,7 @@ type cell = {
   c_confidence : float;
   c_nfaults : int;
   c_cached : bool;  (** served from the result cache *)
-  c_ms : float;
+  c_ms : float;  (** job time; not in {!to_json}, which stays deterministic *)
   c_failed : string option;
 }
 
@@ -134,4 +134,5 @@ val render : t -> string
 
 val to_json : t -> string
 (** The scorecard as one JSON object ([rows] / [violations] / [gate_ok]
-    / [cells] / [cached_cells]). *)
+    / [cells] / [cached_cells]).  It carries no timings, so the same
+    matrix renders the same bytes. *)

@@ -64,6 +64,17 @@ let test_json_rendering () =
     (fun needle -> Alcotest.(check bool) ("contains " ^ needle) true (has needle))
     [ "\"rows\""; "\"gate_ok\""; "\"jwm+gwm\""; "\"hit_rate\"" ]
 
+(* No wall-clock figure in the JSON: the same pinned audit renders the
+   same bytes. *)
+let test_json_deterministic () =
+  let render () =
+    Audit.Scorecard.to_json
+      (Audit.Scorecard.run ~seed:5L ~bits:16 ~schemes:[ "jwm"; "gwm" ]
+         ~workloads:[ List.hd Workloads.Caffeine.kernels ] ())
+  in
+  let first = render () in
+  Alcotest.(check string) "byte-identical across runs" first (render ())
+
 let test_audited_outcome_roundtrip () =
   let outcome =
     Engine.Batch.Audited
@@ -86,4 +97,5 @@ let suite =
     ("locators actually locate", `Slow, test_locators_actually_locate);
     ("scorecard JSON rendering", `Slow, test_json_rendering);
     ("Audited outcome encode/decode roundtrip", `Quick, test_audited_outcome_roundtrip);
+    ("scorecard JSON is byte-identical across runs", `Slow, test_json_deterministic);
   ]

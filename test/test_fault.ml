@@ -177,6 +177,27 @@ let test_salvage_huge_claimed_count () =
   Alcotest.(check bool) "no large allocation" true (allocated < 65536.);
   Alcotest.(check bool) "reference agrees" true (Trace_reference.salvage_agrees bytes)
 
+(* A varint with bit 62 set decodes to a negative OCaml int.  In the
+   header it once read as "3 trailing byte(s) after -4539628424389459969
+   event(s)"; as a count, fidx or pc it is malformed, and salvage keeps
+   the events before it. *)
+let test_salvage_negative_varint () =
+  let negative = String.make 8 '\xff' ^ "\x40" in
+  List.iter
+    (fun (what, bytes, expected_events, expected_diag) ->
+      let events, diag = Stackvm.Trace.salvage_events bytes in
+      Alcotest.(check int) (what ^ ": salvaged events") expected_events (Stackvm.Tracebuf.length events);
+      Alcotest.(check (option string)) (what ^ ": diagnosed") (Some expected_diag) diag;
+      Alcotest.(check bool) (what ^ ": reference agrees") true (Trace_reference.salvage_agrees bytes))
+    [
+      ("count", "TRC1" ^ negative ^ "\x00\x07\x01", 0, "negative varint at byte 13; salvaged 0 event(s)");
+      ( "fidx",
+        "TRC1\x02\x00\x07\x01" ^ negative ^ "\x07\x01",
+        1,
+        "negative varint at byte 17; salvaged 1 event(s)" );
+      ("pc", "TRC1\x01\x00" ^ negative ^ "\x01", 0, "negative varint at byte 15; salvaged 0 event(s)");
+    ]
+
 (* ---- Below-threshold noise recovers the exact fingerprint ---- *)
 
 let qcheck_vm_noise_below_threshold =
@@ -482,6 +503,7 @@ let suite =
       test_salvage_corpus_prefixes;
     Alcotest.test_case "salvage ignores a huge claimed event count" `Quick
       test_salvage_huge_claimed_count;
+    Alcotest.test_case "salvage rejects a negative varint" `Quick test_salvage_negative_varint;
     QCheck_alcotest.to_alcotest qcheck_vm_noise_below_threshold;
     QCheck_alcotest.to_alcotest qcheck_native_noise_below_threshold;
     QCheck_alcotest.to_alcotest qcheck_decode_outcome_total;

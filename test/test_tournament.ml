@@ -173,6 +173,17 @@ let test_json_rendering () =
     (fun needle -> Alcotest.(check bool) ("contains " ^ needle) true (has needle))
     [ "\"rows\""; "\"gate_ok\""; "\"composite\""; "\"credibility\""; "\"cached_cells\"" ]
 
+(* The JSON carries no wall-clock figure (per-cell time goes to the
+   --events stream), so the same pinned matrix renders the same bytes. *)
+let test_json_deterministic () =
+  let render () =
+    Scorecard.to_json
+      (Scorecard.run ~seed:3L ~attacks:[ "identity"; "nop-insertion" ]
+         ~fault_plans:[ ("clean", []) ] ~schemes:[ "jwm"; "gwm" ] ~workloads:[ kernel 1 ] ())
+  in
+  let first = render () in
+  Alcotest.(check string) "byte-identical across runs" first (render ())
+
 let test_unknown_attack_rejected () =
   Alcotest.check_raises "unknown attack"
     (Invalid_argument "Tournament.Scorecard.run: unknown attack \"frobnicate\"") (fun () ->
@@ -214,4 +225,5 @@ let suite =
     ("scorecard JSON rendering", `Slow, test_json_rendering);
     ("unknown attack name rejected", `Quick, test_unknown_attack_rejected);
     ("Tournament_measured outcome encode/decode roundtrip", `Quick, test_tournament_outcome_roundtrip);
+    ("scorecard JSON is byte-identical across runs", `Slow, test_json_deterministic);
   ]
