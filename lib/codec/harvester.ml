@@ -13,6 +13,14 @@ type lane = {
   mutable found : Statement.t list;  (* newest first *)
 }
 
+(* Windows are not decrypted as they complete: they queue, in push order,
+   in a fixed chunk, and a full chunk — or any read of the results —
+   flushes it.  A flush looks every queued window up in the memo, decrypts
+   the misses together with the four-wide {!Crypto.Feistel.decrypt_many},
+   then unenumerates and dedups in the queued (position, lane) order, so
+   the statements are those of decrypting one window at a time. *)
+let chunk = 1024
+
 type t = {
   params : Params.t;
   dedup_overlaps : bool;
@@ -20,13 +28,23 @@ type t = {
   lanes : lane array;
   memo_blocks : int array;
   memo_plain : int array;
+  queued_blocks : int array;
+  queued_pos : int array;
+  queued_lane : int array;
+  plain : int array;  (* per queued window: its plaintext, or [-1 - k] for miss [k] *)
+  misses : int array;
+  missed_plain : int array;
+  mutable queued : int;
   mutable nbits : int;
   mutable count : int;
 }
 
 (* Hot loops repeat their branch patterns, so the same window recurs: over
-   the VM workloads' traces 63% of windows hit a 2^14-entry direct-mapped
-   memo of block -> plaintext, each hit saving a full decrypt. *)
+   the 54 corpus traces (18 VM workloads, unmarked and jwm-marked) 67% of
+   windows hit a 2^14-entry direct-mapped memo of block -> plaintext, each
+   hit saving a full decrypt.  22% of windows are first occurrences, so a
+   larger memo could only win back the other 11%; 2^16 measured no
+   faster. *)
 let memo_bits = 14
 
 let create ?(dedup_overlaps = true) (params : Params.t) ~strides =
@@ -50,19 +68,18 @@ let create ?(dedup_overlaps = true) (params : Params.t) ~strides =
     (* -1 is never a block, so an empty slot never hits *)
     memo_blocks = Array.make (1 lsl memo_bits) (-1);
     memo_plain = Array.make (1 lsl memo_bits) 0;
+    queued_blocks = Array.make chunk 0;
+    queued_pos = Array.make chunk 0;
+    queued_lane = Array.make chunk 0;
+    plain = Array.make chunk 0;
+    misses = Array.make chunk 0;
+    missed_plain = Array.make chunk 0;
+    queued = 0;
     nbits = 0;
     count = 0;
   }
 
-let decrypt t block =
-  let slot = (block * 0x2545F4914F6CDD1D) lsr (63 - memo_bits) in
-  if Array.unsafe_get t.memo_blocks slot = block then Array.unsafe_get t.memo_plain slot
-  else begin
-    let v = Crypto.Feistel.decrypt_unchecked t.params.cipher block in
-    Array.unsafe_set t.memo_blocks slot block;
-    Array.unsafe_set t.memo_plain slot v;
-    v
-  end
+let[@inline] memo_slot block = (block * 0x2545F4914F6CDD1D) lsr (63 - memo_bits)
 
 (* Overlapping identical windows are one observation, not many: a long
    constant-bit run (e.g. a hot loop's branch) yields the same garbage
@@ -83,6 +100,46 @@ let record t lane pos v s =
     t.count <- t.count + 1
   end
 
+let flush t =
+  let n = t.queued in
+  t.queued <- 0;
+  let blocks = t.memo_blocks and memo = t.memo_plain in
+  (* a miss claims its memo slot at once, pointing at its place in the
+     miss batch, so a repeat later in the chunk shares its decrypt *)
+  let nmiss = ref 0 in
+  for i = 0 to n - 1 do
+    let block = Array.unsafe_get t.queued_blocks i in
+    let slot = memo_slot block in
+    if Array.unsafe_get blocks slot = block then
+      Array.unsafe_set t.plain i (Array.unsafe_get memo slot)
+    else begin
+      let k = !nmiss in
+      Array.unsafe_set t.misses k block;
+      Array.unsafe_set t.plain i (-1 - k);
+      Array.unsafe_set blocks slot block;
+      Array.unsafe_set memo slot (-1 - k);
+      nmiss := k + 1
+    end
+  done;
+  Crypto.Feistel.decrypt_many t.params.cipher t.misses t.missed_plain !nmiss;
+  (* a slot's later claimers come later in the batch, so the last write
+     leaves it its own block's plaintext *)
+  for k = 0 to !nmiss - 1 do
+    let slot = memo_slot (Array.unsafe_get t.misses k) in
+    Array.unsafe_set memo slot (Array.unsafe_get t.missed_plain k)
+  done;
+  let total = t.params.enumeration_total in
+  for i = 0 to n - 1 do
+    let v = Array.unsafe_get t.plain i in
+    let v = if v < 0 then Array.unsafe_get t.missed_plain (-1 - v) else v in
+    if v < total then
+      match Statement.unenumerate t.params v with
+      | Some s ->
+          let lane = Array.unsafe_get t.lanes (Array.unsafe_get t.queued_lane i) in
+          record t lane (Array.unsafe_get t.queued_pos i) v s
+      | None -> ()
+  done
+
 let push t bit =
   let n = t.nbits in
   t.nbits <- n + 1;
@@ -95,16 +152,23 @@ let push t bit =
     lane.chain <- (if c + 1 = lane.stride then 0 else c + 1);
     let pos = n - (t.top * lane.stride) in
     if pos >= 0 then begin
-      let v = decrypt t block in
-      match Statement.unenumerate t.params v with
-      | Some s -> record t lane pos v s
-      | None -> ()
+      if t.queued = chunk then flush t;
+      let q = t.queued in
+      Array.unsafe_set t.queued_blocks q block;
+      Array.unsafe_set t.queued_pos q pos;
+      Array.unsafe_set t.queued_lane q k;
+      t.queued <- q + 1
     end
   done
 
 let length t = t.nbits
-let count t = t.count
+
+let count t =
+  flush t;
+  t.count
 
 (* The batch order: every hit of the first stride in position order, then
    the next stride's — consed, so reversed: last lane first, newest first. *)
-let statements t = Array.fold_left (fun acc lane -> lane.found @ acc) [] t.lanes
+let statements t =
+  flush t;
+  Array.fold_left (fun acc lane -> lane.found @ acc) [] t.lanes

@@ -2,9 +2,11 @@
 
     Trace bits are pushed one at a time.  For each stride, every bit
     completes one [block_bits]-wide cipher-block window, kept as a rolling
-    value per [position mod stride] chain — one shift and one OR per bit —
-    which is decrypted and kept when it decodes to a valid residue
-    statement.  Only hits allocate.
+    value per [position mod stride] chain — one shift and one OR per bit.
+    Completed windows queue in a fixed chunk; a full chunk, or a read of
+    {!count} or {!statements}, decrypts them (memo hits first, the misses
+    four at a time) and keeps, in push order, those that decode to a valid
+    residue statement.  Only hits allocate.
 
     {!Recombine.harvest} is this harvester folded over a whole bit-string,
     and streaming recognition feeds it live, so batch and streaming

@@ -64,3 +64,55 @@ let decrypt_unchecked t v =
 let decrypt t v =
   check_range t v;
   decrypt_unchecked t v
+
+(* Four independent blocks per round loop: one block's rounds form a
+   single dependency chain, so interleaving four chains keeps the ALUs
+   busy.  The round state lives in the loop's arguments, which a [for]
+   loop over refs would spill to the stack every round, and each call
+   runs two rounds (a decryption round maps [(l, r)] to
+   [(r xor f l, l)]), halving the calls; an odd round count ends with one
+   single round. *)
+let decrypt_many t src dst n =
+  if n < 0 || n > Array.length src || n > Array.length dst then invalid_arg "Feistel.decrypt_many";
+  let m = t.half_mask and keys = t.round_keys and h = t.half_bits in
+  let quads = n land lnot 3 in
+  let j = ref 0 in
+  while !j < quads do
+    let base = !j in
+    let rec rounds i l0 r0 l1 r1 l2 r2 l3 r3 =
+      if i >= 1 then begin
+        let k = Array.unsafe_get keys i in
+        let a0 = r0 lxor round_f m l0 k and a1 = r1 lxor round_f m l1 k in
+        let a2 = r2 lxor round_f m l2 k and a3 = r3 lxor round_f m l3 k in
+        let k = Array.unsafe_get keys (i - 1) in
+        rounds (i - 2)
+          (l0 lxor round_f m a0 k) a0
+          (l1 lxor round_f m a1 k) a1
+          (l2 lxor round_f m a2 k) a2
+          (l3 lxor round_f m a3 k) a3
+      end
+      else if i = 0 then begin
+        let k = Array.unsafe_get keys 0 in
+        rounds (-1)
+          (r0 lxor round_f m l0 k) l0
+          (r1 lxor round_f m l1 k) l1
+          (r2 lxor round_f m l2 k) l2
+          (r3 lxor round_f m l3 k) l3
+      end
+      else begin
+        Array.unsafe_set dst base ((l0 lsl h) lor r0);
+        Array.unsafe_set dst (base + 1) ((l1 lsl h) lor r1);
+        Array.unsafe_set dst (base + 2) ((l2 lsl h) lor r2);
+        Array.unsafe_set dst (base + 3) ((l3 lsl h) lor r3)
+      end
+    in
+    let v0 = Array.unsafe_get src base and v1 = Array.unsafe_get src (base + 1) in
+    let v2 = Array.unsafe_get src (base + 2) and v3 = Array.unsafe_get src (base + 3) in
+    rounds
+      (Array.length keys - 1)
+      (v0 lsr h) (v0 land m) (v1 lsr h) (v1 land m) (v2 lsr h) (v2 land m) (v3 lsr h) (v3 land m);
+    j := base + 4
+  done;
+  for i = quads to n - 1 do
+    Array.unsafe_set dst i (decrypt_unchecked t (Array.unsafe_get src i))
+  done

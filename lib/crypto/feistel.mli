@@ -41,3 +41,11 @@ val decrypt_unchecked : t -> int -> int
     the caller guarantees [0 <= v < 2^(block_bits t)] (a window rolled
     to [block_bits] bits is in range by construction).  Unspecified on
     other values. *)
+
+val decrypt_many : t -> int array -> int array -> int -> unit
+(** [decrypt_many t src dst n] sets [dst.(i)] to [decrypt_unchecked t
+    src.(i)] for every [i < n], four blocks per round loop — the
+    harvester's batch of memo misses.  The same caller guarantee as
+    {!decrypt_unchecked} holds for each block; [src] and [dst] may be the
+    same array.  Raises [Invalid_argument] when [n] is negative or exceeds
+    either array. *)

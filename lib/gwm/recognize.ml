@@ -8,30 +8,22 @@ type outcome = {
   diagnostic : string option;
 }
 
-module Sites = Hashtbl.Make (Int)
-
 (* Per static branch site, its taken-bits in dynamic order, sites in order
    of first occurrence.  Pass one gives every event the dense id of its
-   site; pass two drops each bit into its site's pre-sized stream. *)
+   site from the flat site table; pass two drops each bit into its site's
+   pre-sized stream. *)
 let streams buf =
   let n = Stackvm.Tracebuf.length buf in
-  let ids = Sites.create 64 in
+  let sites = Stackvm.Trace.Sites.create () in
   let id_of = Array.make n 0 and counts = Array.make n 0 in
   for i = 0 to n - 1 do
-    let site = Stackvm.Tracebuf.site (Stackvm.Tracebuf.get buf i) in
-    let id =
-      match Sites.find_opt ids site with
-      | Some id -> id
-      | None ->
-          let id = Sites.length ids in
-          Sites.add ids site id;
-          id
-    in
+    let id = Stackvm.Trace.Sites.id sites (Stackvm.Tracebuf.get buf i) in
     id_of.(i) <- id;
     counts.(id) <- counts.(id) + 1
   done;
-  let streams = Array.init (Sites.length ids) (fun id -> Bytes.create counts.(id)) in
-  let fill = Array.make (Sites.length ids) 0 in
+  let nsites = Stackvm.Trace.Sites.count sites in
+  let streams = Array.init nsites (fun id -> Bytes.create counts.(id)) in
+  let fill = Array.make nsites 0 in
   for i = 0 to n - 1 do
     let id = id_of.(i) in
     let taken = Stackvm.Tracebuf.taken (Stackvm.Tracebuf.get buf i) in

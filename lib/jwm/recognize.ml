@@ -35,41 +35,15 @@ let outcome_of_report params ~trace_branches ~steps ~diagnostic report =
     diagnostic;
   }
 
-let recognize_buf ?(strides = [ 1; 2 ]) ~passphrase ~watermark_bits events =
-  let params = Codec.Params.make ~passphrase ~watermark_bits () in
-  let bits = Stackvm.Trace.bits_of_buf events in
-  let report = Codec.Recombine.recover_from_bitstring ~strides params bits in
-  outcome_of_report params
-    ~trace_branches:(Stackvm.Tracebuf.length events)
-    ~steps:0 ~diagnostic:None report
+(* ---- recognition as a stream ----
 
-let degraded params e =
-  (* a corrupt program that the execution engine itself rejects is an
-     experimental outcome (the mark is destroyed), not an error *)
-  let report = Codec.Recombine.recover params [] in
-  outcome_of_report params ~trace_branches:0 ~steps:0
-    ~diagnostic:(Some (Printexc.to_string e))
-    report
-
-let recognize ?(fuel = 200_000_000) ?strides ~passphrase ~watermark_bits ~input prog =
-  (* compiled execution appending packed events straight into a flat
-     buffer, bits decoded off the buffer — no event records, no observer,
-     no per-event allocation *)
-  match Stackvm.Trace.record ~fuel prog ~input with
-  | events, result ->
-      let o = recognize_buf ?strides ~passphrase ~watermark_bits events in
-      { o with steps = result.Stackvm.Interp.steps }
-  | exception e -> degraded (Codec.Params.make ~passphrase ~watermark_bits ()) e
-
-(* ---- streaming recognition ----
-
-   The push-based mode folds each branch event, as it happens, through the
-   incremental trace-bit decoder into the same {!Codec.Harvester} that
-   batch harvest folds over a whole bit-string, and a periodic
-   recombination probe lets the caller stop the traced run as soon as the
-   recovered value's redundancy margin clears the confidence target.  With
-   the probe disabled the final statement list is the batch harvest's, so
-   [stream_finish] reproduces batch recognition exactly. *)
+   Every mode folds each branch event, as it happens, through the
+   incremental trace-bit decoder into the {!Codec.Harvester} that batch
+   harvest folds over a whole bit-string.  A periodic recombination probe
+   lets the caller stop the traced run as soon as the recovered value's
+   redundancy margin clears the confidence target.  Batch recognition is
+   the stream with no probe: one run, no event buffer, no bit-string, and
+   the final statement list is the batch harvest's. *)
 
 type stream = {
   params : Codec.Params.t;
@@ -136,11 +110,16 @@ let stream_finish s =
     ~trace_branches:(Codec.Harvester.length s.harvester)
     ~steps:0 ~diagnostic:None report
 
-let recognize_streaming ?(fuel = 200_000_000) ?strides ?confidence_target ?check_every
-    ~passphrase ~watermark_bits ~input prog =
-  let s =
-    stream_start ?strides ?confidence_target ?check_every ~passphrase ~watermark_bits ()
-  in
+let degraded params e =
+  (* a corrupt program that the execution engine itself rejects is an
+     experimental outcome (the mark is destroyed), not an error *)
+  let report = Codec.Recombine.recover params [] in
+  outcome_of_report params ~trace_branches:0 ~steps:0
+    ~diagnostic:(Some (Printexc.to_string e))
+    report
+
+(* Compile once and run once, each branch event pushed into the stream. *)
+let run_stream ?(fuel = 200_000_000) s ~input prog =
   match
     let code = Stackvm.Compile.of_program prog in
     Stackvm.Compile.run_streaming ~fuel code ~input ~push:(fun e -> stream_push s e)
@@ -151,9 +130,23 @@ let recognize_streaming ?(fuel = 200_000_000) ?strides ?confidence_target ?check
   | `Stopped steps ->
       let o = stream_finish s in
       ({ o with steps }, `Stopped_early)
-  | exception e ->
-      let params = Codec.Params.make ~passphrase ~watermark_bits () in
-      (degraded params e, `Completed)
+  | exception e -> (degraded s.params e, `Completed)
+
+let recognize ?fuel ?strides ~passphrase ~watermark_bits ~input prog =
+  let s = stream_start ?strides ~check_every:0 ~passphrase ~watermark_bits () in
+  fst (run_stream ?fuel s ~input prog)
+
+let recognize_buf ?strides ~passphrase ~watermark_bits events =
+  let s = stream_start ?strides ~check_every:0 ~passphrase ~watermark_bits () in
+  Stackvm.Tracebuf.iter (fun e -> ignore (stream_push s e)) events;
+  stream_finish s
+
+let recognize_streaming ?fuel ?strides ?confidence_target ?check_every ~passphrase
+    ~watermark_bits ~input prog =
+  let s =
+    stream_start ?strides ?confidence_target ?check_every ~passphrase ~watermark_bits ()
+  in
+  run_stream ?fuel s ~input prog
 
 let recognizes ?fuel ~passphrase ~watermark_bits ~input ~expected prog =
   match (recognize ?fuel ~passphrase ~watermark_bits ~input prog).value with

@@ -44,11 +44,16 @@ val recognize :
     attacked program that crashes can destroy the mark — that is a valid
     experimental outcome, not an exception).
 
-    The recognition run traces through {!Stackvm.Compile} into a flat
-    packed buffer and decodes the bits straight off it.  The [compile]
-    test suite holds the outcome — value, report, branch count and
-    steps — to recovery over the reference interpreter's trace on every
-    corpus workload, marked and unmarked. *)
+    One pass: the program is compiled once and run under
+    {!Stackvm.Compile.run_streaming}, each packed branch event decoded
+    into its trace bit and harvested as it happens — no event buffer, no
+    bit-string.  This is {!recognize_streaming} with the probe disabled.
+    The [harvest] test suite holds the outcome — report, branch count,
+    steps, confidence — to the materialized chain ({!Stackvm.Trace.record},
+    {!Stackvm.Trace.bits_of_buf}, {!Codec.Recombine.harvest},
+    {!Codec.Recombine.recover}) on every corpus workload, marked and
+    unmarked, and the [compile] suite to recovery over the reference
+    interpreter's trace. *)
 
 val recognize_buf :
   ?strides:int list ->
@@ -58,7 +63,9 @@ val recognize_buf :
   outcome
 (** Recognition over an already-captured (possibly salvaged or
     fault-injected) packed event buffer — the offline path used by saved
-    traces and the fault-injection experiments.  [steps] is 0. *)
+    traces and the fault-injection experiments.  The buffer is folded
+    through the same decoder and harvester as {!recognize}.  [steps] is
+    0. *)
 
 val recognizes :
   ?fuel:int ->
@@ -72,13 +79,13 @@ val recognizes :
 
 (** {2 Streaming recognition}
 
-    The push-based mode: branch events are folded, one at a time, through
-    the incremental trace-bit decoder into the {!Codec.Harvester} that
-    batch harvest uses, yielding CRT residue statements, with a periodic
-    recombination probe that declares the mark recovered as soon as its
-    redundancy margin clears the confidence target — so long-running or
-    service-streamed workloads never materialize a trace, and a decided
-    run can stop early. *)
+    The push-based mode under every entry point: branch events are folded,
+    one at a time, through the incremental trace-bit decoder into the
+    {!Codec.Harvester} that batch harvest uses, yielding CRT residue
+    statements.  A periodic recombination probe declares the mark
+    recovered as soon as its redundancy margin clears the confidence
+    target, so a decided run can stop early; without the probe the stream
+    is batch recognition. *)
 
 type stream
 

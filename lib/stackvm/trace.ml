@@ -89,23 +89,109 @@ let capture ?fuel ?(want_snapshots = true) prog ~input =
       result;
     }
 
+(* The branch sites seen so far, in one open-addressed [int array]: a slot
+   holds the first event of its site ([site lsl 1 lor direction], which is
+   the packed event itself) or -1 when empty, with linear probing from a
+   multiplicative hash and growth at half load.  A hit costs one multiply,
+   one load and one compare.  Packed events use all 63 bits, so exactly one
+   first event is unstorable: the all-ones site (fidx and pc both
+   2^31 - 1) taken reads as -1.  That site, which only a crafted trace
+   file can produce, lives beside the table, so probing for it always
+   ends at an empty slot. *)
+module Sites = struct
+  type t = {
+    mutable slots : int array;
+    mutable ids : int array;  (* per slot, its site's id *)
+    mutable shift : int;  (* [63 - log2 (Array.length slots)] *)
+    mutable count : int;
+    mutable top_id : int;  (* the all-ones site's id, -1 until it occurs *)
+    mutable top_taken : bool;  (* and its first direction *)
+  }
+
+  let top = max_int
+
+  let initial_bits = 8
+
+  let create () =
+    {
+      slots = Array.make (1 lsl initial_bits) (-1);
+      ids = Array.make (1 lsl initial_bits) 0;
+      shift = 63 - initial_bits;
+      count = 0;
+      top_id = -1;
+      top_taken = false;
+    }
+
+  let rec probe slots mask site i =
+    let e = Array.unsafe_get slots i in
+    if Tracebuf.site e = site || e = -1 then i else probe slots mask site ((i + 1) land mask)
+
+  (* the slot holding [packed]'s site, or the empty slot where it belongs;
+     the home slot is tried inline *)
+  let[@inline] find t packed =
+    let site = Tracebuf.site packed and slots = t.slots in
+    let home = (site * 0x2545F4914F6CDD1D) lsr t.shift in
+    if Tracebuf.site (Array.unsafe_get slots home) = site then home
+    else probe slots (Array.length slots - 1) site home
+
+  let grow t =
+    let slots = t.slots and ids = t.ids in
+    t.slots <- Array.make (2 * Array.length slots) (-1);
+    t.ids <- Array.make (2 * Array.length slots) 0;
+    t.shift <- t.shift - 1;
+    Array.iteri
+      (fun k e ->
+        if e <> -1 then begin
+          let i = find t e in
+          t.slots.(i) <- e;
+          t.ids.(i) <- ids.(k)
+        end)
+      slots
+
+  (* first occurrence of a site: it takes the next id *)
+  let add t packed =
+    let id = t.count in
+    t.count <- id + 1;
+    if Tracebuf.site packed = top then begin
+      t.top_id <- id;
+      t.top_taken <- Tracebuf.taken packed
+    end
+    else begin
+      if 2 * t.count > Array.length t.slots then grow t;
+      let i = find t packed in
+      t.slots.(i) <- packed;
+      t.ids.(i) <- id
+    end;
+    id
+
+  let[@inline] seen_top t packed = Tracebuf.site packed = top && t.top_id >= 0
+
+  let id t packed =
+    let i = find t packed in
+    if Array.unsafe_get t.slots i <> -1 then Array.unsafe_get t.ids i
+    else if seen_top t packed then t.top_id
+    else add t packed
+
+  let count t = t.count
+end
+
 (* Incremental trace-bit decoder: the first dynamic occurrence of a branch
    site fixes its reference direction (bit 0); later occurrences decode to
-   whether they deviate.  Keyed by the packed site int, so pushing an
-   event costs one int-keyed Hashtbl probe and nothing else. *)
+   whether they deviate — the XOR of the event with the first event its
+   site's slot holds. *)
 module Decoder = struct
-  type t = { first : (int, bool) Hashtbl.t }
+  type t = Sites.t
 
-  let create () = { first = Hashtbl.create 64 }
+  let create = Sites.create
 
   let push d packed =
-    let site = Tracebuf.site packed in
-    let taken = Tracebuf.taken packed in
-    match Hashtbl.find_opt d.first site with
-    | None ->
-        Hashtbl.add d.first site taken;
-        false
-    | Some reference -> taken <> reference
+    let first = Array.unsafe_get d.Sites.slots (Sites.find d packed) in
+    if first <> -1 then (first lxor packed) land 1 = 1
+    else if Sites.seen_top d packed then Tracebuf.taken packed <> d.Sites.top_taken
+    else begin
+      ignore (Sites.add d packed);
+      false
+    end
 end
 
 let bits_of_buf buf =

@@ -42,8 +42,9 @@ val max_snapshots_per_block : int
 
 val record : ?fuel:int -> Program.t -> input:int list -> Tracebuf.t * Interp.result
 (** Run on {!Compile} with every branch event appended into a fresh
-    buffer, pre-sized for real traces: the recognition-only capture.
-    [fuel] is {!Compile.run}'s.  Exceptions from translating or running a
+    buffer, pre-sized for real traces: the capture gwm recognition and
+    saved traces use (jwm recognition decodes events as they happen and
+    keeps none).  [fuel] is {!Compile.run}'s.  Exceptions from translating or running a
     broken program propagate. *)
 
 val capture : ?fuel:int -> ?want_snapshots:bool -> Program.t -> input:int list -> t
@@ -51,8 +52,8 @@ val capture : ?fuel:int -> ?want_snapshots:bool -> Program.t -> input:int list -
     flat buffer [events].  [want_snapshots] (default [true]) controls
     whether block counts and variable values are recorded.  Without them
     the capture is {!record}, with [visits] and [block_counts] empty and
-    [events] also unpacked into [branches] for the benchmark; recognition
-    calls {!record} instead.  A snapshot capture leaves [branches]
+    [events] also unpacked into [branches] for the benchmark; gwm
+    recognition calls {!record} instead.  A snapshot capture leaves [branches]
     empty: embedding never reads it, and unpacking a large trace cost
     nearly as much as the traced run itself.  With snapshots
     the run uses a translation made with a {!Compile.block_hook} that
@@ -79,7 +80,24 @@ val buf_of_branches : branch_event list -> Tracebuf.t
     ({!Gwm.Recognize.recognize_branches}) until it reads the packed
     buffer. *)
 
-(** Incremental trace-bit decoder — the streaming recognizer's front end.
+(** The branch sites of a trace, numbered in order of first occurrence:
+    a flat open-addressed table keyed on the packed site, each slot
+    holding its site's first event.  The trace-bit {!Decoder} and gwm's
+    per-site streams both key on it. *)
+module Sites : sig
+  type t
+
+  val create : unit -> t
+
+  val id : t -> int -> int
+  (** The id of a packed event's site: [0, 1, 2, ...] in order of first
+      occurrence, assigned on the first. *)
+
+  val count : t -> int
+  (** Distinct sites seen so far. *)
+end
+
+(** Incremental trace-bit decoder — the front end of jwm recognition.
     Feeding it the packed events of a trace, in order, yields exactly the
     bits of {!bitstring}: the first occurrence of a branch site decodes to
     [false] and fixes the site's reference direction; every later

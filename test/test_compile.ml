@@ -399,6 +399,35 @@ let test_streaming_early_exit () =
   Alcotest.(check bool) "fewer steps than the full run" true
     (streamed.Jwm.Recognize.steps < full.Jwm.Recognize.steps)
 
+(* The harvester decrypts windows in chunks, flushing before every count
+   the probe reads, so where a stream decides must not move.  The step
+   counts are pinned from the one-window-at-a-time harvester: each run
+   stops early, at exactly these steps, for every probe period. *)
+let test_streaming_stops_where_pinned () =
+  let pinned =
+    [
+      ("crafty/jwm-256", [ (1, 37915); (64, 38244); (4096, 67885) ]);
+      ("mcf/jwm-256", [ (1, 62848); (64, 62939); (4096, 99572) ]);
+      ("caffeine-sieve/jwm-256", [ (1, 45548); (64, 46029); (4096, 77098) ]);
+    ]
+  in
+  List.iter
+    (fun (name, stops) ->
+      let e = List.find (fun (e : Vm_corpus.entry) -> e.name = name) (Lazy.force Vm_corpus.entries) in
+      List.iter
+        (fun (check_every, steps) ->
+          let o, status =
+            Jwm.Recognize.recognize_streaming ~check_every ~passphrase:Vm_corpus.key
+              ~watermark_bits:e.bits ~input:e.input e.program
+          in
+          let label = Printf.sprintf "%s check_every=%d" name check_every in
+          Alcotest.(check bool) (label ^ ": stopped early") true (status = `Stopped_early);
+          Alcotest.(check int) (label ^ ": steps") steps o.Jwm.Recognize.steps;
+          Alcotest.(check bool) (label ^ ": mark recovered") true
+            (Option.equal Bignum.equal e.mark o.Jwm.Recognize.value))
+        stops)
+    pinned
+
 let test_run_streaming_events_match_buffer () =
   let _, prog = Lazy.force marked in
   let code = Compile.of_program prog in
@@ -549,6 +578,7 @@ let suite =
     ("bitstring decodes identically off buffer", `Quick, test_bitstring_decodes_off_buffer);
     ("streaming recognition matches batch", `Quick, test_streaming_matches_batch);
     ("streaming recognition exits early", `Quick, test_streaming_early_exit);
+    ("streaming stops at the pinned steps", `Quick, test_streaming_stops_where_pinned);
     ("run_streaming pushes the buffered events", `Quick, test_run_streaming_events_match_buffer);
     QCheck_alcotest.to_alcotest qcheck_branches_agrees_with_reference;
     ("embedding from a compiled capture is byte-identical", `Quick, test_embed_from_compiled_capture);

@@ -121,6 +121,53 @@ let qcheck_roundtrip =
       let c = Crypto.Feistel.create ~key:0x5EEDL () in
       Crypto.Feistel.decrypt c (Crypto.Feistel.encrypt c v) = v)
 
+(* The four-wide batch decrypt against one block at a time: random keys,
+   every even width, odd and even round counts, and lengths that leave
+   each tail size after the groups of four, plus one harvest-sized batch.
+   Blocks are drawn over the whole width, so values near 2^width - 1 and
+   0 both occur; [dst] starts as garbage and [src] must stay untouched. *)
+let qcheck_decrypt_many =
+  let gen =
+    QCheck.Gen.(
+      map4
+        (fun key half rounds (n, seed) -> (Int64.of_int key, 2 * half, rounds, n, seed))
+        (int_bound max_int) (int_range 2 31) (int_range 2 40)
+        (pair (oneof [ int_range 0 9; pure 1024 ]) (int_bound 100_000)))
+  in
+  let print (key, width, rounds, n, seed) =
+    Printf.sprintf "key=%Ld width=%d rounds=%d n=%d seed=%d" key width rounds n seed
+  in
+  QCheck.Test.make ~name:"decrypt_many matches decrypt_unchecked" ~count:500 (QCheck.make ~print gen)
+    (fun (key, block_bits, rounds, n, seed) ->
+      let c = Crypto.Feistel.create ~rounds ~block_bits ~key () in
+      let rng = Util.Prng.create (Int64.of_int seed) in
+      let src = Array.init (n + 3) (fun _ -> Util.Prng.bits rng block_bits) in
+      let before = Array.copy src in
+      let dst = Array.make (n + 3) (-7) in
+      Crypto.Feistel.decrypt_many c src dst n;
+      let expected = Array.init n (fun i -> Crypto.Feistel.decrypt_unchecked c src.(i)) in
+      src = before
+      && Array.sub dst 0 n = expected
+      && Array.for_all (( = ) (-7)) (Array.sub dst n 3)
+      || QCheck.Test.fail_reportf "got [%s]"
+           (String.concat "; " (Array.to_list (Array.map string_of_int dst))))
+
+let test_decrypt_many_in_place () =
+  let c = Crypto.Feistel.create ~key:0xC0FFEEL () in
+  let blocks = Array.init 11 (fun i -> (i * 0x1234567) land ((1 lsl 62) - 1)) in
+  let expected = Array.map (Crypto.Feistel.decrypt_unchecked c) blocks in
+  Crypto.Feistel.decrypt_many c blocks blocks 11;
+  Alcotest.(check (array int)) "src and dst may alias" expected blocks;
+  let bad n () =
+    try
+      Crypto.Feistel.decrypt_many c blocks (Array.make 4 0) n;
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "negative length" true (bad (-1) ());
+  Alcotest.(check bool) "longer than dst" true (bad 5 ());
+  Alcotest.(check bool) "longer than src" true (bad 12 ())
+
 let suite =
   [
     ("roundtrip default block", `Quick, test_roundtrip_default);
@@ -132,4 +179,6 @@ let suite =
     ("invalid parameters", `Quick, test_invalid_params);
     ("known answers at 62 and 16 bits", `Quick, test_known_answers);
     QCheck_alcotest.to_alcotest qcheck_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_decrypt_many;
+    ("decrypt_many in place and bounds", `Quick, test_decrypt_many_in_place);
   ]

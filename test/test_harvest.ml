@@ -212,10 +212,149 @@ let test_real_traces () =
         (Vm_corpus.show_report (Recombine.recover params got)))
     (Lazy.force Vm_corpus.entries)
 
+(* ---- the trace-bit decoder and the site table against a Hashtbl ----
+
+   The flat open-addressed table must decode and number sites exactly as
+   a Hashtbl keyed on the packed site: up to 700 sites, so the table grows
+   past its first 256 slots; pcs from a pool of eight, so many sites differ
+   only in fidx; and fields at the 31-bit edges, where packed events turn
+   negative and the all-ones site's taken event is -1. *)
+let qcheck_decoder_matches_hashtbl =
+  let print (nsites, seed) = Printf.sprintf "sites=%d seed=%d" nsites seed in
+  QCheck.Test.make ~name:"trace decoder and site ids match a Hashtbl" ~count:300
+    (QCheck.make ~print QCheck.Gen.(pair (int_range 1 700) (int_bound 100_000)))
+    (fun (nsites, seed) ->
+      let rng = Util.Prng.create (Int64.of_int seed) in
+      let field () =
+        match Util.Prng.int rng 4 with
+        | 0 -> Util.Prng.int rng 4
+        | 1 -> 0x7FFF_FFFF - Util.Prng.int rng 2
+        | 2 -> (1 lsl 30) + Util.Prng.int rng 4
+        | _ -> Util.Prng.bits rng 31
+      in
+      let pcs = Array.init 8 (fun _ -> field ()) in
+      let pool = Array.init nsites (fun _ -> (field (), Util.Prng.pick rng pcs)) in
+      let first = Hashtbl.create 64 and ids = Hashtbl.create 64 in
+      let decoder = Stackvm.Trace.Decoder.create () and sites = Stackvm.Trace.Sites.create () in
+      for _ = 1 to Util.Prng.int rng 4000 do
+        let fidx, pc = Util.Prng.pick rng pool in
+        let e = Stackvm.Tracebuf.pack ~fidx ~pc ~taken:(Util.Prng.bool rng) in
+        let site = Stackvm.Tracebuf.site e and taken = Stackvm.Tracebuf.taken e in
+        let bit =
+          match Hashtbl.find_opt first site with
+          | Some reference -> taken <> reference
+          | None ->
+              Hashtbl.add first site taken;
+              false
+        in
+        let id =
+          match Hashtbl.find_opt ids site with
+          | Some id -> id
+          | None ->
+              Hashtbl.add ids site (Hashtbl.length ids);
+              Hashtbl.length ids - 1
+        in
+        let got_bit = Stackvm.Trace.Decoder.push decoder e in
+        let got_id = Stackvm.Trace.Sites.id sites e in
+        if got_bit <> bit || got_id <> id then
+          QCheck.Test.fail_reportf "fidx=%d pc=%d taken=%b: bit %b (want %b), id %d (want %d)" fidx pc
+            taken got_bit bit got_id id
+      done;
+      Stackvm.Trace.Sites.count sites = Hashtbl.length ids)
+
+(* the one site whose first event cannot sit in the table *)
+let test_all_ones_site () =
+  let ones = 0x7FFF_FFFF in
+  let events =
+    [
+      (ones, ones, true);
+      (0, 0, false);
+      (ones, ones, false);
+      (ones, ones, true);
+      (ones - 1, ones, false);
+      (ones, ones, false);
+      (0, 0, true);
+    ]
+  in
+  let d = Stackvm.Trace.Decoder.create () and sites = Stackvm.Trace.Sites.create () in
+  let got =
+    List.map
+      (fun (fidx, pc, taken) ->
+        let e = Stackvm.Tracebuf.pack ~fidx ~pc ~taken in
+        (Stackvm.Trace.Decoder.push d e, Stackvm.Trace.Sites.id sites e))
+      events
+  in
+  Alcotest.(check (list (pair bool int)))
+    "bits and ids"
+    [ (false, 0); (false, 1); (true, 0); (false, 0); (false, 2); (true, 0); (true, 1) ]
+    got;
+  Alcotest.(check int) "three sites" 3 (Stackvm.Trace.Sites.count sites)
+
+(* ---- one-pass recognition against the materialized chain ----
+
+   [Jwm.Recognize.recognize] runs once, decoding and harvesting each event
+   as it happens.  The chain it replaced — record a buffer, decode it into
+   a bit-string, harvest, recover — is kept here as the reference: report,
+   branch count, steps and confidence must agree on every corpus entry,
+   on a run cut short by fuel, and on a program the engine rejects. *)
+let reference_recognize ~fuel ~bits ~input prog =
+  let params = Params.make ~passphrase:Vm_corpus.key ~watermark_bits:bits () in
+  match Stackvm.Trace.record ~fuel prog ~input with
+  | events, result ->
+      let stmts = Recombine.harvest params (Stackvm.Trace.bits_of_buf events) ~strides:[ 1; 2 ] in
+      let report = Recombine.recover params stmts in
+      ( report,
+        Stackvm.Tracebuf.length events,
+        result.Stackvm.Interp.steps,
+        Recombine.confidence params report,
+        None )
+  | exception e ->
+      let report = Recombine.recover params [] in
+      (report, 0, 0, Recombine.confidence params report, Some (Printexc.to_string e))
+
+let check_against_chain name ~fuel ~bits ~input prog =
+  let report, branches, steps, confidence, diagnostic = reference_recognize ~fuel ~bits ~input prog in
+  let o = Jwm.Recognize.recognize ~fuel ~passphrase:Vm_corpus.key ~watermark_bits:bits ~input prog in
+  Alcotest.(check string) (name ^ ": report") (Vm_corpus.show_report report)
+    (Vm_corpus.show_report o.Jwm.Recognize.report);
+  Alcotest.(check int) (name ^ ": trace_branches") branches o.Jwm.Recognize.trace_branches;
+  Alcotest.(check int) (name ^ ": steps") steps o.Jwm.Recognize.steps;
+  Alcotest.(check (float 0.)) (name ^ ": confidence") confidence o.Jwm.Recognize.partial.confidence;
+  Alcotest.(check (option string)) (name ^ ": diagnostic") diagnostic o.Jwm.Recognize.diagnostic;
+  o
+
+let test_one_pass_matches_chain () =
+  let fuel = 200_000_000 in
+  List.iter
+    (fun (e : Vm_corpus.entry) ->
+      let o = check_against_chain e.name ~fuel ~bits:e.bits ~input:e.input e.program in
+      match e.mark with
+      | Some w ->
+          Alcotest.(check bool)
+            (e.name ^ ": mark recovered")
+            true
+            (Option.equal Bignum.equal (Some w) o.Jwm.Recognize.value)
+      | None -> ())
+    (Lazy.force Vm_corpus.entries);
+  let e = List.hd (Vm_corpus.marked ()) in
+  let full =
+    Jwm.Recognize.recognize ~passphrase:Vm_corpus.key ~watermark_bits:e.bits ~input:e.input e.program
+  in
+  let cut = full.Jwm.Recognize.steps / 3 in
+  let o = check_against_chain (e.name ^ "/fuel-cut") ~fuel:cut ~bits:e.bits ~input:e.input e.program in
+  Alcotest.(check bool) "the fuel cut shortened the trace" true
+    (o.Jwm.Recognize.trace_branches < full.Jwm.Recognize.trace_branches && o.Jwm.Recognize.steps = cut);
+  let rejected = { e.program with Stackvm.Program.main = "no such function" } in
+  let o = check_against_chain "rejected program" ~fuel ~bits:e.bits ~input:e.input rejected in
+  Alcotest.(check bool) "the degraded arm ran" true (o.Jwm.Recognize.diagnostic <> None)
+
 let suite =
   [
     ("planted bit-strings produce hits", `Quick, test_generator_hits);
     ("stride below 1 rejected", `Quick, test_bad_stride);
     ("real traces match the reference", `Quick, test_real_traces);
     QCheck_alcotest.to_alcotest qcheck_matches_reference;
+    QCheck_alcotest.to_alcotest qcheck_decoder_matches_hashtbl;
+    ("the all-ones site decodes outside the table", `Quick, test_all_ones_site);
+    ("one-pass recognition matches the materialized chain", `Quick, test_one_pass_matches_chain);
   ]
