@@ -13,12 +13,16 @@ type lane = {
   mutable found : Statement.t list;  (* newest first *)
 }
 
-(* Windows are not decrypted as they complete: they queue, in push order,
-   in a fixed chunk, and a full chunk — or any read of the results —
-   flushes it.  A flush looks every queued window up in the memo, decrypts
-   the misses together with the four-wide {!Crypto.Feistel.decrypt_many},
-   then unenumerates and dedups in the queued (position, lane) order, so
-   the statements are those of decrypting one window at a time. *)
+(* Windows are not decrypted as they complete.  Each is looked up in the
+   memo at once: a hit whose plaintext is known to lie past the
+   enumeration range can never be a statement and is dropped there.  The
+   rest queue, in push order, in a fixed chunk: misses, which claim their
+   memo slot at once so that a repeat shares the decrypt, hits on a slot a
+   pending miss claimed, and hits that decode.  A full chunk — or any read
+   of the results — flushes it: the misses are decrypted together with the
+   four-wide {!Crypto.Feistel.decrypt_many}, and the queue is unenumerated
+   and deduped in its (position, lane) order, so the statements are those
+   of decrypting one window at a time. *)
 let chunk = 1024
 
 type t = {
@@ -28,13 +32,13 @@ type t = {
   lanes : lane array;
   memo_blocks : int array;
   memo_plain : int array;
-  queued_blocks : int array;
   queued_pos : int array;
   queued_lane : int array;
   plain : int array;  (* per queued window: its plaintext, or [-1 - k] for miss [k] *)
   misses : int array;
   missed_plain : int array;
   mutable queued : int;
+  mutable nmiss : int;
   mutable nbits : int;
   mutable count : int;
 }
@@ -68,13 +72,13 @@ let create ?(dedup_overlaps = true) (params : Params.t) ~strides =
     (* -1 is never a block, so an empty slot never hits *)
     memo_blocks = Array.make (1 lsl memo_bits) (-1);
     memo_plain = Array.make (1 lsl memo_bits) 0;
-    queued_blocks = Array.make chunk 0;
     queued_pos = Array.make chunk 0;
     queued_lane = Array.make chunk 0;
     plain = Array.make chunk 0;
     misses = Array.make chunk 0;
     missed_plain = Array.make chunk 0;
     queued = 0;
+    nmiss = 0;
     nbits = 0;
     count = 0;
   }
@@ -101,30 +105,14 @@ let record t lane pos v s =
   end
 
 let flush t =
-  let n = t.queued in
+  let n = t.queued and nmiss = t.nmiss in
   t.queued <- 0;
-  let blocks = t.memo_blocks and memo = t.memo_plain in
-  (* a miss claims its memo slot at once, pointing at its place in the
-     miss batch, so a repeat later in the chunk shares its decrypt *)
-  let nmiss = ref 0 in
-  for i = 0 to n - 1 do
-    let block = Array.unsafe_get t.queued_blocks i in
-    let slot = memo_slot block in
-    if Array.unsafe_get blocks slot = block then
-      Array.unsafe_set t.plain i (Array.unsafe_get memo slot)
-    else begin
-      let k = !nmiss in
-      Array.unsafe_set t.misses k block;
-      Array.unsafe_set t.plain i (-1 - k);
-      Array.unsafe_set blocks slot block;
-      Array.unsafe_set memo slot (-1 - k);
-      nmiss := k + 1
-    end
-  done;
-  Crypto.Feistel.decrypt_many t.params.cipher t.misses t.missed_plain !nmiss;
+  t.nmiss <- 0;
+  Crypto.Feistel.decrypt_many t.params.cipher t.misses t.missed_plain nmiss;
   (* a slot's later claimers come later in the batch, so the last write
      leaves it its own block's plaintext *)
-  for k = 0 to !nmiss - 1 do
+  let memo = t.memo_plain in
+  for k = 0 to nmiss - 1 do
     let slot = memo_slot (Array.unsafe_get t.misses k) in
     Array.unsafe_set memo slot (Array.unsafe_get t.missed_plain k)
   done;
@@ -140,6 +128,30 @@ let flush t =
       | None -> ()
   done
 
+(* look a completed window up and queue it, unless it is a hit that
+   cannot decode *)
+let[@inline] offer t k block pos =
+  if t.queued = chunk then flush t;
+  let slot = memo_slot block in
+  let known = Array.unsafe_get t.memo_blocks slot = block in
+  let v = Array.unsafe_get t.memo_plain slot in
+  if not (known && v >= t.params.enumeration_total) then begin
+    let q = t.queued in
+    Array.unsafe_set t.queued_pos q pos;
+    Array.unsafe_set t.queued_lane q k;
+    t.queued <- q + 1;
+    if known then Array.unsafe_set t.plain q v
+    else begin
+      (* a miss claims the slot, pointing at its place in the miss batch *)
+      let m = t.nmiss in
+      Array.unsafe_set t.misses m block;
+      Array.unsafe_set t.plain q (-1 - m);
+      Array.unsafe_set t.memo_blocks slot block;
+      Array.unsafe_set t.memo_plain slot (-1 - m);
+      t.nmiss <- m + 1
+    end
+  end
+
 let push t bit =
   let n = t.nbits in
   t.nbits <- n + 1;
@@ -151,14 +163,7 @@ let push t bit =
     Array.unsafe_set lane.chains c block;
     lane.chain <- (if c + 1 = lane.stride then 0 else c + 1);
     let pos = n - (t.top * lane.stride) in
-    if pos >= 0 then begin
-      if t.queued = chunk then flush t;
-      let q = t.queued in
-      Array.unsafe_set t.queued_blocks q block;
-      Array.unsafe_set t.queued_pos q pos;
-      Array.unsafe_set t.queued_lane q k;
-      t.queued <- q + 1
-    end
+    if pos >= 0 then offer t k block pos
   done
 
 let length t = t.nbits

@@ -123,6 +123,43 @@ let count_multiplicity statements =
     statements;
   Hashtbl.fold (fun (i, j, x) weight acc -> ({ Statement.i; j; x }, weight) :: acc) tbl []
 
+(* The watermark a set of statements determines, when it mentions every
+   prime: one residue per prime, recombined by Garner's mixed-radix
+   digits, W = d0 + p0 (d1 + p1 (d2 + ...)), each digit found modulo its
+   own prime in native ints, so the only bignum work is the r-1 steps of
+   the final Horner sum.  Two statements that disagree on a prime have no
+   common solution, and give [None]. *)
+let solve (params : Params.t) statements =
+  let primes = params.primes in
+  let r = Array.length primes in
+  let residues = Array.make r (-1) in
+  let agree k x =
+    let v = x mod primes.(k) and known = residues.(k) in
+    if known < 0 then residues.(k) <- v;
+    known < 0 || known = v
+  in
+  if not (List.for_all (fun (s : Statement.t) -> agree s.i s.x && agree s.j s.x) statements) then None
+  else if Array.exists (fun v -> v < 0) residues then None
+  else begin
+    let open Numtheory.Ints in
+    let digits = Array.make r 0 in
+    for k = 0 to r - 1 do
+      let p = primes.(k) in
+      let t = ref residues.(k) in
+      for j = 0 to k - 1 do
+        (* t := (t - d_j) / p_j mod p, both factors below p < 2^30 *)
+        let _, inv, _ = egcd (primes.(j) mod p) p in
+        t := mod_pos (!t - digits.(j)) p * mod_pos inv p mod p
+      done;
+      digits.(k) <- !t
+    done;
+    let w = ref (Bignum.of_int digits.(r - 1)) in
+    for k = r - 2 downto 0 do
+      w := Bignum.add (Bignum.mul !w (Bignum.of_int primes.(k))) (Bignum.of_int digits.(k))
+    done;
+    Some !w
+  end
+
 let recover ?(cap = 3000) ?(vote_cap = 3) (params : Params.t) statements =
   let candidates = List.length statements in
   let counted = count_multiplicity statements in
@@ -151,10 +188,7 @@ let recover ?(cap = 3000) ?(vote_cap = 3) (params : Params.t) statements =
       mentioned.(s.j) <- true)
     used;
   let covered = Array.for_all Fun.id mentioned in
-  let value =
-    if not covered then None
-    else Numtheory.Gcrt.solve (List.map (Statement.to_congruence params) used)
-  in
+  let value = solve params used in
   { candidates; distinct; after_vote; dropped_by_greedy; used; covered; value }
 
 let recover_value ?cap ?vote_cap params statements = (recover ?cap ?vote_cap params statements).value

@@ -12,7 +12,8 @@
       modulo a shared prime) over the survivors;
     + {b greedily} presumes true a maximum-[H]-degree vertex and deletes its
       [G]-neighbours, until [G] has no edges;
-    + recombines the surviving statements with the {b Generalized CRT}.
+    + recombines the survivors, which agree on every prime they share,
+      with the {b CRT} of one residue per base prime ({!solve}).
 
     Recovery succeeds when the survivors cover every base prime. *)
 
@@ -21,7 +22,7 @@ type report = {
   distinct : int;  (** distinct statements before voting *)
   after_vote : int;  (** distinct statements surviving the vote filter *)
   dropped_by_greedy : int;  (** statements deleted by the graph phase *)
-  used : Statement.t list;  (** statements passed to the Generalized CRT *)
+  used : Statement.t list;  (** statements passed to {!solve} *)
   covered : bool;  (** every base prime mentioned by some used statement *)
   value : Bignum.t option;  (** the recovered watermark, when successful *)
 }
@@ -32,11 +33,18 @@ val recover : ?cap:int -> ?vote_cap:int -> Params.t -> Statement.t list -> repor
     of distinct statements entering the quadratic graph phase; when
     exceeded, statements of highest multiplicity are preferred. *)
 
+val solve : Params.t -> Statement.t list -> Bignum.t option
+(** The watermark below the product of the primes that the statements
+    determine: [None] unless they mention every base prime and agree
+    modulo each one.  Equal to {!Numtheory.Gcrt.solve} over their
+    congruences whenever they mention every prime, at r-1 bignum steps
+    instead of one bignum merge per statement. *)
+
 val recover_value : ?cap:int -> ?vote_cap:int -> Params.t -> Statement.t list -> Bignum.t option
 (** Just the recovered watermark. *)
 
 type margin = {
-  pieces_used : int;  (** statements handed to the Generalized CRT *)
+  pieces_used : int;  (** statements handed to {!solve} *)
   primes_covered : int;  (** base primes mentioned by some used statement *)
   primes_total : int;
   redundancy_margin : int;

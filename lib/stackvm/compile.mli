@@ -5,9 +5,12 @@
     static resolution (call targets, binop selection, slot bounds, packed
     branch events, fall-through pcs) done at translation time, and all
     dynamic state (operand stack, locals, call frames) held in flat
-    preallocated [int array]s with explicit pointers.  Translation is
-    memoized per program value, so a batch of N inputs compiles once and
-    runs N times.
+    preallocated [int array]s with explicit pointers.  Hot in-block
+    sequences of two to four instructions run as one fused op behind one
+    dispatch, guarded so that it falls back to the single op at its pc
+    whenever the sequence could stop inside (fuel, stack depth, a trap).
+    Translation is memoized per program value, so a batch of N inputs
+    compiles once and runs N times.
 
     {b Equivalence contract}: for every program and input, [run] produces
     the same {!Interp.result} as {!Interp.run} — same outcome (including
@@ -44,6 +47,13 @@ val of_program : ?on_block:block_hook -> Program.t -> code
     calls [on_block]; such a translation is made afresh on every call and
     never memoized, so it lives only as long as its caller holds it.
     @raise Invalid_argument when [prog.main] is missing. *)
+
+val fused_lengths : Program.t -> int array array
+(** Per function and pc, how many instructions the op the translation
+    places at that pc runs behind one dispatch: 2 to 4 where a fused form
+    starts, 1 everywhere else (inside a form too, where the single op
+    stays for the form's fallback).  The same for the plain and the
+    hooked translation; no form spans a block leader. *)
 
 val run : ?trace:Tracebuf.t -> ?fuel:int -> code -> input:int list -> Interp.result
 (** Execute. [trace], when given, receives every conditional-branch event

@@ -257,6 +257,72 @@ let qcheck_recover_roundtrip =
       | Some w' -> Bignum.equal w w'
       | None -> false)
 
+(* ---- the per-prime CRT ----
+
+   [Recombine.solve] recombines one residue per prime; it must give what
+   the Generalized CRT gives over the statements' own congruences. *)
+
+let gcrt_value params used =
+  Numtheory.Gcrt.solve (List.map (Statement.to_congruence params) used)
+
+let covers (params : Params.t) statements =
+  let mentioned = Array.make (Params.r params) false in
+  List.iter
+    (fun (s : Statement.t) ->
+      mentioned.(s.i) <- true;
+      mentioned.(s.j) <- true)
+    statements;
+  Array.for_all Fun.id mentioned
+
+let show_value = function Some v -> Bignum.to_string v | None -> "none"
+
+(* every corpus trace's recovery, through the recognizer's own harvest *)
+let test_solve_matches_gcrt_on_corpus () =
+  let covered = ref 0 in
+  List.iter
+    (fun (e : Vm_corpus.entry) ->
+      let params = Params.make ~passphrase:Vm_corpus.key ~watermark_bits:e.bits () in
+      let report = Recombine.recover_from_bitstring params (Vm_corpus.trace_bits e) in
+      let expected = if report.Recombine.covered then gcrt_value params report.Recombine.used else None in
+      if report.Recombine.covered then incr covered;
+      Alcotest.(check string) e.name (show_value expected) (show_value report.Recombine.value))
+    (Lazy.force Vm_corpus.entries);
+  Alcotest.(check bool) "not vacuous: the marked entries are covered" true (!covered >= 36)
+
+(* random subsets of a watermark's true statements (pairwise consistent,
+   often short of a prime), sometimes with one random statement added
+   that may contradict them; primes of 12, 25 and 30 bits *)
+let qcheck_solve_matches_gcrt =
+  let tables =
+    [|
+      params_small;
+      Params.make ~passphrase:"per-prime crt" ~watermark_bits:128 ();
+      Params.make ~prime_bits:30 ~block_bits:62 ~passphrase:"wide primes" ~watermark_bits:87 ();
+      params_768;
+    |]
+  in
+  QCheck.Test.make ~name:"per-prime CRT equals the Generalized CRT" ~count:300 QCheck.small_nat
+    (fun seed ->
+      let rng = Util.Prng.create (Int64.of_int (seed + 101)) in
+      let params = tables.(seed mod Array.length tables) in
+      let w = watermark_of params (Int64.of_int (seed + 3)) (Params.max_watermark_bits params) in
+      let keep = 1 + Util.Prng.int rng 100 in
+      let statements =
+        List.filter (fun _ -> Util.Prng.int rng 100 < keep) (Statement.all_of_watermark params w)
+      in
+      let statements =
+        if Util.Prng.bool rng then statements
+        else begin
+          let r = Params.r params in
+          let i = Util.Prng.int rng (r - 1) in
+          let j = i + 1 + Util.Prng.int rng (r - 1 - i) in
+          let x = Util.Prng.int rng (params.Params.primes.(i) * params.Params.primes.(j)) in
+          { Statement.i; j; x } :: statements
+        end
+      in
+      let expected = if covers params statements then gcrt_value params statements else None in
+      Option.equal Bignum.equal expected (Recombine.solve params statements))
+
 let suite =
   [
     ("params deterministic from passphrase", `Quick, test_params_deterministic);
@@ -281,6 +347,8 @@ let suite =
     ("recover with corrupted pieces", `Quick, test_recover_with_corrupted_pieces);
     QCheck_alcotest.to_alcotest qcheck_encode_decode;
     QCheck_alcotest.to_alcotest qcheck_recover_roundtrip;
+    ("per-prime CRT matches the Generalized CRT on the corpus", `Quick, test_solve_matches_gcrt_on_corpus);
+    QCheck_alcotest.to_alcotest qcheck_solve_matches_gcrt;
   ]
 
 (* ---- parameter and boundary edge cases ---- *)

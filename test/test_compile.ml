@@ -235,6 +235,260 @@ let qcheck_random_programs_agree =
              ri = rh && log_i = log_h)
            (List.init 41 Fun.id))
 
+(* ---- fused forms ----
+
+   Programs dense in the instruction sequences the translation fuses, and
+   in their near misses: operands one short on the stack, local or global
+   slots just out of range, array handles and indices that may be bad,
+   Div and Rem by zero, branch targets anywhere — into the middle of a
+   form, making a leader inside it, or past the code.  Every fuel cut of
+   a run goes through the interpreter, the plain translation, the hooked
+   translation and the streaming run of each, which must agree on
+   everything observable; the streams are also stopped at each event. *)
+
+let fused_program rng =
+  let pick a = a.(Util.Prng.int rng (Array.length a)) in
+  let nlocals = 3 and nglobals = 2 in
+  (* most programs make one kind of near miss, often enough that several
+     are reached, rarely enough that the run goes on for a while: 1 an
+     operand short on the stack, 2 a local slot out of range, 3 a global
+     slot, 4 a zero divisor, 5 a bad array handle or index *)
+  let miss = Util.Prng.int rng 6 in
+  let rare kind = miss = kind && Util.Prng.int rng 8 = 0 in
+  let slot () = if rare 2 then pick [| -1; nlocals |] else Util.Prng.int rng nlocals in
+  let global () = if rare 3 then pick [| -1; nglobals |] else Util.Prng.int rng nglobals in
+  let k () = if rare 4 then 0 else 1 + Util.Prng.int rng 2 in
+  let binop () = pick Instr.[| Add; Sub; Mul; Div; Rem; Add; Sub; And; Or; Xor; Shl; Shr |] in
+  let cmp () = pick Instr.[| Eq; Ne; Lt; Le; Gt; Ge |] in
+  (* one value on the stack, pushed by ops no form starts with *)
+  let one () = if rare 1 then [] else Instr.[ Load (slot ()); Neg; Neg ] in
+  let two () = one () @ one () in
+  let jump = Instr.Jump (-1000) and branch () = Instr.If { sense = Util.Prng.bool rng; target = -1000 } in
+  (* each chunk leaves the operand stack as it found it, so a run lives on
+     until a near miss or a branch into a chunk's middle upsets it *)
+  let chunk ~in_main =
+    match Util.Prng.int rng (if in_main then 22 else 21) with
+    | 0 -> Instr.[ Load (slot ()); Const (k ()); Cmp (cmp ()); branch () ]
+    | 1 -> Instr.[ Load (slot ()); Load (slot ()); Cmp (cmp ()); branch () ]
+    | 2 -> Instr.[ Load (slot ()); Const (k ()); Binop (binop ()); Store (slot ()) ]
+    | 3 -> Instr.[ Get_global (global ()); Load (slot ()); Array_load; Store (slot ()) ]
+    | 4 -> one () @ Instr.[ Load (slot ()); Cmp (cmp ()); branch () ]
+    | 5 -> one () @ Instr.[ Const (k ()); Cmp (cmp ()); branch () ]
+    | 6 -> Instr.[ Load (slot ()); Load (slot ()); Binop (binop ()); Print ]
+    | 7 -> one () @ Instr.[ Const (k ()); Binop (binop ()); Store (slot ()) ]
+    | 8 -> two () @ Instr.[ Cmp (cmp ()); branch () ]
+    | 9 -> one () @ Instr.[ Store (slot ()); jump ]
+    | 10 -> Instr.[ Get_global (global ()); Nop; Load (slot ()); Array_load; Print ]
+    | 11 -> Instr.[ Get_global (global ()); Load (slot ()); Binop (binop ()); Print ]
+    | 12 -> two () @ Instr.[ Binop (binop ()); Store (slot ()) ]
+    | 13 -> Instr.[ Load (slot ()); Load (slot ()); Swap; Binop (binop ()); Print ]
+    | 14 -> Instr.[ Load (slot ()); Const (k ()); Swap; Binop (binop ()); Store (slot ()) ]
+    | 15 -> Instr.[ Const (if rare 4 || rare 5 then pick [| 0; 5; -1 |] else k ()); Store (slot ()) ]
+    | 16 -> Instr.[ Const (k ()); Const (k ()); Cmp (cmp ()); branch () ]
+    | 17 -> Instr.[ Load (slot ()); Const (k ()); Binop (binop ()); Set_global (global ()) ]
+    | 18 -> Instr.[ Const (if rare 5 then pick [| 7; -1 |] else Util.Prng.int rng 2); Set_global (global ()) ]
+    | 19 -> Instr.[ Get_global (global ()); Load (slot ()); Const (k ()); Array_store ]
+    | 20 -> Instr.[ Read; Store (slot ()) ]
+    | _ -> Instr.[ Load (slot ()); Call "f"; Store (slot ()) ]
+  in
+  (* branch targets: mostly a chunk's first pc, else any pc — often inside
+     a form — or just outside the code *)
+  let body ~in_main prelude tail =
+    let chunks = prelude :: List.init (3 + Util.Prng.int rng 10) (fun _ -> chunk ~in_main) @ [ tail ] in
+    let firsts = Array.of_list (List.rev (snd (List.fold_left (fun (pc, acc) c -> (pc + List.length c, pc :: acc)) (0, []) chunks))) in
+    let code = List.concat chunks in
+    let len = List.length code in
+    let target () =
+      match Util.Prng.int rng 10 with
+      | 0 -> pick [| -1; len; len + 3 |]
+      | 1 | 2 -> Util.Prng.int rng len
+      | _ -> pick firsts
+    in
+    List.map
+      (function
+        | Instr.If { sense; target = -1000 } -> Instr.If { sense; target = target () }
+        | Instr.Jump -1000 -> Instr.Jump (target ())
+        | i -> i)
+      code
+  in
+  (* both globals start as array handles, 3 and 2 long, and the locals
+     as small nonzero indices and divisors *)
+  let prelude =
+    Instr.[ Const 3; New_array; Set_global 0; Const 2; New_array; Set_global 1; Const 1; Store 0; Const 2; Store 1; Const 1; Store 2 ]
+  in
+  let main_tail = if Util.Prng.bool rng then Instr.[ Load 0; Ret ] else [] in
+  Program.make ~nglobals ~main:"main"
+    [
+      Program.func ~name:"main" ~nargs:0 ~nlocals (body ~in_main:true prelude main_tail);
+      Program.func ~name:"f" ~nargs:1 ~nlocals (body ~in_main:false [] Instr.[ Load 0; Ret ]);
+    ]
+
+(* a run's observable behaviour, or the exception it escaped with *)
+let observe f =
+  match f () with
+  | (r : Interp.result), buf, log ->
+      Printf.sprintf "%s %s [%s] events [%s] %s" (show_result r buf)
+        (match r.Interp.outcome with
+        | Interp.Trapped { fidx; pc; reason } -> Printf.sprintf "%d:%d:%s" fidx pc reason
+        | _ -> "")
+        (String.concat "," (List.map string_of_int r.Interp.outputs))
+        (String.concat "," (List.map string_of_int (Tracebuf.to_packed_list buf)))
+        (match log with Some l -> show_log l | None -> "")
+  | exception e -> "raised " ^ Printexc.to_string e
+
+let fused_forms_agree prog input =
+  let plain = Compile.of_program prog in
+  let log = ref (block_log ()) in
+  let hooked =
+    Compile.of_program prog ~on_block:(fun ~fidx ~pc ~locals ~lbase ~globals ->
+        log_block !log ~fidx ~pc locals ~lbase ~nlocals:prog.Program.funcs.(fidx).Program.nlocals globals)
+  in
+  let interp fuel =
+    let r, buf, l = interp_run ~fuel prog input in
+    (r, buf, Some l)
+  in
+  let compiled code ~with_log fuel =
+    log := block_log ();
+    let buf = Tracebuf.create () in
+    let r = Compile.run ~trace:buf ~fuel code ~input in
+    (r, buf, if with_log then Some !log else None)
+  in
+  (* the same run through [run_streaming], pushing into a buffer *)
+  let streamed code ~with_log fuel =
+    log := block_log ();
+    let buf = Tracebuf.create () in
+    match
+      Compile.run_streaming ~fuel code ~input ~push:(fun e ->
+          Tracebuf.add_packed buf e;
+          false)
+    with
+    | `Completed r -> (r, buf, if with_log then Some !log else None)
+    | `Stopped _ -> failwith "stopped without being asked"
+  in
+  (* per fuel cut, the interpreter's event count, for the stop points *)
+  let events_at = Array.make 402 0 in
+  let fail what fuel expected got =
+    QCheck.Test.fail_reportf "%s at fuel %d:@.interp   %s@.compiled %s" what fuel expected got
+  in
+  let compare_at fuel =
+    let run = match interp fuel with v -> Ok v | exception e -> Error e in
+    let replay () = match run with Ok v -> v | Error e -> raise e in
+    let expected = observe replay in
+    let expected_plain = observe (fun () -> match replay () with r, buf, _ -> (r, buf, None)) in
+    List.iter
+      (fun (what, expected, got) -> if expected <> got then fail what fuel expected got)
+      [
+        ("plain", expected_plain, observe (fun () -> compiled plain ~with_log:false fuel));
+        ("hooked", expected, observe (fun () -> compiled hooked ~with_log:true fuel));
+        ("plain stream", expected_plain, observe (fun () -> streamed plain ~with_log:false fuel));
+        ("hooked stream", expected, observe (fun () -> streamed hooked ~with_log:true fuel));
+      ];
+    run
+  in
+  (* every cut up to the first that the run ends before, or raises at *)
+  let rec cut fuel =
+    match compare_at fuel with
+    | Ok (r, buf, _) ->
+        events_at.(fuel) <- Tracebuf.length buf;
+        if r.Interp.outcome = Interp.Out_of_fuel && fuel < 400 then cut (fuel + 1) else fuel
+    | Error _ ->
+        (* the events before the escape are the previous cut's *)
+        if fuel > 0 then events_at.(fuel) <- events_at.(fuel - 1);
+        fuel
+  in
+  let last = cut 0 in
+  (* a run that ends on its own ends the same with fuel to spare, where a
+     form at its last step no longer falls back for want of fuel *)
+  let ample = last + 3 in
+  ignore (compare_at ample);
+  (* stop each stream at its k-th event: the steps are those at which the
+     interpreter's run first reaches k events *)
+  for k = 1 to events_at.(last) do
+    let expected = ref 0 in
+    while events_at.(!expected) < k do
+      incr expected
+    done;
+    List.iter
+      (fun (what, code) ->
+        let seen = ref 0 in
+        match Compile.run_streaming ~fuel:ample code ~input ~push:(fun _ -> incr seen; !seen = k) with
+        | `Stopped steps ->
+            if steps <> !expected then
+              fail (Printf.sprintf "%s stopped at event %d" what k) ample (string_of_int !expected)
+                (string_of_int steps)
+        | `Completed _ -> fail (Printf.sprintf "%s not stopped at event %d" what k) ample "stopped" "completed"
+        | exception e -> fail (Printf.sprintf "%s stopped at event %d" what k) ample "stopped" (Printexc.to_string e))
+      [ ("plain stream", plain); ("hooked stream", hooked) ]
+  done;
+  true
+
+let qcheck_fused_forms_agree =
+  QCheck.Test.make ~name:"fused forms agree with interp at every fuel cut" ~count:200 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let rng = Util.Prng.create (Int64.of_int (seed + 1009)) in
+      fused_forms_agree (fused_program rng) [ 3; 0; 7; -1 ])
+
+(* the generator does reach the forms: most programs get several, and no
+   form spans a block leader *)
+let test_fused_programs_have_forms () =
+  let forms = ref 0 and programs_with_forms = ref 0 in
+  for seed = 0 to 199 do
+    let prog = fused_program (Util.Prng.create (Int64.of_int (seed + 1009))) in
+    let lengths = Compile.fused_lengths prog in
+    let here = ref 0 in
+    Array.iteri
+      (fun fidx per_pc ->
+        let starts = Program.block_starts prog.Program.funcs.(fidx) in
+        Array.iteri
+          (fun pc n ->
+            if n > 1 then begin
+              incr here;
+              for inside = pc + 1 to pc + n - 1 do
+                if starts.(inside) then Alcotest.failf "seed %d: a form at %d:%d spans the leader %d" seed fidx pc inside
+              done
+            end)
+          per_pc)
+      lengths;
+    forms := !forms + !here;
+    if !here >= 3 then incr programs_with_forms
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d forms, %d programs with 3 or more" !forms !programs_with_forms) true
+    (!programs_with_forms >= 150)
+
+(* Fusion is invisible to every equivalence check, so its reach is held
+   on its own: over the workloads' runs, the ops dispatched per
+   instruction executed.  A block entered [n] times runs every one of its
+   instructions [n] times (a call returns into the block it left), so its
+   dispatches are [n] times the ops its segmentation places; the same
+   count of instructions must give the run's steps exactly. *)
+let test_fused_dispatches_per_step () =
+  let steps = ref 0 and dispatches = ref 0 in
+  List.iter
+    (fun (wl : Workloads.Workload.t) ->
+      let prog = Workloads.Workload.vm_program wl in
+      let trace = Trace.capture prog ~input:wl.Workloads.Workload.input in
+      let lengths = Compile.fused_lengths prog in
+      let modeled = ref 0 in
+      Hashtbl.iter
+        (fun (fidx, leader) n ->
+          let f = prog.Program.funcs.(fidx) in
+          let starts = Program.block_starts f in
+          let len = Array.length f.Program.code in
+          let pc = ref leader and ops = ref 0 in
+          while !pc < len && (!pc = leader || not starts.(!pc)) do
+            incr ops;
+            pc := !pc + lengths.(fidx).(!pc)
+          done;
+          modeled := !modeled + (n * (!pc - leader));
+          dispatches := !dispatches + (n * !ops))
+        trace.Trace.block_counts;
+      Alcotest.(check int) (wl.Workloads.Workload.name ^ ": instructions from block counts")
+        trace.Trace.result.Interp.steps !modeled;
+      steps := !steps + !modeled)
+    Vm_corpus.workloads;
+  let per_step = float_of_int !dispatches /. float_of_int !steps in
+  Alcotest.(check bool) (Printf.sprintf "%.3f dispatches per step" per_step) true (per_step < 0.6)
+
 (* Embedding reads only the trace, so a compiled snapshot capture must
    yield byte-identical marked programs to the oracle's trace. *)
 let test_embed_from_compiled_capture () =
@@ -573,6 +827,9 @@ let suite =
     ("out-of-range pcs agree across backends", `Quick, test_bad_pcs_agree);
     ("fall-through into a block at every fuel cut", `Quick, test_fallthrough_cuts);
     QCheck_alcotest.to_alcotest qcheck_random_programs_agree;
+    QCheck_alcotest.to_alcotest qcheck_fused_forms_agree;
+    ("fuzzed programs reach the fused forms", `Quick, test_fused_programs_have_forms);
+    ("fused forms cut the dispatches per step", `Quick, test_fused_dispatches_per_step);
     ("tracebuf pack/unpack roundtrip", `Quick, test_tracebuf_pack_roundtrip);
     ("tracebuf operations", `Quick, test_tracebuf_ops);
     ("bitstring decodes identically off buffer", `Quick, test_bitstring_decodes_off_buffer);

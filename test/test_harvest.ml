@@ -196,6 +196,115 @@ let test_bad_stride () =
   Alcotest.check_raises "stride 0" (Invalid_argument "Harvester.create: stride") (fun () ->
       ignore (Recombine.harvest params (Util.Bitstring.of_string "0101") ~strides:[ 1; 0 ]))
 
+(* ---- the memo across flushes ----
+
+   Windows are looked up in the memo as they complete, and a miss claims
+   its slot until the chunk it queued in is decrypted.  Two cases the
+   random strings reach only by chance, held to the reference. *)
+
+let harvests_agree name params bits =
+  let expected = Reference.harvest params bits ~strides:[ 1; 2 ] in
+  let got = Recombine.harvest params bits ~strides:[ 1; 2 ] in
+  if expected <> got then
+    Alcotest.failf "%s: harvester %s, reference %s" name (show got) (show expected);
+  List.length expected
+
+(* a statement's window, then filler, then the window again: with short
+   filler the repeat hits the slot its first occurrence claimed while that
+   miss is still queued, with long filler a full chunk (1024 windows, two
+   per bit here) is decrypted in between, and with [count] read in between
+   the flush comes from the read *)
+let test_flush_between_miss_and_hit () =
+  let _, params = params_table.(4) in
+  let w = Bignum.of_int 201 in
+  let s = List.hd (Statement.all_of_watermark params w) in
+  let found = ref 0 in
+  List.iter
+    (fun filler ->
+      let bits = Util.Bitstring.create () in
+      let rng = Util.Prng.create (Int64.of_int filler) in
+      let piece () = List.iter (Util.Bitstring.append bits) (Statement.bits params s) in
+      piece ();
+      for _ = 1 to filler do
+        Util.Bitstring.append bits (Util.Prng.bool rng)
+      done;
+      piece ();
+      found := !found + harvests_agree (Printf.sprintf "filler %d" filler) params bits;
+      (* the same bits with a read of the results after the first piece *)
+      let h = Harvester.create params ~strides:[ 1; 2 ] in
+      let pushed = ref 0 in
+      Util.Bitstring.iter
+        (fun b ->
+          Harvester.push h b;
+          incr pushed;
+          if !pushed = params.block_bits then ignore (Harvester.count h))
+        bits;
+      Alcotest.(check string)
+        (Printf.sprintf "filler %d, read after the first piece" filler)
+        (show (Recombine.harvest params bits ~strides:[ 1; 2 ]))
+        (show (Harvester.statements h)))
+    (List.init 40 (fun i -> i * 3) @ List.init 40 (fun i -> 480 + (i * 2)));
+  Alcotest.(check bool) "the pieces are found" true (!found >= 80)
+
+(* the memo's slot function, as the harvester computes it *)
+let memo_slot block = (block * 0x2545F4914F6CDD1D) lsr (63 - 14)
+
+(* two blocks that decode and share a memo slot, each queued twice in
+   one chunk so that both claim the slot in turn, then each once more
+   after the flush: the slot must end up holding its last claimer's
+   plaintext, not the first's.  The pair is drawn from the upper half of
+   the blocks: block 0's windows shifted into their neighbours repeat it,
+   which hides a slot left holding the wrong plaintext. *)
+let test_misses_collide_on_a_slot () =
+  let _, params = params_table.(4) in
+  let decodes b = Statement.decode params b <> None in
+  let first = ref (-1) and second = ref (-1) in
+  let seen = Hashtbl.create 4096 in
+  (try
+     for b = 1 lsl (params.block_bits - 1) to (1 lsl params.block_bits) - 1 do
+       if decodes b then
+         match Hashtbl.find_opt seen (memo_slot b) with
+         | Some a ->
+             first := a;
+             second := b;
+             raise Exit
+         | None -> Hashtbl.replace seen (memo_slot b) b
+     done
+   with Exit -> ());
+  Alcotest.(check bool) "a colliding pair exists" true (!first >= 0);
+  let window bits block = Util.Bitstring.append_int bits ~value:block ~width:params.block_bits in
+  let a = !first and b = !second in
+  List.iter
+    (fun (name, order) ->
+      let bits = Util.Bitstring.create () in
+      List.iter (window bits) order;
+      Alcotest.(check bool)
+        (name ^ ": statements found")
+        true
+        (harvests_agree name params bits >= List.length order))
+    [
+      ("a b a b", [ a; b; a; b ]);
+      ("a b b a", [ a; b; b; a ]);
+      ("b a", [ b; a ]);
+    ];
+  (* the same, with a flush between the claims and the later lookups *)
+  let h = Harvester.create params ~strides:[ 1 ] in
+  let push block =
+    for k = 0 to params.block_bits - 1 do
+      Harvester.push h ((block lsr k) land 1 = 1)
+    done
+  in
+  push a;
+  push b;
+  ignore (Harvester.count h);
+  push b;
+  push a;
+  let bits = Util.Bitstring.create () in
+  List.iter (window bits) [ a; b; b; a ];
+  Alcotest.(check string) "flushed between the claims and the lookups"
+    (show (Reference.harvest params bits ~strides:[ 1 ]))
+    (show (Harvester.statements h))
+
 (* ---- real traces ---- *)
 
 let test_real_traces () =
@@ -352,6 +461,8 @@ let suite =
   [
     ("planted bit-strings produce hits", `Quick, test_generator_hits);
     ("stride below 1 rejected", `Quick, test_bad_stride);
+    ("a flush between a miss and its repeat", `Quick, test_flush_between_miss_and_hit);
+    ("two misses in one chunk collide on a memo slot", `Quick, test_misses_collide_on_a_slot);
     ("real traces match the reference", `Quick, test_real_traces);
     QCheck_alcotest.to_alcotest qcheck_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_decoder_matches_hashtbl;
