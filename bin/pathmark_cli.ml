@@ -276,9 +276,9 @@ let trace_vm_cmd =
 
 let recognize_trace path scheme_name key bits inject fault_seed =
   let (module W) = resolve_scheme scheme_name in
-  let recognize_events =
-    match W.recognize_events with
-    | Some f -> f
+  let sink =
+    match W.sink with
+    | Some mk -> mk
     | None ->
         Printf.printf "scheme %s cannot recognize from a saved trace\n" W.name;
         exit 1
@@ -287,7 +287,9 @@ let recognize_trace path scheme_name key bits inject fault_seed =
   let events, salvage = Stackvm.Trace.salvage_events raw in
   Option.iter (Printf.printf "trace salvage: %s\n") salvage;
   report_recovered
-    (recognize_events (Scheme.Watermarker.spec ~key ~bits ~input:[] ()) (inject_trace events))
+    (Scheme.Watermarker.recognize_events sink
+       (Scheme.Watermarker.spec ~key ~bits ~input:[] ())
+       (inject_trace events))
 
 let recognize_trace_cmd =
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc:"Saved trace file.") in
@@ -388,24 +390,20 @@ let recognize_generic path scheme_name key bits input aux aux_file streaming inj
   let aux = match aux_file with Some f -> Some (read_file f) | None -> aux in
   let spec = Scheme.Watermarker.spec ~key ~bits ~input () in
   let o =
-    match (Fault.Inject.is_empty plan, W.recognize_events, carrier) with
-    | false, Some recognize_events, Scheme.Watermarker.Vm_program prog ->
+    match (Fault.Inject.is_empty plan, W.sink, carrier) with
+    | false, Some sink, Scheme.Watermarker.Vm_program prog ->
         (* recognize offline from the fault-injected branch stream *)
         let events, _ = Stackvm.Trace.record ~fuel:200_000_000 prog ~input in
-        recognize_events spec (inject_trace events)
+        Scheme.Watermarker.recognize_events sink spec (inject_trace events)
     | _ -> (
-        match (streaming, W.stream, carrier) with
+        match (streaming, W.sink, carrier) with
         | true, Some mk, Scheme.Watermarker.Vm_program prog ->
             (* push-based recognition over a live compiled run, stopping as
                soon as the scheme decides *)
             let s = mk spec in
-            let code = Stackvm.Compile.of_program prog in
-            (match
-               Stackvm.Compile.run_streaming ~fuel:200_000_000 code ~input
-                 ~push:s.Scheme.Watermarker.push
-             with
+            (match Scheme.Watermarker.run_sink s spec prog with
             | `Stopped steps -> Printf.printf "decided early: run stopped after %d steps\n" steps
-            | `Completed _ -> ());
+            | `Completed -> ());
             s.Scheme.Watermarker.finish ()
         | true, _, _ ->
             Printf.printf "scheme %s cannot recognize in streaming mode\n" W.name;

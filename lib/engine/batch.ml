@@ -231,7 +231,8 @@ let snapshot_capture (job : Job.t) program =
   Stackvm.Trace.capture ?fuel:job.Job.fuel ~want_snapshots:true program ~input:job.Job.input
 
 (* A recognition trace is the compiled run's packed branch events
-   ({!Stackvm.Trace.record}), as the recognizers themselves trace. *)
+   ({!Stackvm.Trace.record}): the events a recognizer's sink sees when it
+   runs the program itself. *)
 let recognition_events (job : Job.t) program =
   let fuel = Option.value ~default:default_recognize_fuel job.Job.fuel in
   fst (Stackvm.Trace.record ~fuel program ~input:job.Job.input)
@@ -244,7 +245,7 @@ let vm_carrier (job : Job.t) = function
    corrupts the replayed stream (salted per job), the corruption is
    surfaced as an event, and the scheme recognizes what survives.
    Returns the recognition and the number of corrupted branch events. *)
-let recognize_replayed ?events ~id ~label ~plan ~salt ~capture recognize_events spec =
+let recognize_replayed ?events ~id ~label ~plan ~salt ~capture sink spec =
   let trace = timed ?events ~id ~stage:"trace" capture in
   let trace, nfaults =
     match plan with None -> (trace, 0) | Some plan -> Fault.Inject.branches plan ~salt trace
@@ -253,7 +254,8 @@ let recognize_replayed ?events ~id ~label ~plan ~salt ~capture recognize_events 
     emit events
       (Events.Fault_injected
          { id; label; layer = "trace"; detail = Printf.sprintf "%d branch event(s) corrupted" nfaults });
-  (timed ?events ~id ~stage:"recognize" (fun () -> recognize_events spec trace), nfaults)
+  ( timed ?events ~id ~stage:"recognize" (fun () -> Scheme.Watermarker.recognize_events sink spec trace),
+    nfaults )
 
 let compute_vm ?inject ?cache ?events ~id (job : Job.t) program action =
   let (module W) = Scheme.Builtin.find_exn job.Job.scheme in
@@ -288,8 +290,8 @@ let compute_vm ?inject ?cache ?events ~id (job : Job.t) program action =
   | Job.Recognize { expected } ->
       let spec = scheme_spec job ~redundancy:Scheme.Watermarker.default_redundancy in
       let r, nfaults =
-        match W.recognize_events with
-        | Some recognize_events ->
+        match W.sink with
+        | Some sink ->
             (* the saved branch trace is cached per (program, input, fuel),
                so every recognizer of one artifact shares one run *)
             let capture () = Stackvm.Trace.save_events (recognition_events job program) in
@@ -300,7 +302,7 @@ let compute_vm ?inject ?cache ?events ~id (job : Job.t) program action =
                   (match cache with
                   | Some c -> Cache.with_bytes ?events c ~stage:"trace" ~key:(Job.trace_digest job) capture
                   | None -> capture ()))
-              recognize_events spec
+              sink spec
         | None -> (timed ?events ~id ~stage:"recognize" (fun () -> W.recognize spec carrier), 0)
       in
       (* degraded: recovered despite injected noise; partial: lost, but
@@ -335,12 +337,12 @@ let compute_vm ?inject ?cache ?events ~id (job : Job.t) program action =
          [inject] still drives crash/fuel/cache faults in [execute]) *)
       let plan = Fault.Inject.make ~seed:cell.Job.cell_fault_seed cell.Job.cell_faults in
       let r, nfaults =
-        match W.recognize_events with
-        | Some recognize_events when not (Fault.Inject.is_empty plan) ->
+        match W.sink with
+        | Some sink when not (Fault.Inject.is_empty plan) ->
             recognize_replayed ?events ~id ~label:job.Job.label ~plan:(Some plan)
               ~salt:(Printf.sprintf "cell:%s:%s" (Job.trace_digest job) cell.Job.cell_attack)
               ~capture:(fun () -> recognition_events job attacked)
-              recognize_events spec
+              sink spec
         | _ ->
             ( timed ?events ~id ~stage:"recognize" (fun () ->
                   W.recognize spec (Scheme.Watermarker.Vm_program attacked)),

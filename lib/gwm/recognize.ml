@@ -8,29 +8,36 @@ type outcome = {
   diagnostic : string option;
 }
 
-(* Per static branch site, its taken-bits in dynamic order, sites in order
-   of first occurrence.  Pass one gives every event the dense id of its
-   site from the flat site table; pass two drops each bit into its site's
-   pre-sized stream. *)
-let streams buf =
-  let n = Stackvm.Tracebuf.length buf in
-  let sites = Stackvm.Trace.Sites.create () in
-  let id_of = Array.make n 0 and counts = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let id = Stackvm.Trace.Sites.id sites (Stackvm.Tracebuf.get buf i) in
-    id_of.(i) <- id;
-    counts.(id) <- counts.(id) + 1
-  done;
-  let nsites = Stackvm.Trace.Sites.count sites in
-  let streams = Array.init nsites (fun id -> Bytes.create counts.(id)) in
-  let fill = Array.make nsites 0 in
-  for i = 0 to n - 1 do
-    let id = id_of.(i) in
-    let taken = Stackvm.Tracebuf.taken (Stackvm.Tracebuf.get buf i) in
-    Bytes.unsafe_set streams.(id) fill.(id) (if taken then '\001' else '\000');
-    fill.(id) <- fill.(id) + 1
-  done;
-  streams
+(* ---- recognition as a stream ----
+
+   Each event's site gets its dense id from the flat site table on first
+   occurrence, and the event's taken-bit goes onto that site's byte
+   stream, so the per-site streams exist, in site order, when the run
+   ends.  Decoding them needs every bit, so a stream never decides early. *)
+
+type stream = {
+  m : int;
+  sync : int;
+  sites : Stackvm.Trace.Sites.t;
+  mutable streams : Buffer.t array;  (* per site id, its bits so far *)
+}
+
+let stream_start ~passphrase ~watermark_bits =
+  {
+    m = Encode.order_for_bits watermark_bits;
+    sync =
+      List.fold_left
+        (fun w b -> (w lsl 1) lor if b then 1 else 0)
+        0 (Encode.sync_word ~key:passphrase);
+    sites = Stackvm.Trace.Sites.create ();
+    streams = Array.init 64 (fun _ -> Buffer.create 16);
+  }
+
+let stream_push s packed =
+  let id = Stackvm.Trace.Sites.id s.sites packed in
+  if id = Array.length s.streams then
+    s.streams <- Array.append s.streams (Array.init id (fun _ -> Buffer.create 16));
+  Buffer.add_char s.streams.(id) (if Stackvm.Tracebuf.taken packed then '\001' else '\000')
 
 (* Candidate payload windows after every sync match, on the stream and on
    its complement (branch-sense inversion flips every bit of a site): a
@@ -39,6 +46,7 @@ let streams buf =
    matches come first, then complement matches, each in ascending
    position — the order the vote's tie-breaking depends on. *)
 let windows ~need ~sync stream acc =
+  let stream = Buffer.to_bytes stream in
   let width = Encode.sync_bits in
   let mask = (1 lsl width) - 1 in
   let bit k = Bytes.unsafe_get stream k = '\001' in
@@ -79,10 +87,15 @@ let bitwise_majority wins =
         wins;
       Some (List.init n (fun k -> 2 * counts.(k) > total))
 
-let decode ~m ~sync buf =
-  let trace_branches = Stackvm.Tracebuf.length buf in
+let stream_finish { m; sync; sites; streams } =
   let need = Encode.payload_bits m + Encode.checksum_bits in
-  let wins = Array.fold_right (windows ~need ~sync) (streams buf) [] in
+  let nsites = Stackvm.Trace.Sites.count sites in
+  let trace_branches = ref 0 and wins = ref [] in
+  for id = nsites - 1 downto 0 do
+    trace_branches := !trace_branches + Buffer.length streams.(id);
+    wins := windows ~need ~sync streams.(id) !wins
+  done;
+  let wins = !wins and trace_branches = !trace_branches in
   let candidates = List.length wins in
   let decoded =
     List.filter_map
@@ -133,30 +146,28 @@ let decode ~m ~sync buf =
           })
 
 let recognize_buf ~passphrase ~watermark_bits buf =
-  let m = Encode.order_for_bits watermark_bits in
-  let sync =
-    List.fold_left (fun w b -> (w lsl 1) lor if b then 1 else 0) 0 (Encode.sync_word ~key:passphrase)
-  in
-  decode ~m ~sync buf
+  let s = stream_start ~passphrase ~watermark_bits in
+  Stackvm.Tracebuf.iter (stream_push s) buf;
+  stream_finish s
 
 let recognize_branches ~passphrase ~watermark_bits events =
-  recognize_buf ~passphrase ~watermark_bits (Stackvm.Trace.buf_of_branches events)
+  let s = stream_start ~passphrase ~watermark_bits in
+  List.iter
+    (fun { Stackvm.Trace.fidx; pc; taken } -> stream_push s (Stackvm.Tracebuf.pack ~fidx ~pc ~taken))
+    events;
+  stream_finish s
 
 let recognize ?(fuel = 200_000_000) ~passphrase ~watermark_bits ~input prog =
-  match Stackvm.Trace.record ~fuel prog ~input with
-  | buf, result ->
-      let outcome = recognize_buf ~passphrase ~watermark_bits buf in
-      { outcome with steps = result.Stackvm.Interp.steps }
+  let s = stream_start ~passphrase ~watermark_bits in
+  let push e =
+    stream_push s e;
+    false
+  in
+  match Stackvm.Compile.run_streaming ~fuel (Stackvm.Compile.of_program prog) ~input ~push with
+  | `Completed result -> { (stream_finish s) with steps = result.Stackvm.Interp.steps }
+  | `Stopped steps -> { (stream_finish s) with steps }
   | exception _ ->
-      {
-        value = None;
-        confidence = 0.;
-        copies_found = 0;
-        candidates = 0;
-        trace_branches = 0;
-        steps = 0;
-        diagnostic = Some "program failed to run";
-      }
+      { (stream_finish (stream_start ~passphrase ~watermark_bits)) with diagnostic = Some "program failed to run" }
 
 let recognizes ?fuel ~passphrase ~watermark_bits ~input ~expected prog =
   match (recognize ?fuel ~passphrase ~watermark_bits ~input prog).value with

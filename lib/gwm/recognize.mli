@@ -1,12 +1,12 @@
 (** Graph-watermark recognition — dynamic, blind.
 
-    Re-run the program on the execution engine ({!Stackvm.Compile}), its
-    conditional-branch events packed straight into a flat
-    {!Stackvm.Tracebuf} (or replay an already-captured trace), split the
-    events per static branch site, and search every per-site
-    taken/not-taken stream — and its complement, so branch-sense inversion
-    is survived — for the keyed sync word with one rolling window per
-    stream.  Each match yields a candidate window; windows
+    Re-run the program on the execution engine ({!Stackvm.Compile}) and
+    fold each conditional-branch event, as it happens, into a {!stream}:
+    the event's static branch site gets its id on first occurrence, and
+    the event's taken-bit goes onto that site's byte stream.  At the end
+    every per-site stream — and its complement, so branch-sense inversion
+    is survived — is searched for the keyed sync word with one rolling
+    window per stream.  Each match yields a candidate window; windows
     that decode (digit ranges, checksum) vote on the value, and when no
     window decodes cleanly a per-bit majority over the aligned windows is
     tried as a degraded fallback.  Only the passphrase, the capacity and
@@ -29,28 +29,37 @@ val recognize :
   input:int list ->
   Stackvm.Program.t ->
   outcome
-(** Runs the program on [input] (default fuel 200 million steps) under
-    the compiled tracer and decodes the packed trace with {!recognize_buf};
-    [steps] is the compiled run's step count, which {!Stackvm.Compile}'s
-    equivalence contract makes the interpreter's.  Crashing or
-    fuel-exhausted runs still yield whatever trace prefix was collected —
-    never an exception. *)
+(** One compiled run on [input] (default fuel 200 million steps), every
+    event pushed into a fresh {!stream}: no event buffer, no second pass.
+    [steps] is the run's step count.  Crashing or fuel-exhausted runs still
+    yield whatever prefix was pushed; a program the engine refuses reports
+    "program failed to run" — never an exception. *)
 
 val recognize_buf :
   passphrase:string -> watermark_bits:int -> Stackvm.Tracebuf.t -> outcome
-(** Offline recognition straight off a packed event buffer — no event
-    records, no lists: the decoder every other entry point goes through.
-    [steps] is 0. *)
+(** Offline recognition over an already-captured packed event buffer,
+    folded into a fresh {!stream}.  [steps] is 0. *)
 
 val recognize_branches :
   passphrase:string ->
   watermark_bits:int ->
   Stackvm.Trace.branch_event list ->
   outcome
-(** {!recognize_buf} on an event list packed into a fresh buffer.  Kept
-    only for the benchmark's gwm chain, which reads
+(** {!recognize_buf} on an event list, each event packed and pushed in
+    turn.  Kept only for the benchmark's gwm chain, which reads
     {!Stackvm.Trace.t.branches}, until the benchmark reads the packed
-    buffer; every other caller uses {!recognize_buf}. *)
+    buffer. *)
+
+type stream
+(** The per-site bit streams of the events pushed so far.  Decoding needs
+    every bit, so a stream never decides early. *)
+
+val stream_start : passphrase:string -> watermark_bits:int -> stream
+val stream_push : stream -> int -> unit
+(** Feed one packed branch event ({!Stackvm.Tracebuf.pack}). *)
+
+val stream_finish : stream -> outcome
+(** Decode everything pushed so far.  [steps] is 0. *)
 
 val recognizes :
   ?fuel:int ->

@@ -39,72 +39,60 @@ let outcome_of_report params ~trace_branches ~steps ~diagnostic report =
 
    Every mode folds each branch event, as it happens, through the
    incremental trace-bit decoder into the {!Codec.Harvester} that batch
-   harvest folds over a whole bit-string.  A periodic recombination probe
-   lets the caller stop the traced run as soon as the recovered value's
-   redundancy margin clears the confidence target.  Batch recognition is
-   the stream with no probe: one run, no event buffer, no bit-string, and
-   the final statement list is the batch harvest's. *)
+   harvest folds over a whole bit-string.  A recombination probe, asked
+   for by the caller, lets it stop the traced run as soon as the recovered
+   value's redundancy margin clears the confidence target.  Batch
+   recognition is the stream never probed: one run, no event buffer, no
+   bit-string, and the final statement list is the batch harvest's. *)
 
 type stream = {
   params : Codec.Params.t;
   decoder : Stackvm.Trace.Decoder.t;
   harvester : Codec.Harvester.t;
-  check_every : int;
   confidence_target : float;
-  mutable since_check : int;
   mutable stmts_at_check : int;
   mutable decided : bool;
   mutable final_report : Codec.Recombine.report option;
 }
 
-let stream_start ?(strides = [ 1; 2 ]) ?(confidence_target = 0.9) ?(check_every = 4096)
-    ~passphrase ~watermark_bits () =
+let stream_start ?(strides = [ 1; 2 ]) ?(confidence_target = 0.9) ~passphrase ~watermark_bits () =
   let params = Codec.Params.make ~passphrase ~watermark_bits () in
   {
     params;
     decoder = Stackvm.Trace.Decoder.create ();
     harvester = Codec.Harvester.create params ~strides;
-    check_every;
     confidence_target;
-    since_check = 0;
     stmts_at_check = 0;
     decided = false;
     final_report = None;
   }
 
-let probe s =
-  let report = Codec.Recombine.recover s.params (Codec.Harvester.statements s.harvester) in
-  if
-    report.Codec.Recombine.value <> None
-    && Codec.Recombine.confidence s.params report >= s.confidence_target
-  then begin
-    s.decided <- true;
-    s.final_report <- Some report
-  end
-
 let stream_push s packed =
-  if s.decided then true
-  else begin
-    Codec.Harvester.push s.harvester (Stackvm.Trace.Decoder.push s.decoder packed);
-    s.since_check <- s.since_check + 1;
-    if s.check_every > 0 && s.since_check >= s.check_every then begin
-      s.since_check <- 0;
-      let total = Codec.Harvester.count s.harvester in
-      (* recombination is the expensive part: only probe when new evidence
-         arrived since the last probe *)
-      if total > s.stmts_at_check then begin
-        s.stmts_at_check <- total;
-        probe s
-      end
-    end;
-    s.decided
-  end
+  if not s.decided then
+    Codec.Harvester.push s.harvester (Stackvm.Trace.Decoder.push s.decoder packed)
+
+let stream_decide s =
+  let total = Codec.Harvester.count s.harvester in
+  (* recombination is the expensive part: only probe when new evidence
+     arrived since the last probe *)
+  if (not s.decided) && total > s.stmts_at_check then begin
+    s.stmts_at_check <- total;
+    let report = Codec.Recombine.recover s.params (Codec.Harvester.statements s.harvester) in
+    if
+      report.Codec.Recombine.value <> None
+      && Codec.Recombine.confidence s.params report >= s.confidence_target
+    then begin
+      s.decided <- true;
+      s.final_report <- Some report
+    end
+  end;
+  s.decided
 
 let stream_finish s =
   let report =
     match s.final_report with
-    | Some r when s.decided -> r
-    | _ -> Codec.Recombine.recover s.params (Codec.Harvester.statements s.harvester)
+    | Some r -> r
+    | None -> Codec.Recombine.recover s.params (Codec.Harvester.statements s.harvester)
   in
   outcome_of_report s.params
     ~trace_branches:(Codec.Harvester.length s.harvester)
@@ -118,11 +106,23 @@ let degraded params e =
     ~diagnostic:(Some (Printexc.to_string e))
     report
 
-(* Compile once and run once, each branch event pushed into the stream. *)
-let run_stream ?(fuel = 200_000_000) s ~input prog =
+(* Compile once and run once, each branch event pushed into the stream;
+   every [check_every] events ([0]: never) the stream is asked to decide,
+   and the run stops once it has. *)
+let run_stream ?(fuel = 200_000_000) ~check_every s ~input prog =
+  let since = ref 0 in
+  let push e =
+    stream_push s e;
+    incr since;
+    !since = check_every
+    && begin
+         since := 0;
+         stream_decide s
+       end
+  in
   match
     let code = Stackvm.Compile.of_program prog in
-    Stackvm.Compile.run_streaming ~fuel code ~input ~push:(fun e -> stream_push s e)
+    Stackvm.Compile.run_streaming ~fuel code ~input ~push
   with
   | `Completed result ->
       let o = stream_finish s in
@@ -133,20 +133,18 @@ let run_stream ?(fuel = 200_000_000) s ~input prog =
   | exception e -> (degraded s.params e, `Completed)
 
 let recognize ?fuel ?strides ~passphrase ~watermark_bits ~input prog =
-  let s = stream_start ?strides ~check_every:0 ~passphrase ~watermark_bits () in
-  fst (run_stream ?fuel s ~input prog)
+  let s = stream_start ?strides ~passphrase ~watermark_bits () in
+  fst (run_stream ?fuel ~check_every:0 s ~input prog)
 
 let recognize_buf ?strides ~passphrase ~watermark_bits events =
-  let s = stream_start ?strides ~check_every:0 ~passphrase ~watermark_bits () in
-  Stackvm.Tracebuf.iter (fun e -> ignore (stream_push s e)) events;
+  let s = stream_start ?strides ~passphrase ~watermark_bits () in
+  Stackvm.Tracebuf.iter (stream_push s) events;
   stream_finish s
 
-let recognize_streaming ?fuel ?strides ?confidence_target ?check_every ~passphrase
+let recognize_streaming ?fuel ?strides ?confidence_target ?(check_every = 4096) ~passphrase
     ~watermark_bits ~input prog =
-  let s =
-    stream_start ?strides ?confidence_target ?check_every ~passphrase ~watermark_bits ()
-  in
-  run_stream ?fuel s ~input prog
+  let s = stream_start ?strides ?confidence_target ~passphrase ~watermark_bits () in
+  run_stream ?fuel ~check_every s ~input prog
 
 let recognizes ?fuel ~passphrase ~watermark_bits ~input ~expected prog =
   match (recognize ?fuel ~passphrase ~watermark_bits ~input prog).value with

@@ -47,7 +47,7 @@ val recognize :
     One pass: the program is compiled once and run under
     {!Stackvm.Compile.run_streaming}, each packed branch event decoded
     into its trace bit and harvested as it happens — no event buffer, no
-    bit-string.  This is {!recognize_streaming} with the probe disabled.
+    bit-string.  This is {!recognize_streaming} with [check_every] 0.
     The [harvest] test suite holds the outcome — report, branch count,
     steps, confidence — to the materialized chain ({!Stackvm.Trace.record},
     {!Stackvm.Trace.bits_of_buf}, {!Codec.Recombine.harvest},
@@ -82,17 +82,16 @@ val recognizes :
     The push-based mode under every entry point: branch events are folded,
     one at a time, through the incremental trace-bit decoder into the
     {!Codec.Harvester} that batch harvest uses, yielding CRT residue
-    statements.  A periodic recombination probe declares the mark
-    recovered as soon as its redundancy margin clears the confidence
-    target, so a decided run can stop early; without the probe the stream
-    is batch recognition. *)
+    statements.  Asked to decide, the stream runs a recombination probe and
+    declares the mark recovered as soon as its redundancy margin clears the
+    confidence target, so a decided run can stop early; never asked, the
+    stream is batch recognition. *)
 
 type stream
 
 val stream_start :
   ?strides:int list ->
   ?confidence_target:float ->
-  ?check_every:int ->
   passphrase:string ->
   watermark_bits:int ->
   unit ->
@@ -100,15 +99,19 @@ val stream_start :
 (** [strides] defaults to [[1; 2]] (the batch recognizer's).
     [confidence_target] (default [0.9]) is the {!Codec.Recombine.confidence}
     a probed recovery must reach to decide; pass a value above [1.0] to
-    never decide early.  [check_every] (default [4096]) is the probe
-    period in events; [0] disables probing entirely, in which case
-    {!stream_finish} is exactly batch recognition over the pushed events
-    (same statements, same order — a qcheck property holds it to that). *)
+    never decide early.  At the default target a stream decides only once
+    the recovered value's redundancy margin reaches 3: the corpus's 64-bit
+    marks in 20 pieces never get there, so their streams run to the end,
+    while every 256-bit corpus entry stops early. *)
 
-val stream_push : stream -> int -> bool
-(** Feed one packed branch event ({!Stackvm.Tracebuf.pack}).  Returns
-    [true] once the stream has decided — the caller should stop feeding
-    (further pushes are ignored). *)
+val stream_push : stream -> int -> unit
+(** Feed one packed branch event ({!Stackvm.Tracebuf.pack}).  Never
+    decides; pushes after the stream has decided are ignored. *)
+
+val stream_decide : stream -> bool
+(** Whether the stream has decided, probing first when statements arrived
+    since the last probe.  A stream never asked is exactly batch
+    recognition over the pushed events. *)
 
 val stream_finish : stream -> outcome
 (** The recognition outcome over everything pushed so far (the decided
@@ -126,6 +129,8 @@ val recognize_streaming :
   Stackvm.Program.t ->
   outcome * [ `Completed | `Stopped_early ]
 (** Run the program under {!Stackvm.Compile.run_streaming}, feeding each
-    branch event to a fresh stream; the run halts as soon as the stream
-    decides.  [`Stopped_early] reports that the early exit fired (the
-    outcome's [steps] still counts the instructions actually executed). *)
+    branch event to a fresh stream and asking it to decide after every
+    [check_every] events (default [4096]; [0] never asks, which is
+    {!recognize}); the run halts as soon as the stream decides.
+    [`Stopped_early] reports that the early exit fired (the outcome's
+    [steps] still counts the instructions actually executed). *)

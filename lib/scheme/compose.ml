@@ -112,7 +112,7 @@ let compose members =
 
     let embed_traced = None
 
-    let combine spec results =
+    let combine results =
       let values = List.filter_map (fun (_, r) -> r.value) results in
       let all_agree =
         List.length values = List.length members
@@ -120,7 +120,6 @@ let compose members =
            | [] -> false
            | v :: rest -> List.for_all (Bignum.equal v) rest
       in
-      ignore spec;
       {
         value = (if all_agree then Some (List.hd values) else None);
         confidence =
@@ -139,58 +138,42 @@ let compose members =
                results);
       }
 
-    let recognize ?aux spec carrier =
-      let auxes = split_auxes (List.length members) aux in
-      combine spec
-        (List.map2
-           (fun (module W : WATERMARKER) a ->
-             ( (module W : WATERMARKER),
-               W.recognize ~aux:a spec carrier ))
-           members auxes)
-
-    let recognize_events =
-      if
-        List.for_all
-          (fun (module W : WATERMARKER) -> W.recognize_events <> None)
-          members
-      then
-        Some
-          (fun spec events ->
-            combine spec
-              (List.map
-                 (fun (module W : WATERMARKER) ->
-                   let re = Option.get W.recognize_events in
-                   ((module W : WATERMARKER), re spec events))
-                 members))
-      else None
-
-    (* streamable iff every member is; events fan out eagerly to every
-       member stream (each must see the full prefix), and the composite
-       only decides once all members have *)
-    let stream =
-      if List.for_all (fun (module W : WATERMARKER) -> W.stream <> None) members
-      then
+    (* a sink iff every member has one: events fan out to every member
+       sink (each must see the full prefix), [decide] asks every member,
+       and the composite decides only once all members have *)
+    let sink =
+      if List.for_all (fun (module W : WATERMARKER) -> W.sink <> None) members then
         Some
           (fun spec ->
-            let streams =
+            let sinks =
               List.map
-                (fun (module W : WATERMARKER) ->
-                  ((module W : WATERMARKER), (Option.get W.stream) spec))
+                (fun (module W : WATERMARKER) -> ((module W : WATERMARKER), (Option.get W.sink) spec))
                 members
             in
             {
-              push =
-                (fun e ->
-                  List.fold_left
-                    (fun all (_, s) ->
-                      let decided = s.push e in
-                      all && decided)
-                    true streams);
-              finish =
-                (fun () ->
-                  combine spec
-                    (List.map (fun (w, s) -> (w, s.finish ())) streams));
+              push = (fun e -> List.iter (fun (_, s) -> s.push e) sinks);
+              decide = (fun () -> List.fold_left (fun all (_, s) -> s.decide () && all) true sinks);
+              finish = (fun () -> combine (List.map (fun (w, s) -> (w, s.finish ())) sinks));
             })
       else None
+
+    (* A VM program runs once, into the fan-out sink.  Only when
+       translating or running it raises does each member recognize on its
+       own, so each member's failure detail stays its own. *)
+    let recognize ?aux spec carrier =
+      let one_by_one () =
+        let auxes = split_auxes (List.length members) aux in
+        combine
+          (List.map2
+             (fun (module W : WATERMARKER) a -> ((module W : WATERMARKER), W.recognize ~aux:a spec carrier))
+             members auxes)
+      in
+      match (sink, carrier) with
+      | Some mk, Vm_program prog -> (
+          let s = mk spec in
+          match run_sink ~decide_every:0 s spec prog with
+          | _ -> s.finish ()
+          | exception _ -> one_by_one ())
+      | _ -> one_by_one ()
   end in
   (module C : WATERMARKER)

@@ -1,6 +1,6 @@
 (* The WaterRPG-style graph track behind the generic interface: blind,
-   VM-track, with offline branch-stream recognition (so the fault matrix
-   applies to it unchanged). *)
+   VM-track, with a recognition sink (so offline branch-stream recognition
+   and the fault matrix apply to it unchanged). *)
 
 open Watermarker
 
@@ -71,29 +71,16 @@ module M = struct
              ~watermark_bits:spec.bits ~input:spec.input p)
     | _ -> invalid_arg "scheme gwm: requires a stack-VM program carrier"
 
-  let recognize_events =
-    Some
-      (fun (spec : spec) events ->
-        of_outcome
-          (Gwm.Recognize.recognize_buf ~passphrase:spec.key
-             ~watermark_bits:spec.bits events))
-
-  (* graph recognition needs the whole trace to mine edge orderings, so
-     streaming packs the events flat (allocation-free per event), never
-     decides early, and decodes its own buffer at finish *)
-  let stream =
+  (* graph recognition mines the per-site streams of the whole trace, so
+     it never decides early *)
+  let sink =
     Some
       (fun (spec : spec) ->
-        let buf = Stackvm.Tracebuf.create ~capacity:65536 () in
+        let s = Gwm.Recognize.stream_start ~passphrase:spec.key ~watermark_bits:spec.bits in
         {
-          push =
-            (fun e ->
-              Stackvm.Tracebuf.add_packed buf e;
-              false);
-          finish =
-            (fun () ->
-              of_outcome
-                (Gwm.Recognize.recognize_buf ~passphrase:spec.key ~watermark_bits:spec.bits buf));
+          push = Gwm.Recognize.stream_push s;
+          decide = (fun () -> false);
+          finish = (fun () -> of_outcome (Gwm.Recognize.stream_finish s));
         })
 end
 

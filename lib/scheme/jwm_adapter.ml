@@ -79,25 +79,16 @@ module M = struct
              ~watermark_bits:spec.bits ~input:spec.input p)
     | _ -> invalid_arg "scheme jwm: requires a stack-VM program carrier"
 
-  let recognize_events =
-    Some
-      (fun (spec : spec) events ->
-        of_outcome
-          (Jwm.Recognize.recognize_buf ~passphrase:spec.key
-             ~watermark_bits:spec.bits events))
-
   (* genuinely incremental: events fold straight into the CRT residue
-     accumulators, and [push] answers [true] as soon as the recovered
+     accumulators, and [decide] answers [true] as soon as the recovered
      value's redundancy margin clears the confidence target *)
-  let stream =
+  let sink =
     Some
       (fun (spec : spec) ->
-        let s =
-          Jwm.Recognize.stream_start ~passphrase:spec.key
-            ~watermark_bits:spec.bits ()
-        in
+        let s = Jwm.Recognize.stream_start ~passphrase:spec.key ~watermark_bits:spec.bits () in
         {
-          push = (fun e -> Jwm.Recognize.stream_push s e);
+          push = Jwm.Recognize.stream_push s;
+          decide = (fun () -> Jwm.Recognize.stream_decide s);
           finish = (fun () -> of_outcome (Jwm.Recognize.stream_finish s));
         })
 end

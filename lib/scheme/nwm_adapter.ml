@@ -85,8 +85,7 @@ module M = struct
             | Error e -> { value = None; confidence = 0.; detail = e }))
     | _ -> invalid_arg "scheme nwm: requires a native binary carrier"
 
-  let recognize_events = None
-  let stream = None
+  let sink = None
 end
 
 let watermarker = (module M : WATERMARKER)

@@ -53,7 +53,7 @@ type embedding = {
 
 type recovered = { value : Bignum.t option; confidence : float; detail : string }
 
-type stream = { push : int -> bool; finish : unit -> recovered }
+type sink = { push : int -> unit; decide : unit -> bool; finish : unit -> recovered }
 
 module type WATERMARKER = sig
   val name : string
@@ -66,7 +66,27 @@ module type WATERMARKER = sig
 
   val recognize : ?aux:string -> spec -> carrier -> recovered
 
-  val recognize_events : (spec -> Stackvm.Tracebuf.t -> recovered) option
-
-  val stream : (spec -> stream) option
+  val sink : (spec -> sink) option
 end
+
+let recognize_events mk spec events =
+  let s = mk spec in
+  Stackvm.Tracebuf.iter s.push events;
+  s.finish ()
+
+let run_sink ?(decide_every = 4096) s spec prog =
+  let code = Stackvm.Compile.of_program prog in
+  let fuel = Option.value spec.fuel ~default:200_000_000 in
+  let since = ref 0 in
+  let push e =
+    s.push e;
+    incr since;
+    !since = decide_every
+    && begin
+         since := 0;
+         s.decide ()
+       end
+  in
+  match Stackvm.Compile.run_streaming ~fuel code ~input:spec.input ~push with
+  | `Completed _ -> `Completed
+  | `Stopped steps -> `Stopped steps

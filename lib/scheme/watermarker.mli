@@ -91,17 +91,23 @@ type recovered = {
   detail : string;  (** human-readable one-line recognition summary *)
 }
 
-type stream = {
-  push : int -> bool;
-      (** feed one packed branch event ({!Stackvm.Tracebuf.pack}); [true]
-          once the scheme is confident — the caller may stop the run *)
+type sink = {
+  push : int -> unit;
+      (** fold one packed branch event ({!Stackvm.Tracebuf.pack}) into the
+          recognition state; never decides on its own *)
+  decide : unit -> bool;
+      (** [true] once the scheme is confident, so the caller may stop the
+          run.  It may cost a recombination, so callers ask only every few
+          thousand events.  jwm decides once its confidence reaches 0.9,
+          which takes a redundancy margin of 3: the corpus's 64-bit marks
+          in 20 pieces never get there, while every 256-bit corpus entry
+          stops early.  gwm always answers [false]. *)
   finish : unit -> recovered;
       (** the recognition result over everything pushed so far *)
 }
-(** A push-based recognition session: branch events stream in as the
-    program runs, the scheme folds them incrementally, and a [true] from
-    [push] is the early-exit signal (the streamed run never materializes a
-    trace). *)
+(** A recognition session fed the branch events of one run, live or
+    replayed: the one VM recognition hook, from which {!recognize_events},
+    {!run_sink} and a composite's single run ({!Compose}) are derived. *)
 
 module type WATERMARKER = sig
   val name : string
@@ -124,17 +130,26 @@ module type WATERMARKER = sig
   val recognize : ?aux:string -> spec -> carrier -> recovered
   (** Non-blind schemes require the [aux] produced by {!embed}. *)
 
-  val recognize_events : (spec -> Stackvm.Tracebuf.t -> recovered) option
-  (** Offline recognition over an already-captured (possibly salvaged or
-      fault-injected) packed branch trace; [None] for schemes that cannot
-      recognize from a bare branch stream (native track). *)
-
-  val stream : (spec -> stream) option
-  (** Streaming recognition, when the scheme supports being fed branch
-      events one at a time; [None] for native-track schemes.  Schemes
-      without a truly incremental recognizer may buffer the packed events
-      and recognize at [finish], never deciding early. *)
+  val sink : (spec -> sink) option
+  (** A fresh recognition session for [spec]; [None] for schemes that
+      cannot recognize from a bare branch stream (native track). *)
 end
 
 val default_seed : int64
 val default_redundancy : int
+
+val recognize_events : (spec -> sink) -> spec -> Stackvm.Tracebuf.t -> recovered
+(** Offline recognition over an already-captured (possibly salvaged or
+    fault-injected) packed branch trace: every event folded into a fresh
+    sink, then [finish].  Never asks [decide]. *)
+
+val run_sink :
+  ?decide_every:int -> sink -> spec -> Stackvm.Program.t -> [ `Completed | `Stopped of int ]
+(** Compile the program once and run it on [spec.input] under [spec.fuel]
+    (default 200 million steps), pushing every branch event into the sink
+    and asking [decide] after every [decide_every] events (default 4096,
+    jwm's probe period; [0]: never).
+    The run halts on the first [true]: [`Stopped steps] counts the
+    instructions executed until then.  A trapping or fuel-cut run
+    completes with the prefix pushed.  Raises what translating or running
+    the program raises. *)

@@ -406,8 +406,8 @@ let effect ~nlocals (instr : Instr.t) : st -> unit =
    With them the same runs dispatch 0.56 ops per instruction executed
    (4.69 M of 8.36 M).  Placement is a greedy segmentation from each
    leader, longest form first: a form at every matching pc, overlapping
-   ones included, would keep more closures alive in every memoized
-   translation for few more fused steps. *)
+   ones included, would make every translation larger for few more fused
+   steps. *)
 
 type form =
   | Single
@@ -982,7 +982,7 @@ let compile_func (resolved : Resolve.t) (funcs : Program.func array) ops_table ~
       ops.(pc) <- fused ~on_block ~entering ~fidx ~len ~single:ops.(pc) pc form);
   ops
 
-let build ?on_block (prog : Program.t) =
+let of_program ?on_block (prog : Program.t) =
   let resolved = Resolve.of_program prog in
   let main_idx =
     match resolved.Resolve.main_idx with
@@ -1001,41 +1001,6 @@ let build ?on_block (prog : Program.t) =
     nglobals = prog.nglobals;
     on_block;
   }
-
-module Cache = Ephemeron.K1.Make (struct
-  type t = Program.t
-
-  let equal = ( == )
-
-  let hash = Hashtbl.hash
-end)
-
-let cache = Cache.create 64
-
-let lock = Mutex.create ()
-
-let memoized prog =
-  Mutex.lock lock;
-  match Cache.find_opt cache prog with
-  | Some code ->
-      Mutex.unlock lock;
-      code
-  | None ->
-      let code =
-        match build prog with
-        | code -> code
-        | exception e ->
-            Mutex.unlock lock;
-            raise e
-      in
-      Cache.add cache prog code;
-      Mutex.unlock lock;
-      code
-
-(* a hooked translation belongs to its hook's run: never memoized, so it
-   is garbage as soon as that run ends *)
-let of_program ?on_block prog =
-  match on_block with Some _ -> build ?on_block prog | None -> memoized prog
 
 let make_state code ~sink ~input =
   {

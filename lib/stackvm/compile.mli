@@ -9,8 +9,8 @@
     sequences of two to four instructions run as one fused op behind one
     dispatch, guarded so that it falls back to the single op at its pc
     whenever the sequence could stop inside (fuel, stack depth, a trap).
-    Translation is memoized per program value, so a batch of N inputs
-    compiles once and runs N times.
+    A caller that runs one program on N inputs translates it once and runs
+    the [code] N times.
 
     {b Equivalence contract}: for every program and input, [run] produces
     the same {!Interp.result} as {!Interp.run} — same outcome (including
@@ -42,10 +42,9 @@ type block_hook = fidx:int -> pc:int -> locals:int array -> lbase:int -> globals
     both arrays are live machine state — copy what you keep. *)
 
 val of_program : ?on_block:block_hook -> Program.t -> code
-(** Translate.  Without [on_block] the translation is memoized by
-    program identity.  With it, every transfer that enters a block also
-    calls [on_block]; such a translation is made afresh on every call and
-    never memoized, so it lives only as long as its caller holds it.
+(** Translate, afresh on every call: the translation lives only as long
+    as its caller holds it.  With [on_block], every transfer that enters a
+    block also calls [on_block].
     @raise Invalid_argument when [prog.main] is missing. *)
 
 val fused_lengths : Program.t -> int array array

@@ -42,20 +42,20 @@ val max_snapshots_per_block : int
 
 val record : ?fuel:int -> Program.t -> input:int list -> Tracebuf.t * Interp.result
 (** Run on {!Compile} with every branch event appended into a fresh
-    buffer, pre-sized for real traces: the capture gwm recognition and
-    saved traces use (jwm recognition decodes events as they happen and
-    keeps none).  [fuel] is {!Compile.run}'s.  Exceptions from translating or running a
-    broken program propagate. *)
+    buffer, pre-sized for real traces: the capture saved traces, fault
+    plans and the batch engine's cached recognition trace use.  jwm and gwm
+    recognition record nothing: each event goes into the scheme's sink as
+    it happens.  [fuel] is {!Compile.run}'s.  Exceptions from translating
+    or running a broken program propagate. *)
 
 val capture : ?fuel:int -> ?want_snapshots:bool -> Program.t -> input:int list -> t
 (** Run on {!Compile} with every branch event appended straight into the
     flat buffer [events].  [want_snapshots] (default [true]) controls
     whether block counts and variable values are recorded.  Without them
     the capture is {!record}, with [visits] and [block_counts] empty and
-    [events] also unpacked into [branches] for the benchmark; gwm
-    recognition calls {!record} instead.  A snapshot capture leaves [branches]
-    empty: embedding never reads it, and unpacking a large trace cost
-    nearly as much as the traced run itself.  With snapshots
+    [events] also unpacked into [branches] for the benchmark.  A snapshot
+    capture leaves [branches] empty: embedding never reads it, and
+    unpacking a large trace cost nearly as much as the traced run itself.  With snapshots
     the run uses a translation made with a {!Compile.block_hook} that
     counts block entries in per-function arrays and copies the frame's
     locals and the globals on a block's first {!max_snapshots_per_block}
@@ -76,9 +76,7 @@ val branches_of_buf : Tracebuf.t -> branch_event array
     for the benchmark until it reads the packed buffer. *)
 
 val buf_of_branches : branch_event list -> Tracebuf.t
-(** Pack an event list into a fresh buffer.  Kept only for the benchmark
-    ({!Gwm.Recognize.recognize_branches}) until it reads the packed
-    buffer. *)
+(** Pack an event list into a fresh buffer. *)
 
 (** The branch sites of a trace, numbered in order of first occurrence:
     a flat open-addressed table keyed on the packed site, each slot

@@ -239,7 +239,7 @@ let test_recover_with_corrupted_pieces () =
   | Some w' -> Alcotest.check big "recovered despite corruption" w w'
 
 let qcheck_encode_decode =
-  QCheck.Test.make ~name:"statement encode/decode roundtrip" ~count:300 QCheck.small_nat (fun seed ->
+  QCheck.Test.make ~name:"statement encode/decode roundtrip" ~count:300 (QCheck.int_bound 1_000_000) (fun seed ->
       let w = watermark_of params_small (Int64.of_int (seed + 1000)) 60 in
       let stmts = Statement.all_of_watermark params_small w in
       List.for_all
@@ -250,7 +250,7 @@ let qcheck_encode_decode =
         stmts)
 
 let qcheck_recover_roundtrip =
-  QCheck.Test.make ~name:"recover finds any representable watermark" ~count:50 QCheck.small_nat
+  QCheck.Test.make ~name:"recover finds any representable watermark" ~count:50 (QCheck.int_bound 1_000_000)
     (fun seed ->
       let w = watermark_of params_small (Int64.of_int (seed + 5000)) 55 in
       match Recombine.recover_value params_small (Statement.all_of_watermark params_small w) with
@@ -301,7 +301,7 @@ let qcheck_solve_matches_gcrt =
       params_768;
     |]
   in
-  QCheck.Test.make ~name:"per-prime CRT equals the Generalized CRT" ~count:300 QCheck.small_nat
+  QCheck.Test.make ~name:"per-prime CRT equals the Generalized CRT" ~count:300 (QCheck.int_bound 1_000_000)
     (fun seed ->
       let rng = Util.Prng.create (Int64.of_int (seed + 101)) in
       let params = tables.(seed mod Array.length tables) in

@@ -208,7 +208,7 @@ let test_fallthrough_cuts () =
    termination *)
 let qcheck_random_programs_agree =
   QCheck.Test.make ~name:"compiled backend agrees with interp on random programs" ~count:150
-    QCheck.small_nat
+    (QCheck.int_bound 1_000_000)
     (fun seed ->
       let rng = Util.Prng.create (Int64.of_int (seed + 7)) in
       let prog = Test_stackvm.random_program rng in
@@ -679,7 +679,15 @@ let test_streaming_stops_where_pinned () =
           Alcotest.(check int) (label ^ ": steps") steps o.Jwm.Recognize.steps;
           Alcotest.(check bool) (label ^ ": mark recovered") true
             (Option.equal Bignum.equal e.mark o.Jwm.Recognize.value))
-        stops)
+        stops;
+      (* the registry's streamed run asks jwm's sink at the same cadence *)
+      let (module W : Scheme.Watermarker.WATERMARKER) = Scheme.Builtin.find_exn "jwm" in
+      let spec = Scheme.Watermarker.spec ~key:Vm_corpus.key ~bits:e.bits ~input:e.input () in
+      let s = (Option.get W.sink) spec in
+      Alcotest.(check bool) (name ^ ": run_sink stops at the pinned step") true
+        (Scheme.Watermarker.run_sink s spec e.program = `Stopped (List.assoc 4096 stops));
+      Alcotest.(check bool) (name ^ ": run_sink mark recovered") true
+        (Option.equal Bignum.equal e.mark (s.Scheme.Watermarker.finish ()).value))
     pinned
 
 let test_run_streaming_events_match_buffer () =
@@ -708,7 +716,7 @@ let test_run_streaming_events_match_buffer () =
 
 let qcheck_branches_agrees_with_reference =
   QCheck.Test.make ~name:"Inject.branches agrees with the list reference" ~count:100
-    QCheck.small_nat
+    (QCheck.int_bound 1_000_000)
     (fun seed ->
       let rng = Util.Prng.create (Int64.of_int (seed + 13)) in
       let n = Util.Prng.int rng 200 in

@@ -202,7 +202,7 @@ let test_salvage_negative_varint () =
 
 let qcheck_vm_noise_below_threshold =
   QCheck.Test.make ~name:"VM recognition exact under below-threshold trace noise" ~count:20
-    QCheck.small_nat (fun n ->
+    (QCheck.int_bound 1_000_000) (fun n ->
       let plan =
         Fault.Inject.make ~seed:(Int64.of_int (n + 1)) [ Fault.Spec.Trace_flip 0.0005 ]
       in
@@ -263,7 +263,7 @@ let native_fixture =
 
 let qcheck_native_noise_below_threshold =
   QCheck.Test.make ~name:"native vote exact under below-threshold obs garbling" ~count:20
-    QCheck.small_nat (fun n ->
+    (QCheck.int_bound 1_000_000) (fun n ->
       let bin, steps = Lazy.force native_fixture in
       let plan = Fault.Inject.make ~seed:(Int64.of_int (n + 1)) [ Fault.Spec.Obs_garble 0.01 ] in
       let view pass =

@@ -386,7 +386,7 @@ let test_generator_reaches () =
   let short = outcome (24, true, [ [ Sync_prefix 15 ]; [ Cut (false, 20) ] ], 9) in
   Alcotest.(check int) "short streams and cut windows yield nothing" 0 short.candidates
 
-(* ---- streaming decodes its own buffer ---- *)
+(* ---- the recognition sink, streamed, replayed and composed ---- *)
 
 let show_recovered (r : Scheme.Watermarker.recovered) =
   Printf.sprintf "value=%s confidence=%h detail=%s"
@@ -394,30 +394,34 @@ let show_recovered (r : Scheme.Watermarker.recovered) =
     r.confidence r.detail
 
 let streamed (module W : Scheme.Watermarker.WATERMARKER) (spec : Scheme.Watermarker.spec) prog =
-  let s = (Option.get W.stream) spec in
-  ignore
-    (Stackvm.Compile.run_streaming ~fuel:200_000_000 (Stackvm.Compile.of_program prog) ~input:spec.input
-       ~push:s.Scheme.Watermarker.push);
+  let s = (Option.get W.sink) spec in
+  ignore (Scheme.Watermarker.run_sink s spec prog);
   s.Scheme.Watermarker.finish ()
 
+let replayed (module W : Scheme.Watermarker.WATERMARKER) (spec : Scheme.Watermarker.spec) prog =
+  Scheme.Watermarker.recognize_events (Option.get W.sink) spec
+    (fst (Stackvm.Trace.record ~fuel:200_000_000 prog ~input:spec.input))
+
+(* the streamed run and the replay of a recorded trace both equal the
+   scheme's own recognition *)
 let check_streaming_equals_batch scheme cases =
   let w = Scheme.Builtin.find_exn scheme in
   let (module W : Scheme.Watermarker.WATERMARKER) = w in
   List.iter
     (fun (name, bits, prog, input) ->
       let spec = Scheme.Watermarker.spec ~key ~bits ~input () in
-      Alcotest.(check string) (scheme ^ " " ^ name)
-        (show_recovered (W.recognize spec (Scheme.Watermarker.Vm_program prog)))
-        (show_recovered (streamed w spec prog)))
+      let batch = show_recovered (W.recognize spec (Scheme.Watermarker.Vm_program prog)) in
+      Alcotest.(check string) (scheme ^ " " ^ name) batch (show_recovered (streamed w spec prog));
+      Alcotest.(check string) (scheme ^ " " ^ name ^ " replayed") batch (show_recovered (replayed w spec prog)))
     cases
 
 let test_gwm_streaming () =
   check_streaming_equals_batch "gwm"
     (List.map (fun (name, bits, _, prog, input) -> (name, bits, prog, input)) (Lazy.force corpus))
 
-let test_composite_streaming () =
-  (* the jwm-64 corpus entries with the same mark embedded again by gwm *)
-  check_streaming_equals_batch "jwm+gwm"
+(* the jwm-64 corpus entries with the same mark embedded again by gwm *)
+let composite_cases =
+  lazy
     (List.filter_map
        (fun (e : Vm_corpus.entry) ->
          match e.mark with
@@ -429,6 +433,121 @@ let test_composite_streaming () =
          | _ -> None)
        (Lazy.force Vm_corpus.entries))
 
+let test_composite_streaming () = check_streaming_equals_batch "jwm+gwm" (Lazy.force composite_cases)
+
+(* The same members without their sinks: the composite can only ask each
+   to recognize on its own, and combines what they report. *)
+let one_by_one =
+  let without_sink (module W : Scheme.Watermarker.WATERMARKER) : (module Scheme.Watermarker.WATERMARKER) =
+    (module struct
+      include W
+
+      let sink = None
+    end)
+  in
+  lazy
+    (Scheme.Compose.compose
+       (List.map (fun n -> without_sink (Scheme.Builtin.find_exn n)) [ "jwm"; "gwm" ]))
+
+let check_composite_equals_members name spec prog =
+  let (module C : Scheme.Watermarker.WATERMARKER) = Scheme.Builtin.find_exn "jwm+gwm" in
+  let (module O : Scheme.Watermarker.WATERMARKER) = Lazy.force one_by_one in
+  let carrier = Scheme.Watermarker.Vm_program prog in
+  let got = C.recognize spec carrier in
+  Alcotest.(check string) name (show_recovered (O.recognize spec carrier)) (show_recovered got);
+  got
+
+let test_composite_equals_members () =
+  List.iter
+    (fun (name, bits, prog, input) ->
+      let spec = Scheme.Watermarker.spec ~key ~bits ~input () in
+      let r = check_composite_equals_members name spec prog in
+      Alcotest.(check bool) (name ^ " recovered") true (r.value <> None))
+    (Lazy.force composite_cases);
+  let name, bits, prog, input =
+    List.find (fun (name, _, _, _) -> name = "caffeine/jwm-64+gwm") (Lazy.force composite_cases)
+  in
+  let steps = (Stackvm.Compile.run_program prog ~input).Stackvm.Interp.steps in
+  List.iter
+    (fun fuel ->
+      let spec = Scheme.Watermarker.spec ~fuel ~key ~bits ~input () in
+      ignore (check_composite_equals_members (Printf.sprintf "%s fuel %d" name fuel) spec prog))
+    [ 1000; steps / 2; steps - 1 ];
+  (* the engine refuses a program without [main]: each member reports its
+     own failure *)
+  let spec = Scheme.Watermarker.spec ~key ~bits ~input () in
+  let r =
+    check_composite_equals_members (name ^ " no main") spec
+      { prog with Stackvm.Program.main = "absent" }
+  in
+  Alcotest.(check bool) "gwm's own failure detail" true
+    (String.ends_with ~suffix:"gwm: lost (0 clean copies of 0 candidate windows; program failed to run)" r.detail)
+
+(* Two fake VM schemes whose sinks count the events pushed into them and
+   whose [recognize] counts its calls. *)
+let counters =
+  lazy
+    (List.map
+       (fun name ->
+         let pushes = ref 0 and calls = ref 0 in
+         Scheme.Registry.register
+           (module struct
+             let name = name
+
+             let caps =
+               {
+                 Scheme.Watermarker.track = Vm;
+                 max_bits = 0;
+                 blind = true;
+                 stealth = "-";
+                 attack_surface = "-";
+                 locator_passes = [];
+                 locatability = 0.;
+                 resilience_floor = 0.;
+               }
+
+             let nbits (s : Scheme.Watermarker.spec) = s.bits
+             let embed _ _ _ = failwith "counting scheme cannot embed"
+             let embed_traced = None
+             let seen () = { Scheme.Watermarker.value = Some (Bignum.of_int !pushes); confidence = 1.; detail = "" }
+
+             let recognize ?aux:_ _ _ =
+               incr calls;
+               seen ()
+
+             let sink =
+               Some
+                 (fun _ ->
+                   { Scheme.Watermarker.push = (fun _ -> incr pushes); decide = (fun () -> false); finish = seen })
+           end);
+         (pushes, calls))
+       [ "count-a"; "count-b" ])
+
+let test_composite_runs_once () =
+  let counts = Lazy.force counters in
+  let (module C : Scheme.Watermarker.WATERMARKER) = Scheme.Builtin.find_exn "count-a+count-b" in
+  let _, bits, prog, input = List.hd (Lazy.force composite_cases) in
+  let spec = Scheme.Watermarker.spec ~key ~bits ~input () in
+  let reset () = List.iter (fun (p, c) -> p := 0; c := 0) counts in
+  reset ();
+  let events = Stackvm.Tracebuf.length (fst (Stackvm.Trace.record prog ~input)) in
+  let r = C.recognize spec (Scheme.Watermarker.Vm_program prog) in
+  List.iteri
+    (fun i (pushes, calls) ->
+      Alcotest.(check int) (Printf.sprintf "member %d: no recognize call" i) 0 !calls;
+      Alcotest.(check int) (Printf.sprintf "member %d: every event of one run" i) events !pushes)
+    counts;
+  Alcotest.(check (option string)) "the members agree on the count" (Some (string_of_int events))
+    (Option.map Bignum.to_string r.value);
+  (* a program the engine refuses: each member recognizes on its own *)
+  reset ();
+  ignore (C.recognize spec (Scheme.Watermarker.Vm_program { prog with Stackvm.Program.main = "absent" }));
+  List.iteri
+    (fun i (pushes, calls) ->
+      Alcotest.(check int) (Printf.sprintf "member %d: one recognize call" i) 1 !calls;
+      Alcotest.(check int) (Printf.sprintf "member %d: nothing pushed" i) 0 !pushes)
+    counts
+
 let suite =
   [
     Alcotest.test_case "every VM workload matches the reference" `Slow test_corpus;
@@ -439,4 +558,6 @@ let suite =
     Alcotest.test_case "the random streams reach every decoder path" `Quick test_generator_reaches;
     Alcotest.test_case "gwm streaming equals batch on every VM workload" `Slow test_gwm_streaming;
     Alcotest.test_case "jwm+gwm streaming equals batch on every VM workload" `Slow test_composite_streaming;
+    Alcotest.test_case "jwm+gwm equals the per-member combination" `Slow test_composite_equals_members;
+    Alcotest.test_case "a composite runs its members' sinks once" `Quick test_composite_runs_once;
   ]

@@ -429,7 +429,7 @@ let rec normalize (e : Minic.Ast.expr) : Minic.Ast.expr =
   | (Num _ | Var _ | Read) as leaf -> leaf
 
 let qcheck_pretty_expr_roundtrip =
-  QCheck.Test.make ~name:"random expression pretty/parse roundtrip" ~count:300 QCheck.small_nat
+  QCheck.Test.make ~name:"random expression pretty/parse roundtrip" ~count:300 (QCheck.int_bound 1_000_000)
     (fun seed ->
       let rng = Util.Prng.create (Int64.of_int (seed + 1)) in
       let e = gen_expr rng 4 in

@@ -83,7 +83,7 @@ let test_phash_many_keys () =
     keys
 
 let qcheck_phash_random_keys =
-  QCheck.Test.make ~name:"phash perfect on random key sets" ~count:50 QCheck.small_nat (fun seed ->
+  QCheck.Test.make ~name:"phash perfect on random key sets" ~count:50 (QCheck.int_bound 1_000_000) (fun seed ->
       let rng = Util.Prng.create (Int64.of_int (seed + 1)) in
       let n = 20 + Util.Prng.int rng 200 in
       let seen = Hashtbl.create 64 in
@@ -201,7 +201,7 @@ let test_fingerprints_differ () =
   Alcotest.check big "copy 2" w2 (get r2)
 
 let qcheck_embed_extract =
-  QCheck.Test.make ~name:"embed/extract roundtrip on random marks" ~count:15 QCheck.small_nat
+  QCheck.Test.make ~name:"embed/extract roundtrip on random marks" ~count:15 (QCheck.int_bound 1_000_000)
     (fun seed ->
       let rng = Util.Prng.create (Int64.of_int (seed + 31)) in
       let bits = 8 + Util.Prng.int rng 120 in

@@ -29,8 +29,7 @@ let dummy name : (module WATERMARKER) =
     let embed _ _ _ = failwith "dummy scheme cannot embed"
     let embed_traced = None
     let recognize ?aux:_ _ _ = failwith "dummy scheme cannot recognize"
-    let recognize_events = None
-    let stream = None
+    let sink = None
   end)
 
 (* {2 Registry} *)

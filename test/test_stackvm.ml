@@ -475,7 +475,7 @@ let random_program rng =
 
 let qcheck_serialize_fuzz =
   QCheck.Test.make ~name:"serialize roundtrips random (possibly invalid) programs" ~count:200
-    QCheck.small_nat
+    (QCheck.int_bound 1_000_000)
     (fun seed ->
       let rng = Util.Prng.create (Int64.of_int (seed + 42)) in
       let p = random_program rng in

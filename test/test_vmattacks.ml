@@ -160,7 +160,7 @@ let test_attacks_deterministic () =
 
 let qcheck_attacks_random_seeds =
   QCheck.Test.make ~name:"attacks preserve semantics under random seeds" ~count:30
-    QCheck.(pair (int_bound (List.length Vmattacks.Attacks.all - 1)) small_nat)
+    QCheck.(pair (int_bound (List.length Vmattacks.Attacks.all - 1)) (int_bound 1_000_000))
     (fun (which, seed) ->
       let _, attack = List.nth Vmattacks.Attacks.all which in
       let rng = Util.Prng.create (Int64.of_int (seed + 1)) in
