@@ -240,8 +240,8 @@ let list_attacks () =
     Printf.printf "%s\n" header;
     List.iter (Printf.printf "  %s\n") names
   in
-  print "bytecode-track attacks:" Tournament.Scorecard.vm_attack_names;
-  print "native-track attacks:" Tournament.Scorecard.native_attack_names
+  print "bytecode-track attacks:" (Scheme.Track.attack_names Scheme.Watermarker.Vm);
+  print "native-track attacks:" (Scheme.Track.attack_names Scheme.Watermarker.Native)
 
 let list_attacks_cmd =
   Cmd.v
@@ -322,25 +322,14 @@ let schemes_cmd =
     (Cmd.info "schemes" ~doc:"List the registered watermarking schemes and their capability metadata.")
     Term.(const schemes $ const ())
 
-let carrier_bytes = function
-  | Scheme.Watermarker.Vm_program p -> Stackvm.Serialize.encode p
-  | Scheme.Watermarker.Native_binary b -> Nativesim.Binary.encode b
-  | Scheme.Watermarker.Native_source a -> Nativesim.Binary.encode (Nativesim.Asm.assemble a)
-
 let embed_generic source scheme_name key mark bits redundancy input out aux_out seed =
   let (module W) = resolve_scheme scheme_name in
-  let src = read_file source in
-  let carrier =
-    match W.caps.Scheme.Watermarker.track with
-    | Scheme.Watermarker.Vm -> Scheme.Watermarker.Vm_program (Minic.To_stackvm.compile_source src)
-    | Scheme.Watermarker.Native ->
-        Scheme.Watermarker.Native_source (Minic.To_native.compile_source src)
-  in
+  let carrier = Scheme.Track.compile W.caps.Scheme.Watermarker.track (read_file source) in
   let spec =
     Scheme.Watermarker.spec ~seed:(Int64.of_int seed) ~redundancy ~key ~bits ~input ()
   in
   let e = W.embed mark spec carrier in
-  write_file out (carrier_bytes e.Scheme.Watermarker.carrier);
+  write_file out (Scheme.Track.encode e.Scheme.Watermarker.carrier);
   Printf.printf "embedded %d-bit watermark under scheme %s into %s -> %s (%d -> %d bytes)\n" bits
     W.name source out e.Scheme.Watermarker.bytes_before e.Scheme.Watermarker.bytes_after;
   Printf.printf "detail: %s\n" e.Scheme.Watermarker.detail;
@@ -391,10 +380,13 @@ let recognize_generic path scheme_name key bits input aux aux_file streaming inj
   let spec = Scheme.Watermarker.spec ~key ~bits ~input () in
   let o =
     match (Fault.Inject.is_empty plan, W.sink, carrier) with
-    | false, Some sink, Scheme.Watermarker.Vm_program prog ->
-        (* recognize offline from the fault-injected branch stream *)
-        let events, _ = Stackvm.Trace.record ~fuel:200_000_000 prog ~input in
-        Scheme.Watermarker.recognize_events sink spec (inject_trace events)
+    | false, Some sink, Scheme.Watermarker.Vm_program _ -> (
+        (* recognize offline from the fault-injected branch stream; a
+           program the engine refuses has none, and the scheme's own
+           recognizer reports why *)
+        match Scheme.Track.branch_events spec carrier with
+        | events -> Scheme.Watermarker.recognize_events sink spec (inject_trace events)
+        | exception _ -> W.recognize ?aux spec carrier)
     | _ -> (
         match (streaming, W.sink, carrier) with
         | true, Some mk, Scheme.Watermarker.Vm_program prog ->
@@ -402,9 +394,13 @@ let recognize_generic path scheme_name key bits input aux aux_file streaming inj
                soon as the scheme decides *)
             let s = mk spec in
             (match Scheme.Watermarker.run_sink s spec prog with
-            | `Stopped steps -> Printf.printf "decided early: run stopped after %d steps\n" steps
-            | `Completed -> ());
-            s.Scheme.Watermarker.finish ()
+            | `Stopped steps ->
+                Printf.printf "decided early: run stopped after %d steps\n" steps;
+                s.Scheme.Watermarker.finish ()
+            | `Completed -> s.Scheme.Watermarker.finish ()
+            (* the engine refused the program: the scheme's own recognizer
+               reports why *)
+            | `Refused _ -> W.recognize ?aux spec carrier)
         | true, _, _ ->
             Printf.printf "scheme %s cannot recognize in streaming mode\n" W.name;
             exit 1
@@ -560,9 +556,10 @@ let batch source workload scheme key bits pieces input fingerprints count mark j
   let job_specs =
     List.mapi
       (fun i fp ->
-        Engine.Job.vm_embed ~label:("fp-" ^ Bignum.to_string fp) ~scheme
+        Engine.Job.make ~label:("fp-" ^ Bignum.to_string fp) ~scheme
           ~seed:(Pathmark.batch_seed (Int64.of_int seed) i)
-          ~key ~bits ~pieces ~fingerprint:fp ~input program)
+          ~key ~bits ~input (Scheme.Watermarker.Vm_program program)
+          (Engine.Job.Embed { fingerprint = fp; pieces }))
       fingerprints
   in
   let policy =
@@ -592,7 +589,7 @@ let batch source workload scheme key bits pieces input fingerprints count mark j
                 List.iter
                   (fun (r : Engine.Batch.result) ->
                     match r.Engine.Batch.outcome with
-                    | Engine.Batch.Vm_embedded { program = bytes; _ } ->
+                    | Engine.Batch.Embedded { program = bytes; _ } ->
                         write_file (Filename.concat dir (r.Engine.Batch.job.Engine.Job.label ^ ".svm")) bytes
                     | _ -> ())
                   results)
@@ -605,10 +602,12 @@ let batch source workload scheme key bits pieces input fingerprints count mark j
                     (List.map2
                        (fun fp (r : Engine.Batch.result) ->
                          match r.Engine.Batch.outcome with
-                         | Engine.Batch.Vm_embedded { program = bytes; _ } ->
+                         | Engine.Batch.Embedded { program = bytes; _ } ->
                              [
-                               Engine.Job.vm_recognize ~label:("verify-" ^ Bignum.to_string fp) ~scheme
-                                 ~expected:fp ~key ~bits ~input (Stackvm.Serialize.decode bytes);
+                               Engine.Job.make ~label:("verify-" ^ Bignum.to_string fp) ~scheme ~key
+                                 ~bits ~input
+                                 (Scheme.Watermarker.Vm_program (Stackvm.Serialize.decode bytes))
+                                 (Engine.Job.Recognize { expected = Some fp });
                              ]
                          | _ -> [])
                        fingerprints results)

@@ -89,15 +89,9 @@ let run ?(domains = 1) ?seed ?(bits = default_bits) ?(fingerprint = default_fing
         List.map
           (fun (w : Workloads.Workload.t) ->
             let label = Printf.sprintf "audit:%s:%s" name w.Workloads.Workload.name in
-            match caps.Scheme.Watermarker.track with
-            | Scheme.Watermarker.Vm ->
-                Engine.Job.vm_audit ~label ?seed ~scheme:name ~key ~bits ~fingerprint
-                  ~input:w.Workloads.Workload.input
-                  (Workloads.Workload.vm_program w)
-            | Scheme.Watermarker.Native ->
-                Engine.Job.native_audit ~label ?seed ~bits ~fingerprint
-                  ~input:w.Workloads.Workload.input
-                  (Workloads.Workload.native_program w))
+            Engine.Job.make ~label ?seed ~scheme:name ~key ~bits ~input:w.Workloads.Workload.input
+              (Scheme.Track.of_workload caps.Scheme.Watermarker.track w)
+              (Engine.Job.Audit { fingerprint }))
           workloads)
       resolved
   in

@@ -1,9 +1,10 @@
 (** The per-scheme stealth scorecard.
 
     Fans schemes × workloads through {!Engine.Batch} audit jobs: each
-    cell embeds a fingerprint into a clean workload, runs the scheme's
-    declared {!Analysis.Locator} passes over the clean and the marked
-    artifact, and scores the {e hit rate} — flagged marked functions over
+    cell embeds a fingerprint into a clean workload, runs the track's
+    locate step ({!Scheme.Track.locate}: the scheme's declared
+    {!Analysis.Locator} passes, or [nlint] on native binaries) over the
+    clean and the marked artifact, and scores the {e hit rate} — flagged marked functions over
     marked functions.  A scheme's observed hit rate (worst cell) is then
     gated against the locatability ceiling its capability metadata
     declares ({!Scheme.Watermarker.caps}): exceeding the ceiling, or

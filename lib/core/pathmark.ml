@@ -44,17 +44,18 @@ let batch_seed base index = Int64.add base (Int64.mul (Int64.of_int (index + 1))
 
 let watermark_batch ?(seed = 0x1234_5678L) ?(domains = 1) ?cache ?events ~key ~bits ~pieces ~input
     ~fingerprints prog =
+  let carrier = Scheme.Watermarker.Vm_program prog in
   let jobs =
     List.mapi
       (fun i fingerprint ->
-        Engine.Job.vm_embed ~label:("fp:" ^ Bignum.to_string fingerprint) ~seed:(batch_seed seed i) ~key
-          ~bits ~pieces ~fingerprint ~input prog)
+        Engine.Job.make ~label:("fp:" ^ Bignum.to_string fingerprint) ~seed:(batch_seed seed i) ~key
+          ~bits ~input carrier (Engine.Job.Embed { fingerprint; pieces }))
       fingerprints
   in
   Engine.Batch.run ~domains ?cache ?events jobs
   |> List.map (fun (r : Engine.Batch.result) ->
          match r.Engine.Batch.outcome with
-         | Engine.Batch.Vm_embedded { program; _ } -> Stackvm.Serialize.decode program
+         | Engine.Batch.Embedded { program; _ } -> Stackvm.Serialize.decode program
          | Engine.Batch.Failed { reason; _ } ->
              failwith (Printf.sprintf "watermark_batch: job %s failed: %s" r.Engine.Batch.job.Engine.Job.label reason)
          | _ -> assert false)

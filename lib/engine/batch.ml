@@ -1,6 +1,6 @@
 type outcome =
-  | Vm_embedded of { program : string; bytes_before : int; bytes_after : int }
-  | Vm_recognized of { value : Bignum.t option; matched : bool option }
+  | Embedded of { program : string; bytes_before : int; bytes_after : int }
+  | Recognized of { value : Bignum.t option; matched : bool option }
   | Audited of {
       passes : string list;
       marked_fns : string list;
@@ -23,16 +23,16 @@ type result = { job : Job.t; outcome : outcome; ms : float; attempts : int; from
 let ok r =
   match r.outcome with
   | Failed _ -> false
-  | Vm_recognized { value; matched } -> value <> None && matched <> Some false
-  | Vm_embedded _ | Audited _ -> true
+  | Recognized { value; matched } -> value <> None && matched <> Some false
+  | Embedded _ | Audited _ -> true
   (* a killed mark is a measurement, not a job failure; only a false
      positive on a control cell counts against the batch *)
   | Tournament_measured { false_positive; _ } -> not false_positive
 
 let describe_outcome = function
-  | Vm_embedded { bytes_before; bytes_after; _ } ->
+  | Embedded { bytes_before; bytes_after; _ } ->
       Printf.sprintf "embedded (%d -> %d bytes)" bytes_before bytes_after
-  | Vm_recognized { value; matched } -> (
+  | Recognized { value; matched } -> (
       match (value, matched) with
       | None, _ -> "no watermark recovered"
       | Some w, Some true -> Printf.sprintf "recognized %s (match)" (Bignum.to_string w)
@@ -89,12 +89,12 @@ let encode_outcome o =
   let buf = Buffer.create 128 in
   Buffer.add_string buf "PBO1";
   (match o with
-  | Vm_embedded { program; bytes_before; bytes_after } ->
+  | Embedded { program; bytes_before; bytes_after } ->
       Buffer.add_char buf 'E';
       add_str buf program;
       add_varint buf bytes_before;
       add_varint buf bytes_after
-  | Vm_recognized { value; matched } ->
+  | Recognized { value; matched } ->
       Buffer.add_char buf 'R';
       add_opt buf add_big value;
       add_opt buf add_bool matched
@@ -162,11 +162,11 @@ let decode_outcome s =
             let program = str () in
             let bytes_before = varint () in
             let bytes_after = varint () in
-            Vm_embedded { program; bytes_before; bytes_after }
+            Embedded { program; bytes_before; bytes_after }
         | 'R' ->
             let value = opt big in
             let matched = opt boolean in
-            Vm_recognized { value; matched }
+            Recognized { value; matched }
         | 'U' ->
             let lst () = List.init (varint ()) (fun _ -> str ()) in
             let passes = lst () in
@@ -207,12 +207,10 @@ let timed ?events ~id ~stage f =
   emit events (Events.Stage_time { id; stage; ms = (now () -. t0) *. 1000.0 });
   v
 
-let default_recognize_fuel = 200_000_000
-
 let match_against expected value =
   Option.map (fun e -> match value with Some v -> Bignum.equal v e | None -> false) expected
 
-(* Every VM job resolves its scheme in the registry ({!Scheme.Builtin});
+(* Every job resolves its scheme in the registry ({!Scheme.Builtin});
    composite names ("jwm+gwm") resolve to {!Scheme.Compose} and make the
    double-watermark mode batchable. *)
 let scheme_spec (job : Job.t) ~redundancy =
@@ -224,22 +222,6 @@ let scheme_spec (job : Job.t) ~redundancy =
     fuel = job.Job.fuel;
     redundancy;
   }
-
-(* The snapshot trace an embedding is planned from: shared, through
-   {!Cache.with_trace}, by every fingerprint of a fleet on one host. *)
-let snapshot_capture (job : Job.t) program =
-  Stackvm.Trace.capture ?fuel:job.Job.fuel ~want_snapshots:true program ~input:job.Job.input
-
-(* A recognition trace is the compiled run's packed branch events
-   ({!Stackvm.Trace.record}): the events a recognizer's sink sees when it
-   runs the program itself. *)
-let recognition_events (job : Job.t) program =
-  let fuel = Option.value ~default:default_recognize_fuel job.Job.fuel in
-  fst (Stackvm.Trace.record ~fuel program ~input:job.Job.input)
-
-let vm_carrier (job : Job.t) = function
-  | Scheme.Watermarker.Vm_program p -> p
-  | _ -> failwith (Printf.sprintf "scheme %s embedded a non-VM carrier" job.Job.scheme)
 
 (* Offline recognition over a captured branch stream: the fault plan
    corrupts the replayed stream (salted per job), the corruption is
@@ -257,21 +239,65 @@ let recognize_replayed ?events ~id ~label ~plan ~salt ~capture sink spec =
   ( timed ?events ~id ~stage:"recognize" (fun () -> Scheme.Watermarker.recognize_events sink spec trace),
     nfaults )
 
-let compute_vm ?inject ?cache ?events ~id (job : Job.t) program action =
+(* Recognition through the scheme's noisy tracer: every observation pass
+   gets its own garbler, salted per pass, so the views are independent
+   and reproducible. *)
+let recognize_noisy ?events ~id ~label ~plan ~salt rg ~aux spec carrier =
+  let per_pass = Hashtbl.create 4 in
+  let garble ~pass v =
+    let f =
+      match Hashtbl.find_opt per_pass pass with
+      | Some f -> f
+      | None ->
+          let f =
+            Option.value ~default:Fun.id
+              (Fault.Inject.garble plan ~salt:(Printf.sprintf "obs:%s:%d" salt pass))
+          in
+          Hashtbl.replace per_pass pass f;
+          f
+    in
+    f v
+  in
+  let g = rg ~garble ?aux spec carrier in
+  emit events
+    (Events.Fault_injected
+       {
+         id;
+         label;
+         layer = "obs";
+         detail =
+           Printf.sprintf "garbled tracer observations (%d passes, majority vote)"
+             g.Scheme.Watermarker.views;
+       });
+  (match g.Scheme.Watermarker.recovered.Scheme.Watermarker.value with
+  | Some _ when not g.Scheme.Watermarker.unanimous ->
+      emit events (Events.Counter { name = "recognitions.degraded"; delta = 1 })
+  | None -> emit events (Events.Counter { name = "recognitions.partial"; delta = 1 })
+  | Some _ -> ());
+  g.Scheme.Watermarker.recovered
+
+let compute ?inject ?cache ?events ~id (job : Job.t) =
   let (module W) = Scheme.Builtin.find_exn job.Job.scheme in
-  if W.caps.Scheme.Watermarker.track <> Scheme.Watermarker.Vm then
-    failwith (Printf.sprintf "scheme %s cannot run on the VM track" job.Job.scheme);
-  let carrier = Scheme.Watermarker.Vm_program program in
+  let carrier = job.Job.program in
+  let track = Scheme.Watermarker.carrier_track carrier in
+  if W.caps.Scheme.Watermarker.track <> track then
+    failwith
+      (Printf.sprintf "scheme %s cannot run on the %s track" job.Job.scheme
+         (Scheme.Watermarker.track_to_string track));
+  let spec = scheme_spec job ~redundancy:Scheme.Watermarker.default_redundancy in
   let embed_here fingerprint spec =
     timed ?events ~id ~stage:"embed" (fun () -> W.embed fingerprint spec carrier)
   in
-  match (action : Job.vm_action) with
+  match job.Job.action with
   | Job.Embed { fingerprint; pieces } ->
-      let spec = scheme_spec job ~redundancy:pieces in
+      let spec = { spec with Scheme.Watermarker.redundancy = pieces } in
       let e =
         match W.embed_traced with
         | Some embed_traced ->
-            let capture () = snapshot_capture job program in
+            (* the snapshot trace an embedding is planned from: shared,
+               through {!Cache.with_trace}, by every fingerprint of a fleet
+               on one host *)
+            let capture () = Scheme.Track.snapshots spec carrier in
             let trace =
               timed ?events ~id ~stage:"trace" (fun () ->
                   match cache with
@@ -281,20 +307,19 @@ let compute_vm ?inject ?cache ?events ~id (job : Job.t) program action =
             timed ?events ~id ~stage:"embed" (fun () -> embed_traced trace fingerprint spec carrier)
         | None -> embed_here fingerprint spec
       in
-      Vm_embedded
+      Embedded
         {
-          program = Stackvm.Serialize.encode (vm_carrier job e.Scheme.Watermarker.carrier);
+          program = Scheme.Track.encode e.Scheme.Watermarker.carrier;
           bytes_before = e.Scheme.Watermarker.bytes_before;
           bytes_after = e.Scheme.Watermarker.bytes_after;
         }
   | Job.Recognize { expected } ->
-      let spec = scheme_spec job ~redundancy:Scheme.Watermarker.default_redundancy in
       let r, nfaults =
         match W.sink with
         | Some sink ->
             (* the saved branch trace is cached per (program, input, fuel),
                so every recognizer of one artifact shares one run *)
-            let capture () = Stackvm.Trace.save_events (recognition_events job program) in
+            let capture () = Stackvm.Trace.save_events (Scheme.Track.branch_events spec carrier) in
             recognize_replayed ?events ~id ~label:job.Job.label ~plan:inject
               ~salt:(Job.trace_digest job)
               ~capture:(fun () ->
@@ -313,46 +338,56 @@ let compute_vm ?inject ?cache ?events ~id (job : Job.t) program action =
           emit events (Events.Counter { name = "recognitions.partial"; delta = 1 })
       | _ -> ());
       let value = r.Scheme.Watermarker.value in
-      Vm_recognized { value; matched = match_against expected value }
+      Recognized { value; matched = match_against expected value }
   | Job.Tournament_cell cell ->
-      let spec = scheme_spec job ~redundancy:Scheme.Watermarker.default_redundancy in
       let fingerprint = cell.Job.cell_fingerprint in
       (* control cells measure credibility: recognize the clean program,
          unattacked — anything recovered that matches the fingerprint is a
-         false positive *)
-      let target =
-        if cell.Job.cell_control then program
-        else vm_carrier job (embed_here fingerprint spec).Scheme.Watermarker.carrier
+         false positive.  A non-blind scheme still embeds, for the hint
+         its recognizer needs (nwm probes the clean binary over the
+         region the embedder would have used). *)
+      let e =
+        if cell.Job.cell_control && W.caps.Scheme.Watermarker.blind then None
+        else Some (embed_here fingerprint spec)
       in
+      let aux = Option.map (fun e -> e.Scheme.Watermarker.aux) e in
       let attacked =
-        if cell.Job.cell_control || cell.Job.cell_attack = "identity" then target
-        else
-          match List.assoc_opt cell.Job.cell_attack Vmattacks.Attacks.all with
-          | None -> failwith ("unknown attack: " ^ cell.Job.cell_attack)
-          | Some attack ->
+        match e with
+        | Some e when not cell.Job.cell_control ->
+            if cell.Job.cell_attack = "identity" then e.Scheme.Watermarker.carrier
+            else
               timed ?events ~id ~stage:("attack:" ^ cell.Job.cell_attack) (fun () ->
-                  attack (Util.Prng.create job.Job.seed) target)
+                  Scheme.Track.attack cell.Job.cell_attack spec ~aux:e.Scheme.Watermarker.aux
+                    e.Scheme.Watermarker.carrier)
+        | _ -> carrier
       in
-      (* the cell's own plan governs trace corruption (the batch-level
-         [inject] still drives crash/fuel/cache faults in [execute]) *)
+      (* the cell's own plan governs trace corruption and tracer garbling
+         (the batch-level [inject] still drives crash/fuel/cache faults in
+         [execute]) *)
       let plan = Fault.Inject.make ~seed:cell.Job.cell_fault_seed cell.Job.cell_faults in
+      let salt = Printf.sprintf "%s:%s" (Job.trace_digest job) cell.Job.cell_attack in
+      let recovers (r : Scheme.Watermarker.recovered) =
+        match r.value with Some v -> Bignum.equal v fingerprint | None -> false
+      in
       let r, nfaults =
-        match W.sink with
-        | Some sink when not (Fault.Inject.is_empty plan) ->
-            recognize_replayed ?events ~id ~label:job.Job.label ~plan:(Some plan)
-              ~salt:(Printf.sprintf "cell:%s:%s" (Job.trace_digest job) cell.Job.cell_attack)
-              ~capture:(fun () -> recognition_events job attacked)
-              sink spec
-        | _ ->
+        match (W.sink, W.recognize_garbled) with
+        | Some sink, _ when not (Fault.Inject.is_empty plan) ->
+            let r, nfaults =
+              recognize_replayed ?events ~id ~label:job.Job.label ~plan:(Some plan)
+                ~salt:("cell:" ^ salt)
+                ~capture:(fun () -> Scheme.Track.branch_events spec attacked)
+                sink spec
+            in
+            if recovers r && nfaults > 0 then
+              emit events (Events.Counter { name = "recognitions.degraded"; delta = 1 });
+            (r, nfaults)
+        | _, Some rg when Fault.Inject.garble plan ~salt:"probe" <> None ->
             ( timed ?events ~id ~stage:"recognize" (fun () ->
-                  W.recognize spec (Scheme.Watermarker.Vm_program attacked)),
-              0 )
+                  recognize_noisy ?events ~id ~label:job.Job.label ~plan ~salt rg ~aux spec attacked),
+              1 )
+        | _ -> (timed ?events ~id ~stage:"recognize" (fun () -> W.recognize ?aux spec attacked), 0)
       in
-      let recovered_fp =
-        match r.Scheme.Watermarker.value with Some v -> Bignum.equal v fingerprint | None -> false
-      in
-      if recovered_fp && nfaults > 0 then
-        emit events (Events.Counter { name = "recognitions.degraded"; delta = 1 });
+      let recovered_fp = recovers r in
       Tournament_measured
         {
           attack = cell.Job.cell_attack;
@@ -363,183 +398,18 @@ let compute_vm ?inject ?cache ?events ~id (job : Job.t) program action =
           nfaults;
         }
   | Job.Audit { fingerprint } ->
-      let spec = scheme_spec job ~redundancy:Scheme.Watermarker.default_redundancy in
-      let marked = vm_carrier job (embed_here fingerprint spec).Scheme.Watermarker.carrier in
-      let passes =
-        match
-          List.filter
-            (fun p -> List.mem p Analysis.Locator.known_passes)
-            W.caps.Scheme.Watermarker.locator_passes
-        with
-        | [] -> Analysis.Locator.default_passes
-        | ps -> ps
-      in
-      (* ground truth: the functions the embedder added or rewrote *)
-      let clean_code = Hashtbl.create 16 in
-      Array.iter
-        (fun (f : Stackvm.Program.func) -> Hashtbl.replace clean_code f.Stackvm.Program.name f)
-        program.Stackvm.Program.funcs;
-      let marked_fns =
-        Array.to_list marked.Stackvm.Program.funcs
-        |> List.filter_map (fun (f : Stackvm.Program.func) ->
-               match Hashtbl.find_opt clean_code f.Stackvm.Program.name with
-               | Some g when g = f -> None
-               | _ -> Some f.Stackvm.Program.name)
-        |> List.sort compare
-      in
-      let report =
-        timed ?events ~id ~stage:"audit" (fun () -> Analysis.Locator.run ~passes marked)
-      in
-      let clean_report = Analysis.Locator.run ~passes program in
-      Audited
-        {
-          passes;
-          marked_fns;
-          flagged_fns = report.Analysis.Locator.flagged;
-          clean_flagged = clean_report.Analysis.Locator.flagged;
-          ndiags = List.length report.Analysis.Locator.diags;
-        }
-
-let default_native_passes = 5
-
-(* Extract the watermark from [binary], optionally through a noisy tracer
-   whose observations [plan] garbles: several independently-garbled views
-   of one deterministic observation log, majority-voted.  Returns the
-   recovered value with the extractor's confidence in it. *)
-let native_extract_value ?events ~id ~label ~salt ~plan binary ~begin_addr ~end_addr ~input =
-  match plan with
-  | None -> (
-      match Nwm.Extract.extract binary ~begin_addr ~end_addr ~input with
-      | Ok ex -> (Some (Nwm.Extract.watermark ex), 1.0)
-      | Error _ -> (None, 0.0))
-  | Some plan ->
-      let per_pass = Hashtbl.create 4 in
-      let g ~pass v =
-        let f =
-          match Hashtbl.find_opt per_pass pass with
-          | Some f -> f
-          | None ->
-              let f =
-                Option.value ~default:Fun.id
-                  (Fault.Inject.garble plan ~salt:(Printf.sprintf "obs:%s:%d" salt pass))
-              in
-              Hashtbl.replace per_pass pass f;
-              f
-        in
-        f v
-      in
-      emit events
-        (Events.Fault_injected
-           {
-             id;
-             label;
-             layer = "obs";
-             detail =
-               Printf.sprintf "garbled tracer observations (%d passes, majority vote)"
-                 default_native_passes;
-           });
-      let d =
-        Nwm.Extract.extract_degraded ~passes:default_native_passes ~garble:g binary ~begin_addr
-          ~end_addr ~input
-      in
-      (match d.Nwm.Extract.value with
-      | Some _ when d.Nwm.Extract.agreement < 1.0 ->
-          emit events (Events.Counter { name = "recognitions.degraded"; delta = 1 })
-      | None -> emit events (Events.Counter { name = "recognitions.partial"; delta = 1 })
-      | Some _ -> ());
-      (d.Nwm.Extract.value, d.Nwm.Extract.confidence)
-
-let compute_native ?events ~id (job : Job.t) program action =
-  if job.Job.scheme <> Job.default_native_scheme then
-    failwith (Printf.sprintf "scheme %s cannot run on the native track" job.Job.scheme);
-  match (action : Job.native_action) with
-  | Job.Native_tournament_cell cell ->
-      let fingerprint = cell.Job.cell_fingerprint in
-      (* the embed always runs — even control cells need the region span
-         the extractor will probe *)
-      let report =
-        timed ?events ~id ~stage:"native-embed" (fun () ->
-            Nwm.Embed.embed ~seed:job.Job.seed ~tamper_proof:true ?fuel:job.Job.fuel
-              ~watermark:fingerprint ~bits:job.Job.bits ~training_input:job.Job.input program)
-      in
-      let begin_addr = report.Nwm.Embed.begin_addr and end_addr = report.Nwm.Embed.end_addr in
-      let target =
-        if cell.Job.cell_control then
-          (* credibility control: probe the clean binary over the span the
-             embedder would have used *)
-          Nativesim.Asm.assemble program
-        else report.Nwm.Embed.binary
-      in
-      let attacked =
-        if cell.Job.cell_control || cell.Job.cell_attack = "identity" then target
-        else
-          let rng = Util.Prng.create job.Job.seed in
-          timed ?events ~id ~stage:("attack:" ^ cell.Job.cell_attack) (fun () ->
-              match cell.Job.cell_attack with
-              | "noop-insertion" -> Nattacks.Attacks.noop_insertion ~rate:0.05 rng target
-              | "branch-sense-inversion" ->
-                  Nattacks.Attacks.branch_sense_inversion ~fraction:1.0 rng target
-              | "double-watermark" ->
-                  let seed2 = Int64.lognot job.Job.seed in
-                  let second = Bignum.random_bits (Util.Prng.create seed2) job.Job.bits in
-                  Nattacks.Attacks.double_watermark ~seed:seed2 ~watermark:second
-                    ~bits:job.Job.bits ~training_input:job.Job.input target
-              | "bypass" ->
-                  Nattacks.Attacks.bypass rng target ~begin_addr ~end_addr ~input:job.Job.input
-              | "reroute" ->
-                  Nattacks.Attacks.reroute rng target ~begin_addr ~end_addr ~input:job.Job.input
-              | "static-strip" -> (Nattacks.Static_strip.strip target).Nattacks.Static_strip.binary
-              | a -> failwith ("unknown native attack: " ^ a))
-      in
-      (* the cell's own plan drives the noisy-tracer extraction *)
-      let cell_plan = Fault.Inject.make ~seed:cell.Job.cell_fault_seed cell.Job.cell_faults in
-      let plan =
-        if Fault.Inject.garble cell_plan ~salt:"probe" <> None then Some cell_plan else None
-      in
-      let value, confidence =
-        timed ?events ~id ~stage:"native-extract" (fun () ->
-            native_extract_value ?events ~id ~label:job.Job.label
-              ~salt:(Job.trace_digest job ^ ":" ^ cell.Job.cell_attack)
-              ~plan attacked ~begin_addr ~end_addr ~input:job.Job.input)
-      in
-      let recovered_fp =
-        match value with Some v -> Bignum.equal v fingerprint | None -> false
-      in
-      Tournament_measured
-        {
-          attack = cell.Job.cell_attack;
-          control = cell.Job.cell_control;
-          survived = (not cell.Job.cell_control) && recovered_fp;
-          false_positive = cell.Job.cell_control && recovered_fp;
-          confidence;
-          nfaults = (if Option.is_some plan then 1 else 0);
-        }
-  | Job.Native_audit { fingerprint } ->
-      let report =
-        timed ?events ~id ~stage:"native-embed" (fun () ->
-            Nwm.Embed.embed ~seed:job.Job.seed ~tamper_proof:true ?fuel:job.Job.fuel
-              ~watermark:fingerprint ~bits:job.Job.bits ~training_input:job.Job.input program)
-      in
-      let clean_binary = Nativesim.Asm.assemble program in
-      let clean_diags = Analysis.Nlint.lint clean_binary in
-      let marked_diags =
-        timed ?events ~id ~stage:"audit" (fun () -> Analysis.Nlint.lint report.Nwm.Embed.binary)
-      in
-      (* the native track has no function granularity: the embedded
-         region plays the role of the single "marked function" *)
-      let in_region (d : Analysis.Diag.t) =
-        match d.Analysis.Diag.loc with
-        | Analysis.Diag.Native { addr } ->
-            addr >= report.Nwm.Embed.begin_addr && addr < report.Nwm.Embed.end_addr
-        | _ -> false
+      let e = embed_here fingerprint spec in
+      let l =
+        timed ?events ~id ~stage:"audit" (fun () ->
+            Scheme.Track.locate ~passes:W.caps.Scheme.Watermarker.locator_passes ~clean:carrier e)
       in
       Audited
         {
-          passes = [ "nlint" ];
-          marked_fns = [ "region" ];
-          flagged_fns = (if List.exists in_region marked_diags then [ "region" ] else []);
-          clean_flagged = (if clean_diags <> [] then [ "binary" ] else []);
-          ndiags = List.length marked_diags;
+          passes = l.Scheme.Track.passes;
+          marked_fns = l.Scheme.Track.marked;
+          flagged_fns = l.Scheme.Track.flagged;
+          clean_flagged = l.Scheme.Track.clean_flagged;
+          ndiags = l.Scheme.Track.ndiags;
         }
 
 (* ---- retry policy, deadline budget, circuit breaker ---- *)
@@ -712,10 +582,7 @@ let execute ?(policy = default_policy) ?inject ?breaker ?deadline_at ?cache ?eve
                    });
               raise Injected_crash
           | _ -> ());
-          let j = job_for_attempt n in
-          match j.Job.payload with
-          | Job.Vm { program; action } -> compute_vm ?inject ?cache ?events ~id j program action
-          | Job.Native { program; action } -> compute_native ?events ~id j program action
+          compute ?inject ?cache ?events ~id (job_for_attempt n)
         in
         let note_crash crashed =
           match breaker with
@@ -783,14 +650,17 @@ let prewarm ~domains ?inject ?cache ?events jobs =
       let distinct = Hashtbl.create 8 in
       List.iter
         (fun (j : Job.t) ->
-          match j.Job.payload with
-          | Job.Vm { program; action = Job.Embed _ }
+          match j.Job.action with
+          | Job.Embed _
             when embeds_from_trace j.Job.scheme
                  && not (Cache.mem_bytes c ~stage:(Job.kind j) ~key:(result_key ?inject j)) ->
               let tk = Job.trace_digest j in
               if not (Hashtbl.mem distinct tk) then
                 Hashtbl.replace distinct tk (fun () ->
-                    ignore (Cache.with_trace ?events c ~key:tk (fun () -> snapshot_capture j program)))
+                    let spec = scheme_spec j ~redundancy:Scheme.Watermarker.default_redundancy in
+                    ignore
+                      (Cache.with_trace ?events c ~key:tk (fun () ->
+                           Scheme.Track.snapshots spec j.Job.program)))
           | _ -> ())
         jobs;
       let thunks = Hashtbl.fold (fun _ thunk acc -> thunk :: acc) distinct [] in

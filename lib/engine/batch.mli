@@ -12,15 +12,16 @@
     digest. *)
 
 type outcome =
-  | Vm_embedded of { program : string; bytes_before : int; bytes_after : int }
-      (** [program] is the {!Stackvm.Serialize} encoding of the
-          watermarked program *)
-  | Vm_recognized of { value : Bignum.t option; matched : bool option }
+  | Embedded of { program : string; bytes_before : int; bytes_after : int }
+      (** [program] is the watermarked carrier's bytes
+          ({!Scheme.Track.encode}) *)
+  | Recognized of { value : Bignum.t option; matched : bool option }
   | Audited of {
-      passes : string list;  (** the {!Analysis.Locator} passes that ran *)
+      passes : string list;  (** the analyses that ran ({!Scheme.Track.locate}) *)
       marked_fns : string list;
           (** ground truth: functions the embedder added or rewrote
-              (the embedded region, for the native track) *)
+              (["region"], the embedded window, where the carrier has no
+              functions) *)
       flagged_fns : string list;  (** locator-implicated, marked program *)
       clean_flagged : string list;
           (** locator-implicated on the {e clean} program — the
@@ -38,9 +39,9 @@ type outcome =
               {e unmarked} carrier *)
       confidence : float;  (** recognizer confidence in the recovery *)
       nfaults : int;
-          (** injected faults that fired during recognition (branch
-              events corrupted on the VM track; 1 when the native noisy
-              tracer was active, else 0) *)
+          (** injected faults that fired during recognition: branch events
+              corrupted in a replayed trace, or 1 when the scheme's noisy
+              tracer ran ({!Scheme.Watermarker.WATERMARKER.recognize_garbled}) *)
     }
       (** One tournament cell measured: embed → attack → recognize under
           the cell's fault plan ({!Job.Tournament_cell}).  A killed mark
@@ -108,15 +109,19 @@ val run :
 (** Execute the jobs; results are in job order.  [domains] defaults to 1
     (sequential).  [retries] is a shorthand that overrides
     [policy.retries].  [inject] applies a deterministic fault plan inside
-    the run — trace noise before VM recognition, worker crashes, fuel
+    the run — trace noise before recognition, worker crashes, fuel
     cuts, corrupted result-cache entries; tournament cells carry their
-    own plan for trace noise and for garbling the native tracer's
-    observations (majority-voted over several passes).  Faulted runs
-    cache under a digest salted with the plan, so they never poison clean
-    results.  No injected fault escapes as an exception: every job still
-    returns a typed outcome.
+    own plan for trace noise and for garbling the tracer's observations
+    (majority-voted over several passes).  Faulted runs cache under a
+    digest salted with the plan, so they never poison clean results.  No
+    injected fault escapes as an exception: every job still returns a
+    typed outcome.
 
-    Every VM job resolves [job.scheme] through {!Scheme.Builtin.find_exn}
-    and runs the scheme's {!Scheme.Watermarker.WATERMARKER} entry points.
-    Every trace capture, for embedding and recognition alike, runs on
-    {!Stackvm.Compile} through {!Stackvm.Trace.capture}. *)
+    Every job resolves [job.scheme] through {!Scheme.Builtin.find_exn},
+    fails if the scheme's track is not its carrier's, and runs the
+    scheme's {!Scheme.Watermarker.WATERMARKER} entry points: [embed] (or
+    [embed_traced] from a snapshot trace shared through the cache),
+    [sink] over a replayed branch trace when there is one, else
+    [recognize], and [recognize_garbled] under a cell's garbling plan.
+    Per-track steps — encoding, trace capture, attacks, the audit's
+    locate step — come from {!Scheme.Track}. *)

@@ -6,19 +6,11 @@ type cell_spec = {
   cell_faults : Fault.Spec.t list;
 }
 
-type vm_action =
+type action =
   | Embed of { fingerprint : Bignum.t; pieces : int }
   | Recognize of { expected : Bignum.t option }
   | Audit of { fingerprint : Bignum.t }
   | Tournament_cell of cell_spec
-
-type native_action =
-  | Native_audit of { fingerprint : Bignum.t }
-  | Native_tournament_cell of cell_spec
-
-type payload =
-  | Vm of { program : Stackvm.Program.t; action : vm_action }
-  | Native of { program : Nativesim.Asm.program; action : native_action }
 
 type t = {
   label : string;
@@ -28,66 +20,29 @@ type t = {
   seed : int64;
   fuel : int option;
   scheme : string;
-  payload : payload;
+  program : Scheme.Watermarker.carrier;
+  action : action;
 }
 
-let default_seed = 0x1234_5678L
-let default_vm_scheme = "jwm"
-let default_native_scheme = "nwm"
+let default_label scheme = function
+  | Embed { fingerprint; _ } -> "embed:" ^ Bignum.to_string fingerprint
+  | Recognize _ -> "recognize"
+  | Audit _ -> "audit:" ^ scheme
+  | Tournament_cell cell -> Printf.sprintf "cell:%s:%s" scheme cell.cell_attack
 
-let vm_embed ?label ?(seed = default_seed) ?fuel ?(scheme = default_vm_scheme) ~key ~bits ~pieces
-    ~fingerprint ~input program =
-  let label = Option.value label ~default:("embed:" ^ Bignum.to_string fingerprint) in
+let make ?label ?(seed = Scheme.Watermarker.default_seed) ?fuel ?(scheme = "jwm") ~key ~bits ~input
+    program action =
   {
-    label;
-    key;
+    label = Option.value label ~default:(default_label scheme action);
+    (* a native job carries no passphrase: nothing on that track reads it *)
+    key = (if Scheme.Track.keyed program then key else "");
     bits;
     input;
     seed;
     fuel;
     scheme;
-    payload = Vm { program; action = Embed { fingerprint; pieces } };
-  }
-
-let vm_recognize ?label ?(seed = default_seed) ?fuel ?(scheme = default_vm_scheme) ?expected ~key ~bits
-    ~input program =
-  let label = Option.value label ~default:"recognize" in
-  {
-    label;
-    key;
-    bits;
-    input;
-    seed;
-    fuel;
-    scheme;
-    payload = Vm { program; action = Recognize { expected } };
-  }
-
-let vm_audit ?label ?(seed = default_seed) ?fuel ?(scheme = default_vm_scheme) ~key ~bits ~fingerprint
-    ~input program =
-  let label = Option.value label ~default:("audit:" ^ scheme) in
-  {
-    label;
-    key;
-    bits;
-    input;
-    seed;
-    fuel;
-    scheme;
-    payload = Vm { program; action = Audit { fingerprint } };
-  }
-
-let native_audit ?label ?(seed = default_seed) ?fuel ~bits ~fingerprint ~input program =
-  let label = Option.value label ~default:("audit:" ^ default_native_scheme) in
-  {
-    label;
-    key = "";
-    bits;
-    input;
-    seed;
-    fuel;
-    scheme = default_native_scheme;
-    payload = Native { program; action = Native_audit { fingerprint } };
+    program;
+    action;
   }
 
 let cell_spec ?(control = false) ?(fault_seed = 1L) ?(faults = []) ~fingerprint ~attack () =
@@ -99,40 +54,7 @@ let cell_spec ?(control = false) ?(fault_seed = 1L) ?(faults = []) ~fingerprint 
     cell_faults = faults;
   }
 
-let vm_tournament_cell ?label ?(seed = default_seed) ?fuel ?(scheme = default_vm_scheme) ~key ~bits
-    ~input ~cell program =
-  let label = Option.value label ~default:(Printf.sprintf "cell:%s:%s" scheme cell.cell_attack) in
-  {
-    label;
-    key;
-    bits;
-    input;
-    seed;
-    fuel;
-    scheme;
-    payload = Vm { program; action = Tournament_cell cell };
-  }
-
-let native_tournament_cell ?label ?(seed = default_seed) ?fuel ~bits ~input ~cell program =
-  let label =
-    Option.value label
-      ~default:(Printf.sprintf "cell:%s:%s" default_native_scheme cell.cell_attack)
-  in
-  {
-    label;
-    key = "";
-    bits;
-    input;
-    seed;
-    fuel;
-    scheme = default_native_scheme;
-    payload = Native { program; action = Native_tournament_cell cell };
-  }
-
-let program_bytes t =
-  match t.payload with
-  | Vm { program; _ } -> Stackvm.Serialize.encode program
-  | Native { program; _ } -> Nativesim.Binary.encode (Nativesim.Asm.assemble program)
+let program_bytes t = Scheme.Track.encode t.program
 
 let hex s = Digest.to_hex (Digest.string s)
 let program_digest t = hex (program_bytes t)
@@ -159,21 +81,18 @@ let trace_digest t =
   hex (Buffer.contents buf)
 
 let action_fields buf t =
-  match t.payload with
-  | Vm { action = Embed { fingerprint; pieces }; _ } ->
+  match t.action with
+  | Embed { fingerprint; pieces } ->
       add_field buf "action" "embed";
       add_field buf "fingerprint" (Bignum.to_string fingerprint);
       add_field buf "pieces" (string_of_int pieces)
-  | Vm { action = Recognize { expected }; _ } ->
+  | Recognize { expected } ->
       add_field buf "action" "recognize";
       add_field buf "expected" (match expected with None -> "" | Some w -> Bignum.to_string w)
-  | Vm { action = Audit { fingerprint }; _ } ->
+  | Audit { fingerprint } ->
       add_field buf "action" "audit";
       add_field buf "fingerprint" (Bignum.to_string fingerprint)
-  | Native { action = Native_audit { fingerprint }; _ } ->
-      add_field buf "action" "native-audit";
-      add_field buf "fingerprint" (Bignum.to_string fingerprint)
-  | Vm { action = Tournament_cell cell; _ } | Native { action = Native_tournament_cell cell; _ } ->
+  | Tournament_cell cell ->
       add_field buf "action" "tournament";
       add_field buf "fingerprint" (Bignum.to_string cell.cell_fingerprint);
       add_field buf "attack" cell.cell_attack;
@@ -195,12 +114,10 @@ let digest t =
   hex (Buffer.contents buf)
 
 let kind t =
-  match t.payload with
-  | Vm { action = Embed _; _ } -> "embed"
-  | Vm { action = Recognize _; _ } -> "recognize"
-  | Vm { action = Audit _; _ } -> "audit"
-  | Vm { action = Tournament_cell _; _ } -> "tournament"
-  | Native { action = Native_audit _; _ } -> "native-audit"
-  | Native { action = Native_tournament_cell _; _ } -> "native-tournament"
+  match t.action with
+  | Embed _ -> "embed"
+  | Recognize _ -> "recognize"
+  | Audit _ -> "audit"
+  | Tournament_cell _ -> "tournament"
 
 let describe t = Printf.sprintf "%s %s (%d bits, input [%s])" (kind t) t.label t.bits (input_string t.input)

@@ -1,11 +1,14 @@
 (** Deterministic batch-job specifications.
 
-    A job fully describes one unit of watermarking work on either track —
-    embed, recognize, a stealth audit or a tournament cell over a program ×
-    fingerprint × input triple — plus the seed and fuel that make its
-    execution reproducible.  Equal specs produce equal results no matter which
-    domain runs them or in what order, which is what lets {!Pool} schedule
-    freely and {!Cache} memoize by content.
+    A job fully describes one unit of watermarking work — embed,
+    recognize, a stealth audit or a tournament cell over a carrier ×
+    fingerprint × input triple, under a scheme named in the registry —
+    plus the seed and fuel that make its execution reproducible.  The
+    carrier's track (a stack-VM program or native assembly) is the
+    scheme's business, not the job's: one job shape serves both.  Equal
+    specs produce equal results no matter which domain runs them or in
+    what order, which is what lets {!Pool} schedule freely and {!Cache}
+    memoize by content.
 
     {!digest} is the job's content address: a stable hex digest over every
     semantically relevant field (the program {e bytes}, not its identity).
@@ -14,107 +17,68 @@
 type cell_spec = {
   cell_fingerprint : Bignum.t;
   cell_attack : string;
-      (** attack name on the job's track (["identity"] applies nothing);
-          VM cells resolve through {!Vmattacks.Attacks.all}, native cells
-          through the fixed {!Nattacks} vocabulary *)
+      (** attack name on the carrier's track (["identity"] applies
+          nothing), resolved by {!Scheme.Track.attack} *)
   cell_control : bool;
       (** credibility control: recognize the {e unmarked} program instead
-          — any recovery of [cell_fingerprint] is a false positive *)
+          — any recovery of [cell_fingerprint] is a false positive.  A
+          non-blind scheme still embeds, for the recognition hint *)
   cell_fault_seed : int64;
   cell_faults : Fault.Spec.t list;
-      (** the cell's own fault plan, applied to the recognition
-          trace/observations; part of the digest, so faulted cells cache
-          separately from clean ones *)
+      (** the cell's own fault plan, applied to the recognition trace
+          (a scheme with a {!Scheme.Watermarker.WATERMARKER.sink}) or to
+          the tracer's observations (one with [recognize_garbled]); part
+          of the digest, so faulted cells cache separately from clean
+          ones *)
 }
 (** One tournament cell: embed [cell_fingerprint], apply [cell_attack],
     recognize under the cell's fault plan, and report survival — the unit
     of the scheme × workload × attack × fault-plan cross-product
     ({!Tournament.Scorecard}). *)
 
-type vm_action =
+type action =
   | Embed of { fingerprint : Bignum.t; pieces : int }
   | Recognize of { expected : Bignum.t option }
       (** blind recognition; [expected] only adds a match check *)
   | Audit of { fingerprint : Bignum.t }
       (** stealth audit: embed into the (clean) carrier, then run the
-          scheme's declared {!Analysis.Locator} passes over both the
-          clean and the marked program and report which marked functions
-          the static locator implicates *)
+          track's locate step ({!Scheme.Track.locate}) over both the clean
+          and the marked carrier *)
   | Tournament_cell of cell_spec
-
-type native_action =
-  | Native_audit of { fingerprint : Bignum.t }
-      (** the audit action for the native track: embed, then run
-          {!Analysis.Nlint} over clean and marked binaries and test
-          whether any finding lands inside the embedded region *)
-  | Native_tournament_cell of cell_spec
-
-type payload =
-  | Vm of { program : Stackvm.Program.t; action : vm_action }
-  | Native of { program : Nativesim.Asm.program; action : native_action }
 
 type t = {
   label : string;  (** display name; not part of the digest *)
-  key : string;  (** watermark passphrase (VM track; ignored natively) *)
+  key : string;
+      (** watermark passphrase; [""] on a native carrier, whose track
+          reads none ({!Scheme.Track.keyed}) *)
   bits : int;  (** watermark width *)
   input : int list;  (** secret / training input sequence *)
   seed : int64;  (** deterministic randomness seed *)
   fuel : int option;  (** per-job execution budget (the timeout analog) *)
   scheme : string;
-      (** registry name of the watermarking scheme ({!Scheme.Registry});
-          VM jobs default to ["jwm"], native jobs to ["nwm"] *)
-  payload : payload;
+      (** registry name of the watermarking scheme ({!Scheme.Builtin});
+          default ["jwm"].  Its track must be the carrier's. *)
+  program : Scheme.Watermarker.carrier;  (** what [action] runs on ({!make}) *)
+  action : action;
 }
 
-val default_native_scheme : string
-
-val vm_embed :
+val make :
   ?label:string ->
   ?seed:int64 ->
   ?fuel:int ->
   ?scheme:string ->
   key:string ->
   bits:int ->
-  pieces:int ->
-  fingerprint:Bignum.t ->
   input:int list ->
-  Stackvm.Program.t ->
+  Scheme.Watermarker.carrier ->
+  action ->
   t
-
-val vm_recognize :
-  ?label:string ->
-  ?seed:int64 ->
-  ?fuel:int ->
-  ?scheme:string ->
-  ?expected:Bignum.t ->
-  key:string ->
-  bits:int ->
-  input:int list ->
-  Stackvm.Program.t ->
-  t
-
-val vm_audit :
-  ?label:string ->
-  ?seed:int64 ->
-  ?fuel:int ->
-  ?scheme:string ->
-  key:string ->
-  bits:int ->
-  fingerprint:Bignum.t ->
-  input:int list ->
-  Stackvm.Program.t ->
-  t
-(** The program is the {e clean} carrier; the audit embeds internally. *)
-
-val native_audit :
-  ?label:string ->
-  ?seed:int64 ->
-  ?fuel:int ->
-  bits:int ->
-  fingerprint:Bignum.t ->
-  input:int list ->
-  Nativesim.Asm.program ->
-  t
+(** A job running [action] on the carrier.  Defaults: scheme ["jwm"],
+    seed {!Scheme.Watermarker.default_seed}, no fuel override, and a
+    label naming the action.  The carrier is the {e clean} host for
+    [Embed], [Audit] and [Tournament_cell] (the audit and the cell embed
+    internally) and the artifact for [Recognize], where a non-blind
+    scheme has no hint and reports its own "aux required" failure. *)
 
 val cell_spec :
   ?control:bool ->
@@ -126,34 +90,9 @@ val cell_spec :
   cell_spec
 (** Defaults: not a control, fault seed 1, empty fault plan. *)
 
-val vm_tournament_cell :
-  ?label:string ->
-  ?seed:int64 ->
-  ?fuel:int ->
-  ?scheme:string ->
-  key:string ->
-  bits:int ->
-  input:int list ->
-  cell:cell_spec ->
-  Stackvm.Program.t ->
-  t
-(** The program is the {e clean} carrier; the cell embeds internally
-    (control cells skip the embed and the attack). *)
-
-val native_tournament_cell :
-  ?label:string ->
-  ?seed:int64 ->
-  ?fuel:int ->
-  bits:int ->
-  input:int list ->
-  cell:cell_spec ->
-  Nativesim.Asm.program ->
-  t
-
 val program_bytes : t -> string
-(** Canonical byte serialization of the job's program
-    ({!Stackvm.Serialize.encode}, or the assembled {!Nativesim.Binary}
-    encoding). *)
+(** Canonical byte serialization of the job's carrier
+    ({!Scheme.Track.encode}). *)
 
 val program_digest : t -> string
 (** Hex digest of {!program_bytes} alone. *)
@@ -168,9 +107,8 @@ val digest : t -> string
 (** Stable hex digest of the full spec (minus [label]). *)
 
 val kind : t -> string
-(** Short action tag: ["embed"], ["recognize"], ["audit"],
-    ["tournament"], ["native-audit"] or ["native-tournament"] — used as
-    the cache stage for memoized job results. *)
+(** Short action tag: ["embed"], ["recognize"], ["audit"] or
+    ["tournament"] — used as the cache stage for memoized job results. *)
 
 val describe : t -> string
 (** One-line description for logs. *)

@@ -157,9 +157,9 @@ let compose members =
             })
       else None
 
-    (* A VM program runs once, into the fan-out sink.  Only when
-       translating or running it raises does each member recognize on its
-       own, so each member's failure detail stays its own. *)
+    (* A VM program runs once, into the fan-out sink.  Only when the
+       engine refuses it does each member recognize on its own, so each
+       member's failure detail stays its own. *)
     let recognize ?aux spec carrier =
       let one_by_one () =
         let auxes = split_auxes (List.length members) aux in
@@ -172,8 +172,10 @@ let compose members =
       | Some mk, Vm_program prog -> (
           let s = mk spec in
           match run_sink ~decide_every:0 s spec prog with
-          | _ -> s.finish ()
-          | exception _ -> one_by_one ())
+          | `Refused _ -> one_by_one ()
+          | `Completed | `Stopped _ -> s.finish ())
       | _ -> one_by_one ()
+
+    let recognize_garbled = None
   end in
   (module C : WATERMARKER)

@@ -82,6 +82,8 @@ module M = struct
           decide = (fun () -> false);
           finish = (fun () -> of_outcome (Gwm.Recognize.stream_finish s));
         })
+
+  let recognize_garbled = None
 end
 
 let watermarker = (module M : WATERMARKER)

@@ -91,6 +91,8 @@ module M = struct
           decide = (fun () -> Jwm.Recognize.stream_decide s);
           finish = (fun () -> of_outcome (Jwm.Recognize.stream_finish s));
         })
+
+  let recognize_garbled = None
 end
 
 let watermarker = (module M : WATERMARKER)

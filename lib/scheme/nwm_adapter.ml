@@ -35,7 +35,7 @@ module M = struct
 
   let aux_of ~begin_addr ~end_addr = Printf.sprintf "%d %d" begin_addr end_addr
 
-  let parse_aux = function
+  let window = function
     | None | Some "" -> Error "scheme nwm is non-blind: aux \"begin end\" required"
     | Some s -> (
         match String.split_on_char ' ' (String.trim s) with
@@ -65,27 +65,56 @@ module M = struct
 
   let embed_traced = None
 
-  let recognize ?aux (spec : spec) = function
-    | Native_binary bin -> (
-        match parse_aux aux with
-        | Error e -> { value = None; confidence = 0.; detail = e }
-        | Ok (begin_addr, end_addr) -> (
-            match
-              Nwm.Extract.extract ?fuel:spec.fuel bin ~begin_addr ~end_addr
-                ~input:spec.input
-            with
-            | Ok ext ->
-                {
-                  value = Some (Nwm.Extract.watermark ext);
-                  confidence = 1.;
-                  detail =
-                    Printf.sprintf "%d call sites traced"
-                      (List.length ext.Nwm.Extract.call_sites);
-                }
-            | Error e -> { value = None; confidence = 0.; detail = e }))
-    | _ -> invalid_arg "scheme nwm: requires a native binary carrier"
+  let lost detail = { value = None; confidence = 0.; detail }
+
+  (* a tournament's control cell probes the clean program, which is still
+     assembly *)
+  let recognize ?aux (spec : spec) carrier =
+    let bin = native_binary carrier in
+    match window aux with
+    | Error e -> lost e
+    | Ok (begin_addr, end_addr) -> (
+        match Nwm.Extract.extract ?fuel:spec.fuel bin ~begin_addr ~end_addr ~input:spec.input with
+        | Ok ext ->
+            {
+              value = Some (Nwm.Extract.watermark ext);
+              confidence = 1.;
+              detail = Printf.sprintf "%d call sites traced" (List.length ext.Nwm.Extract.call_sites);
+            }
+        | Error e -> lost e)
 
   let sink = None
+
+  (* garbled views of the one deterministic observation log, majority-voted *)
+  let views = 5
+
+  let recognize_garbled =
+    Some
+      (fun ~garble ?aux (spec : spec) carrier ->
+        let bin = native_binary carrier in
+        match window aux with
+        | Error e -> { recovered = lost e; views; unanimous = true }
+        | Ok (begin_addr, end_addr) ->
+            let d =
+              Nwm.Extract.extract_degraded ?fuel:spec.fuel ~passes:views ~garble bin ~begin_addr
+                ~end_addr ~input:spec.input
+            in
+            {
+              recovered =
+                {
+                  value = d.Nwm.Extract.value;
+                  confidence = d.Nwm.Extract.confidence;
+                  detail =
+                    (match d.Nwm.Extract.diagnostic with
+                    | Some e -> e
+                    | None ->
+                        Printf.sprintf "%d call sites, agreement %.2f over %d garbled views"
+                          d.Nwm.Extract.call_sites d.Nwm.Extract.agreement views);
+                };
+              views;
+              unanimous = d.Nwm.Extract.agreement >= 1.0;
+            })
 end
 
 let watermarker = (module M : WATERMARKER)
+let window = M.window

@@ -5,3 +5,7 @@
     needs. *)
 
 val watermarker : (module Watermarker.WATERMARKER)
+
+val window : string option -> (int * int, string) result
+(** The region window an embedding's [aux] names: [Ok (begin_addr,
+    end_addr)], or why the hint is absent or malformed. *)

@@ -38,10 +38,14 @@ let carrier_track = function
   | Vm_program _ -> Vm
   | Native_source _ | Native_binary _ -> Native
 
+let native_binary = function
+  | Native_binary b -> b
+  | Native_source a -> Nativesim.Asm.assemble a
+  | Vm_program _ -> invalid_arg "Scheme.Watermarker.native_binary: a VM carrier"
+
 let carrier_size = function
   | Vm_program p -> Stackvm.Serialize.size_in_bytes p
-  | Native_source a -> Nativesim.Binary.size (Nativesim.Asm.assemble a)
-  | Native_binary b -> Nativesim.Binary.size b
+  | c -> Nativesim.Binary.size (native_binary c)
 
 type embedding = {
   carrier : carrier;
@@ -55,6 +59,8 @@ type recovered = { value : Bignum.t option; confidence : float; detail : string 
 
 type sink = { push : int -> unit; decide : unit -> bool; finish : unit -> recovered }
 
+type garbled = { recovered : recovered; views : int; unanimous : bool }
+
 module type WATERMARKER = sig
   val name : string
   val caps : caps
@@ -67,6 +73,9 @@ module type WATERMARKER = sig
   val recognize : ?aux:string -> spec -> carrier -> recovered
 
   val sink : (spec -> sink) option
+
+  val recognize_garbled :
+    (garble:(pass:int -> int -> int) -> ?aux:string -> spec -> carrier -> garbled) option
 end
 
 let recognize_events mk spec events =
@@ -75,7 +84,6 @@ let recognize_events mk spec events =
   s.finish ()
 
 let run_sink ?(decide_every = 4096) s spec prog =
-  let code = Stackvm.Compile.of_program prog in
   let fuel = Option.value spec.fuel ~default:200_000_000 in
   let since = ref 0 in
   let push e =
@@ -87,6 +95,7 @@ let run_sink ?(decide_every = 4096) s spec prog =
          s.decide ()
        end
   in
-  match Stackvm.Compile.run_streaming ~fuel code ~input:spec.input ~push with
+  match Stackvm.Compile.run_streaming ~fuel (Stackvm.Compile.of_program prog) ~input:spec.input ~push with
   | `Completed _ -> `Completed
   | `Stopped steps -> `Stopped steps
+  | exception e -> `Refused (Printexc.to_string e)

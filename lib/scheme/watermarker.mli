@@ -68,6 +68,10 @@ type carrier =
   | Native_binary of Nativesim.Binary.t
 
 val carrier_track : carrier -> track
+val native_binary : carrier -> Nativesim.Binary.t
+(** A native carrier as a binary (assembly is assembled); raises
+    [Invalid_argument] on a VM program. *)
+
 val carrier_size : carrier -> int
 (** Serialized size in bytes (program image or binary image). *)
 
@@ -109,6 +113,14 @@ type sink = {
     replayed: the one VM recognition hook, from which {!recognize_events},
     {!run_sink} and a composite's single run ({!Compose}) are derived. *)
 
+type garbled = {
+  recovered : recovered;
+  views : int;  (** independently garbled observation passes voted over *)
+  unanimous : bool;
+      (** every view decoded alike: the garbling changed no vote *)
+}
+(** Recognition through a noisy tracer ({!WATERMARKER.recognize_garbled}). *)
+
 module type WATERMARKER = sig
   val name : string
   val caps : caps
@@ -133,6 +145,14 @@ module type WATERMARKER = sig
   val sink : (spec -> sink) option
   (** A fresh recognition session for [spec]; [None] for schemes that
       cannot recognize from a bare branch stream (native track). *)
+
+  val recognize_garbled :
+    (garble:(pass:int -> int -> int) -> ?aux:string -> spec -> carrier -> garbled) option
+  (** {!recognize} through a noisy tracer: the scheme observes the run
+      once, derives several views with [garble ~pass] applied to each
+      observed value of view [pass], and votes over them.  The native
+      track's fault hook, as {!sink} is the VM track's; [None] for
+      schemes without an observation tracer. *)
 end
 
 val default_seed : int64
@@ -144,12 +164,19 @@ val recognize_events : (spec -> sink) -> spec -> Stackvm.Tracebuf.t -> recovered
     sink, then [finish].  Never asks [decide]. *)
 
 val run_sink :
-  ?decide_every:int -> sink -> spec -> Stackvm.Program.t -> [ `Completed | `Stopped of int ]
+  ?decide_every:int ->
+  sink ->
+  spec ->
+  Stackvm.Program.t ->
+  [ `Completed | `Stopped of int | `Refused of string ]
 (** Compile the program once and run it on [spec.input] under [spec.fuel]
     (default 200 million steps), pushing every branch event into the sink
     and asking [decide] after every [decide_every] events (default 4096,
     jwm's probe period; [0]: never).
     The run halts on the first [true]: [`Stopped steps] counts the
     instructions executed until then.  A trapping or fuel-cut run
-    completes with the prefix pushed.  Raises what translating or running
-    the program raises. *)
+    completes with the prefix pushed.  A program whose translation or run
+    raises (no [main], say) is [`Refused reason], never an exception; the
+    sink's state is then unspecified, and callers answer with the scheme's
+    own {!WATERMARKER.recognize}, whose degraded outcome names the
+    failure. *)

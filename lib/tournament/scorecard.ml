@@ -55,34 +55,26 @@ let attack_class = function
   | "double-watermark" -> "collusion"
   | _ -> "distortive"
 
-let vm_attack_names = "identity" :: List.map fst Vmattacks.Attacks.all
-
-let native_attack_names =
-  [
-    "identity";
-    "noop-insertion";
-    "branch-sense-inversion";
-    "double-watermark";
-    "bypass";
-    "reroute";
-    "static-strip";
-  ]
-
-(* One representative per class keeps the default VM matrix tractable:
-   every registered distortive transformation would triple it without
-   changing any class rate the composite sees. *)
-let default_vm_attacks =
+(* One representative per class keeps the default matrix tractable:
+   every registered VM transformation would triple it without changing
+   any class rate the composite sees.  Each track runs the names it knows
+   ({!Scheme.Track.attack_names}), in this order: the VM track seven, the
+   native track its whole vocabulary. *)
+let default_attacks =
   [
     "identity";
     "nop-insertion";
+    "noop-insertion";
     "block-reorder";
     "branch-sense-inversion";
     "goto-chaining";
+    "double-watermark";
+    "bypass";
+    "reroute";
     "targeted-strip";
     "rpg-strip";
+    "static-strip";
   ]
-
-let default_native_attacks = native_attack_names
 
 (* Both rates sit below the measured tolerance of either track (trace
    flips ≥ 0.005, observation garbling ≥ 0.05 start killing marks), so
@@ -185,14 +177,15 @@ let run ?(domains = 1) ?seed ?(bits = default_bits) ?(fingerprint = default_fing
     ?(key = default_key) ?attacks ?(fault_plans = default_fault_plans) ?(fault_seed = 1L) ?cache
     ?events ~schemes ~workloads () =
   if fault_plans = [] then invalid_arg "Tournament.Scorecard.run: empty fault-plan list";
-  (match attacks with
-  | Some names ->
-      List.iter
-        (fun a ->
-          if not (List.mem a vm_attack_names || List.mem a native_attack_names) then
-            invalid_arg (Printf.sprintf "Tournament.Scorecard.run: unknown attack %S" a))
-        names
-  | None -> ());
+  let known =
+    List.concat_map Scheme.Track.attack_names [ Scheme.Watermarker.Vm; Scheme.Watermarker.Native ]
+  in
+  let attacks = Option.value attacks ~default:default_attacks in
+  List.iter
+    (fun a ->
+      if not (List.mem a known) then
+        invalid_arg (Printf.sprintf "Tournament.Scorecard.run: unknown attack %S" a))
+    attacks;
   let resolved =
     List.map
       (fun name ->
@@ -200,16 +193,7 @@ let run ?(domains = 1) ?seed ?(bits = default_bits) ?(fingerprint = default_fing
         (name, W.caps))
       schemes
   in
-  let attacks_for track =
-    let valid, defaults =
-      match (track : Scheme.Watermarker.track) with
-      | Scheme.Watermarker.Vm -> (vm_attack_names, default_vm_attacks)
-      | Scheme.Watermarker.Native -> (native_attack_names, default_native_attacks)
-    in
-    match attacks with
-    | None -> defaults
-    | Some names -> List.filter (fun a -> List.mem a valid) names
-  in
+  let attacks_for track = List.filter (fun a -> List.mem a (Scheme.Track.attack_names track)) attacks in
   let jobs =
     List.concat_map
       (fun (name, (caps : Scheme.Watermarker.caps)) ->
@@ -237,17 +221,9 @@ let run ?(domains = 1) ?seed ?(bits = default_bits) ?(fingerprint = default_fing
                       m_control = control;
                     }
                   in
-                  let job =
-                    match track with
-                    | Scheme.Watermarker.Vm ->
-                        Engine.Job.vm_tournament_cell ~label ?seed ~scheme:name ~key ~bits ~input
-                          ~cell
-                          (Workloads.Workload.vm_program w)
-                    | Scheme.Watermarker.Native ->
-                        Engine.Job.native_tournament_cell ~label ?seed ~bits ~input ~cell
-                          (Workloads.Workload.native_program w)
-                  in
-                  (meta, job)
+                  ( meta,
+                    Engine.Job.make ~label ?seed ~scheme:name ~key ~bits ~input
+                      (Scheme.Track.of_workload track w) (Engine.Job.Tournament_cell cell) )
                 in
                 (* one unmarked credibility control per scheme × workload ×
                    plan, then one marked cell per attack *)

@@ -76,19 +76,11 @@ val attack_class : string -> string
     (rpg-strip), ["layout"] (bypass, reroute), ["collusion"]
     (double-watermark) or ["distortive"] (every other transformation). *)
 
-val vm_attack_names : string list
-(** ["identity"] plus every registered {!Vmattacks.Attacks.all} name. *)
-
-val native_attack_names : string list
-(** The fixed native vocabulary (identity, noop-insertion,
-    branch-sense-inversion, double-watermark, bypass, reroute,
-    static-strip). *)
-
-val default_vm_attacks : string list
-(** One representative per attack class (the full registry would triple
-    the matrix without changing any class rate). *)
-
-val default_native_attacks : string list
+val default_attacks : string list
+(** One representative per attack class on the VM track (the full
+    registry would triple the matrix without changing any class rate)
+    and the whole native vocabulary, in matrix order.  Each track runs
+    the names it knows ({!Scheme.Track.attack_names}). *)
 
 val default_fault_plans : (string * Fault.Spec.t list) list
 (** [("clean", [])] and a ["noisy"] plan whose rates sit below either
@@ -118,8 +110,7 @@ val run :
 (** Compile the matrix into one {!Engine.Batch} job graph, run it, and
     reduce.  [attacks] restricts the matrix to the named attacks (each
     applied on whichever tracks know it; a name known to neither track
-    is [Invalid_argument]); by default each track runs its
-    [default_*_attacks].  Emits {!Engine.Events.Tournament_cell_done}
+    is [Invalid_argument]); by default {!default_attacks}.  Emits {!Engine.Events.Tournament_cell_done}
     per cell and {!Engine.Events.Tournament_gate} per scheme when
     [events] is given.  Violations collect failed cells, control-cell
     false positives, and schemes whose composite falls below their

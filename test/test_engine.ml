@@ -41,7 +41,9 @@ let key = "engine-test-key"
 let fp = Bignum.of_string "13105294131850248109"
 
 let embed_job ?label ?seed fingerprint =
-  Job.vm_embed ?label ?seed ~key ~bits:64 ~pieces:12 ~fingerprint ~input:secret_input host_program
+  Job.make ?label ?seed ~key ~bits:64 ~input:secret_input
+    (Scheme.Watermarker.Vm_program host_program)
+    (Job.Embed { fingerprint; pieces = 12 })
 
 (* ---- Job: content addressing ---- *)
 
@@ -66,7 +68,10 @@ let test_trace_digest_shared () =
   (* every fingerprint of a fleet shares one trace address *)
   let a = embed_job fp and b = embed_job (Bignum.add fp (Bignum.of_int 7)) in
   Alcotest.(check string) "same program+input => same trace" (Job.trace_digest a) (Job.trace_digest b);
-  let r = Job.vm_recognize ~key ~bits:64 ~input:secret_input host_program in
+  let r =
+    Job.make ~key ~bits:64 ~input:secret_input (Scheme.Watermarker.Vm_program host_program)
+      (Job.Recognize { expected = None })
+  in
   Alcotest.(check bool) "recognize has its own fuel default => distinct trace key" true
     (Job.trace_digest r <> Job.trace_digest a || r.Job.fuel = a.Job.fuel)
 
@@ -257,9 +262,9 @@ let test_cache_store_tier () =
 let test_outcome_roundtrip () =
   let outcomes =
     [
-      Batch.Vm_embedded { program = "\x00\xffbytes"; bytes_before = 10; bytes_after = 22 };
-      Batch.Vm_recognized { value = Some fp; matched = Some true };
-      Batch.Vm_recognized { value = None; matched = None };
+      Batch.Embedded { program = "\x00\xffbytes"; bytes_before = 10; bytes_after = 22 };
+      Batch.Recognized { value = Some fp; matched = Some true };
+      Batch.Recognized { value = None; matched = None };
       Batch.Failed { reason = "fuel exhausted"; attempts = 3 };
     ]
   in
@@ -285,8 +290,8 @@ let embed_fleet ?domains ?cache ?events () =
 
 let embedded_bytes r =
   match r.Batch.outcome with
-  | Batch.Vm_embedded { program; _ } -> program
-  | _ -> Alcotest.fail "expected Vm_embedded"
+  | Batch.Embedded { program; _ } -> program
+  | _ -> Alcotest.fail "expected Embedded"
 
 let test_batch_pool_matches_sequential () =
   let seq = embed_fleet ~domains:1 () in
@@ -329,19 +334,24 @@ let test_batch_failure_isolated () =
   let results = Batch.run ~domains:1 [ wm ] in
   let embedded =
     match (List.hd results).Batch.outcome with
-    | Batch.Vm_embedded { program; _ } -> Stackvm.Serialize.decode program
+    | Batch.Embedded { program; _ } -> Stackvm.Serialize.decode program
     | _ -> Alcotest.fail "embed failed"
   in
   let good expected =
-    Job.vm_recognize ~key ~bits:64 ~expected ~input:secret_input embedded
+    Job.make ~key ~bits:64 ~input:secret_input (Scheme.Watermarker.Vm_program embedded)
+      (Job.Recognize { expected = Some expected })
   in
-  let bad = Job.vm_recognize ~scheme:"no-such-scheme" ~key ~bits:64 ~input:secret_input embedded in
+  let bad =
+    Job.make ~scheme:"no-such-scheme" ~key ~bits:64 ~input:secret_input
+      (Scheme.Watermarker.Vm_program embedded)
+      (Job.Recognize { expected = None })
+  in
   let events = Events.create () in
   let results = Batch.run ~domains:2 ~retries:1 ~events [ good fp; bad; good fp ] in
   (match List.map (fun r -> r.Batch.outcome) results with
-  | [ Batch.Vm_recognized { matched = Some true; _ };
+  | [ Batch.Recognized { matched = Some true; _ };
       Batch.Failed { attempts = 2; _ };
-      Batch.Vm_recognized { matched = Some true; _ } ] -> ()
+      Batch.Recognized { matched = Some true; _ } ] -> ()
   | _ -> Alcotest.fail "expected ok / failed(2 attempts) / ok");
   let retries =
     Events.count events (function Events.Job_retry _ -> true | _ -> false)
@@ -353,7 +363,7 @@ let test_batch_recognize_and_attack () =
   let embed = List.hd (Batch.run ~cache [ embed_job fp ]) in
   let embedded =
     match embed.Batch.outcome with
-    | Batch.Vm_embedded { program; _ } -> Stackvm.Serialize.decode program
+    | Batch.Embedded { program; _ } -> Stackvm.Serialize.decode program
     | _ -> Alcotest.fail "embed failed"
   in
   (* recognize the marked program as shipped and after two distortive
@@ -362,7 +372,9 @@ let test_batch_recognize_and_attack () =
   let attacked name = (List.assoc name Vmattacks.Attacks.all) (Util.Prng.split rng) embedded in
   let jobs =
     List.map
-      (fun program -> Job.vm_recognize ~key ~bits:64 ~expected:fp ~input:secret_input program)
+      (fun program ->
+        Job.make ~key ~bits:64 ~input:secret_input (Scheme.Watermarker.Vm_program program)
+          (Job.Recognize { expected = Some fp }))
       [ embedded; attacked "nop-insertion"; attacked "block-reorder" ]
   in
   let cold = Batch.run ~cache jobs in
@@ -370,7 +382,7 @@ let test_batch_recognize_and_attack () =
   List.iter2
     (fun c w ->
       (match c.Batch.outcome with
-      | Batch.Vm_recognized { value = Some v; matched = Some true } ->
+      | Batch.Recognized { value = Some v; matched = Some true } ->
           Alcotest.check big "recovered fingerprint" fp v
       | o -> Alcotest.fail ("expected a matching recognition, got " ^ Batch.describe_outcome o));
       Alcotest.(check bool) "warm from cache" true w.Batch.from_cache;
@@ -409,8 +421,9 @@ let test_fleet_shares_one_trace () =
   let fleet_jobs scheme =
     List.mapi
       (fun i f ->
-        Job.vm_embed ~scheme ~seed:(seed i) ~key ~bits:64 ~pieces:12 ~fingerprint:f
-          ~input:secret_input host_program)
+        Job.make ~scheme ~seed:(seed i) ~key ~bits:64 ~input:secret_input
+          (Scheme.Watermarker.Vm_program host_program)
+          (Job.Embed { fingerprint = f; pieces = 12 }))
       fleet
   in
   let events = Events.create () in
@@ -462,24 +475,31 @@ let test_recognition_counters () =
     match
       (List.hd
          (Batch.run
-            [ Job.vm_embed ~seed:7L ~key ~bits:64 ~pieces:53 ~fingerprint:mark ~input program ]))
+            [
+              Job.make ~seed:7L ~key ~bits:64 ~input (Scheme.Watermarker.Vm_program program)
+                (Job.Embed { fingerprint = mark; pieces = 53 });
+            ]))
         .Batch.outcome
     with
-    | Batch.Vm_embedded { program; _ } -> Stackvm.Serialize.decode program
+    | Batch.Embedded { program; _ } -> Stackvm.Serialize.decode program
     | o -> Alcotest.fail ("embed failed: " ^ Batch.describe_outcome o)
   in
   let recognize ?(scheme = "jwm") ?rate prog =
     let inject = Option.map (fun r -> Fault.Inject.make ~seed:7L [ Fault.Spec.Trace_flip r ]) rate in
     let events = Events.create () in
-    let r = List.hd (Batch.run ?inject ~events [ Job.vm_recognize ~scheme ~key ~bits:64 ~input prog ]) in
+    let job =
+      Job.make ~scheme ~key ~bits:64 ~input (Scheme.Watermarker.Vm_program prog)
+        (Job.Recognize { expected = None })
+    in
+    let r = List.hd (Batch.run ?inject ~events [ job ]) in
     let counter name = Option.value ~default:0 (List.assoc_opt name (Events.counters events)) in
     (r.Batch.outcome, counter "recognitions.degraded", counter "recognitions.partial")
   in
   let recovered = function
-    | Batch.Vm_recognized { value = Some v; _ } -> Bignum.equal v mark
+    | Batch.Recognized { value = Some v; _ } -> Bignum.equal v mark
     | _ -> false
   in
-  let lost = function Batch.Vm_recognized { value = None; _ } -> true | _ -> false in
+  let lost = function Batch.Recognized { value = None; _ } -> true | _ -> false in
   let o, degraded, partial = recognize marked in
   Alcotest.(check (list int)) "clean: no degraded-mode counter" [ 0; 0 ] [ degraded; partial ];
   Alcotest.(check bool) "clean: recovered" true (recovered o);
@@ -524,20 +544,23 @@ let test_digest_known_answers () =
       ~attack:"nop-insertion" ()
   in
   let control = Job.cell_spec ~control:true ~fingerprint:fp ~attack:"identity" () in
+  let vm_host = Scheme.Watermarker.Vm_program host_program in
+  let native_host = Scheme.Watermarker.Native_source native_host in
   let jobs =
     [
-      Job.vm_embed ~seed:1000L ~key ~bits:64 ~pieces:12 ~fingerprint:fp ~input:secret_input
-        host_program;
-      Job.vm_embed ~scheme:"gwm" ~fuel:5000 ~key ~bits:64 ~pieces:8 ~fingerprint:fp
-        ~input:secret_input host_program;
-      Job.vm_recognize ~key ~bits:64 ~input:secret_input host_program;
-      Job.vm_recognize ~scheme:"jwm+gwm" ~expected:fp ~key ~bits:64 ~input:secret_input host_program;
-      Job.vm_audit ~scheme:"gwm" ~key ~bits:64 ~fingerprint:fp ~input:secret_input host_program;
-      Job.vm_tournament_cell ~key ~bits:64 ~input:secret_input ~cell host_program;
-      Job.vm_tournament_cell ~scheme:"gwm" ~key ~bits:64 ~input:secret_input ~cell:control
-        host_program;
-      Job.native_audit ~bits:24 ~fingerprint:(Bignum.of_int 0xBEEF) ~input:[ 6 ] native_host;
-      Job.native_tournament_cell ~bits:24 ~input:[ 6 ] ~cell native_host;
+      Job.make ~seed:1000L ~key ~bits:64 ~input:secret_input vm_host
+        (Job.Embed { fingerprint = fp; pieces = 12 });
+      Job.make ~scheme:"gwm" ~fuel:5000 ~key ~bits:64 ~input:secret_input vm_host
+        (Job.Embed { fingerprint = fp; pieces = 8 });
+      Job.make ~key ~bits:64 ~input:secret_input vm_host (Job.Recognize { expected = None });
+      Job.make ~scheme:"jwm+gwm" ~key ~bits:64 ~input:secret_input vm_host
+        (Job.Recognize { expected = Some fp });
+      Job.make ~scheme:"gwm" ~key ~bits:64 ~input:secret_input vm_host (Job.Audit { fingerprint = fp });
+      Job.make ~key ~bits:64 ~input:secret_input vm_host (Job.Tournament_cell cell);
+      Job.make ~scheme:"gwm" ~key ~bits:64 ~input:secret_input vm_host (Job.Tournament_cell control);
+      Job.make ~scheme:"nwm" ~key ~bits:24 ~input:[ 6 ] native_host
+        (Job.Audit { fingerprint = Bignum.of_int 0xBEEF });
+      Job.make ~scheme:"nwm" ~key ~bits:24 ~input:[ 6 ] native_host (Job.Tournament_cell cell);
     ]
   in
   Alcotest.(check (list (pair string string)))
@@ -550,8 +573,10 @@ let test_digest_known_answers () =
       ("audit", "09a060ec57c5f3cabd24512f23c76a43");
       ("tournament", "d904ad076aa0c68a15ad6db7d5f00332");
       ("tournament", "50f8b7f1f6014e73b53ce0b648a20691");
-      ("native-audit", "180a615a6ad3b0e456a47bd42fe30486");
-      ("native-tournament", "d08cca1f2340e6a3f965f03daf29eae2");
+      (* the native audit's action text is "audit" now, as on the VM
+         track; the native cell's digest never named its track *)
+      ("audit", "c0ed86727cfa1340bea2df99f5b533aa");
+      ("tournament", "d08cca1f2340e6a3f965f03daf29eae2");
     ]
     (List.map (fun j -> (Job.kind j, Job.digest j)) jobs)
 

@@ -358,7 +358,9 @@ let test_events_json_sink () =
 (* ---- Batch policy: crash retries with deterministic backoff ---- *)
 
 let embed_job ?label ?seed fingerprint =
-  Job.vm_embed ?label ?seed ~key ~bits:64 ~pieces:12 ~fingerprint ~input:secret_input host_program
+  Job.make ?label ?seed ~key ~bits:64 ~input:secret_input
+    (Scheme.Watermarker.Vm_program host_program)
+    (Job.Embed { fingerprint; pieces = 12 })
 
 let test_batch_crash_retries () =
   let fleet = List.init 3 (fun i -> embed_job (Bignum.add fp (Bignum.of_int i))) in
@@ -394,16 +396,20 @@ let test_batch_crash_retries () =
 let test_batch_breaker () =
   let embedded =
     match (List.hd (Batch.run [ embed_job fp ])).Batch.outcome with
-    | Batch.Vm_embedded { program; _ } -> Stackvm.Serialize.decode program
+    | Batch.Embedded { program; _ } -> Stackvm.Serialize.decode program
     | _ -> Alcotest.fail "embed failed"
   in
-  let bad () = Job.vm_recognize ~scheme:"no-such-scheme" ~key ~bits:64 ~input:secret_input embedded in
+  let bad () =
+    Job.make ~scheme:"no-such-scheme" ~key ~bits:64 ~input:secret_input
+      (Scheme.Watermarker.Vm_program embedded)
+      (Job.Recognize { expected = None })
+  in
   let events = Events.create () in
   let policy = { Batch.default_policy with breaker_threshold = 2 } in
   let results = Batch.run ~domains:1 ~policy ~events [ bad (); bad (); bad (); embed_job fp ] in
   (match List.map (fun r -> (r.Batch.outcome, r.Batch.attempts)) results with
   | [ (Batch.Failed _, 1); (Batch.Failed _, 1);
-      (Batch.Failed { reason; _ }, 0); (Batch.Vm_embedded _, 1) ] ->
+      (Batch.Failed { reason; _ }, 0); (Batch.Embedded _, 1) ] ->
       Alcotest.(check string) "short-circuit reason" "circuit breaker open for this job spec" reason
   | _ -> Alcotest.fail "expected fail/fail/short-circuit/ok");
   Alcotest.(check int) "breaker tripped once" 1
@@ -433,8 +439,8 @@ let test_batch_cache_corruption_failsoft () =
   let second = List.hd (Batch.run ~cache ~inject [ embed_job fp ]) in
   let bytes r =
     match r.Batch.outcome with
-    | Batch.Vm_embedded { program; _ } -> program
-    | o -> Alcotest.fail ("expected Vm_embedded, got " ^ Batch.describe_outcome o)
+    | Batch.Embedded { program; _ } -> program
+    | o -> Alcotest.fail ("expected Embedded, got " ^ Batch.describe_outcome o)
   in
   Alcotest.(check bool) "first run computed" false first.Batch.from_cache;
   Alcotest.(check bool) "corrupt entry is a miss, not a hit" false second.Batch.from_cache;
@@ -450,10 +456,12 @@ let test_batch_noisy_recognition () =
   let events = Events.create () in
   let inject = Fault.Inject.make ~seed:3L [ Fault.Spec.Trace_flip 0.0005 ] in
   let job =
-    Job.vm_recognize ~key ~bits:64 ~expected:fp ~input:secret_input (Lazy.force marked_vm)
+    Job.make ~key ~bits:64 ~input:secret_input
+      (Scheme.Watermarker.Vm_program (Lazy.force marked_vm))
+      (Job.Recognize { expected = Some fp })
   in
   match (List.hd (Batch.run ~inject ~events [ job ])).Batch.outcome with
-  | Batch.Vm_recognized { value = Some v; matched = Some true } ->
+  | Batch.Recognized { value = Some v; matched = Some true } ->
       Alcotest.check big "exact fingerprint through noisy batch" fp v
   | o -> Alcotest.fail ("expected recognition, got " ^ Batch.describe_outcome o)
 

@@ -519,6 +519,8 @@ let counters =
                Some
                  (fun _ ->
                    { Scheme.Watermarker.push = (fun _ -> incr pushes); decide = (fun () -> false); finish = seen })
+
+             let recognize_garbled = None
            end);
          (pushes, calls))
        [ "count-a"; "count-b" ])
@@ -548,6 +550,29 @@ let test_composite_runs_once () =
       Alcotest.(check int) (Printf.sprintf "member %d: nothing pushed" i) 0 !pushes)
     counts
 
+(* A program the engine refuses (its [main] renamed away) is a result of
+   [run_sink], not an exception, under every VM scheme; the scheme's own
+   [recognize] then names the failure, which is how the composite and
+   [recognize --streaming] answer a refusal. *)
+let test_refused_program_is_a_result () =
+  let w = List.hd Workloads.Caffeine.kernels in
+  let prog = { (Workloads.Workload.vm_program w) with Stackvm.Program.main = "absent" } in
+  let spec = Scheme.Watermarker.spec ~key ~bits:64 ~input:w.Workloads.Workload.input () in
+  List.iter
+    (fun name ->
+      let (module W : Scheme.Watermarker.WATERMARKER) = Scheme.Builtin.find_exn name in
+      let s = (Option.get W.sink) spec in
+      match Scheme.Watermarker.run_sink s spec prog with
+      | exception e -> Alcotest.failf "%s: run_sink raised %s" name (Printexc.to_string e)
+      | `Completed | `Stopped _ -> Alcotest.failf "%s: run_sink ran a program without main" name
+      | `Refused reason ->
+          Alcotest.(check string)
+            (name ^ ": the refusal names the engine's reason")
+            "Invalid_argument(\"Compile.of_program: main function missing\")" reason;
+          let r = W.recognize spec (Scheme.Watermarker.Vm_program prog) in
+          Alcotest.(check bool) (name ^ ": recognize reports nothing recovered") true (r.value = None))
+    [ "jwm"; "gwm"; "jwm+gwm" ]
+
 let suite =
   [
     Alcotest.test_case "every VM workload matches the reference" `Slow test_corpus;
@@ -560,4 +585,6 @@ let suite =
     Alcotest.test_case "jwm+gwm streaming equals batch on every VM workload" `Slow test_composite_streaming;
     Alcotest.test_case "jwm+gwm equals the per-member combination" `Slow test_composite_equals_members;
     Alcotest.test_case "a composite runs its members' sinks once" `Quick test_composite_runs_once;
+    Alcotest.test_case "a refused program is a result, not an exception" `Quick
+      test_refused_program_is_a_result;
   ]

@@ -30,6 +30,7 @@ let dummy name : (module WATERMARKER) =
     let embed_traced = None
     let recognize ?aux:_ _ _ = failwith "dummy scheme cannot recognize"
     let sink = None
+    let recognize_garbled = None
   end)
 
 (* {2 Registry} *)
@@ -215,20 +216,22 @@ let test_batch_by_scheme () =
   let embed_results =
     Engine.Batch.run
       [
-        Engine.Job.vm_embed ~label:"gwm-embed" ~scheme:"gwm" ~key ~bits:64 ~pieces:8 ~fingerprint:w
-          ~input program;
+        Engine.Job.make ~label:"gwm-embed" ~scheme:"gwm" ~key ~bits:64 ~input
+          (Scheme.Watermarker.Vm_program program)
+          (Engine.Job.Embed { fingerprint = w; pieces = 8 });
       ]
   in
   let marked =
     match (List.hd embed_results).Engine.Batch.outcome with
-    | Engine.Batch.Vm_embedded { program = bytes; _ } -> Stackvm.Serialize.decode bytes
+    | Engine.Batch.Embedded { program = bytes; _ } -> Stackvm.Serialize.decode bytes
     | _ -> Alcotest.fail "gwm embed job failed"
   in
   let recog_results =
     Engine.Batch.run
       [
-        Engine.Job.vm_recognize ~label:"gwm-verify" ~scheme:"gwm" ~expected:w ~key ~bits:64 ~input
-          marked;
+        Engine.Job.make ~label:"gwm-verify" ~scheme:"gwm" ~key ~bits:64 ~input
+          (Scheme.Watermarker.Vm_program marked)
+          (Engine.Job.Recognize { expected = Some w });
       ]
   in
   Alcotest.(check bool) "gwm recognized through the engine" true
@@ -237,8 +240,9 @@ let test_batch_by_scheme () =
   let bad =
     Engine.Batch.run
       [
-        Engine.Job.vm_embed ~label:"bad" ~scheme:"zwm" ~key ~bits:64 ~pieces:8 ~fingerprint:w ~input
-          program;
+        Engine.Job.make ~label:"bad" ~scheme:"zwm" ~key ~bits:64 ~input
+          (Scheme.Watermarker.Vm_program program)
+          (Engine.Job.Embed { fingerprint = w; pieces = 8 });
       ]
   in
   Alcotest.(check bool) "unknown scheme job fails" false (Engine.Batch.ok (List.hd bad))
