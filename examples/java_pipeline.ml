@@ -53,7 +53,7 @@ let () =
     | Some _ -> "?");
   let trace = Vmattacks.Attacks.vm_trace_package pkg ~input in
   let params = Codec.Params.make ~passphrase:key ~watermark_bits:128 () in
-  let report = Codec.Recombine.recover_from_bitstring params (Stackvm.Trace.bitstring trace) in
+  let report = Codec.Recombine.recover_from_bitstring params (Stackvm.Trace.bits_of_buf trace) in
   Printf.printf "%-26s %-10s %s\n" "  ... via VM-level tracing" "ok"
     (match report.Codec.Recombine.value with
     | Some w when Bignum.equal w fingerprint -> "recovered"

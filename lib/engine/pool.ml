@@ -31,16 +31,21 @@ let rec worker_loop t =
     worker_loop t
   end
 
+let empty () =
+  { m = Mutex.create (); nonempty = Condition.create (); queue = Queue.create (); closed = false; workers = [] }
+
+let spawn_worker t = t.workers <- Domain.spawn (fun () -> worker_loop t) :: t.workers
+
 let create ?domains () =
   let n =
     match domains with
     | Some d -> max 1 d
     | None -> max 1 (Domain.recommended_domain_count () - 1)
   in
-  let t =
-    { m = Mutex.create (); nonempty = Condition.create (); queue = Queue.create (); closed = false; workers = [] }
-  in
-  t.workers <- List.init n (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  let t = empty () in
+  for _ = 1 to n do
+    spawn_worker t
+  done;
   t
 
 let size t = List.length t.workers
@@ -77,28 +82,53 @@ let shutdown t =
   t.workers <- [];
   List.iter Domain.join workers
 
+(* [run_list]'s helpers: one process-wide pool that grows on demand and
+   is never joined; an idle helper waits on the queue's condition. *)
+let helpers = empty ()
+
+let enlist k =
+  Mutex.protect helpers.m (fun () ->
+      for _ = List.length helpers.workers + 1 to k do
+        spawn_worker helpers
+      done)
+
 (* The calling domain is one of the [domains] workers: it claims thunks
    from the same atomic index as its helpers, so no domain sits idle while
-   the others compute.  Results land in per-index slots, published to the
-   caller by [Domain.join]. *)
+   the others compute.  It owns thunk 0 before it wakes a helper, and it
+   waits for the last thunk to finish, not for its helpers to return: a
+   helper may still be busy with another call's work, or be this call's
+   caller one level up when [run_list] nests.  The finishing decrement of
+   [left] publishes every result slot to the caller. *)
 let run_list ?(domains = 1) thunks =
   let run thunk = try Ok (thunk ()) with e -> Error e in
   let tasks = Array.of_list thunks in
   let n = Array.length tasks in
-  let helpers = min domains n - 1 in
-  if helpers <= 0 then List.map run thunks
+  let wanted = min (min domains n) (Domain.recommended_domain_count ()) - 1 in
+  if wanted <= 0 then List.map run thunks
   else begin
     let results = Array.make n None in
-    let next = Atomic.make 0 in
+    let next = Atomic.make 1 and left = Atomic.make n in
+    let m = Mutex.create () and finished = Condition.create () in
+    let run_at i =
+      results.(i) <- Some (run tasks.(i));
+      if Atomic.fetch_and_add left (-1) = 1 then Mutex.protect m (fun () -> Condition.broadcast finished)
+    in
     let rec work () =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
-        results.(i) <- Some (run tasks.(i));
+        run_at i;
         work ()
       end
     in
-    let spawned = List.init helpers (fun _ -> Domain.spawn work) in
+    enlist wanted;
+    for _ = 1 to wanted do
+      ignore (submit helpers work)
+    done;
+    run_at 0;
     work ();
-    List.iter Domain.join spawned;
+    Mutex.protect m (fun () ->
+        while Atomic.get left > 0 do
+          Condition.wait finished m
+        done);
     Array.to_list (Array.map Option.get results)
   end

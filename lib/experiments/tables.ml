@@ -42,7 +42,7 @@ let run_java ?(bits = 128) ?(pieces = 60) () =
     let trace = Vmattacks.Attacks.vm_trace_package pkg ~input in
     let params = Codec.Params.make ~passphrase:Common.passphrase ~watermark_bits:bits () in
     match
-      (Codec.Recombine.recover_from_bitstring params (Stackvm.Trace.bitstring trace)).Codec.Recombine.value
+      (Codec.Recombine.recover_from_bitstring params (Stackvm.Trace.bits_of_buf trace)).Codec.Recombine.value
     with
     | Some v -> Bignum.equal v (Common.watermark_for ~bits)
     | None -> false

@@ -12,6 +12,7 @@ type binding = Local of int  (** slot index, at [fp - 8*(slot+1)] *) | Param of 
 type ctx = {
   globals : binding Env.t;
   nparams : int;
+  labels : int ref;  (** shared by every function of one program *)
   mutable next_slot : int;
   mutable items : Asm.item list;  (** reversed *)
 }
@@ -20,12 +21,12 @@ let emit ctx item = ctx.items <- item :: ctx.items
 
 let emit_all ctx items = List.iter (emit ctx) items
 
-(* labels must be unique across the whole text section, not per function *)
-let label_counter = ref 0
-
-let fresh _ctx prefix =
-  let n = !label_counter in
-  incr label_counter;
+(* labels must be unique across the whole text section, not per function;
+   numbering them per program keeps a program's bytes independent of what
+   the process compiled before *)
+let fresh ctx prefix =
+  let n = !(ctx.labels) in
+  incr ctx.labels;
   Printf.sprintf "c_%s_%d" prefix n
 
 let alloc_slot ctx =
@@ -317,9 +318,10 @@ let compile (prog : Ast.program) =
       (fun env (g : Ast.global) -> Env.add g.Ast.gname (Global g.Ast.gname) env)
       Env.empty prog.Ast.globals
   in
+  let labels = ref 0 in
   let compile_func (f : Ast.func) =
     let nparams = List.length f.Ast.params in
-    let ctx = { globals; nparams; next_slot = 0; items = [] } in
+    let ctx = { globals; nparams; labels; next_slot = 0; items = [] } in
     let env =
       List.fold_left
         (fun (env, j) (_, pname) -> (Env.add pname (Param j) env, j + 1))
@@ -337,7 +339,7 @@ let compile (prog : Ast.program) =
   in
   (* startup stub: heap init, global array allocation, call main, halt *)
   let startup =
-    let ctx = { globals; nparams = 0; next_slot = 0; items = [] } in
+    let ctx = { globals; nparams = 0; labels; next_slot = 0; items = [] } in
     emit_all ctx Asm.[ Mov_lbl (0, Lbl "c_heap_area"); Store_lbl (Lbl "c_heap_ptr", 0) ];
     List.iter
       (fun (g : Ast.global) ->

@@ -16,9 +16,11 @@ let add_varint buf v =
 
 (* Full-width signed encoding: zigzag in Int64 so values near the 63-bit
    extremes (e.g. 62-bit loop constants) do not overflow the shift. *)
-let add_zigzag buf v =
+let zigzag v =
   let v64 = Int64.of_int v in
-  let z = Int64.logxor (Int64.shift_left v64 1) (Int64.shift_right v64 63) in
+  Int64.logxor (Int64.shift_left v64 1) (Int64.shift_right v64 63)
+
+let add_zigzag buf v =
   let rec go z =
     if Int64.unsigned_compare z 0x80L < 0 then Buffer.add_char buf (Char.chr (Int64.to_int z))
     else begin
@@ -26,7 +28,7 @@ let add_zigzag buf v =
       go (Int64.shift_right_logical z 7)
     end
   in
-  go z
+  go (zigzag v)
 
 let add_string buf s =
   add_varint buf (String.length s);
@@ -209,4 +211,33 @@ let decode data =
 
 let decode_opt data = match decode data with p -> Some p | exception Failure _ -> None
 
-let size_in_bytes p = String.length (encode p)
+(* The byte counts [encode] would write, without writing them. *)
+let varint_size v =
+  if v < 0 then invalid_arg "Serialize.add_varint: negative";
+  let rec go n v = if v < 0x80 then n else go (n + 1) (v lsr 7) in
+  go 1 v
+
+let zigzag_size v =
+  let rec go n z = if Int64.unsigned_compare z 0x80L < 0 then n else go (n + 1) (Int64.shift_right_logical z 7) in
+  go 1 (zigzag v)
+
+let string_size s = varint_size (String.length s) + String.length s
+
+let instr_size (i : Instr.t) =
+  1
+  +
+  match i with
+  | Const n -> zigzag_size n
+  | Load n | Store n | Get_global n | Set_global n -> varint_size n
+  | Jump t | If { target = t; _ } -> varint_size t
+  | Call name -> string_size name
+  | _ -> 0
+
+let size_in_bytes (p : Program.t) =
+  Array.fold_left
+    (fun acc (f : Program.func) ->
+      acc + string_size f.name + varint_size f.nargs + varint_size f.nlocals
+      + varint_size (Array.length f.code)
+      + Array.fold_left (fun acc i -> acc + instr_size i) 0 f.code)
+    (4 + varint_size p.nglobals + varint_size (Array.length p.funcs) + string_size p.main)
+    p.funcs

@@ -17,4 +17,4 @@ val decode_opt : string -> Program.t option
     typed outcome, never a crash. *)
 
 val size_in_bytes : Program.t -> int
-(** [String.length (encode p)]. *)
+(** [String.length (encode p)], counted without building the encoding. *)

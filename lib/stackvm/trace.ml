@@ -29,7 +29,8 @@ let buf_of_branches events =
    are then filled in first-visit order — the order the reference
    interpreter's observer inserts keys — because [hot_blocks] breaks count
    ties by table order and the embedder picks its sites by index into that
-   list. *)
+   list.  The run records no branch events: embedding never reads them,
+   and appending them cost about a quarter of the capture. *)
 let compiled_snapshots ?fuel (prog : Program.t) ~input =
   let funcs = prog.Program.funcs in
   let counts = Array.map (fun f -> Array.make (Array.length f.Program.code + 1) 0) funcs in
@@ -57,8 +58,7 @@ let compiled_snapshots ?fuel (prog : Program.t) ~input =
       Hashtbl.replace stray (fidx, pc) (n + 1, kept)
     end
   in
-  let events = Tracebuf.create ~capacity:65536 () in
-  let result = Compile.run ~trace:events ?fuel (Compile.of_program ~on_block prog) ~input in
+  let result = Compile.run ?fuel (Compile.of_program ~on_block prog) ~input in
   let visits = Hashtbl.create 256 and block_counts = Hashtbl.create 256 in
   List.iter
     (fun ((fidx, pc) as key) ->
@@ -69,7 +69,7 @@ let compiled_snapshots ?fuel (prog : Program.t) ~input =
       Hashtbl.replace block_counts key n;
       Hashtbl.replace visits key (List.rev kept))
     (List.rev !order);
-  { branches = [||]; events; visits; block_counts; result }
+  { branches = [||]; events = Tracebuf.create ~capacity:1 (); visits; block_counts; result }
 
 (* sized for real traces up front — repeated doubling from a small
    capacity would rival the traced run itself in cost *)
@@ -199,8 +199,6 @@ let bits_of_buf buf =
   let bits = Util.Bitstring.create () in
   Tracebuf.iter (fun e -> Util.Bitstring.append bits (Decoder.push d e)) buf;
   bits
-
-let bitstring t = bits_of_buf t.events
 
 let hot_blocks t =
   let entries = Hashtbl.fold (fun key count acc -> (key, count) :: acc) t.block_counts [] in

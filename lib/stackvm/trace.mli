@@ -28,8 +28,9 @@ type t = {
           benchmark reads [events] *)
   events : Tracebuf.t;
       (** every conditional branch, in order, packed — the flat buffer the
-          run appended them to; decode, persistence and every reader of a
-          snapshot capture read this *)
+          run appended them to — filled only without snapshots and empty
+          otherwise: embedding reads counts and snapshots, never branch
+          directions.  A caller that wants both runs {!record} too *)
   visits : (int * int, snapshot list) Hashtbl.t;
       (** per block [(fidx, leader_pc)], the snapshots of its first visits
           in visit order (capped at {!max_snapshots_per_block}) *)
@@ -49,27 +50,24 @@ val record : ?fuel:int -> Program.t -> input:int list -> Tracebuf.t * Interp.res
     or running a broken program propagate. *)
 
 val capture : ?fuel:int -> ?want_snapshots:bool -> Program.t -> input:int list -> t
-(** Run on {!Compile} with every branch event appended straight into the
-    flat buffer [events].  [want_snapshots] (default [true]) controls
-    whether block counts and variable values are recorded.  Without them
-    the capture is {!record}, with [visits] and [block_counts] empty and
-    [events] also unpacked into [branches] for the benchmark.  A snapshot
-    capture leaves [branches] empty: embedding never reads it, and
-    unpacking a large trace cost nearly as much as the traced run itself.  With snapshots
+(** Run on {!Compile}.  [want_snapshots] (default [true]) chooses between
+    the two captures.  Without snapshots the capture is {!record}, with
+    [visits] and [block_counts] empty and [events] also unpacked into
+    [branches] for the benchmark.  With snapshots — embedding's capture —
     the run uses a translation made with a {!Compile.block_hook} that
     counts block entries in per-function arrays and copies the frame's
     locals and the globals on a block's first {!max_snapshots_per_block}
-    visits.  Its [visits], [block_counts], [hot_blocks] order and
-    [result] are those of a capture through the reference interpreter's
-    observer, so embedding yields the same bytes either way; the test
-    suite keeps that capture as its oracle and holds the two equal. *)
-
-val bitstring : t -> Util.Bitstring.t
-(** Decode the trace into its bit-string (straight off the packed buffer —
-    no intermediate event list). *)
+    visits, and records no branch events: [events] and [branches] are
+    empty.  Embedding never reads which way a branch went, and appending
+    the events cost about a fifth of the capture (gzip: 254 k events).
+    Its [visits], [block_counts], [hot_blocks] order and [result] are
+    those of a capture through the reference interpreter's observer, so
+    embedding yields the same bytes either way; the test suite keeps that
+    capture as its oracle and holds the two equal. *)
 
 val bits_of_buf : Tracebuf.t -> Util.Bitstring.t
-(** The same decoding over a packed buffer. *)
+(** Decode a packed event buffer into its bit-string, straight off the
+    buffer with no intermediate event list. *)
 
 val branches_of_buf : Tracebuf.t -> branch_event array
 (** Materialize packed events as records (fills {!t.branches}).  Kept only
@@ -97,7 +95,7 @@ end
 
 (** Incremental trace-bit decoder — the front end of jwm recognition.
     Feeding it the packed events of a trace, in order, yields exactly the
-    bits of {!bitstring}: the first occurrence of a branch site decodes to
+    bits of {!bits_of_buf}: the first occurrence of a branch site decodes to
     [false] and fixes the site's reference direction; every later
     occurrence decodes to whether it deviates. *)
 module Decoder : sig

@@ -307,4 +307,4 @@ let decrypt p = Serialize.decode (xor_stream ~key:p.key p.ciphertext)
 
 let run_package p ~input = Compile.run_program (decrypt p) ~input
 
-let vm_trace_package p ~input = Trace.capture (decrypt p) ~input
+let vm_trace_package p ~input = fst (Trace.record (decrypt p) ~input)

@@ -88,7 +88,8 @@ val run_package : package -> input:int list -> Stackvm.Interp.result
 (** Execute the package: the loader decrypts and runs (the program still
     behaves identically). *)
 
-val vm_trace_package : package -> input:int list -> Stackvm.Trace.t
+val vm_trace_package : package -> input:int list -> Stackvm.Tracebuf.t
 (** Tracing via the VM's profiling interface (the JVMPI/JVMTI analog): the
     VM necessarily sees decoded code, so tracing — and hence recognition —
-    still works, as §5.1.2 argues. *)
+    still works, as §5.1.2 argues.  Yields the branch events recognition
+    decodes ({!Stackvm.Trace.record}). *)

@@ -41,15 +41,19 @@ let show_log log = Printf.sprintf "%d block entries, digest %x" log.entries log.
 (* a table's bindings in fold order, which [Trace.hot_blocks] ties follow *)
 let bindings tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
 
-(* The oracle's trace and the compiled snapshot capture must agree on
-   everything embedding and recognition read: result, packed branch
-   events, block counts, snapshots, and the order of [hot_blocks], ties
-   included. *)
+(* The oracle's trace and the compiled captures must agree on everything
+   embedding and recognition read: the snapshot capture on its result,
+   block counts, snapshots and the order of [hot_blocks], ties included;
+   [Trace.record] on the result and the packed branch events, which a
+   snapshot capture does not record. *)
 let captures_agree ?fuel prog ~input =
   let ti = Vm_oracle.capture ?fuel prog ~input in
   let tc = Trace.capture ?fuel prog ~input in
+  let events, result = Trace.record ?fuel prog ~input in
   ti.Trace.result = tc.Trace.result
-  && Tracebuf.to_packed_list ti.Trace.events = Tracebuf.to_packed_list tc.Trace.events
+  && ti.Trace.result = result
+  && Tracebuf.to_packed_list ti.Trace.events = Tracebuf.to_packed_list events
+  && Tracebuf.length tc.Trace.events = 0
   && bindings ti.Trace.block_counts = bindings tc.Trace.block_counts
   && bindings ti.Trace.visits = bindings tc.Trace.visits
   && Trace.hot_blocks ti = Trace.hot_blocks tc
@@ -569,7 +573,7 @@ let test_bitstring_decodes_off_buffer () =
   in
   Alcotest.(check bool) "fixture has events" true (Array.length trace.Trace.branches > 0);
   Alcotest.(check string) "bits identical"
-    (Util.Bitstring.to_string (Trace.bitstring trace))
+    (Util.Bitstring.to_string (Trace.bits_of_buf trace.Trace.events))
     (Util.Bitstring.to_string
        (Trace.bits_of_buf (Trace.buf_of_branches (Array.to_list trace.Trace.branches))))
 
@@ -793,9 +797,11 @@ let test_recognition_matches_oracle () =
 (* ---- the two capture modes ----
 
    A snapshot capture and a recognition-only capture make the same run:
-   whole or cut short by fuel, they must record the same packed events
-   and the same result.  Only the recognition-only capture unpacks the
-   events into [branches]; embedding never reads them. *)
+   whole or cut short by fuel, they must end with the same result, and
+   the block-hooked translation a snapshot capture runs must, traced,
+   record the recognition capture's packed events.  Only the
+   recognition-only capture records the events and unpacks them into
+   [branches]; embedding never reads either. *)
 
 let test_capture_modes_agree () =
   List.iter
@@ -809,15 +815,23 @@ let test_capture_modes_agree () =
           in
           let plain = if fuel = None then full else capture ?fuel false in
           let snap = capture ?fuel true in
+          let hooked, hooked_events, _ = hooked_run ?fuel e.program e.input in
           Alcotest.(check string)
             (name ^ ": same run")
             (show_result plain.Trace.result plain.Trace.events)
-            (show_result snap.Trace.result snap.Trace.events);
-          Alcotest.(check bool) (name ^ ": same result") true (plain.Trace.result = snap.Trace.result);
+            (show_result snap.Trace.result hooked_events);
+          Alcotest.(check bool)
+            (name ^ ": same result")
+            true
+            (plain.Trace.result = snap.Trace.result && hooked = snap.Trace.result);
           Alcotest.(check bool)
             (name ^ ": same packed events")
             true
-            (Tracebuf.to_packed_list plain.Trace.events = Tracebuf.to_packed_list snap.Trace.events);
+            (Tracebuf.to_packed_list plain.Trace.events = Tracebuf.to_packed_list hooked_events);
+          Alcotest.(check int)
+            (name ^ ": snapshot capture records none")
+            0
+            (Tracebuf.length snap.Trace.events);
           Alcotest.(check int)
             (name ^ ": recognition capture unpacks every event")
             (Tracebuf.length plain.Trace.events)
@@ -828,6 +842,51 @@ let test_capture_modes_agree () =
             (Array.length snap.Trace.branches))
         [ None; Some 1; Some (full.Trace.result.Interp.steps / 2) ])
     (Lazy.force Vm_corpus.entries)
+
+(* ---- program size without serializing ---- *)
+
+let size_matches name prog =
+  Alcotest.(check int) (name ^ ": size") (String.length (Serialize.encode prog)) (Serialize.size_in_bytes prog)
+
+(* every workload unmarked and jwm-marked (the corpus), gwm-marked, and
+   operands at the varint and zigzag byte boundaries *)
+let test_size_in_bytes_counts_encoding () =
+  List.iter (fun (e : Vm_corpus.entry) -> size_matches e.name e.program) (Lazy.force Vm_corpus.entries);
+  List.iter
+    (fun (wl : Workloads.Workload.t) ->
+      let spec =
+        {
+          Gwm.Embed.passphrase = Vm_corpus.key;
+          watermark = Bignum.of_string "987654321987654321";
+          watermark_bits = 64;
+          copies = 8;
+          input = wl.Workloads.Workload.input;
+        }
+      in
+      size_matches (wl.Workloads.Workload.name ^ "/gwm-64")
+        (Gwm.Embed.embed ~seed:7L spec (Workloads.Workload.vm_program wl)).Gwm.Embed.program)
+    Vm_corpus.workloads;
+  let consts = [ 0; 1; -1; 63; 64; -64; -65; 8191; 8192; max_int; min_int; max_int / 2; min_int / 2 ] in
+  let slots = [ 0; 127; 128; 16383; 16384; max_int ] in
+  let code =
+    List.map (fun n -> Instr.Const n) consts
+    @ List.concat_map (fun n -> [ Instr.Load n; Instr.Set_global n; Instr.Jump n ]) slots
+    @ [ Instr.Call (String.make 200 'f'); Instr.If { sense = false; target = 300 }; Instr.Ret ]
+  in
+  let main = String.make 130 'm' in
+  size_matches "boundaries"
+    {
+      Program.funcs = [| { Program.name = main; nargs = 128; nlocals = 300; code = Array.of_list code } |];
+      nglobals = 16384;
+      main;
+    }
+
+let qcheck_size_in_bytes_random =
+  QCheck.Test.make ~name:"size_in_bytes counts what encode writes on random programs" ~count:200
+    (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let prog = Test_stackvm.random_program (Util.Prng.create (Int64.of_int seed)) in
+      Serialize.size_in_bytes prog = String.length (Serialize.encode prog))
 
 let suite =
   [
@@ -848,5 +907,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_branches_agrees_with_reference;
     ("embedding from a compiled capture is byte-identical", `Quick, test_embed_from_compiled_capture);
     ("jwm recognition matches recovery over the oracle trace", `Quick, test_recognition_matches_oracle);
-    ("snapshot and recognition captures record the same events", `Quick, test_capture_modes_agree);
+    ("snapshot and recognition captures reach the same run", `Quick, test_capture_modes_agree);
+    ("size_in_bytes counts what encode writes", `Quick, test_size_in_bytes_counts_encoding);
+    QCheck_alcotest.to_alcotest qcheck_size_in_bytes_random;
   ]

@@ -150,6 +150,58 @@ let test_pool_nested () =
   Alcotest.(check bool) "nested results in order" true
     (results = List.init 4 (fun i -> Ok (List.init 3 (fun j -> (10 * i) + j))))
 
+(* the domains other than the caller that a call's thunks ran on; every
+   thunk waits (a second at most) until as many domains as the call can
+   use have joined in, so a helper takes part whenever one exists *)
+let helper_domains ~domains n =
+  let caller = (Domain.self () :> int) in
+  let can_use = min (min domains n) (Domain.recommended_domain_count ()) in
+  let m = Mutex.create () and seen = ref [] in
+  let joined () = Mutex.protect m (fun () -> List.length !seen) in
+  Pool.run_list ~domains
+    (List.init n (fun _ () ->
+         let d = (Domain.self () :> int) in
+         Mutex.protect m (fun () -> if not (List.mem d !seen) then seen := d :: !seen);
+         let t0 = Unix.gettimeofday () in
+         while joined () < can_use && Unix.gettimeofday () -. t0 < 1.0 do
+           Domain.cpu_relax ()
+         done;
+         d))
+  |> List.filter_map (function Ok d -> if d = caller then None else Some d | Error e -> raise e)
+  |> List.sort_uniq compare
+
+let test_pool_keeps_its_helper () =
+  let first = helper_domains ~domains:2 8 in
+  let second = helper_domains ~domains:2 8 in
+  let expected = if Domain.recommended_domain_count () >= 2 then 1 else 0 in
+  Alcotest.(check int) "one helper in the first call" expected (List.length first);
+  Alcotest.(check (list int)) "the second call's helper is the first's" first second
+
+let test_pool_concurrent_callers () =
+  let thunks k = List.init 64 (fun i () -> Hashtbl.hash (k, i)) in
+  let expect k = List.init 64 (fun i -> Ok (Hashtbl.hash (k, i))) in
+  let other = Domain.spawn (fun () -> Pool.run_list ~domains:2 (thunks 1)) in
+  let here = Pool.run_list ~domains:2 (thunks 2) in
+  let there = Domain.join other in
+  Alcotest.(check bool) "this domain's results in order" true (here = expect 2);
+  Alcotest.(check bool) "the other domain's results in order" true (there = expect 1)
+
+let test_pool_capped_at_cores () =
+  let cores = Domain.recommended_domain_count () in
+  let used = domains_used ~domains:(cores + 2) 64 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d domains used, at most %d" (List.length used) cores)
+    true
+    (List.length used <= cores)
+
+(* the cases that depend on how a warm helper and the caller interleave *)
+let test_pool_cases_repeat () =
+  for _ = 1 to 50 do
+    test_pool_counts_caller ();
+    test_pool_single_thunk_inline ();
+    test_pool_nested ()
+  done
+
 (* ---- Cache: hits, misses, spill ---- *)
 
 let test_cache_memoizes () =
@@ -591,6 +643,10 @@ let suite =
     Alcotest.test_case "pool counts the caller among its domains" `Quick test_pool_counts_caller;
     Alcotest.test_case "pool runs a lone thunk on the caller" `Quick test_pool_single_thunk_inline;
     Alcotest.test_case "pool nested inside a thunk completes" `Quick test_pool_nested;
+    Alcotest.test_case "pool keeps its helper between calls" `Quick test_pool_keeps_its_helper;
+    Alcotest.test_case "pool serves two calling domains at once" `Quick test_pool_concurrent_callers;
+    Alcotest.test_case "pool never uses more domains than cores" `Quick test_pool_capped_at_cores;
+    Alcotest.test_case "pool caller, lone and nested cases hold 50 times" `Quick test_pool_cases_repeat;
     Alcotest.test_case "cache memoizes and counts" `Quick test_cache_memoizes;
     Alcotest.test_case "cache spills to disk and reloads" `Quick test_cache_spill;
     Alcotest.test_case "corrupt spill decodes to a miss" `Quick test_cache_corrupt_spill_is_miss;

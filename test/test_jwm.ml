@@ -124,15 +124,15 @@ let run_snippet_trace snippet ~nlocals ~nglobals =
   let f = Rewrite.insert skeleton ~at:2 snippet in
   let prog = Program.make ~nglobals [ f ] in
   Verify.check_exn prog;
-  Trace.capture prog ~input:[]
+  Trace.record prog ~input:[]
 
 let test_loop_snippet_emits_bits_at_stride2 () =
   let rng = Util.Prng.create 4L in
   for trial = 1 to 20 do
     let bits = List.init 62 (fun _ -> Util.Prng.bool rng) in
     let snippet, next_local = Jwm.Codegen.loop_snippet ~rng ~bits ~first_local:1 ~sink_global:0 () in
-    let trace = run_snippet_trace snippet ~nlocals:next_local ~nglobals:1 in
-    let trace_bits = Trace.bitstring trace in
+    let events, _ = run_snippet_trace snippet ~nlocals:next_local ~nglobals:1 in
+    let trace_bits = Trace.bits_of_buf events in
     (* payload must appear at stride 2 *)
     let value = List.fold_left (fun acc b -> (acc lsl 1) lor (if b then 1 else 0)) 0 (List.rev bits) in
     let found = ref false in
@@ -150,11 +150,11 @@ let test_loop_snippet_is_stack_neutral_and_silent () =
   let rng = Util.Prng.create 5L in
   let bits = List.init 62 (fun i -> i mod 3 = 0) in
   let snippet, next_local = Jwm.Codegen.loop_snippet ~rng ~bits ~first_local:1 ~sink_global:0 () in
-  let trace = run_snippet_trace snippet ~nlocals:next_local ~nglobals:1 in
-  (match trace.Trace.result.Interp.outcome with
+  let _, result = run_snippet_trace snippet ~nlocals:next_local ~nglobals:1 in
+  (match result.Interp.outcome with
   | Interp.Finished 0 -> ()
   | _ -> Alcotest.fail "snippet altered program result");
-  Alcotest.(check (list int)) "no output" [] trace.Trace.result.Interp.outputs
+  Alcotest.(check (list int)) "no output" [] result.Interp.outputs
 
 (* ---- condition code generator ---- *)
 
@@ -184,8 +184,8 @@ let test_condition_snippet_emits_payload_on_second_visit () =
   let f = Rewrite.insert host ~at:4 snippet in
   let prog = Program.make ~nglobals:1 [ f ] in
   Verify.check_exn prog;
-  let trace = Trace.capture prog ~input:[] in
-  let trace_bits = Trace.bitstring trace in
+  let events, _ = Trace.record prog ~input:[] in
+  let trace_bits = Trace.bits_of_buf events in
   let value = List.fold_left (fun acc b -> (acc lsl 1) lor (if b then 1 else 0)) 0 (List.rev bits) in
   (match Util.Bitstring.find_int trace_bits ~width:62 ~value ~stride:1 with
   | Some _ -> ()
@@ -590,8 +590,8 @@ let test_compound_condition_snippet () =
   let f = Rewrite.insert host2 ~at:7 snippet2 in
   let prog = Program.make ~nglobals:1 [ f ] in
   Verify.check_exn prog;
-  let trace = Trace.capture prog ~input:[] in
-  let trace_bits = Trace.bitstring trace in
+  let events, _ = Trace.record prog ~input:[] in
+  let trace_bits = Trace.bits_of_buf events in
   let value = List.fold_left (fun acc b -> (acc lsl 1) lor (if b then 1 else 0)) 0 (List.rev bits) in
   match Util.Bitstring.find_int trace_bits ~width:62 ~value ~stride:1 with
   | Some _ -> ()

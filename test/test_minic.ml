@@ -446,4 +446,20 @@ let pretty_suite =
     QCheck_alcotest.to_alcotest qcheck_pretty_expr_roundtrip;
   ]
 
-let suite = suite @ pretty_suite
+(* ---- native labels are numbered per program ---- *)
+
+(* a program's native bytes, labels and symbols included, must not depend
+   on what the process compiled before it *)
+let test_native_bytes_independent_of_history () =
+  let bytes (w : Workloads.Workload.t) =
+    Nativesim.Binary.encode (Nativesim.Asm.assemble (Minic.To_native.compile_source w.Workloads.Workload.source))
+  in
+  let sieve = List.hd Workloads.Caffeine.kernels and other = Workloads.Spec.find "gzip" in
+  Alcotest.(check string) "fixture" "caffeine-sieve" sieve.Workloads.Workload.name;
+  let first = bytes sieve in
+  ignore (bytes other);
+  Alcotest.(check string) "caffeine-sieve compiles to the same bytes again" first (bytes sieve)
+
+let suite =
+  suite @ pretty_suite
+  @ [ ("native labels numbered per program", `Quick, test_native_bytes_independent_of_history) ]

@@ -262,17 +262,15 @@ let test_figure2_gcd () =
 
 let test_trace_captures_branches () =
   let prog = Program.make [ gcd_program ] in
-  let trace = Trace.capture prog ~input:[] in
-  Alcotest.(check bool) "some branches" true (Tracebuf.length trace.Trace.events > 0);
+  let events, _ = Trace.record prog ~input:[] in
+  Alcotest.(check bool) "some branches" true (Tracebuf.length events > 0);
   (* Each while-iteration tests the loop condition once. *)
-  let bits = Trace.bitstring trace in
-  Alcotest.(check int) "one bit per branch event" (Tracebuf.length trace.Trace.events)
-    (Util.Bitstring.length bits)
+  let bits = Trace.bits_of_buf events in
+  Alcotest.(check int) "one bit per branch event" (Tracebuf.length events) (Util.Bitstring.length bits)
 
 let test_trace_first_occurrence_is_zero () =
   let prog = Program.make [ gcd_program ] in
-  let trace = Trace.capture prog ~input:[] in
-  let bits = Trace.bitstring trace in
+  let bits = Trace.bits_of_buf (fst (Trace.record prog ~input:[])) in
   Alcotest.(check bool) "first bit is 0" false (Util.Bitstring.get bits 0)
 
 let test_trace_snapshots () =
@@ -309,8 +307,8 @@ let test_trace_bits_invariant_under_sense_inversion () =
       ]
   in
   let p1 = Program.make [ f ] and p2 = Program.make [ inverted ] in
-  let b1 = Trace.bitstring (Trace.capture p1 ~input:[]) in
-  let b2 = Trace.bitstring (Trace.capture p2 ~input:[]) in
+  let b1 = Trace.bits_of_buf (fst (Trace.record p1 ~input:[])) in
+  let b2 = Trace.bits_of_buf (fst (Trace.record p2 ~input:[])) in
   Alcotest.(check string) "bit-strings equal" (Util.Bitstring.to_string b1) (Util.Bitstring.to_string b2)
 
 (* ---- rewriting ---- *)
@@ -366,8 +364,8 @@ let test_reorder_blocks_preserves_trace_bits () =
   let nb = List.length bs in
   let order = 0 :: List.rev (List.init (nb - 1) (fun i -> i + 1)) in
   let f' = Rewrite.reorder_blocks f ~order in
-  let b1 = Trace.bitstring (Trace.capture (Program.make [ f ]) ~input:[]) in
-  let b2 = Trace.bitstring (Trace.capture (Program.make [ f' ]) ~input:[]) in
+  let b1 = Trace.bits_of_buf (fst (Trace.record (Program.make [ f ]) ~input:[])) in
+  let b2 = Trace.bits_of_buf (fst (Trace.record (Program.make [ f' ]) ~input:[])) in
   Alcotest.(check string) "bit-string invariant" (Util.Bitstring.to_string b1) (Util.Bitstring.to_string b2)
 
 (* ---- serialization ---- *)
@@ -517,14 +515,14 @@ let suite = suite @ extra_suite
 
 let test_trace_save_load () =
   let prog = Program.make [ gcd_program ] in
-  let trace = Trace.capture prog ~input:[] in
-  let loaded = Trace.load_events (Trace.save_events trace.Trace.events) in
-  Alcotest.(check int) "event count" (Tracebuf.length trace.Trace.events) (Tracebuf.length loaded);
+  let events, _ = Trace.record prog ~input:[] in
+  let loaded = Trace.load_events (Trace.save_events events) in
+  Alcotest.(check int) "event count" (Tracebuf.length events) (Tracebuf.length loaded);
   Alcotest.(check bool) "events identical" true
-    (Tracebuf.to_packed_list trace.Trace.events = Tracebuf.to_packed_list loaded);
+    (Tracebuf.to_packed_list events = Tracebuf.to_packed_list loaded);
   (* the decoded bit-string is identical, so offline recognition works *)
   Alcotest.(check string) "bits identical"
-    (Util.Bitstring.to_string (Trace.bitstring trace))
+    (Util.Bitstring.to_string (Trace.bits_of_buf events))
     (Util.Bitstring.to_string (Trace.bits_of_buf loaded))
 
 let test_trace_load_garbage () =
@@ -542,10 +540,9 @@ let test_trace_load_garbage () =
 let test_trace_save_load_empty () =
   (* a branch-free program yields zero events; the round-trip must still work *)
   let f = Asm.func ~name:"main" ~nargs:0 ~nlocals:1 Asm.[ I (Instr.Const 0); I Instr.Ret ] in
-  let trace = Trace.capture (Program.make [ f ]) ~input:[] in
-  Alcotest.(check int) "no branch events" 0 (Tracebuf.length trace.Trace.events);
-  Alcotest.(check int) "empty round-trip" 0
-    (Tracebuf.length (Trace.load_events (Trace.save_events trace.Trace.events)))
+  let events, _ = Trace.record (Program.make [ f ]) ~input:[] in
+  Alcotest.(check int) "no branch events" 0 (Tracebuf.length events);
+  Alcotest.(check int) "empty round-trip" 0 (Tracebuf.length (Trace.load_events (Trace.save_events events)))
 
 let test_trace_save_load_large () =
   (* thousands of events with pc values past 127, so varints span bytes *)
@@ -569,18 +566,18 @@ let test_trace_save_load_large () =
         ])
   in
   let prog = Program.make [ count_to_0 ] in
-  let trace = Trace.capture prog ~input:[ 5000 ] in
-  let branches = Trace.branches_of_buf trace.Trace.events in
+  let events, _ = Trace.record prog ~input:[ 5000 ] in
+  let branches = Trace.branches_of_buf events in
   Alcotest.(check bool) "thousands of events" true (Array.length branches > 4000);
   Alcotest.(check bool) "branch pc needs a multi-byte varint" true
     (Array.exists (fun e -> e.Trace.pc > 127) branches);
-  let saved = Trace.save_events trace.Trace.events in
+  let saved = Trace.save_events events in
   let loaded = Trace.load_events saved in
   Alcotest.(check int) "count preserved" (Array.length branches) (Tracebuf.length loaded);
   Alcotest.(check bool) "events identical" true
-    (Tracebuf.to_packed_list trace.Trace.events = Tracebuf.to_packed_list loaded);
+    (Tracebuf.to_packed_list events = Tracebuf.to_packed_list loaded);
   Alcotest.(check string) "bits identical"
-    (Util.Bitstring.to_string (Trace.bitstring trace))
+    (Util.Bitstring.to_string (Trace.bits_of_buf events))
     (Util.Bitstring.to_string (Trace.bits_of_buf loaded))
 
 let test_trace_load_truncated () =
@@ -589,9 +586,9 @@ let test_trace_load_truncated () =
      mis-parse past the cut — and exactly what the list-based parser
      salvaged and reported *)
   let prog = Program.make [ gcd_program ] in
-  let trace = Trace.capture prog ~input:[] in
-  let original = Tracebuf.to_packed_list trace.Trace.events in
-  let saved = Trace.save_events trace.Trace.events in
+  let events, _ = Trace.record prog ~input:[] in
+  let original = Tracebuf.to_packed_list events in
+  let saved = Trace.save_events events in
   Alcotest.(check bool) "fixture has events" true (String.length saved > 5);
   for len = 0 to String.length saved - 1 do
     let prefix = String.sub saved 0 len in

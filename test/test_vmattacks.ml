@@ -143,7 +143,7 @@ let test_vm_tracing_recovers_from_encryption () =
   let wm = Lazy.force watermarked in
   let pkg = Vmattacks.Attacks.encrypt_package ~key:99L wm in
   let trace = Vmattacks.Attacks.vm_trace_package pkg ~input:secret_input in
-  let bits = Trace.bitstring trace in
+  let bits = Trace.bits_of_buf trace in
   let params = Codec.Params.make ~passphrase:"the secret watermark key" ~watermark_bits:128 () in
   let report = Codec.Recombine.recover_from_bitstring params bits in
   match report.Codec.Recombine.value with

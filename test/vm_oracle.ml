@@ -1,9 +1,10 @@
 (* The reference trace capture: the interpreter under a block and branch
    observer.  Production tracing runs only on the compiled engine
    ([Stackvm.Trace.capture]); this is the capture it is held to — same
-   result, packed events, block counts, snapshots and [hot_blocks] order —
-   by the compile and gwm-recognition suites.  Like the engine's, it
-   unpacks [branches] only without snapshots. *)
+   result, block counts, snapshots and [hot_blocks] order, and the packed
+   events of [Stackvm.Trace.record] — by the compile and gwm-recognition
+   suites.  Unlike the engine's, it records the events with snapshots
+   too; like it, it unpacks [branches] only without snapshots. *)
 
 open Stackvm
 open Trace
