@@ -643,10 +643,6 @@ let suite =
     Alcotest.test_case "pool counts the caller among its domains" `Quick test_pool_counts_caller;
     Alcotest.test_case "pool runs a lone thunk on the caller" `Quick test_pool_single_thunk_inline;
     Alcotest.test_case "pool nested inside a thunk completes" `Quick test_pool_nested;
-    Alcotest.test_case "pool keeps its helper between calls" `Quick test_pool_keeps_its_helper;
-    Alcotest.test_case "pool serves two calling domains at once" `Quick test_pool_concurrent_callers;
-    Alcotest.test_case "pool never uses more domains than cores" `Quick test_pool_capped_at_cores;
-    Alcotest.test_case "pool caller, lone and nested cases hold 50 times" `Quick test_pool_cases_repeat;
     Alcotest.test_case "cache memoizes and counts" `Quick test_cache_memoizes;
     Alcotest.test_case "cache spills to disk and reloads" `Quick test_cache_spill;
     Alcotest.test_case "corrupt spill decodes to a miss" `Quick test_cache_corrupt_spill_is_miss;
@@ -664,4 +660,8 @@ let suite =
     Alcotest.test_case "batch recognition counts degraded and partial" `Quick test_recognition_counters;
     Alcotest.test_case "job digests pinned for every kind" `Quick test_digest_known_answers;
     Alcotest.test_case "warm faulted re-run captures no trace" `Quick test_faulted_rerun_traces_nothing;
+    Alcotest.test_case "pool keeps its helper between calls" `Quick test_pool_keeps_its_helper;
+    Alcotest.test_case "pool serves two calling domains at once" `Quick test_pool_concurrent_callers;
+    Alcotest.test_case "pool never uses more domains than cores" `Quick test_pool_capped_at_cores;
+    Alcotest.test_case "pool caller, lone and nested cases hold 50 times" `Quick test_pool_cases_repeat;
   ]
