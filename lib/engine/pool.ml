@@ -2,12 +2,10 @@ type 'a state = Pending | Done of ('a, exn) result
 
 type 'a future = { fm : Mutex.t; fc : Condition.t; mutable state : 'a state }
 
-type task = Task : { run : unit -> 'a; future : 'a future } -> task
-
 type t = {
   m : Mutex.t;
   nonempty : Condition.t;
-  queue : task Queue.t;
+  queue : (unit -> unit) Queue.t;
   mutable closed : bool;
   mutable workers : unit Domain.t list;
 }
@@ -25,9 +23,9 @@ let rec worker_loop t =
   done;
   if Queue.is_empty t.queue then Mutex.unlock t.m (* closed and drained *)
   else begin
-    let (Task { run; future }) = Queue.pop t.queue in
+    let task = Queue.pop t.queue in
     Mutex.unlock t.m;
-    fill future (try Ok (run ()) with e -> Error e);
+    task ();
     worker_loop t
   end
 
@@ -50,16 +48,20 @@ let create ?domains () =
 
 let size t = List.length t.workers
 
-let submit t run =
-  let future = { fm = Mutex.create (); fc = Condition.create (); state = Pending } in
+(* A queued task must not raise: a worker has no one to raise to. *)
+let enqueue t task =
   Mutex.lock t.m;
   if t.closed then begin
     Mutex.unlock t.m;
     invalid_arg "Pool.submit: pool is shut down"
   end;
-  Queue.push (Task { run; future }) t.queue;
+  Queue.push task t.queue;
   Condition.signal t.nonempty;
-  Mutex.unlock t.m;
+  Mutex.unlock t.m
+
+let submit t run =
+  let future = { fm = Mutex.create (); fc = Condition.create (); state = Pending } in
+  enqueue t (fun () -> fill future (try Ok (run ()) with e -> Error e));
   future
 
 let await future =
@@ -122,7 +124,7 @@ let run_list ?(domains = 1) thunks =
     in
     enlist wanted;
     for _ = 1 to wanted do
-      ignore (submit helpers work)
+      enqueue helpers work
     done;
     run_at 0;
     work ();

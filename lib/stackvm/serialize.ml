@@ -231,7 +231,11 @@ let instr_size (i : Instr.t) =
   | Load n | Store n | Get_global n | Set_global n -> varint_size n
   | Jump t | If { target = t; _ } -> varint_size t
   | Call name -> string_size name
-  | _ -> 0
+  (* Listed, not wildcarded: an instruction given an operand must not
+     compile until its size is counted here. *)
+  | Binop _ | Neg | Not | Cmp _ | Dup | Pop | Swap | New_array | Array_load | Array_store | Array_len | Ret | Print
+  | Read | Nop ->
+      0
 
 let size_in_bytes (p : Program.t) =
   Array.fold_left

@@ -170,12 +170,18 @@ let helper_domains ~domains n =
   |> List.filter_map (function Ok d -> if d = caller then None else Some d | Error e -> raise e)
   |> List.sort_uniq compare
 
+(* A call on every core grows the pool to the most it may hold, cores - 1
+   helpers, and sees each of them, since every thunk waits for all.  Later
+   calls may be served by any of those helpers, but never by a new domain. *)
 let test_pool_keeps_its_helper () =
-  let first = helper_domains ~domains:2 8 in
-  let second = helper_domains ~domains:2 8 in
-  let expected = if Domain.recommended_domain_count () >= 2 then 1 else 0 in
-  Alcotest.(check int) "one helper in the first call" expected (List.length first);
-  Alcotest.(check (list int)) "the second call's helper is the first's" first second
+  let cores = Domain.recommended_domain_count () in
+  let pool = helper_domains ~domains:cores 64 in
+  Alcotest.(check int) "a call on every core sees every helper" (cores - 1) (List.length pool);
+  for _ = 1 to 3 do
+    let used = helper_domains ~domains:2 8 in
+    Alcotest.(check int) "one helper in a two-domain call" (min 1 (cores - 1)) (List.length used);
+    Alcotest.(check bool) "no domain spawned for the call" true (List.for_all (fun d -> List.mem d pool) used)
+  done
 
 let test_pool_concurrent_callers () =
   let thunks k = List.init 64 (fun i () -> Hashtbl.hash (k, i)) in
