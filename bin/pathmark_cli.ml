@@ -360,21 +360,11 @@ let recognize_generic path scheme_name key bits input aux aux_file streaming inj
   let plan = plan_of inject fault_seed in
   let bytes, artifact_faults, inject_trace = offline_faults plan path in
   let carrier =
-    match W.caps.Scheme.Watermarker.track with
-    | Scheme.Watermarker.Vm -> (
-        match Stackvm.Serialize.decode_opt bytes with
-        | Some p -> Scheme.Watermarker.Vm_program p
-        | None ->
-            Printf.printf "program undecodable after %d artifact fault(s); nothing recovered\n"
-              artifact_faults;
-            exit exit_fault_abort)
-    | Scheme.Watermarker.Native -> (
-        match Nativesim.Binary.decode bytes with
-        | b -> Scheme.Watermarker.Native_binary b
-        | exception _ ->
-            Printf.printf "binary undecodable after %d artifact fault(s); nothing recovered\n"
-              artifact_faults;
-            exit exit_fault_abort)
+    match Scheme.Track.decode W.caps.Scheme.Watermarker.track bytes with
+    | Some c -> c
+    | None ->
+        Printf.printf "artifact undecodable after %d artifact fault(s); nothing recovered\n" artifact_faults;
+        exit exit_fault_abort
   in
   let aux = match aux_file with Some f -> Some (read_file f) | None -> aux in
   let spec = Scheme.Watermarker.spec ~key ~bits ~input () in

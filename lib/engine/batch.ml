@@ -202,10 +202,13 @@ let now () = Unix.gettimeofday ()
 let emit events ev = Option.iter (fun t -> Events.emit t ev) events
 
 let timed ?events ~id ~stage f =
-  let t0 = now () in
-  let v = f () in
-  emit events (Events.Stage_time { id; stage; ms = (now () -. t0) *. 1000.0 });
-  v
+  match events with
+  | None -> f ()
+  | Some t ->
+      let t0 = now () in
+      let v = f () in
+      Events.emit t (Events.Stage_time { id; stage; ms = (now () -. t0) *. 1000.0 });
+      v
 
 let match_against expected value =
   Option.map (fun e -> match value with Some v -> Bignum.equal v e | None -> false) expected
@@ -276,7 +279,18 @@ let recognize_noisy ?events ~id ~label ~plan ~salt rg ~aux spec carrier =
   | Some _ -> ());
   g.Scheme.Watermarker.recovered
 
-let compute ?inject ?cache ?events ~id (job : Job.t) =
+(* A host [prepare] refuses (it traps or runs out of fuel on the input, or
+   runs no block) is refused alike for every job on it, as deterministic
+   as a prepared host: the refusal is cached in its place, so a bad host
+   is traced once per batch, like a good one, and every job on it fails
+   with the reason [prepare] gave. *)
+let prepare_once prepare spec carrier =
+  match prepare spec carrier with
+  | embed -> embed
+  | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+  | exception e -> fun _ _ -> raise e
+
+let compute ?inject ?cache ?events ~id ~trace_key (job : Job.t) =
   let (module W) = Scheme.Builtin.find_exn job.Job.scheme in
   let carrier = job.Job.program in
   let track = Scheme.Watermarker.carrier_track carrier in
@@ -292,19 +306,18 @@ let compute ?inject ?cache ?events ~id (job : Job.t) =
   | Job.Embed { fingerprint; pieces } ->
       let spec = { spec with Scheme.Watermarker.redundancy = pieces } in
       let e =
-        match W.embed_traced with
-        | Some embed_traced ->
-            (* the snapshot trace an embedding is planned from: shared,
-               through {!Cache.with_trace}, by every fingerprint of a fleet
-               on one host *)
-            let capture () = Scheme.Track.snapshots spec carrier in
-            let trace =
+        match W.prepare with
+        | Some prepare ->
+            (* the prepared host: shared, through {!Cache.with_prepared},
+               by every fingerprint of a fleet *)
+            let host () = prepare_once prepare spec carrier in
+            let embed =
               timed ?events ~id ~stage:"trace" (fun () ->
                   match cache with
-                  | Some c -> Cache.with_trace ?events c ~key:(Job.trace_digest job) capture
-                  | None -> capture ())
+                  | Some c -> Cache.with_prepared ?events c ~key:trace_key host
+                  | None -> host ())
             in
-            timed ?events ~id ~stage:"embed" (fun () -> embed_traced trace fingerprint spec carrier)
+            timed ?events ~id ~stage:"embed" (fun () -> embed fingerprint spec)
         | None -> embed_here fingerprint spec
       in
       Embedded
@@ -321,11 +334,11 @@ let compute ?inject ?cache ?events ~id (job : Job.t) =
                so every recognizer of one artifact shares one run *)
             let capture () = Stackvm.Trace.save_events (Scheme.Track.branch_events spec carrier) in
             recognize_replayed ?events ~id ~label:job.Job.label ~plan:inject
-              ~salt:(Job.trace_digest job)
+              ~salt:trace_key
               ~capture:(fun () ->
                 Stackvm.Trace.load_events
                   (match cache with
-                  | Some c -> Cache.with_bytes ?events c ~stage:"trace" ~key:(Job.trace_digest job) capture
+                  | Some c -> Cache.with_bytes ?events c ~stage:"trace" ~key:trace_key capture
                   | None -> capture ()))
               sink spec
         | None -> (timed ?events ~id ~stage:"recognize" (fun () -> W.recognize spec carrier), 0)
@@ -365,7 +378,7 @@ let compute ?inject ?cache ?events ~id (job : Job.t) =
          (the batch-level [inject] still drives crash/fuel/cache faults in
          [execute]) *)
       let plan = Fault.Inject.make ~seed:cell.Job.cell_fault_seed cell.Job.cell_faults in
-      let salt = Printf.sprintf "%s:%s" (Job.trace_digest job) cell.Job.cell_attack in
+      let salt = Printf.sprintf "%s:%s" trace_key cell.Job.cell_attack in
       let recovers (r : Scheme.Watermarker.recovered) =
         match r.value with Some v -> Bignum.equal v fingerprint | None -> false
       in
@@ -490,48 +503,87 @@ exception Injected_crash
 
 (* an active fault plan changes what a job computes, so its results must
    not share cache entries with clean runs of the same spec *)
-let result_key ?inject job =
+let result_key ?inject digest =
   match inject with
-  | Some plan -> Digest.to_hex (Digest.string (Job.digest job ^ "+" ^ Fault.Inject.describe plan))
-  | None -> Job.digest job
+  | Some plan -> Digest.to_hex (Digest.string (digest ^ "+" ^ Fault.Inject.describe plan))
+  | None -> digest
+
+(* A job's content addresses, computed once per batch before any job runs
+   and shared by [prewarm] and [execute]. *)
+type keys = {
+  program_bytes : string;  (* {!Job.program_bytes}, one string per distinct carrier *)
+  result : string;  (* the result-cache key: {!Job.digest}, salted by the fault plan *)
+  trace : string;  (* {!Job.trace_digest} *)
+}
+
+(* carriers by identity: the jobs of a fleet share one host value *)
+module Carriers = Hashtbl.Make (struct
+  type t = Scheme.Watermarker.carrier
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let job_keys ?inject jobs =
+  let encoded = Carriers.create 8 in
+  List.map
+    (fun (j : Job.t) ->
+      let program_bytes =
+        match Carriers.find_opt encoded j.Job.program with
+        | Some b -> b
+        | None ->
+            let b = Job.program_bytes j in
+            Carriers.replace encoded j.Job.program b;
+            b
+      in
+      {
+        program_bytes;
+        result = result_key ?inject (Job.digest ~program_bytes j);
+        trace = Job.trace_digest ~program_bytes j;
+      })
+    jobs
 
 let () =
   Printexc.register_printer (function Injected_crash -> Some "injected worker crash" | _ -> None)
 
-let execute ?(policy = default_policy) ?inject ?breaker ?deadline_at ?cache ?events ~id
+let execute ?(policy = default_policy) ?inject ?breaker ?deadline_at ?cache ?events ~id ~keys
     (job : Job.t) =
   let t0 = now () in
-  emit events (Events.Job_start { id; label = job.Job.label; domain = (Domain.self () :> int) });
+  Option.iter
+    (fun t -> Events.emit t (Events.Job_start { id; label = job.Job.label; domain = (Domain.self () :> int) }))
+    events;
   let finish outcome ~attempts ~from_cache =
     let ms = (now () -. t0) *. 1000.0 in
-    let is_ok = match outcome with Failed _ -> false | _ -> true in
-    emit events
-      (Events.Job_finish
-         {
-           id;
-           label = job.Job.label;
-           ok = is_ok;
-           detail = describe_outcome outcome;
-           ms;
-           attempts;
-           cached = from_cache;
-         });
+    Option.iter
+      (fun t ->
+        Events.emit t
+          (Events.Job_finish
+             {
+               id;
+               label = job.Job.label;
+               ok = (match outcome with Failed _ -> false | _ -> true);
+               detail = describe_outcome outcome;
+               ms;
+               attempts;
+               cached = from_cache;
+             }))
+      events;
     { job; outcome; ms; attempts; from_cache }
   in
   let stage = Job.kind job in
-  let digest = lazy (result_key ?inject job) in
   let over_deadline () = match deadline_at with Some t -> now () >= t | None -> false in
   let cached_outcome =
     match cache with
     | None -> None
-    | Some c ->
-        Option.bind (Cache.find_bytes ?events c ~stage ~key:(Lazy.force digest)) decode_outcome
+    | Some c -> Option.bind (Cache.find_bytes ?events c ~stage ~key:keys.result) decode_outcome
   in
   match cached_outcome with
   | Some outcome -> finish outcome ~attempts:0 ~from_cache:true
   | None ->
-      let spec_key = Job.program_digest job in
-      if (match breaker with Some br -> breaker_blocked br spec_key | None -> false) then begin
+      let breaker =
+        Option.map (fun br -> (br, Job.program_digest ~program_bytes:keys.program_bytes job)) breaker
+      in
+      if (match breaker with Some (br, spec_key) -> breaker_blocked br spec_key | None -> false) then begin
         emit events (Events.Counter { name = "breaker.short_circuits"; delta = 1 });
         finish
           (Failed { reason = "circuit breaker open for this job spec"; attempts = 0 })
@@ -570,7 +622,7 @@ let execute ?(policy = default_policy) ?inject ?breaker ?deadline_at ?cache ?eve
         let compute n =
           (match inject with
           | Some plan
-            when Fault.Inject.crash_decision plan ~salt:(Printf.sprintf "crash:%s:%d" (Lazy.force digest) n)
+            when Fault.Inject.crash_decision plan ~salt:(Printf.sprintf "crash:%s:%d" keys.result n)
             ->
               emit events
                 (Events.Fault_injected
@@ -582,11 +634,16 @@ let execute ?(policy = default_policy) ?inject ?breaker ?deadline_at ?cache ?eve
                    });
               raise Injected_crash
           | _ -> ());
-          compute ?inject ?cache ?events ~id (job_for_attempt n)
+          let attempt_job = job_for_attempt n in
+          let trace_key =
+            if attempt_job.Job.fuel = job.Job.fuel then keys.trace
+            else Job.trace_digest ~program_bytes:keys.program_bytes attempt_job
+          in
+          compute ?inject ?cache ?events ~id ~trace_key attempt_job
         in
         let note_crash crashed =
           match breaker with
-          | Some br -> breaker_note ?events br ~label:job.Job.label spec_key ~crashed
+          | Some (br, spec_key) -> breaker_note ?events br ~label:job.Job.label spec_key ~crashed
           | None -> ()
         in
         let rec attempt n =
@@ -601,7 +658,7 @@ let execute ?(policy = default_policy) ?inject ?breaker ?deadline_at ?cache ?eve
                     | None -> bytes
                     | Some plan ->
                         let corrupted, fired =
-                          Fault.Inject.cache_entry plan ~salt:("cache:" ^ Lazy.force digest) bytes
+                          Fault.Inject.cache_entry plan ~salt:("cache:" ^ keys.result) bytes
                         in
                         if fired then
                           emit events
@@ -614,7 +671,7 @@ let execute ?(policy = default_policy) ?inject ?breaker ?deadline_at ?cache ?eve
                                });
                         corrupted
                   in
-                  Cache.store_bytes ?events c ~stage ~key:(Lazy.force digest) bytes)
+                  Cache.store_bytes ?events c ~stage ~key:keys.result bytes)
                 cache;
               finish outcome ~attempts:n ~from_cache:false
           | exception e ->
@@ -632,35 +689,33 @@ let execute ?(policy = default_policy) ?inject ?breaker ?deadline_at ?cache ?eve
         attempt 1
       end
 
-(* Capture each distinct embed trace once, up front, so concurrently
-   starting jobs on the same (program, input) share it instead of racing
-   into duplicate captures.  Only schemes that embed from a trace are
+(* Prepare each distinct embedding host once, up front, so concurrently
+   starting jobs on the same (program, input, fuel) share it instead of
+   racing into duplicate traces.  Only schemes with a [prepare] hook are
    prewarmed; an unknown scheme is left to fail inside [execute].  Jobs
    whose finished result is already cached are skipped — a warm re-run
    must stay trace-free. *)
-let embeds_from_trace scheme =
-  match Scheme.Builtin.find scheme with
-  | Some (module W : Scheme.Watermarker.WATERMARKER) -> W.embed_traced <> None
-  | None -> false
-
-let prewarm ~domains ?inject ?cache ?events jobs =
+let prewarm ~domains ?cache ?events jobs =
   match cache with
   | None -> ()
   | Some c ->
       let distinct = Hashtbl.create 8 in
       List.iter
-        (fun (j : Job.t) ->
-          match j.Job.action with
-          | Job.Embed _
-            when embeds_from_trace j.Job.scheme
-                 && not (Cache.mem_bytes c ~stage:(Job.kind j) ~key:(result_key ?inject j)) ->
-              let tk = Job.trace_digest j in
-              if not (Hashtbl.mem distinct tk) then
-                Hashtbl.replace distinct tk (fun () ->
-                    let spec = scheme_spec j ~redundancy:Scheme.Watermarker.default_redundancy in
-                    ignore
-                      (Cache.with_trace ?events c ~key:tk (fun () ->
-                           Scheme.Track.snapshots spec j.Job.program)))
+        (fun ((j : Job.t), keys) ->
+          match (j.Job.action, Scheme.Builtin.find j.Job.scheme) with
+          | Job.Embed _, Some (module W : Scheme.Watermarker.WATERMARKER) -> (
+              match W.prepare with
+              | Some prepare
+                when (not (Hashtbl.mem distinct keys.trace))
+                     && not (Cache.mem_bytes c ~stage:(Job.kind j) ~key:keys.result) ->
+                  let spec = scheme_spec j ~redundancy:Scheme.Watermarker.default_redundancy in
+                  Hashtbl.replace distinct keys.trace (fun () ->
+                      let (_ : Scheme.Watermarker.prepared) =
+                        Cache.with_prepared ?events c ~key:keys.trace (fun () ->
+                            prepare_once prepare spec j.Job.program)
+                      in
+                      ())
+              | _ -> ())
           | _ -> ())
         jobs;
       let thunks = Hashtbl.fold (fun _ thunk acc -> thunk :: acc) distinct [] in
@@ -677,7 +732,8 @@ let run ?(domains = 1) ?retries ?policy ?inject ?cache ?events jobs =
   let inject = match inject with Some p when not (Fault.Inject.is_empty p) -> Some p | _ -> None in
   let t0 = now () in
   emit events (Events.Batch_start { jobs = List.length jobs; domains = max 1 domains });
-  prewarm ~domains ?inject ?cache ?events jobs;
+  let jobs = List.combine jobs (job_keys ?inject jobs) in
+  prewarm ~domains ?cache ?events jobs;
   let deadline_at = Option.map (fun ms -> t0 +. (ms /. 1000.0)) policy.deadline_ms in
   let breaker =
     if policy.breaker_threshold > 0 then Some (breaker_create ~threshold:policy.breaker_threshold)
@@ -685,13 +741,13 @@ let run ?(domains = 1) ?retries ?policy ?inject ?cache ?events jobs =
   in
   let thunks =
     List.mapi
-      (fun id job ->
-        fun () -> execute ~policy ?inject ?breaker ?deadline_at ?cache ?events ~id job)
+      (fun id (job, keys) ->
+        fun () -> execute ~policy ?inject ?breaker ?deadline_at ?cache ?events ~id ~keys job)
       jobs
   in
   let results =
     List.map2
-      (fun job -> function
+      (fun (job, _) -> function
         | Ok r -> r
         | Error e ->
             (* a worker blew up outside [execute]'s own isolation; keep the

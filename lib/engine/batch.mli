@@ -1,7 +1,7 @@
 (** The batch runner: execute many {!Job}s in parallel, observably.
 
     [run] fans the jobs out over a {!Pool} (or runs them inline when
-    [domains <= 1]), memoizes trace capture and finished job results in
+    [domains <= 1]), memoizes prepared hosts, traces and finished job results in
     an optional {!Cache}, reports every step to an optional {!Events}
     recorder, and isolates failures: a job that traps, runs out of fuel
     during embedding, or raises for any reason yields a [Failed] outcome
@@ -119,9 +119,13 @@ val run :
 
     Every job resolves [job.scheme] through {!Scheme.Builtin.find_exn},
     fails if the scheme's track is not its carrier's, and runs the
-    scheme's {!Scheme.Watermarker.WATERMARKER} entry points: [embed] (or
-    [embed_traced] from a snapshot trace shared through the cache),
-    [sink] over a replayed branch trace when there is one, else
-    [recognize], and [recognize_garbled] under a cell's garbling plan.
-    Per-track steps — encoding, trace capture, attacks, the audit's
-    locate step — come from {!Scheme.Track}. *)
+    scheme's {!Scheme.Watermarker.WATERMARKER} entry points: [embed] (or,
+    for a scheme with [prepare], the host prepared once per (program
+    bytes, input, fuel) and shared through the cache), [sink] over a
+    replayed branch trace when there is one, else [recognize], and
+    [recognize_garbled] under a cell's garbling plan.  Per-track steps —
+    encoding, trace capture, attacks, the audit's locate step — come from
+    {!Scheme.Track}.  Each distinct carrier is encoded once per call, and
+    each job's content addresses are computed once, before any job runs;
+    the job-spec digest the breaker keys on only when a breaker is
+    configured. *)

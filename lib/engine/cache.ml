@@ -68,7 +68,7 @@ type t = {
   store : Store.Registry.t option;
   capacity : int;
   bytes : string Lru.t;
-  traces : Stackvm.Trace.t Lru.t;
+  prepared : Scheme.Watermarker.prepared Lru.t;
   mutable hits : int;
   mutable misses : int;
   mutable disk_loads : int;
@@ -91,7 +91,7 @@ let create ?spill_dir ?store ?(capacity = 4096) () =
     store;
     capacity = max 1 capacity;
     bytes = Lru.create 64;
-    traces = Lru.create 16;
+    prepared = Lru.create 16;
     hits = 0;
     misses = 0;
     disk_loads = 0;
@@ -251,33 +251,33 @@ let with_bytes ?events t ~stage ~key compute =
       (* a racing domain may have inserted first; return the winner *)
       locked t (fun () -> Option.value ~default:v (Lru.find t.bytes (ckey ~stage ~key)))
 
-let with_trace ?events t ~key compute =
+let with_prepared ?events t ~key compute =
   let stage = "trace-mem" in
   let found =
     locked t (fun () ->
-        match Lru.find t.traces key with
-        | Some tr ->
+        match Lru.find t.prepared key with
+        | Some p ->
             t.hits <- t.hits + 1;
-            Some tr
+            Some p
         | None ->
             t.misses <- t.misses + 1;
             None)
   in
   match found with
-  | Some tr ->
+  | Some p ->
       emit events (Events.Cache_hit { stage; key });
-      tr
+      p
   | None ->
       emit events (Events.Cache_miss { stage; key });
-      let tr = compute () in
+      let p = compute () in
       let winner, evicted =
         locked t (fun () ->
-            match Lru.find t.traces key with
+            match Lru.find t.prepared key with
             | Some winner -> (winner, [])
             | None ->
-                Lru.add t.traces key tr;
-                let ev = enforce_capacity_locked t t.traces in
-                (tr, ev))
+                Lru.add t.prepared key p;
+                let ev = enforce_capacity_locked t t.prepared in
+                (p, ev))
       in
       List.iter (fun k -> emit events (Events.Cache_evict { stage; key = k })) evicted;
       winner
@@ -304,7 +304,7 @@ let stats t =
 let clear t =
   locked t (fun () ->
       Lru.clear t.bytes;
-      Lru.clear t.traces;
+      Lru.clear t.prepared;
       t.hits <- 0;
       t.misses <- 0;
       t.disk_loads <- 0;

@@ -9,9 +9,13 @@
       directory, and a {!Store.Registry} (entries of kind
       [Cache_entry]), so a later process re-running the same batch pays
       nothing;
-    - a {e trace} store for full in-memory {!Stackvm.Trace.t} values
-      (embedding needs the variable snapshots, which the byte
-      serialization deliberately drops; these never spill).
+    - a {e prepared-host} store (stage ["trace-mem"]) for hosts made
+      ready for embedding ({!Scheme.Watermarker.WATERMARKER.prepare}),
+      keyed by {!Job.trace_digest}: the snapshot trace and everything
+      else embedding derives from the host alone, shared by every
+      fingerprint of a fleet.  These are in-memory values (closures over
+      snapshots the byte serialization deliberately drops) and never
+      spill.
 
     The in-memory tier evicts least-recently-used when [capacity] is
     exceeded; evicted entries survive in whichever persistent tiers are
@@ -58,8 +62,16 @@ val store_bytes : ?events:Events.t -> t -> stage:string -> key:string -> string 
     no-op), writing through to the spill directory and registry tier
     when configured. *)
 
-val with_trace : ?events:Events.t -> t -> key:string -> (unit -> Stackvm.Trace.t) -> Stackvm.Trace.t
-(** Memoize a full trace capture under stage ["trace-mem"]. *)
+val with_prepared :
+  ?events:Events.t ->
+  t ->
+  key:string ->
+  (unit -> Scheme.Watermarker.prepared) ->
+  Scheme.Watermarker.prepared
+(** Memoize a prepared host under stage ["trace-mem"]: one miss for the
+    first job on a (program bytes, input, fuel) triple, a hit for every
+    later one.  The key must not name the fingerprint, the passphrase or
+    the width — the prepared host keeps whatever depends on those itself. *)
 
 val stats : t -> stats
 

@@ -94,16 +94,20 @@ val program_bytes : t -> string
 (** Canonical byte serialization of the job's carrier
     ({!Scheme.Track.encode}). *)
 
-val program_digest : t -> string
-(** Hex digest of {!program_bytes} alone. *)
+val program_digest : ?program_bytes:string -> t -> string
+(** Hex digest of {!program_bytes} alone.
 
-val trace_digest : t -> string
+    This and the two digests below take [program_bytes], which must then
+    be {!program_bytes} of the job, so that a batch encodes each distinct
+    carrier once and hands its bytes to every job on it. *)
+
+val trace_digest : ?program_bytes:string -> t -> string
 (** Hex digest of (program bytes, input, fuel) — the content address of
     the job's {e trace}, shared by every job that runs the same program on
     the same input regardless of fingerprint or action.  This is the key
     under which {!Cache} memoizes trace capture. *)
 
-val digest : t -> string
+val digest : ?program_bytes:string -> t -> string
 (** Stable hex digest of the full spec (minus [label]). *)
 
 val kind : t -> string

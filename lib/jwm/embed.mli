@@ -26,6 +26,32 @@ type report = {
   bytes_after : int;
 }
 
+type prepared
+(** A host made ready for any number of fingerprints: everything
+    embedding derives from the host alone.  Shareable across domains. *)
+
+val prepare : ?fuel:int -> ?trace:Stackvm.Trace.t -> input:int list -> Stackvm.Program.t -> prepared
+(** The per-host stage.  Captures the snapshot trace of the program on
+    [input] under [fuel] ({!Stackvm.Trace.capture} with
+    [~want_snapshots:true]), or takes [trace], which must be such a trace
+    of {e this} program on [input].  From it: the hot sites with their
+    weights and the host's byte size.  Each function's definitely-assigned
+    sets ({!Stackvm.Verify.assigned}), each site's condition material and
+    the {!Codec.Params} of each (passphrase, width) are computed on first
+    use and kept, under the host's own lock, so a one-shot {!embed} pays
+    only for the functions its pieces land in.  Raises [Failure] when the
+    program traps or runs out of fuel on [input], or executes no basic
+    block there. *)
+
+val embed_prepared : ?seed:int64 -> ?stealth:bool -> prepared -> spec -> report
+(** The per-fingerprint stage: select the pieces of [spec.watermark],
+    plan a snippet for each at a weighted hot site, rewrite the host and
+    verify the whole marked program.  [spec.input] must be the input the
+    host was prepared on ([Invalid_argument] otherwise); a watermark that
+    does not fit the derived parameters raises [Invalid_argument].  Safe
+    to call from several domains at once on one prepared host; the result
+    depends only on the host, [seed], [stealth] and [spec]. *)
+
 val embed :
   ?seed:int64 ->
   ?fuel:int ->
@@ -34,17 +60,22 @@ val embed :
   spec ->
   Stackvm.Program.t ->
   report
-(** Embed per [spec].  Raises [Invalid_argument] when the watermark does
-    not fit the derived parameters, and [Failure] when the program has no
-    traced insertion sites (it must execute at least one basic block on the
-    secret input).  The result verifies ({!Stackvm.Verify.check}) and is
-    semantically equivalent to the input program.
+(** Embed per [spec]: {!prepare} on [spec.input], then {!embed_prepared},
+    byte for byte.  Raises [Invalid_argument] when the watermark does not
+    fit the derived parameters (checked before the host is traced), and
+    [Failure] when the program has no traced insertion sites (it must
+    execute at least one basic block on the secret input).  The result
+    verifies ({!Stackvm.Verify.check}) and is semantically equivalent to
+    the input program.
 
     Cost per fingerprint: each function's snippets go in with one
     {!Stackvm.Rewrite.insert_many}, and the whole marked program is
     verified before it is returned.  Verifying only the rewritten
     functions would save little: at 20 pieces they hold 94% of the
     instructions of the VM workloads on average, all of them on some.
+    A fleet of fingerprints into one host prepares it once and pays per
+    fingerprint only for piece selection, planning, rewriting and
+    verification.
 
     [stealth] (default false) hardens the sink-update guards against
     static analysis: each candidate guard predicate is evaluated with
@@ -55,8 +86,5 @@ val embed :
     ({!Analysis.Vmlint}) reports strictly fewer opaque-branch diagnostics
     on the watermarked program.
 
-    [trace], when given, must be a snapshot-bearing
-    ({!Stackvm.Trace.capture} with [~want_snapshots:true]) trace of
-    {e this} program on [spec.input]; embedding then skips its own tracing
-    run.  The batch engine uses this to share one content-addressed trace
-    across many fingerprints of the same host program. *)
+    [trace], when given, is passed to {!prepare}: embedding then skips its
+    own tracing run. *)

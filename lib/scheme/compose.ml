@@ -110,7 +110,7 @@ let compose members =
                members embeddings);
       }
 
-    let embed_traced = None
+    let prepare = None
 
     let combine results =
       let values = List.filter_map (fun (_, r) -> r.value) results in

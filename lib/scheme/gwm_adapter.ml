@@ -51,7 +51,7 @@ module M = struct
         }
     | _ -> invalid_arg "scheme gwm: requires a stack-VM program carrier"
 
-  let embed_traced = None
+  let prepare = None
 
   let of_outcome (o : Gwm.Recognize.outcome) =
     {

@@ -42,22 +42,27 @@ module M = struct
       input = spec.input;
     }
 
-  let embed_with ?trace value spec = function
-    | Vm_program p ->
-        let r = Jwm.Embed.embed ?trace ~seed:spec.seed ?fuel:spec.fuel (to_spec value spec) p in
-        {
-          carrier = Vm_program r.Jwm.Embed.program;
-          aux = "";
-          bytes_before = r.Jwm.Embed.bytes_before;
-          bytes_after = r.Jwm.Embed.bytes_after;
-          detail =
-            Printf.sprintf "%d piece generators inserted"
-              (List.length r.Jwm.Embed.insertions);
-        }
+  let vm_program = function
+    | Vm_program p -> p
     | _ -> invalid_arg "scheme jwm: requires a stack-VM program carrier"
 
-  let embed value spec carrier = embed_with value spec carrier
-  let embed_traced = Some (fun trace -> embed_with ~trace)
+  let of_report (r : Jwm.Embed.report) =
+    {
+      carrier = Vm_program r.Jwm.Embed.program;
+      aux = "";
+      bytes_before = r.Jwm.Embed.bytes_before;
+      bytes_after = r.Jwm.Embed.bytes_after;
+      detail = Printf.sprintf "%d piece generators inserted" (List.length r.Jwm.Embed.insertions);
+    }
+
+  let embed value (spec : spec) carrier =
+    of_report (Jwm.Embed.embed ~seed:spec.seed ?fuel:spec.fuel (to_spec value spec) (vm_program carrier))
+
+  let prepare =
+    Some
+      (fun (spec : spec) carrier ->
+        let host = Jwm.Embed.prepare ?fuel:spec.fuel ~input:spec.input (vm_program carrier) in
+        fun value (spec : spec) -> of_report (Jwm.Embed.embed_prepared ~seed:spec.seed host (to_spec value spec)))
 
   let of_outcome (o : Jwm.Recognize.outcome) =
     {
@@ -71,13 +76,10 @@ module M = struct
           (match o.diagnostic with None -> "" | Some d -> "; " ^ d);
     }
 
-  let recognize ?aux (spec : spec) = function
-    | Vm_program p ->
-        ignore aux;
-        of_outcome
-          (Jwm.Recognize.recognize ?fuel:spec.fuel ~passphrase:spec.key
-             ~watermark_bits:spec.bits ~input:spec.input p)
-    | _ -> invalid_arg "scheme jwm: requires a stack-VM program carrier"
+  let recognize ?aux:_ (spec : spec) carrier =
+    of_outcome
+      (Jwm.Recognize.recognize ?fuel:spec.fuel ~passphrase:spec.key ~watermark_bits:spec.bits
+         ~input:spec.input (vm_program carrier))
 
   (* genuinely incremental: events fold straight into the CRT residue
      accumulators, and [decide] answers [true] as soon as the recovered

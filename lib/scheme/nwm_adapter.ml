@@ -63,7 +63,7 @@ module M = struct
         }
     | _ -> invalid_arg "scheme nwm: requires a native assembly carrier"
 
-  let embed_traced = None
+  let prepare = None
 
   let lost detail = { value = None; confidence = 0.; detail }
 

@@ -4,6 +4,11 @@ let encode = function
   | Vm_program p -> Stackvm.Serialize.encode p
   | c -> Nativesim.Binary.encode (native_binary c)
 
+let decode track bytes =
+  match track with
+  | Vm -> Option.map (fun p -> Vm_program p) (Stackvm.Serialize.decode_opt bytes)
+  | Native -> ( try Some (Native_binary (Nativesim.Binary.decode bytes)) with _ -> None)
+
 let compile track src =
   match track with
   | Vm -> Vm_program (Minic.To_stackvm.compile_source src)
@@ -19,9 +24,6 @@ let keyed carrier = carrier_track carrier = Vm
 let vm_program = function
   | Vm_program p -> p
   | Native_source _ | Native_binary _ -> invalid_arg "Scheme.Track: a native carrier has no branch trace"
-
-let snapshots (spec : spec) carrier =
-  Stackvm.Trace.capture ?fuel:spec.fuel ~want_snapshots:true (vm_program carrier) ~input:spec.input
 
 let branch_events (spec : spec) carrier =
   let fuel = Option.value spec.fuel ~default:200_000_000 in

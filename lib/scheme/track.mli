@@ -14,6 +14,11 @@ val encode : carrier -> string
     {!Nativesim.Binary} encoding of a native binary (assembly is assembled
     first). *)
 
+val decode : track -> string -> carrier option
+(** The carrier {!encode} wrote, read back as the track's artifact: a VM
+    program ({!Stackvm.Serialize.decode_opt}) or a native binary.  [None]
+    when the bytes do not decode. *)
+
 val compile : track -> string -> carrier
 (** A MiniC source compiled for the track (native: to assembly, which is
     what native embedders rewrite). *)
@@ -24,11 +29,6 @@ val of_workload : track -> Workloads.Workload.t -> carrier
 val keyed : carrier -> bool
 (** Whether a passphrase means anything on the carrier's track: native
     embedding derives nothing from one. *)
-
-val snapshots : spec -> carrier -> Stackvm.Trace.t
-(** The snapshot trace an embedding is planned from
-    ({!WATERMARKER.embed_traced}): a traced run on [spec.input] under
-    [spec.fuel].  VM carriers only; raises [Invalid_argument] otherwise. *)
 
 val branch_events : spec -> carrier -> Stackvm.Tracebuf.t
 (** The packed branch events a {!WATERMARKER.sink} sees when it runs the

@@ -61,14 +61,15 @@ type sink = { push : int -> unit; decide : unit -> bool; finish : unit -> recove
 
 type garbled = { recovered : recovered; views : int; unanimous : bool }
 
+type prepared = Bignum.t -> spec -> embedding
+
 module type WATERMARKER = sig
   val name : string
   val caps : caps
   val nbits : spec -> int
   val embed : Bignum.t -> spec -> carrier -> embedding
 
-  val embed_traced :
-    (Stackvm.Trace.t -> Bignum.t -> spec -> carrier -> embedding) option
+  val prepare : (spec -> carrier -> prepared) option
 
   val recognize : ?aux:string -> spec -> carrier -> recovered
 

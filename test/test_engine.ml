@@ -638,6 +638,70 @@ let test_digest_known_answers () =
     ]
     (List.map (fun j -> (Job.kind j, Job.digest j)) jobs)
 
+(* ---- Batch: one prepared host per (program, input, fuel) ---- *)
+
+(* Successive batches on one cache share the prepared host whenever the
+   program, input and fuel agree, whatever the key, width or piece count;
+   each must still embed exactly what a fresh cache embeds. *)
+let test_prepared_host_cache_key () =
+  let shared = Cache.create () in
+  let events = Events.create () in
+  let batch ?(key = key) ?(bits = 64) ?(pieces = 12) ?(input = secret_input) ?events cache =
+    Pathmark.watermark_batch ~domains:2 ~cache ?events ~key ~bits ~pieces ~input ~fingerprints:fleet
+      host_program
+    |> List.map Stackvm.Serialize.encode
+  in
+  List.iter
+    (fun (what, run) ->
+      let fresh = run ?events:None (Cache.create ()) in
+      Alcotest.(check (list string)) what fresh (run ?events:(Some events) shared))
+    [
+      ("base", fun ?events c -> batch ?events c);
+      ("other key", fun ?events c -> batch ~key:"another engine key" ?events c);
+      ("other width", fun ?events c -> batch ~bits:96 ?events c);
+      ("other piece count", fun ?events c -> batch ~pieces:20 ?events c);
+      ("other input", fun ?events c -> batch ~input:[ 1071; 462 ] ?events c);
+      ("another key and width", fun ?events c -> batch ~bits:128 ~key:"a third key" ?events c);
+    ];
+  Alcotest.(check int) "one prepared host per input" 2 (trace_mem_misses events)
+
+(* A host that traps on its input is refused once per batch, and every
+   job on it fails with the reason a one-shot embed gives. *)
+let test_refused_host_fails_every_job () =
+  let trapping =
+    Stackvm.Program.make
+      [
+        Stackvm.Asm.func ~name:"main" ~nargs:0 ~nlocals:1
+          Stackvm.Asm.[
+            I Stackvm.Instr.Read; I (Stackvm.Instr.Store 0); I (Stackvm.Instr.Const 1);
+            I (Stackvm.Instr.Load 0); I (Stackvm.Instr.Binop Stackvm.Instr.Div);
+            I Stackvm.Instr.Print; I (Stackvm.Instr.Const 0); I Stackvm.Instr.Ret;
+          ];
+      ]
+  in
+  let jobs =
+    List.map
+      (fun f ->
+        Job.make ~key ~bits:64 ~input:[ 0 ] (Scheme.Watermarker.Vm_program trapping)
+          (Job.Embed { fingerprint = f; pieces = 12 }))
+      fleet
+  in
+  let expected =
+    let spec = Scheme.Watermarker.spec ~redundancy:12 ~key ~bits:64 ~input:[ 0 ] () in
+    let (module W) = Scheme.Builtin.find_exn "jwm" in
+    match W.embed fp spec (Scheme.Watermarker.Vm_program trapping) with
+    | _ -> Alcotest.fail "a trapping host embedded"
+    | exception e -> Printexc.to_string e
+  in
+  let events = Events.create () in
+  List.iter
+    (fun r ->
+      match r.Batch.outcome with
+      | Batch.Failed { reason; _ } -> Alcotest.(check string) "same reason" expected reason
+      | o -> Alcotest.fail ("expected a failure, got " ^ Batch.describe_outcome o))
+    (Batch.run ~domains:2 ~cache:(Cache.create ()) ~events jobs);
+  Alcotest.(check int) "refused once" 1 (trace_mem_misses events)
+
 let suite =
   [
     Alcotest.test_case "job digest is stable" `Quick test_digest_stable;
@@ -670,4 +734,6 @@ let suite =
     Alcotest.test_case "pool serves two calling domains at once" `Quick test_pool_concurrent_callers;
     Alcotest.test_case "pool never uses more domains than cores" `Quick test_pool_capped_at_cores;
     Alcotest.test_case "pool caller, lone and nested cases hold 50 times" `Quick test_pool_cases_repeat;
+      Alcotest.test_case "prepared hosts keep key, width and input apart" `Quick test_prepared_host_cache_key;
+    Alcotest.test_case "a refused host fails every job alike" `Quick test_refused_host_fails_every_job;
   ]

@@ -508,7 +508,7 @@ let counters =
 
              let nbits (s : Scheme.Watermarker.spec) = s.bits
              let embed _ _ _ = failwith "counting scheme cannot embed"
-             let embed_traced = None
+             let prepare = None
              let seen () = { Scheme.Watermarker.value = Some (Bignum.of_int !pushes); confidence = 1.; detail = "" }
 
              let recognize ?aux:_ _ _ =

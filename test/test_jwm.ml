@@ -598,3 +598,107 @@ let test_compound_condition_snippet () =
   | None -> Alcotest.fail "compound-condition payload not found"
 
 let suite = suite @ [ ("compound condition predicates", `Quick, test_compound_condition_snippet) ]
+
+(* ---- staged embedding: prepare once, embed many ---- *)
+
+(* One prepared host per corpus workload, shared by every case below: it
+   serves both widths, both stealth settings and every seed, so its
+   lazily kept tables (assignment facts, condition material, codec
+   parameters per width) are filled by whichever case needs them first. *)
+let staged_key = "staged embedding key"
+
+let staged_hosts =
+  lazy
+    (List.map
+       (fun (wl : Workloads.Workload.t) ->
+         let host = Workloads.Workload.vm_program wl and input = wl.input in
+         (wl.name, host, input, Jwm.Embed.prepare ~input host))
+       Vm_corpus.workloads)
+
+let staged_spec (bits, pieces, mark) input =
+  { Jwm.Embed.passphrase = staged_key; watermark = mark; watermark_bits = bits; pieces; input }
+
+let same_report what (a : Jwm.Embed.report) (b : Jwm.Embed.report) =
+  Alcotest.(check string) (what ^ ": program bytes") (Serialize.encode a.program) (Serialize.encode b.program);
+  Alcotest.(check bool) (what ^ ": insertions") true (a.insertions = b.insertions);
+  Alcotest.(check (pair int int)) (what ^ ": sizes") (a.bytes_before, a.bytes_after) (b.bytes_before, b.bytes_after)
+
+let qcheck_staged_equals_one_shot =
+  QCheck.Test.make ~name:"staged embedding equals one-shot, every corpus host" ~count:3 QCheck.int64
+    (fun seed ->
+      List.iter
+        (fun (name, host, input, prepared) ->
+          let trace = Stackvm.Trace.capture ~want_snapshots:true host ~input in
+          List.iter
+            (fun ((bits, _, _) as mark) ->
+              let spec = staged_spec mark input in
+              List.iter
+                (fun stealth ->
+                  let what = Printf.sprintf "%s jwm-%d%s seed %Ld" name bits (if stealth then " stealth" else "") seed in
+                  let one_shot = Jwm.Embed.embed ~seed ~stealth spec host in
+                  same_report (what ^ " staged") one_shot (Jwm.Embed.embed_prepared ~seed ~stealth prepared spec);
+                  same_report (what ^ " ~trace") one_shot (Jwm.Embed.embed ~seed ~stealth ~trace spec host))
+                [ false; true ])
+            Vm_corpus.marks)
+        (Lazy.force staged_hosts);
+      true)
+
+(* Two domains embed into one freshly prepared host at once, racing to
+   fill its tables; every fingerprint must come out as in a sequential
+   run over another fresh host. *)
+let test_prepared_host_two_domains () =
+  List.iter
+    (fun (wl : Workloads.Workload.t) ->
+      let host = Workloads.Workload.vm_program wl and input = wl.input in
+      let cases =
+        List.concat_map
+          (fun mark -> List.init 4 (fun i -> (staged_spec mark input, Int64.of_int (i + 1), i mod 2 = 1)))
+          Vm_corpus.marks
+      in
+      let embed_all prepared =
+        List.map
+          (fun (spec, seed, stealth) () ->
+            Serialize.encode (Jwm.Embed.embed_prepared ~seed ~stealth prepared spec).Jwm.Embed.program)
+          cases
+      in
+      let sequential = List.map (fun f -> f ()) (embed_all (Jwm.Embed.prepare ~input host)) in
+      let parallel =
+        List.map
+          (function Ok p -> p | Error e -> Alcotest.fail (Printexc.to_string e))
+          (Engine.Pool.run_list ~domains:2 (embed_all (Jwm.Embed.prepare ~input host)))
+      in
+      Alcotest.(check (list string)) (wl.name ^ ": two domains, one host") sequential parallel)
+    Vm_corpus.workloads
+
+let test_prepare_refuses_like_embed () =
+  (* the host divides by its input: it traps on 0 *)
+  let host =
+    Program.make
+      [
+        Stackvm.Asm.func ~name:"main" ~nargs:0 ~nlocals:1
+          Stackvm.Asm.
+            [
+              I Instr.Read; I (Instr.Store 0); I (Instr.Const 1); I (Instr.Load 0);
+              I (Instr.Binop Instr.Div); I Instr.Print; I (Instr.Const 0); I Instr.Ret;
+            ];
+      ]
+  in
+  let spec = staged_spec (List.hd Vm_corpus.marks) [ 0 ] in
+  let reason f = match f () with _ -> "no failure" | exception Failure r -> r in
+  Alcotest.(check string) "prepare fails as embed does"
+    (reason (fun () -> Jwm.Embed.embed spec host))
+    (reason (fun () -> Jwm.Embed.prepare ~input:[ 0 ] host));
+  Alcotest.(check bool) "embed names the trap" true
+    (String.starts_with ~prefix:"Embed.embed: program traps" (reason (fun () -> Jwm.Embed.embed spec host)));
+  let prepared = Jwm.Embed.prepare ~input:[ 5 ] host in
+  Alcotest.check_raises "a prepared host keeps its input"
+    (Invalid_argument "Embed.embed_prepared: the host was prepared on another input") (fun () ->
+      ignore (Jwm.Embed.embed_prepared prepared spec))
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest qcheck_staged_equals_one_shot;
+      ("one prepared host on two domains", `Quick, test_prepared_host_two_domains);
+      ("prepare refuses a host as embed does", `Quick, test_prepare_refuses_like_embed);
+    ]

@@ -27,7 +27,7 @@ let dummy name : (module WATERMARKER) =
 
     let nbits (s : spec) = s.bits
     let embed _ _ _ = failwith "dummy scheme cannot embed"
-    let embed_traced = None
+    let prepare = None
     let recognize ?aux:_ _ _ = failwith "dummy scheme cannot recognize"
     let sink = None
     let recognize_garbled = None
