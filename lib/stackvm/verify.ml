@@ -130,12 +130,17 @@ let solve_assigned (f : Program.func) =
       incr top
     end
   in
-  (* Intersect [after] into the fact at [pc]; requeue it if it shrank. *)
+  (* Intersect [after] into the fact at [pc]; requeue it if it shrank.
+     Facts are copied word by word, not with [Array.blit]: they are
+     almost always one word, and the blit's call cost about a fifth of a
+     marked program's verification. *)
   let flow pc =
     if pc >= 0 && pc < n then begin
       let base = pc * words in
       if Bytes.get state pc = '\000' then begin
-        Array.blit after 0 bits base words;
+        for k = 0 to words - 1 do
+          bits.(base + k) <- after.(k)
+        done;
         push pc
       end
       else
@@ -156,7 +161,9 @@ let solve_assigned (f : Program.func) =
     decr top;
     let pc = stack.(!top) in
     Bytes.set state pc '\001';
-    Array.blit bits (pc * words) after 0 words;
+    for k = 0 to words - 1 do
+      after.(k) <- bits.((pc * words) + k)
+    done;
     let instr = code.(pc) in
     (match instr with Instr.Store slot when slot >= 0 && slot < nlocals -> set slot | _ -> ());
     List.iter flow (Instr.targets instr);
