@@ -1,12 +1,17 @@
 (** The incremental harvester: the recognizer's inner loop (§3.3).
 
-    Trace bits are pushed one at a time.  For each stride, every bit
-    completes one [block_bits]-wide cipher-block window, kept as a rolling
+    Trace bits are pushed one at a time, and a push only appends the bit to
+    a packed buffer, which grows as needed up to {!buffer_bits}.  A flush —
+    a full buffer, or a read of {!count} or {!statements} — runs each
+    stride in one pass over the buffered bits.  Every bit completes one
+    [block_bits]-wide cipher-block window per stride, kept as a rolling
     value per [position mod stride] chain — one shift and one OR per bit.
-    Completed windows queue in a fixed chunk; a full chunk, or a read of
-    {!count} or {!statements}, decrypts them (memo hits first, the misses
-    four at a time) and keeps, in push order, those that decode to a valid
-    residue statement.  Only hits allocate.
+    Each window is looked up in a memo of decrypted blocks; the misses are
+    decrypted together, eight blocks per loop and two per machine word
+    ({!Crypto.Feistel.decrypt_many}), and the windows that decode to a
+    valid residue statement are kept in position order.  Chains, memo and
+    overlap dedup carry across flushes, so where the flushes fall never
+    changes the statements.  Only hits allocate.
 
     {!Recombine.harvest} is this harvester folded over a whole bit-string,
     and streaming recognition feeds it live, so batch and streaming
@@ -21,7 +26,11 @@ val create : ?dedup_overlaps:bool -> Params.t -> strides:int list -> t
     {!Recombine.harvest}. *)
 
 val push : t -> bool -> unit
-(** Feed the next trace bit. *)
+(** Feed the next trace bit.  The push that finds the buffer holding
+    {!buffer_bits} bits flushes it first. *)
+
+val buffer_bits : int
+(** The most bits the buffer holds between flushes: [2^16]. *)
 
 val length : t -> int
 (** Bits pushed so far. *)

@@ -55,7 +55,12 @@ let watermark_batch ?(seed = 0x1234_5678L) ?(domains = 1) ?cache ?events ~key ~b
   Engine.Batch.run ~domains ?cache ?events jobs
   |> List.map (fun (r : Engine.Batch.result) ->
          match r.Engine.Batch.outcome with
-         | Engine.Batch.Embedded { program; _ } -> Stackvm.Serialize.decode program
+         | Engine.Batch.Embedded { program; _ } -> (
+             (* the program the job built, when it ran in this call; a
+                cached result has only its bytes *)
+             match r.Engine.Batch.built with
+             | Some (Scheme.Watermarker.Vm_program p) -> p
+             | _ -> Stackvm.Serialize.decode program)
          | Engine.Batch.Failed { reason; _ } ->
              failwith (Printf.sprintf "watermark_batch: job %s failed: %s" r.Engine.Batch.job.Engine.Job.label reason)
          | _ -> assert false)

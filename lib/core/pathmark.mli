@@ -95,8 +95,10 @@ val watermark_batch :
     (sequential when 1).  Per-job seeds are derived deterministically from
     [seed], so the results are byte-identical whatever the pool size.
     With a [cache], the host trace is captured once and shared by every
-    job, and finished jobs are memoized by content digest.  Raises
-    [Failure] if any job fails. *)
+    job, and finished jobs are memoized by content digest.  A job computed
+    in this call returns the program it built, which shares the
+    functions it left untouched with [prog]; one served from the cache is
+    decoded from its bytes.  Raises [Failure] if any job fails. *)
 
 val batch_seed : int64 -> int -> int64
 (** [batch_seed seed i] is the embedding seed of the [i]th fingerprint of

@@ -44,8 +44,11 @@ val decrypt_unchecked : t -> int -> int
 
 val decrypt_many : t -> int array -> int array -> int -> unit
 (** [decrypt_many t src dst n] sets [dst.(i)] to [decrypt_unchecked t
-    src.(i)] for every [i < n], four blocks per round loop — the
-    harvester's batch of memo misses.  The same caller guarantee as
+    src.(i)] for every [i < n] — the harvester's batch of memo misses.  It
+    runs eight blocks per round loop, two to a machine word: a half-block
+    has at most 31 bits, so two blocks' halves share a word at bits 0 and
+    32, and the round function acts on both at once (the [n mod 8] left
+    over run one at a time).  The same caller guarantee as
     {!decrypt_unchecked} holds for each block; [src] and [dst] may be the
     same array.  Raises [Invalid_argument] when [n] is negative or exceeds
     either array. *)

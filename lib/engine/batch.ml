@@ -18,7 +18,14 @@ type outcome =
     }
   | Failed of { reason : string; attempts : int }
 
-type result = { job : Job.t; outcome : outcome; ms : float; attempts : int; from_cache : bool }
+type result = {
+  job : Job.t;
+  outcome : outcome;
+  built : Scheme.Watermarker.carrier option;
+  ms : float;
+  attempts : int;
+  from_cache : bool;
+}
 
 let ok r =
   match r.outcome with
@@ -320,12 +327,13 @@ let compute ?inject ?cache ?events ~id ~trace_key (job : Job.t) =
             timed ?events ~id ~stage:"embed" (fun () -> embed fingerprint spec)
         | None -> embed_here fingerprint spec
       in
-      Embedded
-        {
-          program = Scheme.Track.encode e.Scheme.Watermarker.carrier;
-          bytes_before = e.Scheme.Watermarker.bytes_before;
-          bytes_after = e.Scheme.Watermarker.bytes_after;
-        }
+      ( Embedded
+          {
+            program = Scheme.Track.encode e.Scheme.Watermarker.carrier;
+            bytes_before = e.Scheme.Watermarker.bytes_before;
+            bytes_after = e.Scheme.Watermarker.bytes_after;
+          },
+        Some e.Scheme.Watermarker.carrier )
   | Job.Recognize { expected } ->
       let r, nfaults =
         match W.sink with
@@ -351,7 +359,7 @@ let compute ?inject ?cache ?events ~id ~trace_key (job : Job.t) =
           emit events (Events.Counter { name = "recognitions.partial"; delta = 1 })
       | _ -> ());
       let value = r.Scheme.Watermarker.value in
-      Recognized { value; matched = match_against expected value }
+      (Recognized { value; matched = match_against expected value }, None)
   | Job.Tournament_cell cell ->
       let fingerprint = cell.Job.cell_fingerprint in
       (* control cells measure credibility: recognize the clean program,
@@ -401,29 +409,31 @@ let compute ?inject ?cache ?events ~id ~trace_key (job : Job.t) =
         | _ -> (timed ?events ~id ~stage:"recognize" (fun () -> W.recognize ?aux spec attacked), 0)
       in
       let recovered_fp = recovers r in
-      Tournament_measured
-        {
-          attack = cell.Job.cell_attack;
-          control = cell.Job.cell_control;
-          survived = (not cell.Job.cell_control) && recovered_fp;
-          false_positive = cell.Job.cell_control && recovered_fp;
-          confidence = r.Scheme.Watermarker.confidence;
-          nfaults;
-        }
+      ( Tournament_measured
+          {
+            attack = cell.Job.cell_attack;
+            control = cell.Job.cell_control;
+            survived = (not cell.Job.cell_control) && recovered_fp;
+            false_positive = cell.Job.cell_control && recovered_fp;
+            confidence = r.Scheme.Watermarker.confidence;
+            nfaults;
+          },
+        None )
   | Job.Audit { fingerprint } ->
       let e = embed_here fingerprint spec in
       let l =
         timed ?events ~id ~stage:"audit" (fun () ->
             Scheme.Track.locate ~passes:W.caps.Scheme.Watermarker.locator_passes ~clean:carrier e)
       in
-      Audited
-        {
-          passes = l.Scheme.Track.passes;
-          marked_fns = l.Scheme.Track.marked;
-          flagged_fns = l.Scheme.Track.flagged;
-          clean_flagged = l.Scheme.Track.clean_flagged;
-          ndiags = l.Scheme.Track.ndiags;
-        }
+      ( Audited
+          {
+            passes = l.Scheme.Track.passes;
+            marked_fns = l.Scheme.Track.marked;
+            flagged_fns = l.Scheme.Track.flagged;
+            clean_flagged = l.Scheme.Track.clean_flagged;
+            ndiags = l.Scheme.Track.ndiags;
+          },
+        None )
 
 (* ---- retry policy, deadline budget, circuit breaker ---- *)
 
@@ -552,7 +562,7 @@ let execute ?(policy = default_policy) ?inject ?breaker ?deadline_at ?cache ?eve
   Option.iter
     (fun t -> Events.emit t (Events.Job_start { id; label = job.Job.label; domain = (Domain.self () :> int) }))
     events;
-  let finish outcome ~attempts ~from_cache =
+  let finish ?built outcome ~attempts ~from_cache =
     let ms = (now () -. t0) *. 1000.0 in
     Option.iter
       (fun t ->
@@ -568,7 +578,7 @@ let execute ?(policy = default_policy) ?inject ?breaker ?deadline_at ?cache ?eve
                cached = from_cache;
              }))
       events;
-    { job; outcome; ms; attempts; from_cache }
+    { job; outcome; built; ms; attempts; from_cache }
   in
   let stage = Job.kind job in
   let over_deadline () = match deadline_at with Some t -> now () >= t | None -> false in
@@ -648,7 +658,7 @@ let execute ?(policy = default_policy) ?inject ?breaker ?deadline_at ?cache ?eve
         in
         let rec attempt n =
           match compute n with
-          | outcome ->
+          | outcome, built ->
               note_crash false;
               Option.iter
                 (fun c ->
@@ -673,7 +683,7 @@ let execute ?(policy = default_policy) ?inject ?breaker ?deadline_at ?cache ?eve
                   in
                   Cache.store_bytes ?events c ~stage ~key:keys.result bytes)
                 cache;
-              finish outcome ~attempts:n ~from_cache:false
+              finish ?built outcome ~attempts:n ~from_cache:false
           | exception e ->
               note_crash true;
               let reason = Printexc.to_string e in
@@ -752,8 +762,14 @@ let run ?(domains = 1) ?retries ?policy ?inject ?cache ?events jobs =
         | Error e ->
             (* a worker blew up outside [execute]'s own isolation; keep the
                batch alive and report the job as failed *)
-            { job; outcome = Failed { reason = Printexc.to_string e; attempts = 1 }; ms = 0.0;
-              attempts = 1; from_cache = false })
+            {
+              job;
+              outcome = Failed { reason = Printexc.to_string e; attempts = 1 };
+              built = None;
+              ms = 0.0;
+              attempts = 1;
+              from_cache = false;
+            })
       jobs
       (Pool.run_list ~domains thunks)
   in

@@ -52,6 +52,15 @@ type outcome =
 type result = {
   job : Job.t;
   outcome : outcome;
+  built : Scheme.Watermarker.carrier option;
+      (** the marked carrier an [Embed] job built in this call, whose
+          encoding is [Embedded.program]; [None] for the other kinds, a
+          failure and a result served from the cache (the cache keeps
+          only the bytes).  It shares every function the embedding left
+          untouched with the job's host, and so with every other carrier
+          built from that host: nothing in the library mutates a
+          program's code arrays in place (the attacks copy a function
+          before they rewrite it), and a caller must not either. *)
   ms : float;  (** execution wall-clock (≈0 when [from_cache]) *)
   attempts : int;  (** 0 when served from the result cache *)
   from_cache : bool;

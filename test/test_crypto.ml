@@ -121,9 +121,10 @@ let qcheck_roundtrip =
       let c = Crypto.Feistel.create ~key:0x5EEDL () in
       Crypto.Feistel.decrypt c (Crypto.Feistel.encrypt c v) = v)
 
-(* The four-wide batch decrypt against one block at a time: random keys,
-   every even width, odd and even round counts, and lengths that leave
-   each tail size after the groups of four, plus one harvest-sized batch.
+(* The eight-wide batch decrypt against one block at a time: random keys,
+   every even width, odd and even round counts, and every length up to 17,
+   which leaves each tail size after one and two groups of eight, plus one
+   harvest-sized batch.
    Blocks are drawn over the whole width, so values near 2^width - 1 and
    0 both occur; [dst] starts as garbage and [src] must stay untouched. *)
 let qcheck_decrypt_many =
@@ -132,7 +133,7 @@ let qcheck_decrypt_many =
       map4
         (fun key half rounds (n, seed) -> (Int64.of_int key, 2 * half, rounds, n, seed))
         (int_bound max_int) (int_range 2 31) (int_range 2 40)
-        (pair (oneof [ int_range 0 9; pure 1024 ]) (int_bound 100_000)))
+        (pair (oneof [ int_range 0 17; pure 1024 ]) (int_bound 100_000)))
   in
   let print (key, width, rounds, n, seed) =
     Printf.sprintf "key=%Ld width=%d rounds=%d n=%d seed=%d" key width rounds n seed
@@ -158,6 +159,11 @@ let test_decrypt_many_in_place () =
   let expected = Array.map (Crypto.Feistel.decrypt_unchecked c) blocks in
   Crypto.Feistel.decrypt_many c blocks blocks 11;
   Alcotest.(check (array int)) "src and dst may alias" expected blocks;
+  (* two groups of eight and a tail of three, in place *)
+  let blocks = Array.init 19 (fun i -> ((i + 1) * 0x2545F4914F6CDD1D) land ((1 lsl 62) - 1)) in
+  let expected = Array.map (Crypto.Feistel.decrypt_unchecked c) blocks in
+  Crypto.Feistel.decrypt_many c blocks blocks 19;
+  Alcotest.(check (array int)) "src and dst may alias at 19" expected blocks;
   let bad n () =
     try
       Crypto.Feistel.decrypt_many c blocks (Array.make 4 0) n;

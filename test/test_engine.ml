@@ -702,6 +702,47 @@ let test_refused_host_fails_every_job () =
     (Batch.run ~domains:2 ~cache:(Cache.create ()) ~events jobs);
   Alcotest.(check int) "refused once" 1 (trace_mem_misses events)
 
+(* [watermark_batch] returns the programs its jobs built, not a decode of
+   the bytes it encoded, unless a job was served from the cache: each
+   program must still equal the decode of its result's bytes, on a fresh
+   cache and a warm one, on one domain and two, and a built program keeps
+   the host's untouched functions themselves.  The host gains a function
+   nothing calls, so that one function is sure to stay untouched. *)
+let test_watermark_batch_returns_built_programs () =
+  let host =
+    Stackvm.Program.add_func host_program
+      (Stackvm.Program.func ~name:"idle" ~nargs:0 ~nlocals:0 [ Stackvm.Instr.Const 0; Stackvm.Instr.Ret ])
+  in
+  let jobs =
+    List.mapi
+      (fun i fingerprint ->
+        Job.make ~seed:(Pathmark.batch_seed 0x1234_5678L i) ~key ~bits:64 ~input:secret_input
+          (Scheme.Watermarker.Vm_program host)
+          (Job.Embed { fingerprint; pieces = 12 }))
+      fleet
+  in
+  let decoded = List.map (fun r -> Stackvm.Serialize.decode (embedded_bytes r)) (Batch.run jobs) in
+  let shares_host (p : Stackvm.Program.t) =
+    Array.exists (fun f -> Array.exists (( == ) f) host.Stackvm.Program.funcs) p.funcs
+  in
+  List.iter
+    (fun domains ->
+      let cache = Cache.create () in
+      let batch () =
+        Pathmark.watermark_batch ~domains ~cache ~key ~bits:64 ~pieces:12 ~input:secret_input
+          ~fingerprints:fleet host
+      in
+      let fresh = batch () in
+      let warm = batch () in
+      let name what = Printf.sprintf "%s, %d domain(s)" what domains in
+      Alcotest.(check bool) (name "fresh programs equal their decoded bytes") true (fresh = decoded);
+      Alcotest.(check bool) (name "warm programs equal their decoded bytes") true (warm = decoded);
+      Alcotest.(check bool)
+        (name "fresh programs share untouched functions with the host")
+        true (List.for_all shares_host fresh);
+      Alcotest.(check bool) (name "warm programs are decoded") false (List.exists shares_host warm))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "job digest is stable" `Quick test_digest_stable;
@@ -736,4 +777,6 @@ let suite =
     Alcotest.test_case "pool caller, lone and nested cases hold 50 times" `Quick test_pool_cases_repeat;
       Alcotest.test_case "prepared hosts keep key, width and input apart" `Quick test_prepared_host_cache_key;
     Alcotest.test_case "a refused host fails every job alike" `Quick test_refused_host_fails_every_job;
+    Alcotest.test_case "watermark_batch returns the programs it built" `Quick
+      test_watermark_batch_returns_built_programs;
   ]

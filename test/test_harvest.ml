@@ -122,17 +122,18 @@ let render (params : Params.t) segments =
     segments;
   bits
 
+let gen_segment =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, map (fun s -> Random s) (int_bound 100_000));
+      (2, map2 (fun b n -> Run (b, n)) bool (int_range 1 400));
+      (2, map3 (fun s p n -> Periodic (s, p, n)) (int_bound 100_000) (int_range 2 12) (int_range 1 40));
+      (3, map3 (fun s st c -> Plant (s, st, c)) (int_bound 100_000) (int_range 1 3) (int_range 1 3));
+    ]
+
 let gen_case =
   let open QCheck.Gen in
-  let segment =
-    frequency
-      [
-        (3, map (fun s -> Random s) (int_bound 100_000));
-        (2, map2 (fun b n -> Run (b, n)) bool (int_range 1 400));
-        (2, map3 (fun s p n -> Periodic (s, p, n)) (int_bound 100_000) (int_range 2 12) (int_range 1 40));
-        (3, map3 (fun s st c -> Plant (s, st, c)) (int_bound 100_000) (int_range 1 3) (int_range 1 3));
-      ]
-  in
   (* strides: any subset of {1, 2, 3}, in any order *)
   let strides = map (List.filter_map Fun.id) (flatten_l [ opt (pure 1); opt (pure 2); opt (pure 3) ]) in
   let strides = strides >>= shuffle_l in
@@ -142,7 +143,7 @@ let gen_case =
     strides bool
     (oneof
        [
-         map (fun segs -> `Segments segs) (list_size (int_range 0 8) segment);
+         map (fun segs -> `Segments segs) (list_size (int_range 0 8) gen_segment);
          (* lengths around block_bits * stride, where the last window fits
             or just fails to *)
          map2 (fun seed d -> `Around (seed, d)) (int_bound 100_000) (int_range (-3) 3);
@@ -457,6 +458,116 @@ let test_one_pass_matches_chain () =
   let o = check_against_chain "rejected program" ~fuel ~bits:e.bits ~input:e.input rejected in
   Alcotest.(check bool) "the degraded arm ran" true (o.Jwm.Recognize.diagnostic <> None)
 
+(* ---- flushes anywhere ----
+
+   A read of [count] flushes the buffered bits wherever it falls, and a
+   full buffer flushes itself: the lanes' chains, the memo's contents and
+   the overlap dedup state must carry across every flush, so that where
+   the flushes fall never changes the statements.  The reads land at
+   random positions, halfway through a window, right after a window that
+   claimed a memo slot (the first occurrence of its block on the first
+   lane, so a miss), and, in the long cases, whose segments follow a
+   random prefix that brings them up to the buffer's cap, one bit before,
+   at and after the cap. *)
+
+type flush_case = {
+  fp : int;  (* index into [params_table] *)
+  fstrides : int list;
+  fdedup : bool;
+  segments : segment list;
+  prefix : int;  (* random bits before the segments: 0, or about the buffer's cap *)
+  fseed : int;  (* the prefix bits and the read positions *)
+}
+
+let gen_flush_case =
+  let open QCheck.Gen in
+  let* long = frequency [ (1, pure true); (7, pure false) ] in
+  let* fp = int_bound (Array.length params_table - 1) in
+  let* fstrides = oneofl [ [ 1; 2 ]; [ 1 ]; [ 3 ] ] in
+  let* fdedup = bool in
+  let* segments = list_size (int_range 1 8) gen_segment in
+  let* back = int_bound 400 in
+  let* fseed = int_bound 100_000 in
+  return { fp; fstrides; fdedup; segments; prefix = (if long then Harvester.buffer_bits - back else 0); fseed }
+
+let print_flush_case c =
+  Printf.sprintf "params=%s strides=[%s] dedup=%b segments=%d prefix=%d seed=%d"
+    (fst params_table.(c.fp))
+    (String.concat ";" (List.map string_of_int c.fstrides))
+    c.fdedup (List.length c.segments) c.prefix c.fseed
+
+(* the read positions, as numbers of bits pushed before the read *)
+let read_positions (params : Params.t) c bits =
+  let len = Util.Bitstring.length bits in
+  let rng = Util.Prng.create (Int64.of_int c.fseed) in
+  let stride = List.hd c.fstrides in
+  let reach = (params.block_bits - 1) * stride in
+  (* windows completed within the segments (and the prefix's last few),
+     each first occurrence of a block a miss that claims its slot *)
+  let seen = Hashtbl.create 256 and claims = ref [] in
+  for pos = max 0 (c.prefix - reach) to len - 1 - reach do
+    match Util.Bitstring.window bits ~pos ~stride ~width:params.block_bits with
+    | Some block when not (Hashtbl.mem seen block) ->
+        Hashtbl.replace seen block ();
+        claims := pos :: !claims
+    | _ -> ()
+  done;
+  let claims = Array.of_list !claims in
+  let picked =
+    List.init (min 6 (Array.length claims)) (fun _ ->
+        let pos = claims.(Util.Prng.int rng (Array.length claims)) in
+        (* right after the claiming window's last bit, and halfway through it *)
+        [ pos + reach + 1; pos + (reach / 2) ])
+  in
+  let random = List.init (Util.Prng.int rng 5) (fun _ -> Util.Prng.int rng (len + 1)) in
+  let cap =
+    if len > Harvester.buffer_bits then
+      List.filter (fun _ -> Util.Prng.bool rng) [ Harvester.buffer_bits - 1; Harvester.buffer_bits; Harvester.buffer_bits + 1 ]
+    else []
+  in
+  List.sort_uniq compare (List.filter (fun p -> p <= len) (List.concat picked @ random @ cap))
+
+let qcheck_flushes_anywhere =
+  QCheck.Test.make ~name:"reads and full buffers may flush anywhere" ~count:200
+    (QCheck.make ~print:print_flush_case gen_flush_case)
+    (fun c ->
+      let _, params = params_table.(c.fp) in
+      let bits = Util.Bitstring.create () in
+      let rng = Util.Prng.create (Int64.of_int (c.fseed + 1)) in
+      for _ = 1 to c.prefix do
+        Util.Bitstring.append bits (Util.Prng.bool rng)
+      done;
+      Util.Bitstring.iter (Util.Bitstring.append bits) (render params c.segments);
+      let reads = read_positions params c bits in
+      let h = Harvester.create ~dedup_overlaps:c.fdedup params ~strides:c.fstrides in
+      let pending = ref reads and counts = ref [] in
+      let pushed = ref 0 in
+      let read_due () =
+        while match !pending with p :: _ -> p = !pushed | [] -> false do
+          counts := Harvester.count h :: !counts;
+          pending := List.tl !pending
+        done
+      in
+      Util.Bitstring.iter
+        (fun b ->
+          read_due ();
+          Harvester.push h b;
+          incr pushed)
+        bits;
+      read_due ();
+      let got = Harvester.statements h in
+      let once = Recombine.harvest ~dedup_overlaps:c.fdedup params bits ~strides:c.fstrides in
+      let expected = Reference.harvest ~dedup_overlaps:c.fdedup params bits ~strides:c.fstrides in
+      let counts = List.rev !counts in
+      (got = once && once = expected
+      && Harvester.count h = List.length got
+      && Harvester.length h = Util.Bitstring.length bits
+      && List.sort compare counts = counts)
+      || QCheck.Test.fail_reportf "%s len=%d reads=[%s]\nreference: %s\nread-flushed: %s\nread once: %s"
+           (print_flush_case c) (Util.Bitstring.length bits)
+           (String.concat ";" (List.map string_of_int reads))
+           (show expected) (show got) (show once))
+
 let suite =
   [
     ("planted bit-strings produce hits", `Quick, test_generator_hits);
@@ -468,4 +579,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_decoder_matches_hashtbl;
     ("the all-ones site decodes outside the table", `Quick, test_all_ones_site);
     ("one-pass recognition matches the materialized chain", `Quick, test_one_pass_matches_chain);
+    QCheck_alcotest.to_alcotest qcheck_flushes_anywhere;
   ]
