@@ -193,7 +193,16 @@ let report_recovered (o : Scheme.Watermarker.recovered) =
 
 (* ---- VM track ---- *)
 
-let load_vm path = Stackvm.Serialize.decode (read_file path)
+(* A file that does not decode is an operational error: one line with the
+   decoder's reason, exit 1. *)
+let decode_file what decode path =
+  match decode (read_file path) with
+  | v -> v
+  | exception Failure reason ->
+      Printf.eprintf "%s: not a valid %s (%s)\n" path what reason;
+      exit 1
+
+let load_vm = decode_file "VM program" Stackvm.Serialize.decode
 
 let vm_path_t =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"PROGRAM" ~doc:"Serialized VM program.")
@@ -414,11 +423,13 @@ let recognize_cmd =
 
 (* ---- native track ---- *)
 
+let load_binary = decode_file "native binary" Nativesim.Binary.decode
+
 let binary_path_t =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"BINARY" ~doc:"Native binary file.")
 
 let run_native path input =
-  let bin = Nativesim.Binary.decode (read_file path) in
+  let bin = load_binary path in
   let r = Nativesim.Machine.run bin ~input in
   List.iter (Printf.printf "%d\n") r.Nativesim.Machine.outputs;
   match r.Nativesim.Machine.outcome with
@@ -434,7 +445,7 @@ let run_native_cmd =
   Cmd.v (Cmd.info "run-native" ~doc:"Execute a native binary.") Term.(const run_native $ binary_path_t $ input_t)
 
 let disasm path =
-  let bin = Nativesim.Binary.decode (read_file path) in
+  let bin = load_binary path in
   Format.printf "%a" Nativesim.Disasm.pp_listing bin
 
 let disasm_cmd =
@@ -729,7 +740,7 @@ let analyze files native workload all_workloads scheme json =
     (fun path ->
       if native then
         report path
-          (Analysis.Nlint.lint ~corpus:(corpus_for ()) (Nativesim.Binary.decode (read_file path)))
+          (Analysis.Nlint.lint ~corpus:(corpus_for ()) (load_binary path))
       else report path (vm_diags (load_vm path)))
     files;
   Option.iter (fun name -> lint_workload (find_workload name)) workload;

@@ -68,20 +68,7 @@ let describe_outcome = function
    spill-file bytes must fail soft (return [None]), and [Marshal] cannot
    promise that. *)
 
-let add_varint buf v =
-  let rec go v =
-    if v < 0x80 then Buffer.add_char buf (Char.chr v)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (v land 0x7F)));
-      go (v lsr 7)
-    end
-  in
-  if v < 0 then invalid_arg "Batch.add_varint: negative";
-  go v
-
-let add_str buf s =
-  add_varint buf (String.length s);
-  Buffer.add_string buf s
+module V = Util.Varint
 
 let add_opt buf add = function
   | None -> Buffer.add_char buf '\000'
@@ -89,7 +76,7 @@ let add_opt buf add = function
       Buffer.add_char buf '\001';
       add buf v
 
-let add_big buf w = add_str buf (Bignum.to_string w)
+let add_big buf w = V.add_string buf (Bignum.to_string w)
 let add_bool buf b = Buffer.add_char buf (if b then '\001' else '\000')
 
 let encode_outcome o =
@@ -98,9 +85,9 @@ let encode_outcome o =
   (match o with
   | Embedded { program; bytes_before; bytes_after } ->
       Buffer.add_char buf 'E';
-      add_str buf program;
-      add_varint buf bytes_before;
-      add_varint buf bytes_after
+      V.add_string buf program;
+      V.add buf bytes_before;
+      V.add buf bytes_after
   | Recognized { value; matched } ->
       Buffer.add_char buf 'R';
       add_opt buf add_big value;
@@ -108,63 +95,42 @@ let encode_outcome o =
   | Audited { passes; marked_fns; flagged_fns; clean_flagged; ndiags } ->
       Buffer.add_char buf 'U';
       let add_list l =
-        add_varint buf (List.length l);
-        List.iter (add_str buf) l
+        V.add buf (List.length l);
+        List.iter (V.add_string buf) l
       in
       add_list passes;
       add_list marked_fns;
       add_list flagged_fns;
       add_list clean_flagged;
-      add_varint buf ndiags
+      V.add buf ndiags
   | Tournament_measured { attack; control; survived; false_positive; confidence; nfaults } ->
       Buffer.add_char buf 'T';
-      add_str buf attack;
+      V.add_string buf attack;
       add_bool buf control;
       add_bool buf survived;
       add_bool buf false_positive;
       (* hex float: exact round-trip through the text form *)
-      add_str buf (Printf.sprintf "%h" confidence);
-      add_varint buf nfaults
+      V.add_string buf (Printf.sprintf "%h" confidence);
+      V.add buf nfaults
   | Failed { reason; attempts } ->
       Buffer.add_char buf 'F';
-      add_str buf reason;
-      add_varint buf attempts);
+      V.add_string buf reason;
+      V.add buf attempts);
   Buffer.contents buf
 
-exception Malformed
-
 let decode_outcome s =
-  let pos = ref 0 in
-  let byte () =
-    if !pos >= String.length s then raise Malformed;
-    let b = Char.code s.[!pos] in
-    incr pos;
-    b
-  in
-  let varint () =
-    let rec go shift acc =
-      let b = byte () in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0
-  in
-  let str () =
-    let n = varint () in
-    if n < 0 || !pos + n > String.length s then raise Malformed;
-    let v = String.sub s !pos n in
-    pos := !pos + n;
-    v
-  in
-  let opt read = match byte () with 0 -> None | 1 -> Some (read ()) | _ -> raise Malformed in
-  let big () = try Bignum.of_string (str ()) with _ -> raise Malformed in
-  let boolean () = match byte () with 0 -> false | 1 -> true | _ -> raise Malformed in
+  let r = V.reader ~pos:4 s in
+  let malformed () = raise (V.Malformed "bad outcome") in
+  let varint () = V.varint r in
+  let str () = V.string r in
+  let opt read = match V.byte r with 0 -> None | 1 -> Some (read ()) | _ -> malformed () in
+  let big () = try Bignum.of_string (str ()) with _ -> malformed () in
+  let boolean () = match V.byte r with 0 -> false | 1 -> true | _ -> malformed () in
   try
     if String.length s < 5 || String.sub s 0 4 <> "PBO1" then None
     else begin
-      pos := 4;
       let o =
-        match Char.chr (byte ()) with
+        match Char.chr (V.byte r) with
         | 'E' ->
             let program = str () in
             let bytes_before = varint () in
@@ -188,7 +154,7 @@ let decode_outcome s =
             let survived = boolean () in
             let false_positive = boolean () in
             let confidence =
-              match float_of_string_opt (str ()) with Some c -> c | None -> raise Malformed
+              match float_of_string_opt (str ()) with Some c -> c | None -> malformed ()
             in
             let nfaults = varint () in
             Tournament_measured { attack; control; survived; false_positive; confidence; nfaults }
@@ -196,11 +162,11 @@ let decode_outcome s =
             let reason = str () in
             let attempts = varint () in
             Failed { reason; attempts }
-        | _ -> raise Malformed
+        | _ -> malformed ()
       in
-      if !pos <> String.length s then None else Some o
+      if V.remaining r <> 0 then None else Some o
     end
-  with Malformed -> None
+  with V.Malformed _ -> None
 
 (* ---- job execution ---- *)
 
@@ -236,18 +202,23 @@ let scheme_spec (job : Job.t) ~redundancy =
 (* Offline recognition over a captured branch stream: the fault plan
    corrupts the replayed stream (salted per job), the corruption is
    surfaced as an event, and the scheme recognizes what survives.
-   Returns the recognition and the number of corrupted branch events. *)
-let recognize_replayed ?events ~id ~label ~plan ~salt ~capture sink spec =
-  let trace = timed ?events ~id ~stage:"trace" capture in
-  let trace, nfaults =
-    match plan with None -> (trace, 0) | Some plan -> Fault.Inject.branches plan ~salt trace
-  in
-  if nfaults > 0 then
-    emit events
-      (Events.Fault_injected
-         { id; label; layer = "trace"; detail = Printf.sprintf "%d branch event(s) corrupted" nfaults });
-  ( timed ?events ~id ~stage:"recognize" (fun () -> Scheme.Watermarker.recognize_events sink spec trace),
-    nfaults )
+   Returns the recognition and the number of corrupted branch events.  A
+   program the engine refuses has no stream; [refused] recognizes it
+   instead, so the scheme reports why, as the CLI does. *)
+let recognize_replayed ?events ~id ~label ~plan ~salt ~capture ~refused sink spec =
+  match timed ?events ~id ~stage:"trace" capture with
+  | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+  | exception _ -> (timed ?events ~id ~stage:"recognize" refused, 0)
+  | trace ->
+      let trace, nfaults =
+        match plan with None -> (trace, 0) | Some plan -> Fault.Inject.branches plan ~salt trace
+      in
+      if nfaults > 0 then
+        emit events
+          (Events.Fault_injected
+             { id; label; layer = "trace"; detail = Printf.sprintf "%d branch event(s) corrupted" nfaults });
+      ( timed ?events ~id ~stage:"recognize" (fun () -> Scheme.Watermarker.recognize_events sink spec trace),
+        nfaults )
 
 (* Recognition through the scheme's noisy tracer: every observation pass
    gets its own garbler, salted per pass, so the views are independent
@@ -348,6 +319,7 @@ let compute ?inject ?cache ?events ~id ~trace_key (job : Job.t) =
                   (match cache with
                   | Some c -> Cache.with_bytes ?events c ~stage:"trace" ~key:trace_key capture
                   | None -> capture ()))
+              ~refused:(fun () -> W.recognize spec carrier)
               sink spec
         | None -> (timed ?events ~id ~stage:"recognize" (fun () -> W.recognize spec carrier), 0)
       in
@@ -397,6 +369,7 @@ let compute ?inject ?cache ?events ~id ~trace_key (job : Job.t) =
               recognize_replayed ?events ~id ~label:job.Job.label ~plan:(Some plan)
                 ~salt:("cell:" ^ salt)
                 ~capture:(fun () -> Scheme.Track.branch_events spec attacked)
+                ~refused:(fun () -> W.recognize ?aux spec attacked)
                 sink spec
             in
             if recovers r && nfaults > 0 then

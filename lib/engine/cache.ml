@@ -76,15 +76,8 @@ type t = {
   mutable evictions : int;
 }
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
 let create ?spill_dir ?store ?(capacity = 4096) () =
-  Option.iter mkdir_p spill_dir;
+  Option.iter Store.Registry.mkdir_p spill_dir;
   {
     mutex = Mutex.create ();
     spill_dir;

@@ -13,68 +13,36 @@ let text_end t = Layout.text_base + String.length t.text
 let size t = String.length t.text + String.length t.data
 
 (* container format: magic, varints and length-prefixed strings *)
-let add_varint buf v =
-  let rec go v =
-    if v < 0x80 then Buffer.add_char buf (Char.chr v)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (v land 0x7F)));
-      go (v lsr 7)
-    end
-  in
-  if v < 0 then invalid_arg "Binary.encode: negative field";
-  go v
-
-let add_string buf s =
-  add_varint buf (String.length s);
-  Buffer.add_string buf s
-
 let encode t =
   let buf = Buffer.create (size t + 64) in
   Buffer.add_string buf "NBIN";
-  add_varint buf t.entry;
-  add_string buf t.text;
-  add_string buf t.data;
-  add_varint buf (List.length t.symbols);
+  Util.Varint.add buf t.entry;
+  Util.Varint.add_string buf t.text;
+  Util.Varint.add_string buf t.data;
+  Util.Varint.add buf (List.length t.symbols);
   List.iter
     (fun (name, addr) ->
-      add_string buf name;
-      add_varint buf addr)
+      Util.Varint.add_string buf name;
+      Util.Varint.add buf addr)
     t.symbols;
   Buffer.contents buf
 
 let decode s =
-  let pos = ref 0 in
-  let byte () =
-    if !pos >= String.length s then failwith "Binary.decode: truncated";
-    let b = Char.code s.[!pos] in
-    incr pos;
-    b
-  in
-  let varint () =
-    let rec go shift acc =
-      let b = byte () in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0
-  in
-  let string_ () =
-    let len = varint () in
-    if !pos + len > String.length s then failwith "Binary.decode: truncated string";
-    let r = String.sub s !pos len in
-    pos := !pos + len;
-    r
-  in
   if String.length s < 4 || String.sub s 0 4 <> "NBIN" then failwith "Binary.decode: bad magic";
-  pos := 4;
-  let entry = varint () in
-  let text = string_ () in
-  let data = string_ () in
-  let nsyms = varint () in
-  let symbols = ref [] in
-  for _ = 1 to nsyms do
-    let name = string_ () in
-    let addr = varint () in
-    symbols := (name, addr) :: !symbols
-  done;
-  make ~symbols:(List.rev !symbols) ~entry ~text ~data ()
+  let r = Util.Varint.reader ~pos:4 s in
+  match
+    let entry = Util.Varint.varint r in
+    let text = Util.Varint.string r in
+    let data = Util.Varint.string r in
+    let nsyms = Util.Varint.varint r in
+    let symbols = ref [] in
+    for _ = 1 to nsyms do
+      let name = Util.Varint.string r in
+      let addr = Util.Varint.varint r in
+      symbols := (name, addr) :: !symbols
+    done;
+    make ~symbols:(List.rev !symbols) ~entry ~text ~data ()
+  with
+  | t -> t
+  | exception Util.Varint.Malformed reason -> failwith ("Binary.decode: " ^ reason)
+  | exception Invalid_argument reason -> failwith reason

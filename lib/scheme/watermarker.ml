@@ -43,10 +43,6 @@ let native_binary = function
   | Native_source a -> Nativesim.Asm.assemble a
   | Vm_program _ -> invalid_arg "Scheme.Watermarker.native_binary: a VM carrier"
 
-let carrier_size = function
-  | Vm_program p -> Stackvm.Serialize.size_in_bytes p
-  | c -> Nativesim.Binary.size (native_binary c)
-
 type embedding = {
   carrier : carrier;
   aux : string;

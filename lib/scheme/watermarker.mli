@@ -72,9 +72,6 @@ val native_binary : carrier -> Nativesim.Binary.t
 (** A native carrier as a binary (assembly is assembled); raises
     [Invalid_argument] on a VM program. *)
 
-val carrier_size : carrier -> int
-(** Serialized size in bytes (program image or binary image). *)
-
 type embedding = {
   carrier : carrier;  (** the watermarked artifact *)
   aux : string;

@@ -6,97 +6,59 @@ let max_frame = 64 * 1024 * 1024
 
 (* ---- payload codec ---- *)
 
-exception Malformed of string
+module V = Util.Varint
 
-let add_varint buf v =
-  let rec go v =
-    if v < 0x80 then Buffer.add_char buf (Char.chr v)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (v land 0x7F)));
-      go (v lsr 7)
-    end
-  in
-  if v < 0 then invalid_arg "Wire.add_varint: negative";
-  go v
-
-let add_str buf s =
-  add_varint buf (String.length s);
-  Buffer.add_string buf s
-
-let add_kind buf k = add_str buf (Store.Artifact.kind_to_string k)
+let add_kind buf k = V.add_string buf (Store.Artifact.kind_to_string k)
 let add_int_list buf xs =
-  add_varint buf (List.length xs);
-  List.iter (fun x -> add_str buf (string_of_int x)) xs
+  V.add buf (List.length xs);
+  List.iter (fun x -> V.add_string buf (string_of_int x)) xs
 
 let add_info buf (i : Proto.entry_info) =
   add_kind buf i.Proto.kind;
-  add_str buf i.key;
-  add_str buf i.label;
-  add_varint buf i.size;
-  add_varint buf i.seq
+  V.add_string buf i.key;
+  V.add_string buf i.label;
+  V.add buf i.size;
+  V.add buf i.seq
 
-type reader = { s : string; mutable pos : int }
-
-let byte r =
-  if r.pos >= String.length r.s then raise (Malformed "truncated");
-  let b = Char.code r.s.[r.pos] in
-  r.pos <- r.pos + 1;
-  b
-
-let varint r =
-  let rec go shift acc =
-    let b = byte r in
-    let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
-
-let str r =
-  let n = varint r in
-  if n < 0 || r.pos + n > String.length r.s then raise (Malformed "truncated string");
-  let v = String.sub r.s r.pos n in
-  r.pos <- r.pos + n;
-  v
+let malformed msg = raise (V.Malformed msg)
 
 let kind r =
-  match Store.Artifact.kind_of_string (str r) with
+  match Store.Artifact.kind_of_string (V.string r) with
   | Some k -> k
-  | None -> raise (Malformed "unknown artifact kind")
+  | None -> malformed "unknown artifact kind"
 
 let int_of_str r =
-  let s = str r in
-  match int_of_string_opt s with Some v -> v | None -> raise (Malformed ("bad integer " ^ s))
+  let s = V.string r in
+  match int_of_string_opt s with Some v -> v | None -> malformed ("bad integer " ^ s)
 
 let int_list r =
-  let n = varint r in
-  if n < 0 || n > String.length r.s - r.pos then raise (Malformed "bad list length");
+  let n = V.varint r in
+  if n > V.remaining r then malformed "bad list length";
   List.init n (fun _ -> int_of_str r)
 
 let info r =
   let kind = kind r in
-  let key = str r in
-  let label = str r in
-  let size = varint r in
-  let seq = varint r in
+  let key = V.string r in
+  let label = V.string r in
+  let size = V.varint r in
+  let seq = V.varint r in
   { Proto.kind; key; label; size; seq }
 
 let bignum r =
-  let s = str r in
-  try Bignum.of_string s with _ -> raise (Malformed ("bad bignum " ^ s))
+  let s = V.string r in
+  try Bignum.of_string s with _ -> malformed ("bad bignum " ^ s)
 
 let finish r v =
-  if r.pos <> String.length r.s then raise (Malformed "trailing bytes");
+  if V.remaining r <> 0 then malformed "trailing bytes";
   v
 
 let with_reader payload f =
   try
-    let r = { s = payload; pos = 0 } in
-    let v = byte r in
+    let r = V.reader payload in
+    let v = V.byte r in
     if v <> version then Error (Printf.sprintf "protocol version %d, expected %d" v version)
     else Ok (finish r (f r))
-  with
-  | Malformed msg -> Error msg
-  | Invalid_argument msg -> Error msg
+  with V.Malformed msg -> Error msg
 
 let payload f =
   let buf = Buffer.create 64 in
@@ -112,100 +74,100 @@ let encode_request req =
       | Proto.Put_artifact { kind; key; label; payload } ->
           Buffer.add_char buf 'P';
           add_kind buf kind;
-          add_str buf key;
-          add_str buf label;
-          add_str buf payload
+          V.add_string buf key;
+          V.add_string buf label;
+          V.add_string buf payload
       | Proto.Get_artifact { kind; key } ->
           Buffer.add_char buf 'G';
           add_kind buf kind;
-          add_str buf key
+          V.add_string buf key
       | Proto.Embed { scheme; program; key; bits; pieces; fingerprint; input; seed } ->
           Buffer.add_char buf 'E';
-          add_str buf scheme;
-          add_str buf key;
-          add_varint buf bits;
-          add_varint buf pieces;
-          add_str buf (Bignum.to_string fingerprint);
-          add_str buf (Int64.to_string seed);
+          V.add_string buf scheme;
+          V.add_string buf key;
+          V.add buf bits;
+          V.add buf pieces;
+          V.add_string buf (Bignum.to_string fingerprint);
+          V.add_string buf (Int64.to_string seed);
           add_int_list buf input;
-          add_str buf program
+          V.add_string buf program
       | Proto.Recognize { scheme; source; key; bits; input } ->
           Buffer.add_char buf 'R';
-          add_str buf scheme;
+          V.add_string buf scheme;
           (match source with
           | `Bytes b ->
               Buffer.add_char buf 'b';
-              add_str buf b
+              V.add_string buf b
           | `Stored d ->
               Buffer.add_char buf 's';
-              add_str buf d);
-          add_str buf key;
-          add_varint buf bits;
+              V.add_string buf d);
+          V.add_string buf key;
+          V.add buf bits;
           add_int_list buf input
       | Proto.Stats -> Buffer.add_char buf 'S'
       | Proto.List_artifacts -> Buffer.add_char buf 'L'
       | Proto.Ping -> Buffer.add_char buf 'I'
       | Proto.Journal_fetch { from_; max_bytes } ->
           Buffer.add_char buf 'J';
-          add_varint buf from_;
-          add_varint buf max_bytes
+          V.add buf from_;
+          V.add buf max_bytes
       | Proto.Blob_fetch { digest } ->
           Buffer.add_char buf 'B';
-          add_str buf digest
+          V.add_string buf digest
       | Proto.Promote -> Buffer.add_char buf 'M'
       | Proto.Shutdown -> Buffer.add_char buf 'Q')
 
 let decode_request s =
   with_reader s (fun r ->
-      match Char.chr (byte r) with
+      match Char.chr (V.byte r) with
       | 'P' ->
           let kind = kind r in
-          let key = str r in
-          let label = str r in
-          let payload = str r in
+          let key = V.string r in
+          let label = V.string r in
+          let payload = V.string r in
           Proto.Put_artifact { kind; key; label; payload }
       | 'G' ->
           let kind = kind r in
-          let key = str r in
+          let key = V.string r in
           Proto.Get_artifact { kind; key }
       | 'E' ->
-          let scheme = str r in
-          let key = str r in
-          let bits = varint r in
-          let pieces = varint r in
+          let scheme = V.string r in
+          let key = V.string r in
+          let bits = V.varint r in
+          let pieces = V.varint r in
           let fingerprint = bignum r in
           let seed =
-            let s = str r in
+            let s = V.string r in
             match Int64.of_string_opt s with
             | Some v -> v
-            | None -> raise (Malformed ("bad seed " ^ s))
+            | None -> malformed ("bad seed " ^ s)
           in
           let input = int_list r in
-          let program = str r in
+          let program = V.string r in
           Proto.Embed { scheme; program; key; bits; pieces; fingerprint; input; seed }
       | 'R' ->
-          let scheme = str r in
+          let scheme = V.string r in
           let source =
-            match Char.chr (byte r) with
-            | 'b' -> `Bytes (str r)
-            | 's' -> `Stored (str r)
-            | _ -> raise (Malformed "bad recognize source tag")
+            match Char.chr (V.byte r) with
+            | 'b' -> `Bytes (V.string r)
+            | 's' -> `Stored (V.string r)
+            | _ -> malformed "bad recognize source tag"
           in
-          let key = str r in
-          let bits = varint r in
+          let key = V.string r in
+          let bits = V.varint r in
           let input = int_list r in
           Proto.Recognize { scheme; source; key; bits; input }
       | 'S' -> Proto.Stats
       | 'L' -> Proto.List_artifacts
       | 'I' -> Proto.Ping
       | 'J' ->
-          let from_ = varint r in
-          let max_bytes = varint r in
+          let from_ = V.varint r in
+          let max_bytes = V.varint r in
           Proto.Journal_fetch { from_; max_bytes }
-      | 'B' -> Proto.Blob_fetch { digest = str r }
+      | 'B' -> Proto.Blob_fetch { digest = V.string r }
       | 'M' -> Proto.Promote
       | 'Q' -> Proto.Shutdown
-      | _ -> raise (Malformed "bad request tag"))
+      | _ -> malformed "bad request tag")
 
 (* ---- responses ---- *)
 
@@ -218,21 +180,21 @@ let encode_response resp =
       | Proto.Artifact { info; payload } ->
           Buffer.add_char buf 'a';
           add_info buf info;
-          add_str buf payload
+          V.add_string buf payload
       | Proto.Embedded { digest; label; bytes_before; bytes_after } ->
           Buffer.add_char buf 'e';
-          add_str buf digest;
-          add_str buf label;
-          add_varint buf bytes_before;
-          add_varint buf bytes_after
+          V.add_string buf digest;
+          V.add_string buf label;
+          V.add buf bytes_before;
+          V.add buf bytes_after
       | Proto.Recognized { value; confidence; registered } ->
           Buffer.add_char buf 'r';
           (match value with
           | None -> Buffer.add_char buf '\x00'
           | Some v ->
               Buffer.add_char buf '\x01';
-              add_str buf (Bignum.to_string v));
-          add_str buf (Printf.sprintf "%h" confidence);
+              V.add_string buf (Bignum.to_string v));
+          V.add_string buf (Printf.sprintf "%h" confidence);
           (match registered with
           | None -> Buffer.add_char buf '\x00'
           | Some i ->
@@ -240,104 +202,104 @@ let encode_response resp =
               add_info buf i)
       | Proto.Stats_reply { entries; journal_bytes; payload_bytes; puts; gets; requests; errors } ->
           Buffer.add_char buf 't';
-          List.iter (add_varint buf) [ entries; journal_bytes; payload_bytes; puts; gets; requests; errors ]
+          List.iter (V.add buf) [ entries; journal_bytes; payload_bytes; puts; gets; requests; errors ]
       | Proto.Listing infos ->
           Buffer.add_char buf 'l';
-          add_varint buf (List.length infos);
+          V.add buf (List.length infos);
           List.iter (add_info buf) infos
       | Proto.Pong { role; entries; journal_bytes; state_digest } ->
           Buffer.add_char buf 'g';
-          add_str buf role;
-          add_varint buf entries;
-          add_varint buf journal_bytes;
-          add_str buf state_digest
+          V.add_string buf role;
+          V.add buf entries;
+          V.add buf journal_bytes;
+          V.add_string buf state_digest
       | Proto.Journal_data { from_; total; data } ->
           Buffer.add_char buf 'j';
-          add_varint buf from_;
-          add_varint buf total;
-          add_str buf data
+          V.add buf from_;
+          V.add buf total;
+          V.add_string buf data
       | Proto.Blob_data { digest; payload } ->
           Buffer.add_char buf 'b';
-          add_str buf digest;
+          V.add_string buf digest;
           (match payload with
           | None -> Buffer.add_char buf '\x00'
           | Some p ->
               Buffer.add_char buf '\x01';
-              add_str buf p)
+              V.add_string buf p)
       | Proto.Promoted -> Buffer.add_char buf 'm'
       | Proto.Overloaded { inflight; limit } ->
           Buffer.add_char buf 'o';
-          add_varint buf inflight;
-          add_varint buf limit
+          V.add buf inflight;
+          V.add buf limit
       | Proto.Shutting_down -> Buffer.add_char buf 'q'
       | Proto.Error { code; message } ->
           Buffer.add_char buf 'x';
-          add_str buf code;
-          add_str buf message)
+          V.add_string buf code;
+          V.add_string buf message)
 
 let decode_response s =
   with_reader s (fun r ->
-      match Char.chr (byte r) with
+      match Char.chr (V.byte r) with
       | 's' -> Proto.Stored (info r)
       | 'a' ->
           let i = info r in
-          let payload = str r in
+          let payload = V.string r in
           Proto.Artifact { info = i; payload }
       | 'e' ->
-          let digest = str r in
-          let label = str r in
-          let bytes_before = varint r in
-          let bytes_after = varint r in
+          let digest = V.string r in
+          let label = V.string r in
+          let bytes_before = V.varint r in
+          let bytes_after = V.varint r in
           Proto.Embedded { digest; label; bytes_before; bytes_after }
       | 'r' ->
-          let value = match byte r with 0 -> None | _ -> Some (bignum r) in
+          let value = match V.byte r with 0 -> None | _ -> Some (bignum r) in
           let confidence =
-            let s = str r in
+            let s = V.string r in
             match float_of_string_opt s with
             | Some f -> f
-            | None -> raise (Malformed ("bad float " ^ s))
+            | None -> malformed ("bad float " ^ s)
           in
-          let registered = match byte r with 0 -> None | _ -> Some (info r) in
+          let registered = match V.byte r with 0 -> None | _ -> Some (info r) in
           Proto.Recognized { value; confidence; registered }
       | 't' ->
-          let entries = varint r in
-          let journal_bytes = varint r in
-          let payload_bytes = varint r in
-          let puts = varint r in
-          let gets = varint r in
-          let requests = varint r in
-          let errors = varint r in
+          let entries = V.varint r in
+          let journal_bytes = V.varint r in
+          let payload_bytes = V.varint r in
+          let puts = V.varint r in
+          let gets = V.varint r in
+          let requests = V.varint r in
+          let errors = V.varint r in
           Proto.Stats_reply { entries; journal_bytes; payload_bytes; puts; gets; requests; errors }
       | 'l' ->
-          let n = varint r in
-          if n < 0 || n > String.length r.s - r.pos then raise (Malformed "bad listing length");
+          let n = V.varint r in
+          if n > V.remaining r then malformed "bad listing length";
           Proto.Listing (List.init n (fun _ -> info r))
       | 'g' ->
-          let role = str r in
-          let entries = varint r in
-          let journal_bytes = varint r in
-          let state_digest = str r in
+          let role = V.string r in
+          let entries = V.varint r in
+          let journal_bytes = V.varint r in
+          let state_digest = V.string r in
           Proto.Pong { role; entries; journal_bytes; state_digest }
       | 'j' ->
-          let from_ = varint r in
-          let total = varint r in
-          let data = str r in
+          let from_ = V.varint r in
+          let total = V.varint r in
+          let data = V.string r in
           Proto.Journal_data { from_; total; data }
       | 'b' ->
-          let digest = str r in
-          let payload = match byte r with 0 -> None | _ -> Some (str r) in
+          let digest = V.string r in
+          let payload = match V.byte r with 0 -> None | _ -> Some (V.string r) in
           Proto.Blob_data { digest; payload }
       | 'm' -> Proto.Promoted
       | 'o' ->
-          let inflight = varint r in
-          let limit = varint r in
+          let inflight = V.varint r in
+          let limit = V.varint r in
           Proto.Overloaded { inflight; limit }
       | 'q' -> Proto.Shutting_down
       | 'x' ->
-          let code = str r in
-          let message = str r in
+          let code = V.string r in
+          let message = V.string r in
           Proto.Error { code; message }
-      | _ -> raise (Malformed "bad response tag"))
+      | _ -> malformed "bad response tag")
 
 (* ---- framing ---- *)
 

@@ -29,13 +29,6 @@ type replica_member = {
 
 type t = { members : shard_member list; replicas : replica_member list }
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
 let shard_name i = Printf.sprintf "shard-%d" i
 let socket_of dir name = Filename.concat dir (name ^ ".sock")
 let root_of dir name = Filename.concat dir name
@@ -43,7 +36,7 @@ let root_of dir name = Filename.concat dir name
 let start ?events ?(fsync = true) ?(domains = 2) ?(conn_workers = 2) ?max_inflight
     ?(replicate = []) ?(fault = Fault.Inject.none) ~dir ~shards () =
   if shards < 1 then invalid_arg "Cluster.start: shards < 1";
-  mkdir_p dir;
+  Store.Registry.mkdir_p dir;
   let members =
     List.init shards (fun i ->
         let name = shard_name i in

@@ -43,13 +43,6 @@ type progress = {
 let offset_path root = Filename.concat root "replica.offset"
 let journal_path root = Filename.concat root "journal.pmj"
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
 let read_offset root =
   try
     let ic = open_in (offset_path root) in
@@ -67,7 +60,7 @@ let write_offset root v =
   Sys.rename tmp (offset_path root)
 
 let create ?(chunk_bytes = 4 * 1024 * 1024) ?(fault = Fault.Inject.none) ~root ~leader () =
-  mkdir_p root;
+  Store.Registry.mkdir_p root;
   {
     root;
     leader;

@@ -18,8 +18,6 @@ let func_index t name =
   let rec go i = if i >= Array.length t.funcs then None else if t.funcs.(i).name = name then Some i else go (i + 1) in
   go 0
 
-let instruction_count t = Array.fold_left (fun acc f -> acc + Array.length f.code) 0 t.funcs
-
 let block_starts f =
   let n = Array.length f.code in
   let starts = Array.make n false in
@@ -32,10 +30,6 @@ let block_starts f =
       | _ -> ())
     f.code;
   starts
-
-let block_of_pc starts pc =
-  let rec go p = if p <= 0 || starts.(p) then p else go (p - 1) in
-  go pc
 
 let replace_func t f =
   match func_index t f.name with

@@ -22,15 +22,11 @@ val make : ?nglobals:int -> ?main:string -> func list -> t
 
 val find_func : t -> string -> func option
 val func_index : t -> string -> int option
-val instruction_count : t -> int
 
 val block_starts : func -> bool array
 (** [block_starts f] marks the leaders of basic blocks: instruction 0,
     every branch/jump target, and every instruction following a [Jump],
     [If] or [Ret]. *)
-
-val block_of_pc : bool array -> int -> int
-(** [block_of_pc starts pc] is the leader of the block containing [pc]. *)
 
 val replace_func : t -> func -> t
 (** Replace the function of the same name. Raises [Not_found] if absent. *)

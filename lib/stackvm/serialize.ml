@@ -3,16 +3,7 @@
    (opcode byte + operands); finally the main name. Signed operands use
    zigzag encoding. *)
 
-let add_varint buf v =
-  if v < 0 then invalid_arg "Serialize.add_varint: negative";
-  let rec go v =
-    if v < 0x80 then Buffer.add_char buf (Char.chr v)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (v land 0x7F)));
-      go (v lsr 7)
-    end
-  in
-  go v
+module V = Util.Varint
 
 (* Full-width signed encoding: zigzag in Int64 so values near the 63-bit
    extremes (e.g. 62-bit loop constants) do not overflow the shift. *)
@@ -30,47 +21,15 @@ let add_zigzag buf v =
   in
   go (zigzag v)
 
-let add_string buf s =
-  add_varint buf (String.length s);
-  Buffer.add_string buf s
-
-type reader = { data : string; mutable pos : int }
-
-let read_byte r =
-  if r.pos >= String.length r.data then failwith "Serialize.decode: truncated";
-  let b = Char.code r.data.[r.pos] in
-  r.pos <- r.pos + 1;
-  b
-
-let read_varint r =
-  let rec go shift acc =
-    if shift > 62 then failwith "Serialize.decode: varint overflow";
-    let b = read_byte r in
-    let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  (* The encoder never writes a negative varint; a ninth byte that reaches
-     the sign bit is corrupt input, not a length or index. *)
-  let v = go 0 0 in
-  if v < 0 then failwith "Serialize.decode: varint overflow";
-  v
-
 let read_zigzag r =
   let rec go shift acc =
-    if shift > 63 then failwith "Serialize.decode: varint overflow";
-    let b = read_byte r in
+    if shift > 63 then raise (V.Malformed "varint overflow");
+    let b = V.byte r in
     let acc = Int64.logor acc (Int64.shift_left (Int64.of_int (b land 0x7F)) shift) in
     if b land 0x80 = 0 then acc else go (shift + 7) acc
   in
   let z = go 0 0L in
   Int64.to_int (Int64.logxor (Int64.shift_right_logical z 1) (Int64.neg (Int64.logand z 1L)))
-
-let read_string r =
-  let len = read_varint r in
-  if r.pos + len > String.length r.data then failwith "Serialize.decode: truncated string";
-  let s = String.sub r.data r.pos len in
-  r.pos <- r.pos + len;
-  s
 
 let opcode : Instr.t -> int = function
   | Const _ -> 0
@@ -116,18 +75,18 @@ let encode_instr buf (i : Instr.t) =
   Buffer.add_char buf (Char.chr (opcode i));
   match i with
   | Const n -> add_zigzag buf n
-  | Load n | Store n | Get_global n | Set_global n -> add_varint buf n
-  | Jump t | If { target = t; _ } -> add_varint buf t
-  | Call name -> add_string buf name
+  | Load n | Store n | Get_global n | Set_global n -> V.add buf n
+  | Jump t | If { target = t; _ } -> V.add buf t
+  | Call name -> V.add_string buf name
   | _ -> ()
 
 let decode_instr r : Instr.t =
-  match read_byte r with
+  match V.byte r with
   | 0 -> Const (read_zigzag r)
-  | 1 -> Load (read_varint r)
-  | 2 -> Store (read_varint r)
-  | 3 -> Get_global (read_varint r)
-  | 4 -> Set_global (read_varint r)
+  | 1 -> Load (V.varint r)
+  | 2 -> Store (V.varint r)
+  | 3 -> Get_global (V.varint r)
+  | 4 -> Set_global (V.varint r)
   | 5 -> Binop Add
   | 6 -> Binop Sub
   | 7 -> Binop Mul
@@ -153,83 +112,79 @@ let decode_instr r : Instr.t =
   | 27 -> Array_load
   | 28 -> Array_store
   | 29 -> Array_len
-  | 30 -> Jump (read_varint r)
-  | 31 -> If { sense = true; target = read_varint r }
-  | 32 -> If { sense = false; target = read_varint r }
-  | 33 -> Call (read_string r)
+  | 30 -> Jump (V.varint r)
+  | 31 -> If { sense = true; target = V.varint r }
+  | 32 -> If { sense = false; target = V.varint r }
+  | 33 -> Call (V.string r)
   | 34 -> Ret
   | 35 -> Print
   | 36 -> Read
   | 37 -> Nop
-  | op -> failwith (Printf.sprintf "Serialize.decode: bad opcode %d" op)
+  | op -> raise (V.Malformed (Printf.sprintf "bad opcode %d" op))
 
 let encode (p : Program.t) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "SVM1";
-  add_varint buf p.nglobals;
-  add_varint buf (Array.length p.funcs);
+  V.add buf p.nglobals;
+  V.add buf (Array.length p.funcs);
   Array.iter
     (fun (f : Program.func) ->
-      add_string buf f.name;
-      add_varint buf f.nargs;
-      add_varint buf f.nlocals;
-      add_varint buf (Array.length f.code);
+      V.add_string buf f.name;
+      V.add buf f.nargs;
+      V.add buf f.nlocals;
+      V.add buf (Array.length f.code);
       Array.iter (encode_instr buf) f.code)
     p.funcs;
-  add_string buf p.main;
+  V.add_string buf p.main;
   Buffer.contents buf
 
 let decode data =
-  let r = { data; pos = 0 } in
   if String.length data < 4 || String.sub data 0 4 <> "SVM1" then failwith "Serialize.decode: bad magic";
-  r.pos <- 4;
-  let nglobals = read_varint r in
-  let nfuncs = read_varint r in
-  (* Bound declared counts by the bytes that remain: a corrupt count must
-     fail as malformed input, not as an attempted multi-gigabyte
-     allocation.  A function costs at least 4 bytes, an instruction at
-     least 1. *)
-  let remaining () = String.length r.data - r.pos in
-  if nfuncs > remaining () / 4 then failwith "Serialize.decode: function count exceeds input";
-  (* Decode sequentially: List.init/Array.init do not guarantee order. *)
-  let funcs = ref [] in
-  for _ = 1 to nfuncs do
-    let name = read_string r in
-    let nargs = read_varint r in
-    let nlocals = read_varint r in
-    let ncode = read_varint r in
-    if ncode > remaining () then failwith "Serialize.decode: code length exceeds input";
-    let code = Array.make ncode Instr.Nop in
-    for i = 0 to ncode - 1 do
-      code.(i) <- decode_instr r
+  let r = V.reader ~pos:4 data in
+  let malformed reason = failwith ("Serialize.decode: " ^ reason) in
+  try
+    let nglobals = V.varint r in
+    let nfuncs = V.varint r in
+    (* Bound declared counts by the bytes that remain: a corrupt count must
+       fail as malformed input, not as an attempted multi-gigabyte
+       allocation.  A function costs at least 4 bytes, an instruction at
+       least 1. *)
+    if nfuncs > V.remaining r / 4 then malformed "function count exceeds input";
+    (* Decode sequentially: List.init/Array.init do not guarantee order. *)
+    let funcs = ref [] in
+    for _ = 1 to nfuncs do
+      let name = V.string r in
+      let nargs = V.varint r in
+      let nlocals = V.varint r in
+      let ncode = V.varint r in
+      if ncode > V.remaining r then malformed "code length exceeds input";
+      let code = Array.make ncode Instr.Nop in
+      for i = 0 to ncode - 1 do
+        code.(i) <- decode_instr r
+      done;
+      funcs := { Program.name; nargs; nlocals; code } :: !funcs
     done;
-    funcs := { Program.name; nargs; nlocals; code } :: !funcs
-  done;
-  let funcs = List.rev !funcs in
-  let main = read_string r in
-  { Program.funcs = Array.of_list funcs; nglobals; main }
+    let funcs = List.rev !funcs in
+    let main = V.string r in
+    { Program.funcs = Array.of_list funcs; nglobals; main }
+  with V.Malformed reason -> malformed reason
 
 let decode_opt data = match decode data with p -> Some p | exception Failure _ -> None
 
 (* The byte counts [encode] would write, without writing them. *)
-let varint_size v =
-  if v < 0 then invalid_arg "Serialize.add_varint: negative";
-  let rec go n v = if v < 0x80 then n else go (n + 1) (v lsr 7) in
-  go 1 v
-
 let zigzag_size v =
   let rec go n z = if Int64.unsigned_compare z 0x80L < 0 then n else go (n + 1) (Int64.shift_right_logical z 7) in
   go 1 (zigzag v)
 
-let string_size s = varint_size (String.length s) + String.length s
+let string_size s = V.size (String.length s) + String.length s
 
 let instr_size (i : Instr.t) =
   1
   +
   match i with
   | Const n -> zigzag_size n
-  | Load n | Store n | Get_global n | Set_global n -> varint_size n
-  | Jump t | If { target = t; _ } -> varint_size t
+  | Load n | Store n | Get_global n | Set_global n -> V.size n
+  | Jump t | If { target = t; _ } -> V.size t
   | Call name -> string_size name
   (* Listed, not wildcarded: an instruction given an operand must not
      compile until its size is counted here. *)
@@ -240,8 +195,8 @@ let instr_size (i : Instr.t) =
 let size_in_bytes (p : Program.t) =
   Array.fold_left
     (fun acc (f : Program.func) ->
-      acc + string_size f.name + varint_size f.nargs + varint_size f.nlocals
-      + varint_size (Array.length f.code)
+      acc + string_size f.name + V.size f.nargs + V.size f.nlocals
+      + V.size (Array.length f.code)
       + Array.fold_left (fun acc i -> acc + instr_size i) 0 f.code)
-    (4 + varint_size p.nglobals + varint_size (Array.length p.funcs) + string_size p.main)
+    (4 + V.size p.nglobals + V.size (Array.length p.funcs) + string_size p.main)
     p.funcs

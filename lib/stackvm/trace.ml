@@ -205,28 +205,16 @@ let hot_blocks t =
   List.sort (fun (_, c1) (_, c2) -> Stdlib.compare c2 c1) entries
 
 let save_events buf =
-  let buf_out = Buffer.create (16 * Tracebuf.length buf) in
-  Buffer.add_string buf_out "TRC1";
-  let varint v =
-    let rec go v =
-      if v < 0x80 then Buffer.add_char buf_out (Char.chr v)
-      else begin
-        Buffer.add_char buf_out (Char.chr (0x80 lor (v land 0x7F)));
-        go (v lsr 7)
-      end
-    in
-    go v
-  in
-  varint (Tracebuf.length buf);
+  let out = Buffer.create (16 * Tracebuf.length buf) in
+  Buffer.add_string out "TRC1";
+  Util.Varint.add out (Tracebuf.length buf);
   Tracebuf.iter
     (fun e ->
-      varint (Tracebuf.fidx e);
-      varint (Tracebuf.pc e);
-      varint (if Tracebuf.taken e then 1 else 0))
+      Util.Varint.add out (Tracebuf.fidx e);
+      Util.Varint.add out (Tracebuf.pc e);
+      Util.Varint.add out (if Tracebuf.taken e then 1 else 0))
     buf;
-  Buffer.contents buf_out
-
-exception Malformed of string
+  Buffer.contents out
 
 (* Salvage parser: a trace file is recognition evidence, and the CRT
    redundancy downstream is precisely what makes partial evidence usable —
@@ -239,24 +227,8 @@ let salvage_events s =
   let out = Tracebuf.create ~capacity:(min 65536 (len / 3)) () in
   if len < 4 || String.sub s 0 4 <> "TRC1" then (out, Some "bad magic (expected TRC1)")
   else begin
-    let pos = ref 4 in
-    let byte () =
-      if !pos >= len then raise (Malformed "truncated");
-      let b = Char.code s.[!pos] in
-      incr pos;
-      b
-    in
-    let varint () =
-      let rec go shift acc =
-        if shift > 62 then raise (Malformed "varint overflow");
-        let b = byte () in
-        let acc = acc lor ((b land 0x7F) lsl shift) in
-        if b land 0x80 <> 0 then go (shift + 7) acc
-        else if acc < 0 then raise (Malformed "negative varint")
-        else acc
-      in
-      go 0 0
-    in
+    let r = Util.Varint.reader ~pos:4 s in
+    let varint () = Util.Varint.varint r in
     match
       let n = varint () in
       (* decode sequentially: iteration order must follow the byte stream *)
@@ -266,15 +238,15 @@ let salvage_events s =
         let taken = varint () = 1 in
         Tracebuf.add out ~fidx ~pc ~taken
       done;
-      if !pos <> len then Some (Printf.sprintf "%d trailing byte(s) after %d event(s)" (len - !pos) n)
-      else None
+      let rest = Util.Varint.remaining r in
+      if rest <> 0 then Some (Printf.sprintf "%d trailing byte(s) after %d event(s)" rest n) else None
     with
     | diag -> (out, diag)
-    | exception Malformed reason ->
+    | exception Util.Varint.Malformed reason ->
         ( out,
           Some
-            (Printf.sprintf "%s at byte %d; salvaged %d event(s)" reason !pos (Tracebuf.length out))
-        )
+            (Printf.sprintf "%s at byte %d; salvaged %d event(s)" reason (Util.Varint.pos r)
+               (Tracebuf.length out)) )
   end
 
 let load_events s = fst (salvage_events s)

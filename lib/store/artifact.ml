@@ -48,22 +48,9 @@ type entry = {
 
 type op = Put of entry | Delete of { kind : kind; key : string; seq : int }
 
-(* ---- codec (same varint/str idiom as Engine.Batch's outcome codec) ---- *)
+(* ---- codec ---- *)
 
-let add_varint buf v =
-  let rec go v =
-    if v < 0x80 then Buffer.add_char buf (Char.chr v)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (v land 0x7F)));
-      go (v lsr 7)
-    end
-  in
-  if v < 0 then invalid_arg "Artifact.add_varint: negative";
-  go v
-
-let add_str buf s =
-  add_varint buf (String.length s);
-  Buffer.add_string buf s
+module V = Util.Varint
 
 let encode op =
   let buf = Buffer.create 128 in
@@ -71,63 +58,42 @@ let encode op =
   | Put e ->
       Buffer.add_char buf 'P';
       Buffer.add_char buf (kind_tag e.kind);
-      add_varint buf e.seq;
-      add_str buf e.key;
-      add_str buf e.label;
-      add_str buf e.blob;
-      add_varint buf e.size;
-      add_varint buf e.created_at
+      V.add buf e.seq;
+      V.add_string buf e.key;
+      V.add_string buf e.label;
+      V.add_string buf e.blob;
+      V.add buf e.size;
+      V.add buf e.created_at
   | Delete { kind; key; seq } ->
       Buffer.add_char buf 'D';
       Buffer.add_char buf (kind_tag kind);
-      add_varint buf seq;
-      add_str buf key);
+      V.add buf seq;
+      V.add_string buf key);
   Buffer.contents buf
 
-exception Malformed
-
 let decode s =
-  let pos = ref 0 in
-  let byte () =
-    if !pos >= String.length s then raise Malformed;
-    let b = Char.code s.[!pos] in
-    incr pos;
-    b
+  let r = V.reader s in
+  let kind () =
+    match kind_of_tag (Char.chr (V.byte r)) with Some k -> k | None -> raise (V.Malformed "bad kind")
   in
-  let varint () =
-    let rec go shift acc =
-      let b = byte () in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0
-  in
-  let str () =
-    let n = varint () in
-    if n < 0 || !pos + n > String.length s then raise Malformed;
-    let v = String.sub s !pos n in
-    pos := !pos + n;
-    v
-  in
-  let kind () = match kind_of_tag (Char.chr (byte ())) with Some k -> k | None -> raise Malformed in
   try
     let op =
-      match Char.chr (byte ()) with
+      match Char.chr (V.byte r) with
       | 'P' ->
           let kind = kind () in
-          let seq = varint () in
-          let key = str () in
-          let label = str () in
-          let blob = str () in
-          let size = varint () in
-          let created_at = varint () in
+          let seq = V.varint r in
+          let key = V.string r in
+          let label = V.string r in
+          let blob = V.string r in
+          let size = V.varint r in
+          let created_at = V.varint r in
           Put { kind; key; label; blob; size; seq; created_at }
       | 'D' ->
           let kind = kind () in
-          let seq = varint () in
-          let key = str () in
+          let seq = V.varint r in
+          let key = V.string r in
           Delete { kind; key; seq }
-      | _ -> raise Malformed
+      | _ -> raise (V.Malformed "bad op")
     in
-    if !pos <> String.length s then None else Some op
-  with Malformed -> None
+    if V.remaining r <> 0 then None else Some op
+  with V.Malformed _ -> None

@@ -118,3 +118,7 @@ val sync : t -> unit
     with [fsync:false]. *)
 
 val close : t -> unit
+
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents; one that appears while
+    this runs (another process creating it) is not an error. *)

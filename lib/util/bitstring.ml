@@ -60,10 +60,6 @@ let of_bool_list bs =
   List.iter (append t) bs;
   t
 
-let to_bool_list t =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (unsafe_get t i :: acc) in
-  go (t.len - 1) []
-
 let equal a b =
   a.len = b.len
   &&

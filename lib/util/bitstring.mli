@@ -34,7 +34,6 @@ val to_string : t -> string
 (** Inverse of {!of_string}. *)
 
 val of_bool_list : bool list -> t
-val to_bool_list : t -> bool list
 
 val equal : t -> t -> bool
 

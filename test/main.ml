@@ -30,4 +30,5 @@ let () =
       ("audit", Test_audit.suite);
       ("tournament", Test_tournament.suite);
       ("experiments", Test_experiments.suite);
+      ("decoders", Test_decoders.suite);
     ]

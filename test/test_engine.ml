@@ -743,6 +743,43 @@ let test_watermark_batch_returns_built_programs () =
       Alcotest.(check bool) (name "warm programs are decoded") false (List.exists shares_host warm))
     [ 1; 2 ]
 
+
+(* A program the engine refuses (here: its main function is missing) still
+   decodes, so a recognition job on it must answer what the scheme's own
+   recognizer answers, a lost mark, instead of failing on the branch
+   capture; a noisy control cell goes through the same capture.  With and
+   without a result cache. *)
+let test_refused_program_recognized () =
+  let refused = Scheme.Watermarker.Vm_program { host_program with Stackvm.Program.main = "absent" } in
+  let spec = Scheme.Watermarker.spec ~key ~bits:64 ~input:secret_input () in
+  let noisy =
+    Job.cell_spec ~control:true ~faults:[ Fault.Spec.Trace_flip 0.01 ] ~fingerprint:fp ~attack:"identity" ()
+  in
+  List.iter
+    (fun scheme ->
+      let (module W) = Scheme.Builtin.find_exn scheme in
+      let direct = W.recognize spec refused in
+      Alcotest.(check bool) (scheme ^ ": the scheme reports a lost mark") true
+        (direct.Scheme.Watermarker.value = None);
+      List.iter
+        (fun cache ->
+          let job action = Job.make ~scheme ~key ~bits:64 ~input:secret_input refused action in
+          match
+            Batch.run ?cache [ job (Job.Recognize { expected = Some fp }); job (Job.Tournament_cell noisy) ]
+          with
+          | [ r; c ] -> (
+              (match r.Batch.outcome with
+              | Batch.Recognized { value = None; matched = Some false } -> ()
+              | o -> Alcotest.failf "%s: expected a lost mark, got %s" scheme (Batch.describe_outcome o));
+              match c.Batch.outcome with
+              | Batch.Tournament_measured { false_positive = false; nfaults = 0; confidence; _ } ->
+                  Alcotest.(check (float 0.0)) (scheme ^ ": cell confidence") direct.Scheme.Watermarker.confidence
+                    confidence
+              | o -> Alcotest.failf "%s: expected a measured cell, got %s" scheme (Batch.describe_outcome o))
+          | _ -> Alcotest.fail "two results expected")
+        [ None; Some (Cache.create ()) ])
+    [ "jwm"; "gwm"; "jwm+gwm" ]
+
 let suite =
   [
     Alcotest.test_case "job digest is stable" `Quick test_digest_stable;
@@ -779,4 +816,6 @@ let suite =
     Alcotest.test_case "a refused host fails every job alike" `Quick test_refused_host_fails_every_job;
     Alcotest.test_case "watermark_batch returns the programs it built" `Quick
       test_watermark_batch_returns_built_programs;
+    Alcotest.test_case "a refused program is recognized as the scheme reports it" `Quick
+      test_refused_program_recognized;
   ]
