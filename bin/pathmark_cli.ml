@@ -204,6 +204,19 @@ let decode_file what decode path =
 
 let load_vm = decode_file "VM program" Stackvm.Serialize.decode
 
+(* A MiniC source that does not lex, parse or typecheck is one too;
+   [compile] is the track's compiler. *)
+let load_source compile path =
+  let reject reason =
+    Printf.eprintf "%s: not a valid MiniC program (%s)\n" path reason;
+    exit 1
+  in
+  match compile (read_file path) with
+  | v -> v
+  | exception (Minic.Lexer.Error { line; message } | Minic.Parser.Error { line; message }) ->
+      reject (Printf.sprintf "line %d: %s" line message)
+  | exception Minic.Typecheck.Error message -> reject message
+
 let vm_path_t =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"PROGRAM" ~doc:"Serialized VM program.")
 
@@ -333,7 +346,7 @@ let schemes_cmd =
 
 let embed_generic source scheme_name key mark bits redundancy input out aux_out seed =
   let (module W) = resolve_scheme scheme_name in
-  let carrier = Scheme.Track.compile W.caps.Scheme.Watermarker.track (read_file source) in
+  let carrier = load_source (Scheme.Track.compile W.caps.Scheme.Watermarker.track) source in
   let spec =
     Scheme.Watermarker.spec ~seed:(Int64.of_int seed) ~redundancy ~key ~bits ~input ()
   in
@@ -371,6 +384,13 @@ let recognize_generic path scheme_name key bits input aux aux_file streaming inj
   let carrier =
     match Scheme.Track.decode W.caps.Scheme.Watermarker.track bytes with
     | Some c -> c
+    | None when Fault.Inject.is_empty plan ->
+        (* no fault touched the bytes: the file itself is malformed *)
+        Printf.eprintf "%s: not a valid %s\n" path
+          (match W.caps.Scheme.Watermarker.track with
+          | Scheme.Watermarker.Vm -> "VM program"
+          | Scheme.Watermarker.Native -> "native binary");
+        exit 1
     | None ->
         Printf.printf "artifact undecodable after %d artifact fault(s); nothing recovered\n" artifact_faults;
         exit exit_fault_abort
@@ -534,7 +554,7 @@ let batch source workload scheme key bits pieces input fingerprints count mark j
   let workload_entry = List.assoc_opt workload host_workloads in
   let program, default_input, host_name =
     match source with
-    | Some path -> (Minic.To_stackvm.compile_source (read_file path), [], path)
+    | Some path -> (load_source Minic.To_stackvm.compile_source path, [], path)
     | None -> (
         match workload_entry with
         | Some w -> (Workloads.Workload.vm_program w, w.Workloads.Workload.input, w.Workloads.Workload.name)
@@ -1082,7 +1102,7 @@ let query socket deadline source workload scheme key mark bits pieces input seed
   let workload_entry = List.assoc_opt workload host_workloads in
   let program_bytes_and_input () =
     match source with
-    | Some path -> (Stackvm.Serialize.encode (Minic.To_stackvm.compile_source (read_file path)), input)
+    | Some path -> (Stackvm.Serialize.encode (load_source Minic.To_stackvm.compile_source path), input)
     | None -> (
         match workload_entry with
         | Some w ->

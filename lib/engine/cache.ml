@@ -55,11 +55,6 @@ module Lru = struct
         unlink t n;
         Hashtbl.remove t.tbl n.nkey;
         Some (n.nkey, n.value)
-
-  let clear t =
-    Hashtbl.reset t.tbl;
-    t.mru <- None;
-    t.lru <- None
 end
 
 type t = {
@@ -293,13 +288,3 @@ let stats t =
         store_loads = t.store_loads;
         evictions = t.evictions;
       })
-
-let clear t =
-  locked t (fun () ->
-      Lru.clear t.bytes;
-      Lru.clear t.prepared;
-      t.hits <- 0;
-      t.misses <- 0;
-      t.disk_loads <- 0;
-      t.store_loads <- 0;
-      t.evictions <- 0)

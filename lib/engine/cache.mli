@@ -74,7 +74,3 @@ val with_prepared :
     the width — the prepared host keeps whatever depends on those itself. *)
 
 val stats : t -> stats
-
-val clear : t -> unit
-(** Drop the in-memory contents and reset {!stats}; disk spill files and
-    registry entries are kept. *)

@@ -41,6 +41,7 @@ let decode s =
       let addr = Util.Varint.varint r in
       symbols := (name, addr) :: !symbols
     done;
+    if Util.Varint.remaining r > 0 then failwith "Binary.decode: trailing bytes";
     make ~symbols:(List.rev !symbols) ~entry ~text ~data ()
   with
   | t -> t

@@ -25,4 +25,5 @@ val encode : t -> string
 (** Serialize the image (sections, entry, symbols) to a byte string. *)
 
 val decode : string -> t
-(** Inverse of {!encode}; raises [Failure] on malformed input. *)
+(** Inverse of {!encode}; raises [Failure] on malformed input, bytes
+    after the last field included (["Binary.decode: trailing bytes"]). *)

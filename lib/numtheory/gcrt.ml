@@ -40,5 +40,3 @@ let solve congruences =
   match merge_all congruences with
   | None -> None
   | Some { residue; _ } -> Some residue
-
-let pp fmt { residue; modulus } = Format.fprintf fmt "W = %a (mod %a)" Bignum.pp residue Bignum.pp modulus

@@ -23,11 +23,5 @@ val merge : congruence -> congruence -> congruence option
 (** [merge a b] is the congruence modulo [lcm a.modulus b.modulus] implied
     by both, or [None] when they are incompatible. *)
 
-val merge_all : congruence list -> congruence option
-(** Folds {!merge} over the list; [None] on any incompatibility. The empty
-    list yields the trivial congruence [0 mod 1]. *)
-
 val solve : congruence list -> Bignum.t option
 (** The smallest nonnegative solution of the system, if consistent. *)
-
-val pp : Format.formatter -> congruence -> unit

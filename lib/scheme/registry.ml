@@ -34,4 +34,3 @@ let names () =
   |> List.sort String.compare
 
 let all () = List.map find_exn (names ())
-let reset () = with_lock (fun () -> Hashtbl.reset table)

@@ -10,7 +10,8 @@ exception Duplicate of string
 (** Raised by {!register} when the name is already taken. *)
 
 exception Unknown of string
-(** Raised by {!find_exn}; carries the unknown name. *)
+(** Raised by {!Builtin.find_exn} on a name that resolves to no scheme;
+    carries the name. *)
 
 val register : (module Watermarker.WATERMARKER) -> unit
 (** Raises {!Duplicate} if a scheme with the same name is registered, and
@@ -18,13 +19,9 @@ val register : (module Watermarker.WATERMARKER) -> unit
     for composition, see {!Compose}). *)
 
 val find : string -> (module Watermarker.WATERMARKER) option
-val find_exn : string -> (module Watermarker.WATERMARKER)
 
 val names : unit -> string list
 (** Registered names, sorted. *)
 
 val all : unit -> (module Watermarker.WATERMARKER) list
 (** All registered schemes, sorted by name. *)
-
-val reset : unit -> unit
-(** Empty the table.  Exposed for tests only. *)

@@ -28,17 +28,20 @@
    behind one dispatch (see "fused forms" below).  A fused op is an
    optimisation only: it first checks a guard that its sequence would run
    through without stopping, and when the guard fails it tail-calls the
-   single op at its own pc, which every pc keeps, so traps, fuel cuts,
-   stream stops and block entries happen exactly where the single ops
-   have them.  No block leader lies strictly inside a form, and the plain
-   and the hooked translation place the same forms.
+   single op at its own pc, which every pc keeps, so traps, fuel cuts and
+   stream stops happen exactly where the single ops have them.  No block
+   leader lies strictly inside a form.
 
-   The interpreter's block-entry observer is a translation-time option:
-   [of_program ~on_block] builds each op that transfers into a block with
-   a call to the hook between the transfer and the next fuel gate, the
-   exact points where Interp.run calls on_block.  Trace.capture records
-   embedding's block counts and variable snapshots through it.  Without
-   the option the ops are built without the call, so recognition pays
+   The interpreter's block-entry observer is a translation-time option
+   with one seam: [of_program ~on_block] translates the program as without
+   it, then wraps the op at every block leader (and at pc 0 of an empty
+   function, whose only entry is a call) in a closure that calls the hook
+   before running the op.  Every transfer into a block ends at that op's
+   dispatch, so the hook fires once per entry, in Interp.run's order.  The
+   two entries that no dispatch follows are the driver's to report: a run
+   that the fuel gate stops at an entry, and a jump to an out-of-range pc.
+   Trace.capture records embedding's block counts and variable snapshots
+   through the hook; without it nothing is wrapped, so recognition pays
    nothing for it. *)
 
 type sink = No_trace | Buffer of Tracebuf.t | Stream of (int -> bool)
@@ -76,6 +79,7 @@ type code = {
   main_nlocals : int;
   nglobals : int;
   on_block : block_hook option;
+  starts : bool array array;  (* Resolve's block-leader bitmaps *)
 }
 
 exception Trap of string
@@ -84,12 +88,13 @@ exception Finish of int
 
 exception Stream_stop
 
-(* Raised by a jump whose static target lies outside [0, nops]: the jump
+(* Raised by a jump whose static target lies outside [0, nops): the jump
    itself succeeds (its step is already counted), and the driver then
-   replays the interpreter's next loop head — fuel gate, step, "pc out of
-   range" — against the bad pc.  In-range pcs never pay for this: ops
-   index the ops array unchecked, with index [nops] holding a sentinel
-   trap op to catch fall-through past the last instruction. *)
+   reports the block entry and replays the interpreter's next loop head —
+   fuel gate, step, "pc out of range" — against the bad pc.  In-range pcs
+   never pay for this: ops index the ops array unchecked, with index
+   [nops] holding a sentinel trap op to catch fall-through past the last
+   instruction, which enters no block. *)
 exception Bad_pc
 
 let grow_stack st =
@@ -153,14 +158,8 @@ let[@inline] continue_at st pc =
     (Array.unsafe_get st.ops pc) st
   end
 
-(* a block entry, reported where Interp.run calls on_block: after the
-   transfer to [pc], before the next fuel gate *)
-let[@inline] fire (on_block : block_hook) st pc =
-  on_block ~fidx:st.fidx ~pc ~locals:st.locals ~lbase:st.lbase ~globals:st.globals
-
-(* Op effects, shared by the plain and the block-hooked translation; each
-   op closure is one effect followed by its transfer.  Operand-stack
-   underflow is checked against the current frame's floor. *)
+(* Op effects; each op closure is one effect followed by its transfer.
+   Operand-stack underflow is checked against the current frame's floor. *)
 
 let[@inline] need st n = if st.sp - n < st.obase then raise (Trap "operand stack underflow")
 
@@ -249,25 +248,13 @@ let[@inline] branch st sense packed_t packed_f =
   emit st (if taken then packed_t else packed_f);
   taken
 
-(* an [If]'s transfer once its event is reported, without and with the
-   hook; the pc after an [If] is a leader whenever it is inside the code *)
+(* an [If]'s transfer once its event is reported *)
 let[@inline] take st taken ~target ~next ~bad =
   if taken && bad then begin
     st.pc <- target;
     raise Bad_pc
   end
   else continue_at st (if taken then target else next)
-
-let[@inline] take_hooked h st taken ~target ~next ~bad ~fall_hooked =
-  if taken then begin
-    st.pc <- target;
-    fire h st target;
-    if bad then raise Bad_pc else continue_at st target
-  end
-  else begin
-    if fall_hooked then fire h st next;
-    continue_at st next
-  end
 
 (* push the caller's frame and enter callee [cidx] at pc 0 *)
 let[@inline] call st ops_table ~cidx ~cnargs ~cnlocals ~ret =
@@ -341,40 +328,6 @@ let negate v = -v
 
 let logical_not v = if v = 0 then 1 else 0
 
-(* the effect of an op that falls through to the next pc, as a closure:
-   the hooked translation runs it, then the hook; the plain translation
-   inlines the same helpers into one closure per op *)
-let effect ~nlocals (instr : Instr.t) : st -> unit =
-  match instr with
-  | Instr.Const n -> fun st -> push st n
-  | Instr.Load slot ->
-      if slot < 0 || slot >= nlocals then oob
-      else fun st -> push st (Array.unsafe_get st.locals (st.lbase + slot))
-  | Instr.Store slot ->
-      if slot < 0 || slot >= nlocals then store_oob
-      else fun st -> Array.unsafe_set st.locals (st.lbase + slot) (pop st)
-  | Instr.Get_global g -> fun st -> push st st.globals.(g)
-  | Instr.Set_global g -> fun st -> set_global st g
-  | Instr.Binop op ->
-      let impl = binop_impl op in
-      fun st -> apply_binop st impl
-  | Instr.Cmp c ->
-      let impl = cmp_impl c in
-      fun st -> apply_binop st impl
-  | Instr.Neg -> fun st -> apply_unop st negate
-  | Instr.Not -> fun st -> apply_unop st logical_not
-  | Instr.Dup -> dup
-  | Instr.Pop -> fun st -> ignore (pop st)
-  | Instr.Swap -> swap
-  | Instr.New_array -> new_array
-  | Instr.Array_load -> array_load
-  | Instr.Array_store -> array_store
-  | Instr.Array_len -> array_len
-  | Instr.Print -> print
-  | Instr.Read -> read
-  | Instr.Nop -> ignore
-  | Instr.Jump _ | Instr.If _ | Instr.Call _ | Instr.Ret -> invalid_arg "Compile.effect: a transfer op"
-
 (* ---- fused forms ----
 
    A form is a hot in-block sequence of 2 to 4 instructions run by one
@@ -385,8 +338,8 @@ let effect ~nlocals (instr : Instr.t) : st -> unit =
    constant divisors are checked when the form is chosen; array handles,
    indices and run-time divisors here).  Then it does the sequence's work
    with its operands in registers, counts the interior steps, and ends
-   with the last instruction's own transfer — its branch event and its
-   hook.  When any check fails it tail-calls the single op at its pc,
+   with the last instruction's own transfer, and its branch event if it
+   is an [If].  When any check fails it tail-calls the single op at its pc,
    which is kept for exactly that, so traps, fuel cuts and stream stops
    happen where Interp.run has them.
 
@@ -451,34 +404,35 @@ let[@inline] instr_at code ~room pc i = if i < room then Array.unsafe_get code (
 
 (* the form the segmentation places at [pc], which has [room] instructions
    (at most 4) before the next leader or the end of the code.  Longest
-   first; a form is chosen only when its slots and branch target are in
-   range and its constant divisor, if any, is nonzero *)
+   first; a form is chosen only when its slots are in range, its branch
+   target is inside the code (a jump to the code length goes through the
+   single op's Bad_pc) and its constant divisor, if any, is nonzero *)
 let form_at (f : Program.func) ~nglobals ~room pc =
   let code = f.Program.code and nlocals = f.Program.nlocals in
-  let targets = Array.length code + 1 in
+  let len = Array.length code in
   match
     (instr_at code ~room pc 0, instr_at code ~room pc 1, instr_at code ~room pc 2, instr_at code ~room pc 3)
   with
-  | Load slot, Const k, Cmp c, If { sense; target } when below nlocals slot && below targets target ->
+  | Load slot, Const k, Cmp c, If { sense; target } when below nlocals slot && below len target ->
       Load_const_cmp_if { slot; k; mask = cmp_mask c sense; target }
   | Load a, Load b, Cmp c, If { sense; target }
-    when below nlocals a && below nlocals b && below targets target ->
+    when below nlocals a && below nlocals b && below len target ->
       Load_load_cmp_if { a; b; mask = cmp_mask c sense; target }
   | Load slot, Const k, Binop op, Store dst
     when below nlocals slot && below nlocals dst && divides_const op k ->
       Load_const_binop_store { slot; k; impl = binop_impl op; dst }
   | Get_global g, Load slot, Array_load, _ when below nglobals g && below nlocals slot ->
       Global_load_aload { g; slot }
-  | Load slot, Cmp c, If { sense; target }, _ when below nlocals slot && below targets target ->
+  | Load slot, Cmp c, If { sense; target }, _ when below nlocals slot && below len target ->
       Load_cmp_if { slot; mask = cmp_mask c sense; target }
-  | Const k, Cmp c, If { sense; target }, _ when below targets target ->
+  | Const k, Cmp c, If { sense; target }, _ when below len target ->
       Const_cmp_if { k; mask = cmp_mask c sense; target }
   | Load a, Load b, Binop op, _ when below nlocals a && below nlocals b ->
       Load_load_binop { a; b; impl = binop_impl op; checked = traps op }
   | Const k, Binop op, Store dst, _ when below nlocals dst && divides_const op k ->
       Const_binop_store { k; impl = binop_impl op; dst }
-  | Cmp c, If { sense; target }, _, _ when below targets target -> Cmp_if { mask = cmp_mask c sense; target }
-  | Store dst, Jump target, _, _ when below nlocals dst && below targets target -> Store_jump { dst; target }
+  | Cmp c, If { sense; target }, _, _ when below len target -> Cmp_if { mask = cmp_mask c sense; target }
+  | Store dst, Jump target, _, _ when below nlocals dst && below len target -> Store_jump { dst; target }
   | Load slot, Array_load, _, _ when below nlocals slot -> Load_aload { slot }
   | Get_global g, Load slot, _, _ when below nglobals g && below nlocals slot -> Global_load { g; slot }
   | Binop op, Store dst, _, _ when below nlocals dst ->
@@ -553,15 +507,10 @@ let[@inline] push2 st a b =
   st.sp <- sp + 2
 
 (* a form's end: count its interior steps, then the last instruction's
-   transfer — a fall-through, with the hook when it enters a block, or a
-   branch whose event is [site lor bit], taken when [bit] is 1 *)
+   transfer — a fall-through, or a branch whose event is [site lor bit],
+   taken when [bit] is 1 *)
 let[@inline] leave st interior next =
   st.steps <- st.steps + interior;
-  continue_at st next
-
-let[@inline] leave_hooked h st interior next =
-  st.steps <- st.steps + interior;
-  fire h st next;
   continue_at st next
 
 let[@inline] decide st interior bit site ~target ~next =
@@ -569,38 +518,22 @@ let[@inline] decide st interior bit site ~target ~next =
   emit st (site lor bit);
   continue_at st (if bit <> 0 then target else next)
 
-let[@inline] decide_hooked h st interior bit site ~target ~next ~fall_hooked =
-  st.steps <- st.steps + interior;
-  emit st (site lor bit);
-  take_hooked h st (bit <> 0) ~target ~next ~bad:false ~fall_hooked
-
 (* [Cmp] then [If] as one test: bit [compare a b + 1] of the mask *)
 let[@inline] test mask a b = (mask lsr (compare (a : int) b + 1)) land 1
 
-(* the closure for [form] at [pc]; [single] is the single op at [pc], and
-   [entering next] the hook for a fall-through into [next], if any *)
-let fused ~on_block ~entering ~fidx ~len ~(single : op) pc form : op =
+(* the closure for [form] at [pc]; [single] is the single op at [pc] *)
+let fused ~fidx ~(single : op) pc form : op =
   let next = pc + form_length form in
   (* a branch's not-taken event, for forms that end in an [If] *)
   let site = Tracebuf.pack ~fidx ~pc:(next - 1) ~taken:false in
-  let fall_hooked = next < len in
-  match (form, on_block) with
-  | Single, _ -> single
-  | Load_const_cmp_if { slot; k; mask; target }, None ->
+  match form with
+  | Single -> single
+  | Load_const_cmp_if { slot; k; mask; target } ->
       fun st -> if fits st 3 then decide st 3 (test mask (local st slot) k) site ~target ~next else single st
-  | Load_const_cmp_if { slot; k; mask; target }, Some h ->
-      fun st ->
-        if fits st 3 then decide_hooked h st 3 (test mask (local st slot) k) site ~target ~next ~fall_hooked
-        else single st
-  | Load_load_cmp_if { a; b; mask; target }, None ->
+  | Load_load_cmp_if { a; b; mask; target } ->
       fun st ->
         if fits st 3 then decide st 3 (test mask (local st a) (local st b)) site ~target ~next else single st
-  | Load_load_cmp_if { a; b; mask; target }, Some h ->
-      fun st ->
-        if fits st 3 then
-          decide_hooked h st 3 (test mask (local st a) (local st b)) site ~target ~next ~fall_hooked
-        else single st
-  | Load_cmp_if { slot; mask; target }, None ->
+  | Load_cmp_if { slot; mask; target } ->
       fun st ->
         if fits st 2 && holds st 1 then begin
           let sp = st.sp - 1 in
@@ -608,15 +541,7 @@ let fused ~on_block ~entering ~fidx ~len ~(single : op) pc form : op =
           decide st 2 (test mask (stack st sp) (local st slot)) site ~target ~next
         end
         else single st
-  | Load_cmp_if { slot; mask; target }, Some h ->
-      fun st ->
-        if fits st 2 && holds st 1 then begin
-          let sp = st.sp - 1 in
-          st.sp <- sp;
-          decide_hooked h st 2 (test mask (stack st sp) (local st slot)) site ~target ~next ~fall_hooked
-        end
-        else single st
-  | Const_cmp_if { k; mask; target }, None ->
+  | Const_cmp_if { k; mask; target } ->
       fun st ->
         if fits st 2 && holds st 1 then begin
           let sp = st.sp - 1 in
@@ -624,15 +549,7 @@ let fused ~on_block ~entering ~fidx ~len ~(single : op) pc form : op =
           decide st 2 (test mask (stack st sp) k) site ~target ~next
         end
         else single st
-  | Const_cmp_if { k; mask; target }, Some h ->
-      fun st ->
-        if fits st 2 && holds st 1 then begin
-          let sp = st.sp - 1 in
-          st.sp <- sp;
-          decide_hooked h st 2 (test mask (stack st sp) k) site ~target ~next ~fall_hooked
-        end
-        else single st
-  | Cmp_if { mask; target }, None ->
+  | Cmp_if { mask; target } ->
       fun st ->
         if fits st 1 && holds st 2 then begin
           let sp = st.sp - 2 in
@@ -640,15 +557,7 @@ let fused ~on_block ~entering ~fidx ~len ~(single : op) pc form : op =
           decide st 1 (test mask (stack st sp) (stack st (sp + 1))) site ~target ~next
         end
         else single st
-  | Cmp_if { mask; target }, Some h ->
-      fun st ->
-        if fits st 1 && holds st 2 then begin
-          let sp = st.sp - 2 in
-          st.sp <- sp;
-          decide_hooked h st 1 (test mask (stack st sp) (stack st (sp + 1))) site ~target ~next ~fall_hooked
-        end
-        else single st
-  | Store_jump { dst; target }, None ->
+  | Store_jump { dst; target } ->
       fun st ->
         if fits st 1 && holds st 1 then begin
           let sp = st.sp - 1 in
@@ -657,190 +566,87 @@ let fused ~on_block ~entering ~fidx ~len ~(single : op) pc form : op =
           leave st 1 target
         end
         else single st
-  | Store_jump { dst; target }, Some h ->
+  (* the forms that fall through to [next] *)
+  | Load_const_binop_store { slot; k; impl; dst } ->
       fun st ->
-        if fits st 1 && holds st 1 then begin
-          let sp = st.sp - 1 in
-          st.sp <- sp;
-          set_local st dst (stack st sp);
-          leave_hooked h st 1 target
+        if fits st 3 then begin
+          set_local st dst (impl (local st slot) k);
+          leave st 3 next
         end
         else single st
-  (* the forms that fall through to [next] *)
-  | Load_const_binop_store { slot; k; impl; dst }, _ -> (
-      match entering next with
-      | None ->
-          fun st ->
-            if fits st 3 then begin
-              set_local st dst (impl (local st slot) k);
-              leave st 3 next
-            end
-            else single st
-      | Some h ->
-          fun st ->
-            if fits st 3 then begin
-              set_local st dst (impl (local st slot) k);
-              leave_hooked h st 3 next
-            end
-            else single st)
-  | Global_load_aload { g; slot }, _ -> (
-      match entering next with
-      | None ->
-          fun st ->
-            let a = global st g and i = local st slot in
-            if fits st 2 && element_ok st a i then begin
-              push1 st (element st a i);
-              leave st 2 next
-            end
-            else single st
-      | Some h ->
-          fun st ->
-            let a = global st g and i = local st slot in
-            if fits st 2 && element_ok st a i then begin
-              push1 st (element st a i);
-              leave_hooked h st 2 next
-            end
-            else single st)
-  | Load_load_binop { a; b; impl; checked }, _ -> (
-      match entering next with
-      | None ->
-          fun st ->
-            let y = local st b in
-            if fits st 2 && divides checked y then begin
-              push1 st (impl (local st a) y);
-              leave st 2 next
-            end
-            else single st
-      | Some h ->
-          fun st ->
-            let y = local st b in
-            if fits st 2 && divides checked y then begin
-              push1 st (impl (local st a) y);
-              leave_hooked h st 2 next
-            end
-            else single st)
-  | Const_binop_store { k; impl; dst }, _ -> (
-      match entering next with
-      | None ->
-          fun st ->
-            if fits st 2 && holds st 1 then begin
-              let sp = st.sp - 1 in
-              st.sp <- sp;
-              set_local st dst (impl (stack st sp) k);
-              leave st 2 next
-            end
-            else single st
-      | Some h ->
-          fun st ->
-            if fits st 2 && holds st 1 then begin
-              let sp = st.sp - 1 in
-              st.sp <- sp;
-              set_local st dst (impl (stack st sp) k);
-              leave_hooked h st 2 next
-            end
-            else single st)
-  | Load_aload { slot }, _ -> (
-      match entering next with
-      | None ->
-          fun st ->
-            if fits st 1 && holds st 1 && element_ok st (stack st (st.sp - 1)) (local st slot) then begin
-              let top = st.sp - 1 in
-              Array.unsafe_set st.stack top (element st (stack st top) (local st slot));
-              leave st 1 next
-            end
-            else single st
-      | Some h ->
-          fun st ->
-            if fits st 1 && holds st 1 && element_ok st (stack st (st.sp - 1)) (local st slot) then begin
-              let top = st.sp - 1 in
-              Array.unsafe_set st.stack top (element st (stack st top) (local st slot));
-              leave_hooked h st 1 next
-            end
-            else single st)
-  | Global_load { g; slot }, _ -> (
-      match entering next with
-      | None ->
-          fun st ->
-            if fits st 1 then begin
-              push2 st (global st g) (local st slot);
-              leave st 1 next
-            end
-            else single st
-      | Some h ->
-          fun st ->
-            if fits st 1 then begin
-              push2 st (global st g) (local st slot);
-              leave_hooked h st 1 next
-            end
-            else single st)
-  | Binop_store { impl; checked; dst }, _ -> (
-      match entering next with
-      | None ->
-          fun st ->
-            if fits st 1 && holds st 2 && divides checked (stack st (st.sp - 1)) then begin
-              let sp = st.sp - 2 in
-              st.sp <- sp;
-              set_local st dst (impl (stack st sp) (stack st (sp + 1)));
-              leave st 1 next
-            end
-            else single st
-      | Some h ->
-          fun st ->
-            if fits st 1 && holds st 2 && divides checked (stack st (st.sp - 1)) then begin
-              let sp = st.sp - 2 in
-              st.sp <- sp;
-              set_local st dst (impl (stack st sp) (stack st (sp + 1)));
-              leave_hooked h st 1 next
-            end
-            else single st)
-  | Load_load { a; b }, _ -> (
-      match entering next with
-      | None ->
-          fun st ->
-            if fits st 1 then begin
-              push2 st (local st a) (local st b);
-              leave st 1 next
-            end
-            else single st
-      | Some h ->
-          fun st ->
-            if fits st 1 then begin
-              push2 st (local st a) (local st b);
-              leave_hooked h st 1 next
-            end
-            else single st)
-  | Load_const { slot; k }, _ -> (
-      match entering next with
-      | None ->
-          fun st ->
-            if fits st 1 then begin
-              push2 st (local st slot) k;
-              leave st 1 next
-            end
-            else single st
-      | Some h ->
-          fun st ->
-            if fits st 1 then begin
-              push2 st (local st slot) k;
-              leave_hooked h st 1 next
-            end
-            else single st)
+  | Global_load_aload { g; slot } ->
+      fun st ->
+        let a = global st g and i = local st slot in
+        if fits st 2 && element_ok st a i then begin
+          push1 st (element st a i);
+          leave st 2 next
+        end
+        else single st
+  | Load_load_binop { a; b; impl; checked } ->
+      fun st ->
+        let y = local st b in
+        if fits st 2 && divides checked y then begin
+          push1 st (impl (local st a) y);
+          leave st 2 next
+        end
+        else single st
+  | Const_binop_store { k; impl; dst } ->
+      fun st ->
+        if fits st 2 && holds st 1 then begin
+          let sp = st.sp - 1 in
+          st.sp <- sp;
+          set_local st dst (impl (stack st sp) k);
+          leave st 2 next
+        end
+        else single st
+  | Load_aload { slot } ->
+      fun st ->
+        if fits st 1 && holds st 1 && element_ok st (stack st (st.sp - 1)) (local st slot) then begin
+          let top = st.sp - 1 in
+          Array.unsafe_set st.stack top (element st (stack st top) (local st slot));
+          leave st 1 next
+        end
+        else single st
+  | Global_load { g; slot } ->
+      fun st ->
+        if fits st 1 then begin
+          push2 st (global st g) (local st slot);
+          leave st 1 next
+        end
+        else single st
+  | Binop_store { impl; checked; dst } ->
+      fun st ->
+        if fits st 1 && holds st 2 && divides checked (stack st (st.sp - 1)) then begin
+          let sp = st.sp - 2 in
+          st.sp <- sp;
+          set_local st dst (impl (stack st sp) (stack st (sp + 1)));
+          leave st 1 next
+        end
+        else single st
+  | Load_load { a; b } ->
+      fun st ->
+        if fits st 1 then begin
+          push2 st (local st a) (local st b);
+          leave st 1 next
+        end
+        else single st
+  | Load_const { slot; k } ->
+      fun st ->
+        if fits st 1 then begin
+          push2 st (local st slot) k;
+          leave st 1 next
+        end
+        else single st
 
-(* [on_block], when given, is fired at every transfer Interp.run reports;
-   without it the translation carries no trace of the hook.  Every pc gets
-   its single op; then each form the segmentation places takes over its
-   first pc and keeps that single op as its fallback. *)
-let compile_func (resolved : Resolve.t) (funcs : Program.func array) ops_table ~on_block ~nglobals fidx
+(* Every pc gets its single op; then each form the segmentation places
+   takes over its first pc and keeps that single op as its fallback. *)
+let compile_func (resolved : Resolve.t) (funcs : Program.func array) ops_table ~nglobals fidx
     (f : Program.func) : op array =
   let nlocals = f.Program.nlocals in
   let len = Array.length f.Program.code in
-  let starts = resolved.Resolve.starts in
-  (* the hook for a fall-through into [pc], if Interp.run reports one *)
-  let entering pc = if pc < len && starts.(fidx).(pc) then on_block else None in
   let ops = Array.init (len + 1) (fun pc ->
       if pc = len then past_end
       else
-      let instr = f.Program.code.(pc) in
       let next = pc + 1 in
       let binop impl : op =
        fun st ->
@@ -852,135 +658,102 @@ let compile_func (resolved : Resolve.t) (funcs : Program.func array) ops_table ~
         apply_unop st impl;
         continue_at st next
       in
-      match (entering next, (instr : Instr.t)) with
-      | _, Instr.Jump target -> (
-          let bad = target < 0 || target > len in
-          match on_block with
-          | None ->
-              if bad then fun st ->
-                st.pc <- target;
-                raise Bad_pc
-              else fun st -> continue_at st target
-          | Some h ->
-              if bad then fun st ->
-                st.pc <- target;
-                fire h st target;
-                raise Bad_pc
-              else fun st ->
-                fire h st target;
-                continue_at st target)
-      | _, Instr.If { sense; target } -> (
+      match (f.Program.code.(pc) : Instr.t) with
+      | Instr.Jump target ->
+          if target < 0 || target >= len then fun st ->
+            st.pc <- target;
+            raise Bad_pc
+          else fun st -> continue_at st target
+      | Instr.If { sense; target } ->
           let packed_t = Tracebuf.pack ~fidx ~pc ~taken:true in
           let packed_f = Tracebuf.pack ~fidx ~pc ~taken:false in
-          let bad = target < 0 || target > len in
-          match on_block with
-          | None -> fun st -> take st (branch st sense packed_t packed_f) ~target ~next ~bad
-          | Some h ->
-              let fall_hooked = next < len in
-              fun st -> take_hooked h st (branch st sense packed_t packed_f) ~target ~next ~bad ~fall_hooked)
-      | _, Instr.Call callee -> (
+          let bad = target < 0 || target >= len in
+          fun st -> take st (branch st sense packed_t packed_f) ~target ~next ~bad
+      | Instr.Call callee -> (
           match Hashtbl.find_opt resolved.Resolve.fidx_of callee with
           | None ->
               let msg = "unknown function " ^ callee in
               fun _st -> raise (Trap msg)
-          | Some cidx -> (
+          | Some cidx ->
               let cf = funcs.(cidx) in
               let cnargs = cf.Program.nargs and cnlocals = cf.Program.nlocals in
-              match on_block with
-              | None ->
-                  fun st ->
-                    call st ops_table ~cidx ~cnargs ~cnlocals ~ret:next;
-                    continue_at st 0
-              | Some h ->
-                  fun st ->
-                    call st ops_table ~cidx ~cnargs ~cnlocals ~ret:next;
-                    fire h st 0;
-                    continue_at st 0))
-      | _, Instr.Ret -> (
-          match on_block with
-          | None -> fun st -> continue_at st (return st ops_table)
-          | Some h ->
               fun st ->
-                let rpc = return st ops_table in
-                let rstarts = Array.unsafe_get starts st.fidx in
-                if rpc < Array.length rstarts && Array.unsafe_get rstarts rpc then fire h st rpc;
-                continue_at st rpc)
+                call st ops_table ~cidx ~cnargs ~cnlocals ~ret:next;
+                continue_at st 0)
+      | Instr.Ret -> fun st -> continue_at st (return st ops_table)
       (* everything else falls through to [next] *)
-      | Some h, instr ->
-          (* the hooked translation's ops that enter a block: effect, hook,
-             transfer *)
-          let effect = effect ~nlocals instr in
-          fun st ->
-            effect st;
-            fire h st next;
-            continue_at st next
-      | None, Instr.Const n ->
+      | Instr.Const n ->
           fun st ->
             push st n;
             continue_at st next
-      | None, Instr.Load slot ->
+      | Instr.Load slot ->
           if slot < 0 || slot >= nlocals then oob
           else fun st ->
             push st (Array.unsafe_get st.locals (st.lbase + slot));
             continue_at st next
-      | None, Instr.Store slot ->
+      | Instr.Store slot ->
           if slot < 0 || slot >= nlocals then store_oob
           else fun st ->
             Array.unsafe_set st.locals (st.lbase + slot) (pop st);
             continue_at st next
-      | None, Instr.Get_global g ->
+      | Instr.Get_global g ->
           fun st ->
             push st st.globals.(g);
             continue_at st next
-      | None, Instr.Set_global g ->
+      | Instr.Set_global g ->
           fun st ->
             set_global st g;
             continue_at st next
-      | None, Instr.Binop op -> binop (binop_impl op)
-      | None, Instr.Cmp c -> binop (cmp_impl c)
-      | None, Instr.Neg -> unop negate
-      | None, Instr.Not -> unop logical_not
-      | None, Instr.Dup ->
+      | Instr.Binop op -> binop (binop_impl op)
+      | Instr.Cmp c -> binop (cmp_impl c)
+      | Instr.Neg -> unop negate
+      | Instr.Not -> unop logical_not
+      | Instr.Dup ->
           fun st ->
             dup st;
             continue_at st next
-      | None, Instr.Pop ->
+      | Instr.Pop ->
           fun st ->
             ignore (pop st);
             continue_at st next
-      | None, Instr.Swap ->
+      | Instr.Swap ->
           fun st ->
             swap st;
             continue_at st next
-      | None, Instr.New_array ->
+      | Instr.New_array ->
           fun st ->
             new_array st;
             continue_at st next
-      | None, Instr.Array_load ->
+      | Instr.Array_load ->
           fun st ->
             array_load st;
             continue_at st next
-      | None, Instr.Array_store ->
+      | Instr.Array_store ->
           fun st ->
             array_store st;
             continue_at st next
-      | None, Instr.Array_len ->
+      | Instr.Array_len ->
           fun st ->
             array_len st;
             continue_at st next
-      | None, Instr.Print ->
+      | Instr.Print ->
           fun st ->
             print st;
             continue_at st next
-      | None, Instr.Read ->
+      | Instr.Read ->
           fun st ->
             read st;
             continue_at st next
-      | None, Instr.Nop -> fun st -> continue_at st next)
+      | Instr.Nop -> fun st -> continue_at st next)
   in
-  iter_forms f ~nglobals starts.(fidx) (fun pc form ->
-      ops.(pc) <- fused ~on_block ~entering ~fidx ~len ~single:ops.(pc) pc form);
+  iter_forms f ~nglobals resolved.Resolve.starts.(fidx) (fun pc form ->
+      ops.(pc) <- fused ~fidx ~single:ops.(pc) pc form);
   ops
+
+(* whether the op at [pc] of a function with leader bitmap [starts] is
+   wrapped with the block hook: a block leader, or pc 0 of an empty
+   function, whose only entry is a call *)
+let entry starts pc = if Array.length starts = 0 then pc = 0 else pc < Array.length starts && starts.(pc)
 
 let of_program ?on_block (prog : Program.t) =
   let resolved = Resolve.of_program prog in
@@ -989,17 +762,34 @@ let of_program ?on_block (prog : Program.t) =
     | Some i -> i
     | None -> invalid_arg "Compile.of_program: main function missing"
   in
+  let starts = resolved.Resolve.starts in
   let ops_table = Array.make (Array.length prog.funcs) [||] in
   Array.iteri
-    (fun fidx f ->
-      ops_table.(fidx) <- compile_func resolved prog.funcs ops_table ~on_block ~nglobals:prog.nglobals fidx f)
+    (fun fidx f -> ops_table.(fidx) <- compile_func resolved prog.funcs ops_table ~nglobals:prog.nglobals fidx f)
     prog.funcs;
+  (* the block hook's one seam: the wrapped op at an entry reports it when
+     dispatched; [exec] reports the entries no dispatch follows *)
+  Option.iter
+    (fun (h : block_hook) ->
+      Array.iteri
+        (fun fidx ops ->
+          Array.iteri
+            (fun pc (op : op) ->
+              if entry starts.(fidx) pc then
+                ops.(pc) <-
+                  fun st ->
+                    h ~fidx ~pc ~locals:st.locals ~lbase:st.lbase ~globals:st.globals;
+                    op st)
+            ops)
+        ops_table)
+    on_block;
   {
     ops_table;
     main_idx;
     main_nlocals = prog.funcs.(main_idx).Program.nlocals;
     nglobals = prog.nglobals;
     on_block;
+    starts;
   }
 
 let make_state code ~sink ~input =
@@ -1031,25 +821,32 @@ let make_state code ~sink ~input =
    The only normal return from the op chain is the fuel gate closing
    (every op ends with it), so a normal return IS Out_of_fuel; Finish,
    Trap and Bad_pc leave by exception, with no intervening stack frames
-   because every dispatch is a tail call.  A block hook sees main's entry
-   first, ahead of the first fuel gate, as Interp.run reports it. *)
+   because every dispatch is a tail call.  A block hook fires in the
+   wrapped ops, and here for the two entries no dispatch follows: a fuel
+   cut at an entry (main's entry at fuel 0 among them) and a jump to an
+   out-of-range pc, which Interp.run reports before its next loop head. *)
 let exec code st ~fuel =
   st.fuel <- fuel;
-  Option.iter (fun h -> fire h st 0) code.on_block;
+  let report () =
+    Option.iter
+      (fun (h : block_hook) -> h ~fidx:st.fidx ~pc:st.pc ~locals:st.locals ~lbase:st.lbase ~globals:st.globals)
+      code.on_block
+  in
   let outcome =
     try
-      if st.steps >= fuel then Interp.Out_of_fuel
-      else begin
+      if st.steps < fuel then begin
         st.steps <- st.steps + 1;
-        (Array.unsafe_get st.ops st.pc) st;
-        Interp.Out_of_fuel
-      end
+        (Array.unsafe_get st.ops st.pc) st
+      end;
+      if entry code.starts.(st.fidx) st.pc then report ();
+      Interp.Out_of_fuel
     with
     | Finish v -> Interp.Finished v
     | Trap reason -> Interp.Trapped { fidx = st.fidx; pc = st.pc; reason }
     | Bad_pc ->
         (* the jump's own step is already counted; replay the next loop
            head against the out-of-range pc *)
+        report ();
         if st.steps >= fuel then Interp.Out_of_fuel
         else begin
           st.steps <- st.steps + 1;

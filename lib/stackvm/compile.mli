@@ -20,13 +20,13 @@
     as the reference: the [compile] test suite runs it beside this engine
     on every workload and on random programs, and runs its oracle trace
     capture ([test/vm_oracle.ml]) beside {!Trace.capture}.  A translation
-    made with a {!block_hook} also reports every block entry exactly where
-    {!Interp.run} calls its observer's [on_block], in the same order; that
-    is how
-    {!Trace.capture} records the block counts and variable snapshots
-    embedding needs.  Recognition — jwm and gwm alike — and every
-    snapshot-free capture run a translation without the hook, which
-    carries no trace of it. *)
+    made with a {!block_hook} is the same translation with the op at each
+    block entry wrapped to call the hook first; it reports every block
+    entry exactly where {!Interp.run} calls its observer's [on_block], in
+    the same order.  That is how {!Trace.capture} records the block counts
+    and variable snapshots embedding needs.  Recognition — jwm and gwm
+    alike — and every snapshot-free capture run a translation without the
+    hook, which carries no trace of it. *)
 
 type code
 (** A compiled program (immutable, shareable across domains and runs). *)
@@ -36,23 +36,26 @@ type block_hook = fidx:int -> pc:int -> locals:int array -> lbase:int -> globals
     [on_block]: main's entry (even at fuel 0), every [Jump] and taken
     [If] target (out-of-range ones and the code length included), every
     fall-through into a block leader, a callee's pc 0 and a [Ret] to a
-    caller pc that is a leader — after the transfer, before the next fuel
-    gate.  The current frame's locals are
+    caller pc that is a leader — with the machine state the transfer
+    left, fuel cut or not.  The current frame's locals are
     [locals.(lbase) .. locals.(lbase + nlocals - 1)] of function [fidx];
     both arrays are live machine state — copy what you keep. *)
 
 val of_program : ?on_block:block_hook -> Program.t -> code
 (** Translate, afresh on every call: the translation lives only as long
-    as its caller holds it.  With [on_block], every transfer that enters a
-    block also calls [on_block].
+    as its caller holds it.  With [on_block], the op at every block leader,
+    and at pc 0 of an empty function, calls [on_block] before it runs; the
+    run itself reports the two entries no op runs at, a fuel cut at an
+    entry and a transfer to an out-of-range pc.
     @raise Invalid_argument when [prog.main] is missing. *)
 
 val fused_lengths : Program.t -> int array array
 (** Per function and pc, how many instructions the op the translation
     places at that pc runs behind one dispatch: 2 to 4 where a fused form
     starts, 1 everywhere else (inside a form too, where the single op
-    stays for the form's fallback).  The same for the plain and the
-    hooked translation; no form spans a block leader. *)
+    stays for the form's fallback).  The block hook wraps ops from
+    outside, so the lengths are the same with or without it; no form
+    spans a block leader. *)
 
 val run : ?trace:Tracebuf.t -> ?fuel:int -> code -> input:int list -> Interp.result
 (** Execute. [trace], when given, receives every conditional-branch event

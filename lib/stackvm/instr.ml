@@ -87,5 +87,3 @@ let pp fmt = function
   | Nop -> Format.pp_print_string fmt "nop"
 
 let to_string t = Format.asprintf "%a" pp t
-
-let equal (a : t) (b : t) = a = b

@@ -67,4 +67,3 @@ val relocate : t -> f:(int -> int) -> t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-val equal : t -> t -> bool

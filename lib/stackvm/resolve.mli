@@ -14,6 +14,3 @@ type t = {
 }
 
 val of_program : Program.t -> t
-
-val build : Program.t -> t
-(** Uncached construction (exposed for tests). *)

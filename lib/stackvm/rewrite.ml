@@ -41,9 +41,6 @@ let insert f ~at code = insert_many f [ (at, code) ]
 let append_raw (f : Program.func) code =
   { f with Program.code = Array.append f.Program.code (Array.of_list code) }
 
-let map_targets (f : Program.func) ~f:g =
-  { f with Program.code = Array.map (fun i -> Instr.relocate i ~f:g) f.Program.code }
-
 let with_locals (f : Program.func) n = { f with Program.nlocals = max f.Program.nlocals n }
 
 let fresh_local (f : Program.func) =

@@ -27,9 +27,6 @@ val append_raw : Program.func -> Instr.t list -> Program.func
     instructions must already use absolute targets (used for trampolines);
     existing code is unchanged. *)
 
-val map_targets : Program.func -> f:(int -> int) -> Program.func
-(** Rewrite every branch target through [f]. *)
-
 val with_locals : Program.func -> int -> Program.func
 (** Grow the local-slot count to at least the given value. *)
 

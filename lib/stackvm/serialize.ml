@@ -166,6 +166,7 @@ let decode data =
     done;
     let funcs = List.rev !funcs in
     let main = V.string r in
+    if V.remaining r > 0 then malformed "trailing bytes";
     { Program.funcs = Array.of_list funcs; nglobals; main }
   with V.Malformed reason -> malformed reason
 

@@ -10,7 +10,8 @@ val encode : Program.t -> string
 val decode : string -> Program.t
 (** Inverse of {!encode}. Raises [Failure] on malformed input (and only
     [Failure]: declared lengths are validated against the bytes that
-    remain before any allocation). *)
+    remain before any allocation), bytes after the last field included
+    (["Serialize.decode: trailing bytes"]). *)
 
 val decode_opt : string -> Program.t option
 (** Total decoding: [None] on malformed input — corrupt artifacts are a

@@ -54,11 +54,12 @@ val capture : ?fuel:int -> ?want_snapshots:bool -> Program.t -> input:int list -
     the two captures.  Without snapshots the capture is {!record}, with
     [visits] and [block_counts] empty and [events] also unpacked into
     [branches] for the benchmark.  With snapshots — embedding's capture —
-    the run uses a translation made with a {!Compile.block_hook} that
-    counts block entries in per-function arrays and copies the frame's
-    locals and the globals on a block's first {!max_snapshots_per_block}
-    visits, and records no branch events: [events] and [branches] are
-    empty.  Embedding never reads which way a branch went, and appending
+    the run uses a translation whose block-leader ops call a
+    {!Compile.block_hook} (the run reports a fuel cut at an entry and a
+    jump out of range itself).  The hook counts block entries in
+    per-function arrays and copies the frame's locals and the globals on
+    a block's first {!max_snapshots_per_block} visits.  The run records
+    no branch events: [events] and [branches] are empty.  Embedding never reads which way a branch went, and appending
     the events cost about a fifth of the capture (gzip: 254 k events).
     Its [visits], [block_counts], [hot_blocks] order and [result] are
     those of a capture through the reference interpreter's observer, so

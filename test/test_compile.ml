@@ -151,6 +151,9 @@ let test_bad_pcs_agree () =
       ("call_last", program [ main_of [| Instr.Call "f" |]; callee ]);
       ("ret_to_leader", program [ main_of [| Instr.Call "f"; Instr.Ret; Instr.Jump 1 |]; callee ]);
       ("call_empty", program [ main_of [| Instr.Call "g" |]; empty ]);
+      ( "fused_if_to_len",
+        mk [| Instr.Load 0; Instr.Const 1; Instr.Cmp Instr.Lt; Instr.If { sense = true; target = 4 } |] );
+      ("store_jump_to_len", mk [| Instr.Const 1; Instr.Store 0; Instr.Jump 3 |]);
     ]
   in
   List.iter

@@ -199,7 +199,8 @@ let formats =
   ]
 
 (* Overlong and negative fields in each format, at a varint and at a string
-   length: no encoder writes them, so every decoder must refuse them. *)
+   length, and bytes after a valid SVM1 or NBIN encoding: no encoder writes
+   them, so every decoder must refuse them. *)
 let overlong = String.make 10 '\x80' ^ "\x01"
 let negative = String.make 8 '\xff' ^ "\x7f"
 
@@ -219,6 +220,8 @@ let fixed_cases =
     ("wire response", "\x03x" ^ negative);
     ("journal record", "Dv" ^ overlong ^ "\x00");
     ("journal record", "Dv\x00" ^ negative);
+    ("SVM1", Stackvm.Serialize.encode program_with_extremes ^ "xyz");
+    ("NBIN", Nativesim.Binary.encode (Nativesim.Binary.make ~text:"\x01\x02" ~data:"" ()) ^ "\x00");
   ]
 
 let verdict f s =
@@ -308,10 +311,10 @@ let test_golden_bytes () =
                created_at = 1_700_000_000;
              })))
 
-(* The CLI on a malformed file: every command that reads a program or a
-   binary reports "<path>: not a valid ..." with the decoder's reason on
-   one line and exits 1, never an uncaught exception (125).  Runs the
-   built executable beside this test's. *)
+(* The CLI on a malformed file: every command that reads a program, a
+   binary or a MiniC source reports "<path>: not a valid ..." on one line
+   and exits 1, never an uncaught exception (125) or a fault-injection
+   abort (4).  Runs the built executable beside this test's. *)
 let test_cli_rejects_malformed_files () =
   let exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/pathmark_cli.exe" in
   if not (Sys.file_exists exe) then Alcotest.failf "%s not built" exe;
@@ -321,9 +324,11 @@ let test_cli_rejects_malformed_files () =
     path
   in
   let program = file "SVM1\x80" ".svm" and binary = file ("NBIN\x00" ^ negative) ".nbin" in
+  let source = file "func main() { return 1 +; }" ".mc" in
+  let trailing = file (Stackvm.Serialize.encode program_with_extremes ^ "xyz") ".svm" in
   let out = Filename.temp_file "pathmark-out" "" and err = Filename.temp_file "pathmark-err" "" in
   Fun.protect
-    ~finally:(fun () -> List.iter Sys.remove [ program; binary; out; err ])
+    ~finally:(fun () -> List.iter Sys.remove [ program; binary; source; trailing; out; err ])
     (fun () ->
       List.iter
         (fun args ->
@@ -343,6 +348,9 @@ let test_cli_rejects_malformed_files () =
           [ "run-native"; binary ];
           [ "disasm"; binary ];
           [ "analyze"; binary; "--native" ];
+          [ "recognize"; program ];
+          [ "embed"; source; "-o"; out ];
+          [ "run-vm"; trailing ];
         ])
 
 let suite =
